@@ -51,9 +51,11 @@ let push t time payload =
 
 exception Empty
 
-let pop t =
+(* Remove the smallest entry and return its time alone, so a caller
+   whose time key already encodes the payload allocates no pair. *)
+let pop_time t =
   if t.size = 0 then raise Empty;
-  let time = t.times.(0) and payload = t.payloads.(0) in
+  let time = t.times.(0) in
   t.size <- t.size - 1;
   t.times.(0) <- t.times.(t.size);
   t.payloads.(0) <- t.payloads.(t.size);
@@ -71,4 +73,10 @@ let pop t =
     end
     else continue := false
   done;
+  time
+
+let pop t =
+  if t.size = 0 then raise Empty;
+  let payload = t.payloads.(0) in
+  let time = pop_time t in
   (time, payload)

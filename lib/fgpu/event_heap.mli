@@ -17,3 +17,7 @@ exception Empty
 
 val pop : 'a t -> int * 'a
 (** Smallest time first. @raise Empty on an empty heap. *)
+
+val pop_time : 'a t -> int
+(** [pop] without the payload: removes the smallest entry and returns
+    its time, allocating nothing.  @raise Empty on an empty heap. *)

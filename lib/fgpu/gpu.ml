@@ -13,8 +13,17 @@
    time analytically, so no per-cycle loop is needed and multi-million
    cycle runs complete in seconds.
 
-   Scheduler structures are flat and allocation-free on the hot path:
-   each CU keeps its resident wavefronts in a fixed array (paired with
+   The per-issue path allocates nothing: the scheduler's scans are
+   top-level functions rather than per-call closures, heap keys carry
+   the CU id so a pop returns one int, and the issue itself writes into
+   a reused outcome record.  Each dispatched workgroup allocates its
+   wavefront records, but in the sequential simulation it takes its
+   register files — 33 x 64 words each, too large for the minor heap —
+   from workgroups that retired earlier in the launch, so short, wide
+   launches do not churn the major heap.
+
+   Scheduler structures are flat: each CU keeps its resident wavefronts
+   in a fixed array (paired with
    the owning workgroup, compacted in order on retirement, so slot order
    equals the old resident-list traversal order), and its earliest
    possible issue time is cached and invalidated only on the mutations
@@ -138,36 +147,40 @@ let invalidate cu = cu.cand_valid <- false
    runnable wavefront has ready_at >= the minimum, so "ready at t'"
    means "ready_at = min" and the winner is the probe-order-first
    achiever of the minimum ([first_min], kept by strict-< update). *)
+let rec next_issue_scan cu (slots : Wavefront.t array) n vu idx k min_ready
+    first_le first_min =
+  if k >= n then begin
+    cu.cand_valid <- true;
+    if min_ready = no_candidate then begin
+      cu.cand <- no_candidate;
+      -1
+    end
+    else if min_ready <= vu then begin
+      cu.cand <- vu;
+      first_le
+    end
+    else begin
+      cu.cand <- min_ready;
+      first_min
+    end
+  end
+  else
+    let wf = Array.unsafe_get slots idx in
+    let idx' = if idx + 1 = n then 0 else idx + 1 in
+    if runnable wf then
+      let r = wf.Wavefront.ready_at in
+      let first_le = if first_le < 0 && r <= vu then idx else first_le in
+      if r < min_ready then
+        next_issue_scan cu slots n vu idx' (k + 1) r first_le idx
+      else
+        next_issue_scan cu slots n vu idx' (k + 1) min_ready first_le first_min
+    else
+      next_issue_scan cu slots n vu idx' (k + 1) min_ready first_le first_min
+
 let next_issue cu =
   let n = cu.n_wfs in
   let slots = cu.wf_slots in
   let vu = cu.vu_free in
-  let rec scan idx k min_ready first_le first_min =
-    if k >= n then begin
-      cu.cand_valid <- true;
-      if min_ready = no_candidate then begin
-        cu.cand <- no_candidate;
-        -1
-      end
-      else if min_ready <= vu then begin
-        cu.cand <- vu;
-        first_le
-      end
-      else begin
-        cu.cand <- min_ready;
-        first_min
-      end
-    end
-    else
-      let wf = Array.unsafe_get slots idx in
-      let idx' = if idx + 1 = n then 0 else idx + 1 in
-      if runnable wf then
-        let r = wf.Wavefront.ready_at in
-        let first_le = if first_le < 0 && r <= vu then idx else first_le in
-        if r < min_ready then scan idx' (k + 1) r first_le idx
-        else scan idx' (k + 1) min_ready first_le first_min
-      else scan idx' (k + 1) min_ready first_le first_min
-  in
   if n = 0 then begin
     cu.cand <- no_candidate;
     cu.cand_valid <- true;
@@ -185,8 +198,25 @@ let next_issue cu =
       cu.cand_valid <- true;
       rr
     end
-    else scan rr 0 no_candidate (-1) (-1)
+    else next_issue_scan cu slots n vu rr 0 no_candidate (-1) (-1)
   end
+
+(* Pick the next wavefront to issue on [cu] at time [t]; stop at the
+   round-robin winner instead of scanning the rest (hot path: called
+   once per issue popped from the heap).  Returns the slot index, -1 if
+   nothing is ready.  A pure scan: it probes (rr + k) mod n for k = 0..,
+   without the per-probe division (the cursor may be stale past n after
+   a workgroup retired, hence the initial mod).  The caller commits the
+   cursor once it decides to issue the winner. *)
+let rec probe_ready (slots : Wavefront.t array) n t idx k =
+  if k >= n then -1
+  else
+    let wf = Array.unsafe_get slots idx in
+    if runnable wf && wf.Wavefront.ready_at <= t then idx
+    else probe_ready slots n t (if idx + 1 = n then 0 else idx + 1) (k + 1)
+
+let pick_wavefront cu t =
+  probe_ready cu.wf_slots cu.n_wfs t (cu.rr mod cu.n_wfs) 0
 
 (* One wavefront's recorded issue stream for split-mode replay: per
    issue [pc; meta; line...] where [meta] packs the executed-lane
@@ -304,13 +334,15 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
           fun wf out -> Threaded.issue th wf out
       | Interp -> fun wf out -> Wavefront.issue wf ~dprog ~mem:imem ~line_words out
     in
-    let make_wg wg_id =
+    (* [reuse ()] offers a retired wavefront whose storage the new one
+       may take over *)
+    let make_wg ~reuse wg_id =
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->
-            Wavefront.create ~wg_id ~wf_index ~size:wf_size
+            Wavefront.create ?reuse:(reuse ()) ~wg_id ~wf_index ~size:wf_size
               ~wg_offset:(wg_id * local_size)
               ~wg_size:(min local_size (global_size - (wg_id * local_size)))
-              ~global_size ~params)
+              ~global_size ~params ())
       in
       {
         wg_id;
@@ -325,7 +357,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
     in
     let dummy_wf =
       Wavefront.create ~wg_id:(-1) ~wf_index:0 ~size:1 ~wg_offset:0 ~wg_size:0
-        ~global_size:0 ~params:[]
+        ~global_size:0 ~params:[] ()
     in
     let slot_capacity =
       max wfs_per_wg (cfg.Config.max_workitems_per_cu / wf_size)
@@ -347,7 +379,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
        deadlocks — fails and falls back to sequential execution). *)
     let exec_traces () =
       let exec_wg wg_id =
-        let wg = make_wg wg_id in
+        let wg = make_wg ~reuse:(fun () -> None) wg_id in
         let wfs = wg.wavefronts in
         let nw = Array.length wfs in
         let out = Wavefront.make_outcome ~max_lanes:wf_size in
@@ -406,7 +438,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
               cand_valid = false;
             })
       in
-      let heap = Event_heap.create ~dummy:(-1) in
+      let heap = Event_heap.create ~dummy:() in
       (* Heap keys pack (time, cu_id) so that equal-time events pop in
          CU order.  The pop sequence is then a pure function of the
          event *values* — never of push history or internal heap layout
@@ -417,14 +449,19 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
         let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
         bits (cfg.Config.num_cus - 1) 1
       in
+      let cu_mask = (1 lsl cu_bits) - 1 in
       let push_event t cu_id =
-        Event_heap.push heap ((t lsl cu_bits) lor cu_id) cu_id
+        Event_heap.push heap ((t lsl cu_bits) lor cu_id) ()
       in
       let schedule cu =
         let t = candidate_time cu in
         if t <> no_candidate then push_event t cu.cu_id
       in
       let next_wg = ref 0 in
+      (* Wavefronts of retired workgroups, whose register files the next
+         dispatched workgroup takes over instead of allocating *)
+      let spare = Stack.create () in
+      let reuse () = Stack.pop_opt spare in
       (* One sample of [cu]'s wavefront-occupancy track, in simulated
          cycles; emitted at the points where occupancy changes (dispatch,
          barrier entry/release, retirement). *)
@@ -446,7 +483,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
           && cu.resident_items + (wfs_per_wg * wf_size)
              <= cfg.Config.max_workitems_per_cu
         then begin
-          let wg = make_wg !next_wg in
+          let wg = make_wg ~reuse !next_wg in
           incr next_wg;
           Array.iter
             (fun wf ->
@@ -477,26 +514,6 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
         fail "workgroup of %d items does not fit any CU (capacity %d)"
           local_size cfg.Config.max_workitems_per_cu;
       Array.iter schedule cus;
-      (* pick the next wavefront to issue on [cu] at time [t]; stop at the
-         round-robin winner instead of scanning the rest (hot path: called
-         once per issued wavefront-instruction).  Returns the slot index,
-         -1 if nothing is ready. *)
-      let pick_wavefront cu t =
-        (* pure scan: probes (rr + k) mod n for k = 0.., without the
-           per-probe division (the cursor may be stale past n after a
-           workgroup retired, hence the initial mod).  The caller
-           commits the cursor once it decides to issue the winner. *)
-        let n = cu.n_wfs in
-        let slots = cu.wf_slots in
-        let rec probe idx k =
-          if k >= n then -1
-          else
-            let wf = Array.unsafe_get slots idx in
-            if runnable wf && wf.Wavefront.ready_at <= t then idx
-            else probe (if idx + 1 = n then 0 else idx + 1) (k + 1)
-        in
-        probe (cu.rr mod n) 0
-      in
       (* the round-robin advance [pick_wavefront] used to apply on a hit *)
       let commit_rr cu idx =
         cu.rr <- (if idx + 1 = cu.n_wfs then 0 else idx + 1)
@@ -530,9 +547,23 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
         done;
         cu.n_wfs <- !j;
         cu.resident_items <- cu.resident_items - wg.items;
+        Array.iter (fun wf -> Stack.push wf spare) wg.wavefronts;
         invalidate cu
       in
       let out = Wavefront.make_outcome ~max_lanes:wf_size in
+      (* Charge the issue's coalesced lines to the cache newest-first,
+         matching the consed list the old issue path handed to the
+         (stateful, order-sensitive) port arbiter; returns the latest
+         completion. *)
+      let rec mem_loop now i acc =
+        if i < 0 then acc
+        else
+          let c =
+            Cache.access cache ~now ~addr:out.Wavefront.mem_lines.(i)
+              ~write:out.Wavefront.mem_is_store
+          in
+          mem_loop now (i - 1) (if c > acc then c else acc)
+      in
       let cursors =
         match traces with
         | None -> [||]
@@ -597,15 +628,20 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
          burst path) or hand the CU back to the event heap.
 
          Burst rule: while nothing demands a globally-ordered view of
-         the run — no pending injection, no watchdog, no PMU — and the
-         pc the CU would issue next is non-[interactive], that issue
-         reads and writes only its own wavefront's registers.  Its
-         outcome and timing are independent of every event on other
-         CUs, so it can run immediately instead of round-tripping
-         through the heap.  Every load, store, barrier, retirement and
-         fault still surfaces through the heap in global event order,
-         which keeps cache arbitration, workgroup dispatch, watchdog
-         and injection semantics bit-identical to the unbursted loop. *)
+         the run — no pending injection, no watchdog — and the pc the
+         CU would issue next is non-[interactive], that issue reads and
+         writes only its own wavefront's registers.  Its outcome and
+         timing are independent of every event on other CUs, so it can
+         run immediately instead of round-tripping through the heap.
+         Every load, store, barrier, retirement and fault still surfaces
+         through the heap in global event order, which keeps cache
+         arbitration, workgroup dispatch, watchdog and injection
+         semantics bit-identical to the unbursted loop.  An attached
+         PMU does not need that order: each burst issue updates only
+         its own CU's accounting row, sample cursor and the issuing
+         wavefront's stall kind, plus two sums ([hot], [samples]) whose
+         order does not matter, and the occupancy and lifetime events
+         fire only on barrier and retire issues, which never burst. *)
       let rec do_issue cu t idx =
         commit_rr cu idx;
         let wf = Array.unsafe_get cu.wf_slots idx in
@@ -632,19 +668,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
             if out.Wavefront.mem_is_store then
               stats.Stats.stores <- stats.Stats.stores + 1
             else stats.Stats.loads <- stats.Stats.loads + 1;
-            (* newest-first, matching the consed list the old issue path
-               handed to the (stateful, order-sensitive) port arbiter *)
-            let rec mem_loop i acc =
-              if i < 0 then acc
-              else
-                let c =
-                  Cache.access cache ~now:(t + beats)
-                    ~addr:out.Wavefront.mem_lines.(i)
-                    ~write:out.Wavefront.mem_is_store
-                in
-                mem_loop (i - 1) (if c > acc then c else acc)
-            in
-            mem_loop (out.Wavefront.mem_line_count - 1) completion
+            mem_loop (t + beats) (out.Wavefront.mem_line_count - 1) completion
           end
           else completion
         in
@@ -701,7 +725,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
               ~wf:wf.Wavefront.wf_index
               ~dispatched:wf.Wavefront.dispatched_at ~retired:completion
         end;
-        if pmu_on || watchdog || Option.is_some !pending_inject then begin
+        if watchdog || Option.is_some !pending_inject then begin
           invalidate cu;
           schedule cu
         end
@@ -721,8 +745,8 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       (* main event loop *)
       let events_popped = ref 0 and heap_depth_max = ref 0 in
       while not (Event_heap.is_empty heap) do
-        let key, cu_id = Event_heap.pop heap in
-        let t = key asr cu_bits in
+        let key = Event_heap.pop_time heap in
+        let t = key asr cu_bits and cu_id = key land cu_mask in
         incr events_popped;
         let depth = Event_heap.length heap in
         if depth > !heap_depth_max then heap_depth_max := depth;

@@ -29,6 +29,21 @@
    (store/div/mul) live in a side table consulted by {!issue} rather
    than in the closures, keeping the closures pure lane loops.
 
+   Wavefront-uniform values.  Loop counters, bounds, base addresses and
+   broadcast loads are the same in all 64 lanes, yet a lane loop
+   computes them 64 times.  The dense closures consult the wavefront's
+   [uniform] mask (bit r: every lane of slice r holds one value): an
+   ALU, ALU-immediate, [lw] or branch whose source bits are all set
+   does its work once from lane 0 — one {!Wavefront.alu} or
+   {!Wavefront.cond_holds}, or one coalesce-and-check plus one memory
+   read, which records the same single line and raises the same fault
+   as the lane loop would — and broadcasts a value result, setting the
+   destination's bit.  A uniform branch goes straight to [conv_pc].
+   Otherwise the lane loop runs and the destination's bit is cleared.
+   [li] and the per-workgroup specials write uniform values; [lid] does
+   not.  The sparse path clears the destination's bit through a per-pc
+   mask applied in {!issue}, since it writes only some lanes.
+
    Equivalence contract: for any wavefront state, [issue th wf out]
    leaves the wavefront, the outcome record and global memory in
    exactly the state {!Wavefront.issue} would, including fault messages
@@ -37,7 +52,9 @@
    invariants: a uniform branch outcome on the dense path updates only
    [conv_pc] and leaves [pcs] stale (the interpreting path writes real
    pcs first), which is unobservable because every external reader goes
-   through {!Wavefront.materialize_pcs}. *)
+   through {!Wavefront.materialize_pcs}.  The uniform short-cuts are
+   the same kind of liberty: they skip only work whose result the lane
+   loop would have written identically into every lane. *)
 
 open Ggpu_isa
 
@@ -47,6 +64,9 @@ type t = {
   dense : op array;
   sparse : op array;
   flags : int array;  (* bit 0 = store, bit 1 = div, bit 2 = mul *)
+  keep : int array;
+      (* per pc: the [uniform] bits a sparse issue leaves set (all but
+         the destination's) *)
   prog_len : int;
 }
 
@@ -190,6 +210,42 @@ let rec d_lid (regs : int array) od first lane n =
     Array.unsafe_set regs (od + lane) (first + lane);
     d_lid regs od first (lane + 1) n
   end
+
+let rec bcast (regs : int array) od (v : int) lane n =
+  if lane < n then begin
+    Array.unsafe_set regs (od + lane) v;
+    bcast regs od v (lane + 1) n
+  end
+
+(* Uniform short-cut for the dense ALU closures.  [src] holds the
+   [uniform] bits of the source slices, [dbit] the destination's, and
+   [b] the second operand: lane 0 of rs2, or the immediate.  When every
+   source is uniform, lane 0's result is every lane's: compute it once,
+   broadcast it, set [dbit] and answer true.  Otherwise clear [dbit] and
+   answer false, and the caller runs its lane loop. *)
+let alu_once (wf : Wavefront.t) op src dbit o1 b od n =
+  let u = wf.Wavefront.uniform in
+  if u land src = src then begin
+    let regs = wf.Wavefront.regs in
+    bcast regs od (Wavefront.alu op (Array.unsafe_get regs o1) b) 0 n;
+    wf.Wavefront.uniform <- u lor dbit;
+    true
+  end
+  else begin
+    wf.Wavefront.uniform <- u land lnot dbit;
+    false
+  end
+
+(* A dense branch on uniform operands: one comparison decides every
+   lane, the outcome is uniform, and [pcs] stays stale. *)
+let branch_once (wf : Wavefront.t) (out : Wavefront.outcome) c o1 o2 target
+    next =
+  let regs = wf.Wavefront.regs in
+  let taken =
+    Wavefront.cond_holds c (Array.unsafe_get regs o1) (Array.unsafe_get regs o2)
+  in
+  wf.Wavefront.conv_pc <- (if taken then target else next);
+  out.Wavefront.taken_branch <- taken
 
 (* Branch taken-lane counts, one comparison kind each. *)
 
@@ -782,6 +838,7 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
   let dense = Array.make n noop in
   let sparse = Array.make n noop in
   let flags = Array.make n 0 in
+  let keep = Array.make n (-1) in
   for pc = 0 to n - 1 do
     let d = dprog.(pc) in
     let next = pc + 1 in
@@ -789,50 +846,73 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
       (if d.Fgpu_predecode.is_store then 1 else 0)
       lor (if d.Fgpu_predecode.uses_div then 2 else 0)
       lor if d.Fgpu_predecode.uses_mul then 4 else 0;
+    let dbit = Wavefront.written_bit d in
+    keep.(pc) <- lnot dbit;
     let dn, sp =
       match d.Fgpu_predecode.kind with
       | Fgpu_predecode.KAlu ->
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
           and o2 = d.Fgpu_predecode.rs2 * size in
+          let src =
+            (1 lsl d.Fgpu_predecode.rs1) lor (1 lsl d.Fgpu_predecode.rs2)
+          in
           let dn : op =
             match d.Fgpu_predecode.aop with
-            | Fgpu_isa.Add ->
+            | Fgpu_isa.Add as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_add wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Sub ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_add wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.Sub as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_sub wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Mul ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_sub wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.Mul as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_mul wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.And ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_mul wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.And as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_and wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Or ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_and wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.Or as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_or wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Slt ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_or wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.Slt as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_slt wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Sll ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_slt wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.Sll as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_sll wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Xor ->
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_sll wf.Wavefront.regs o1 o2 od 0 size
+            | Fgpu_isa.Xor as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_xor wf.Wavefront.regs o1 o2 od 0 size
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_xor wf.Wavefront.regs o1 o2 od 0 size
             | op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  d_gen op wf.Wavefront.regs o1 o2 od 0 size
+                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    d_gen op wf.Wavefront.regs o1 o2 od 0 size
           in
           let sp : op =
             match d.Fgpu_predecode.aop with
@@ -874,39 +954,47 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
           and b = d.Fgpu_predecode.imm in
+          let src = 1 lsl d.Fgpu_predecode.rs1 in
           let dn : op =
             match d.Fgpu_predecode.aop with
-            | Fgpu_isa.Add ->
+            | Fgpu_isa.Add as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_add wf.Wavefront.regs o1 b od 0 size
-            | Fgpu_isa.And ->
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_add wf.Wavefront.regs o1 b od 0 size
+            | Fgpu_isa.And as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_and wf.Wavefront.regs o1 b od 0 size
-            | Fgpu_isa.Srl ->
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_and wf.Wavefront.regs o1 b od 0 size
+            | Fgpu_isa.Srl as op ->
                 let sh = b land 31 in
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_srl wf.Wavefront.regs o1 sh od 0 size
-            | Fgpu_isa.Sll ->
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_srl wf.Wavefront.regs o1 sh od 0 size
+            | Fgpu_isa.Sll as op ->
                 let sh = b land 31 in
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_sll wf.Wavefront.regs o1 sh od 0 size
-            | Fgpu_isa.Xor ->
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_sll wf.Wavefront.regs o1 sh od 0 size
+            | Fgpu_isa.Xor as op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_xor wf.Wavefront.regs o1 b od 0 size
-            | Fgpu_isa.Sltu ->
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_xor wf.Wavefront.regs o1 b od 0 size
+            | Fgpu_isa.Sltu as op ->
                 let bu = b land I32.mask in
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_sltu wf.Wavefront.regs o1 bu od 0 size
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_sltu wf.Wavefront.regs o1 bu od 0 size
             | op ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  di_gen op wf.Wavefront.regs o1 b od 0 size
+                  if not (alu_once wf op src dbit o1 b od size) then
+                    di_gen op wf.Wavefront.regs o1 b od 0 size
           in
           let sp : op =
             match d.Fgpu_predecode.aop with
@@ -935,7 +1023,8 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           let dn : op =
            fun wf _ ->
             wf.Wavefront.conv_pc <- next;
-            Array.fill wf.Wavefront.regs od size v
+            Array.fill wf.Wavefront.regs od size v;
+            wf.Wavefront.uniform <- wf.Wavefront.uniform lor dbit
           in
           let sp : op =
            fun wf _ ->
@@ -947,17 +1036,31 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
           and off = d.Fgpu_predecode.imm in
+          let src = 1 lsl d.Fgpu_predecode.rs1 in
           let dn : op =
            fun wf out ->
             wf.Wavefront.conv_pc <- next;
             let regs = wf.Wavefront.regs in
-            for lane = 0 to size - 1 do
-              let addr = Array.unsafe_get regs (o1 + lane) + off in
+            let u = wf.Wavefront.uniform in
+            if u land src <> 0 then begin
+              (* one address: one line, one check, one read *)
               let w =
-                Wavefront.coalesce_and_check out ~line_bytes ~mem_words addr
+                Wavefront.coalesce_and_check out ~line_bytes ~mem_words
+                  (Array.unsafe_get regs o1 + off)
               in
-              Array.unsafe_set regs (od + lane) (Array.unsafe_get mem w)
-            done
+              bcast regs od (Array.unsafe_get mem w) 0 size;
+              wf.Wavefront.uniform <- u lor dbit
+            end
+            else begin
+              wf.Wavefront.uniform <- u land lnot dbit;
+              for lane = 0 to size - 1 do
+                let addr = Array.unsafe_get regs (o1 + lane) + off in
+                let w =
+                  Wavefront.coalesce_and_check out ~line_bytes ~mem_words addr
+                in
+                Array.unsafe_set regs (od + lane) (Array.unsafe_get mem w)
+              done
+            end
           in
           let sp : op =
            fun wf out ->
@@ -1013,6 +1116,9 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           and o2 = d.Fgpu_predecode.rd * size
           and target = pc + 1 + d.Fgpu_predecode.imm
           and c = d.Fgpu_predecode.cnd in
+          let src =
+            (1 lsl d.Fgpu_predecode.rs1) lor (1 lsl d.Fgpu_predecode.rd)
+          in
           (* dense: first pass only counts; real per-lane pcs are
              written only on a mixed outcome, so uniform branches —
              the common case — never touch [pcs] at all (it stays
@@ -1022,66 +1128,86 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
             match c with
             | Fgpu_isa.Lt ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk = c_lt regs o1 o2 0 size 0 in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uniform land src = src then
+                    branch_once wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    w_lt regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk = c_lt regs o1 o2 0 size 0 in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      w_lt regs wf.Wavefront.pcs o1 o2 target next 0 size;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | Fgpu_isa.Ge ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk = c_ge regs o1 o2 0 size 0 in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uniform land src = src then
+                    branch_once wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    w_ge regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk = c_ge regs o1 o2 0 size 0 in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      w_ge regs wf.Wavefront.pcs o1 o2 target next 0 size;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | Fgpu_isa.Eq ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk =
-                    b_eq regs wf.Wavefront.pcs o1 o2 target next 0 size 0
-                  in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uniform land src = src then
+                    branch_once wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk =
+                      b_eq regs wf.Wavefront.pcs o1 o2 target next 0 size 0
+                    in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | Fgpu_isa.Ne ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk =
-                    b_ne regs wf.Wavefront.pcs o1 o2 target next 0 size 0
-                  in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uniform land src = src then
+                    branch_once wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk =
+                      b_ne regs wf.Wavefront.pcs o1 o2 target next 0 size 0
+                    in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | c ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk = c_gen c regs o1 o2 0 size 0 in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uniform land src = src then
+                    branch_once wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    w_gen c regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk = c_gen c regs o1 o2 0 size 0 in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      w_gen c regs wf.Wavefront.pcs o1 o2 target next 0 size;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
           in
           let sp : op =
             match c with
@@ -1135,23 +1261,28 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
                   wf.Wavefront.conv_pc <- next;
                   d_lid wf.Wavefront.regs od
                     (wf.Wavefront.wf_index * size)
-                    0 size
+                    0 size;
+                  wf.Wavefront.uniform <- wf.Wavefront.uniform land lnot dbit
             | Fgpu_isa.Wgid ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_id
+                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_id;
+                  wf.Wavefront.uniform <- wf.Wavefront.uniform lor dbit
             | Fgpu_isa.Wgoff ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_offset
+                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_offset;
+                  wf.Wavefront.uniform <- wf.Wavefront.uniform lor dbit
             | Fgpu_isa.Wgsize ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_size
+                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_size;
+                  wf.Wavefront.uniform <- wf.Wavefront.uniform lor dbit
             | Fgpu_isa.Gsize ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.global_size
+                  Array.fill wf.Wavefront.regs od size wf.Wavefront.global_size;
+                  wf.Wavefront.uniform <- wf.Wavefront.uniform lor dbit
           in
           let sp : op =
             match s with
@@ -1211,26 +1342,30 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
     dense.(pc) <- dn;
     sparse.(pc) <- sp
   done;
-  { dense; sparse; flags; prog_len = n }
+  { dense; sparse; flags; keep; prog_len = n }
 
 (* Issue prologue/epilogue shared with the interpreting path: pick the
    pc, validate it, reset the outcome record, run the compiled lane
    loop, record retirement. *)
 let issue (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) : unit =
   assert (not (Wavefront.finished wf));
-  let pc, executed = Wavefront.select_pc wf in
+  Wavefront.select_pc wf out;
+  let pc = out.Wavefront.pc in
   if pc < 0 || pc >= th.prog_len then fault "pc %d outside program" pc;
-  let live_before = wf.Wavefront.live_lanes in
   let f = Array.unsafe_get th.flags pc in
-  out.Wavefront.pc <- pc;
   out.Wavefront.mem_line_count <- 0;
   out.Wavefront.mem_is_store <- f land 1 <> 0;
   out.Wavefront.used_div <- f land 2 <> 0;
   out.Wavefront.used_mul <- f land 4 <> 0;
   out.Wavefront.taken_branch <- false;
   out.Wavefront.hit_barrier <- false;
-  out.Wavefront.executed_lanes <- executed;
-  out.Wavefront.partial_mask <- executed < live_before;
+  out.Wavefront.partial_mask <-
+    out.Wavefront.executed_lanes < wf.Wavefront.live_lanes;
   (if wf.Wavefront.conv_pc >= 0 then (Array.unsafe_get th.dense pc) wf out
-   else (Array.unsafe_get th.sparse pc) wf out);
+   else begin
+     (* the sparse loops write only some lanes *)
+     wf.Wavefront.uniform <-
+       wf.Wavefront.uniform land Array.unsafe_get th.keep pc;
+     (Array.unsafe_get th.sparse pc) wf out
+   end);
   out.Wavefront.retired <- Wavefront.finished wf

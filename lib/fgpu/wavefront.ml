@@ -32,9 +32,14 @@
      through {!reg}, which answers 0 for x0 directly.
 
    [issue] consumes the predecoded program ({!Ggpu_isa.Fgpu_predecode})
-   and writes into a caller-owned [outcome] scratch record, so a
-   multi-million-instruction run allocates nothing per issue.  Two more
-   devices keep the per-lane cost at a handful of machine instructions:
+   and writes into a caller-owned [outcome] scratch record — the pc
+   selection included, which reports its pc and lane count there rather
+   than in a tuple — so a multi-million-instruction run allocates
+   nothing per issue.  The one large allocation is the register file
+   itself, 33 x [size] words, which lands directly in the major heap;
+   {!create}'s [reuse] lets a scheduler hand a retired wavefront's
+   storage to the next one instead.  Two more devices keep the per-lane
+   cost at a handful of machine instructions:
 
    - the instruction is discriminated once per lane group, with the hot
      operators (the compiler does not inline through a 13-way match
@@ -48,7 +53,15 @@
      on the rare paths that read it directly (divergence, retirement,
      fault-injection probes).  A mixed-outcome branch writes real pcs
      and drops to the sparse path; the sparse scan re-detects
-     reconvergence for free while computing the minimum pc. *)
+     reconvergence for free while computing the minimum pc.
+
+   A third device lives in the threaded backend ({!Threaded}) but its
+   state is here: [uniform] has bit [r] set when every lane of register
+   slice [r] holds the same value.  A dense instruction whose sources
+   are all uniform then computes one lane and broadcasts it.  The
+   interpreting [issue] below never reads the mask, so it stays an
+   independent reference, but like every other writer of [regs] it
+   clears the bit of the slice it writes. *)
 
 open Ggpu_isa
 
@@ -58,6 +71,9 @@ let done_pc = max_int
    sink at slice 32. *)
 let num_reg_slices = 33
 let sink_reg = 32
+
+(* [uniform] with every slice's bit set *)
+let all_uniform = (1 lsl num_reg_slices) - 1
 
 type t = {
   wg_id : int;
@@ -70,6 +86,10 @@ type t = {
   regs : int array;
       (* 33 slices x size lanes, register-major ([r * size + lane]);
          I32 canonical.  Slice 0 stays zero, slice 32 is the x0 sink. *)
+  mutable uniform : int;
+      (* bit [r] set: every lane of slice [r] holds the same value.  A
+         clear bit promises nothing; every [regs] writer must clear the
+         bit of a slice it writes lane by lane *)
   mutable conv_pc : int; (* every lane live at this pc; -1 = consult [pcs] *)
   mutable sel_pc : int; (* cached scan_pcs result for the sparse path *)
   mutable sel_cnt : int;
@@ -121,17 +141,29 @@ let make_outcome ~max_lanes =
     retired = false;
   }
 
-let create ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
-    ~(params : int32 list) =
-  let first_lid = wf_index * size in
-  let pcs =
-    Array.init size (fun lane ->
-        let lid = first_lid + lane in
-        (* lanes past the workgroup or the global range never run *)
-        if lid >= wg_size || wg_offset + lid >= global_size then done_pc else 0)
+let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
+    ~(params : int32 list) () =
+  let pcs, regs =
+    match reuse with
+    | Some (old : t) when old.size = size ->
+        (* a retired wavefront's storage: zeroed, it is indistinguishable
+           from a fresh allocation *)
+        Array.fill old.regs 0 (Array.length old.regs) 0;
+        (old.pcs, old.regs)
+    | _ -> (Array.make size 0, Array.make (num_reg_slices * size) 0)
   in
-  let live = Array.fold_left (fun n pc -> if pc = done_pc then n else n + 1) 0 pcs in
-  let regs = Array.make (num_reg_slices * size) 0 in
+  let first_lid = wf_index * size in
+  let live = ref 0 in
+  for lane = 0 to size - 1 do
+    let lid = first_lid + lane in
+    (* lanes past the workgroup or the global range never run *)
+    if lid >= wg_size || wg_offset + lid >= global_size then
+      pcs.(lane) <- done_pc
+    else begin
+      pcs.(lane) <- 0;
+      incr live
+    end
+  done;
   List.iteri
     (fun i v ->
       let r = i + 1 and v = I32.of_int32 v in
@@ -146,11 +178,13 @@ let create ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
     global_size;
     pcs;
     regs;
-    conv_pc = (if live = size then 0 else -1);
+    (* registers start at zero and parameters are broadcast *)
+    uniform = all_uniform;
+    conv_pc = (if !live = size then 0 else -1);
     sel_pc = 0;
     sel_cnt = 0;
     sel_valid = false;
-    live_lanes = live;
+    live_lanes = !live;
     ready_at = 0;
     at_barrier = false;
     last_cu = -1;
@@ -193,7 +227,10 @@ let reg t ~lane r =
   if r = 0 then 0l else I32.to_int32 t.regs.((r * t.size) + lane)
 
 let set_reg t ~lane r v =
-  if r <> 0 then t.regs.((r * t.size) + lane) <- I32.of_int32 v
+  if r <> 0 then begin
+    t.regs.((r * t.size) + lane) <- I32.of_int32 v;
+    t.uniform <- t.uniform land lnot (1 lsl r)
+  end
 
 let local_id t ~lane = (t.wf_index * t.size) + lane
 
@@ -226,29 +263,37 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
-(* Minimum pc and the number of lanes sitting at it, in one pass.
-   Tail-recursive so the accumulators live in registers. *)
-let rec scan_pcs (pcs : int array) n i best cnt =
-  if i >= n then (best, cnt)
+(* Minimum pc and the number of lanes sitting at it, in one pass, left
+   in [sel_pc]/[sel_cnt] without setting [sel_valid]: the caller decides
+   whether the answer outlives this issue.  Tail-recursive so the
+   accumulators live in registers. *)
+let rec scan_pcs t (pcs : int array) n i best cnt =
+  if i >= n then begin
+    t.sel_pc <- best;
+    t.sel_cnt <- cnt
+  end
   else
     let p = Array.unsafe_get pcs i in
-    if p < best then scan_pcs pcs n (i + 1) p 1
-    else if p = best then scan_pcs pcs n (i + 1) best (cnt + 1)
-    else scan_pcs pcs n (i + 1) best cnt
+    if p < best then scan_pcs t pcs n (i + 1) p 1
+    else if p = best then scan_pcs t pcs n (i + 1) best (cnt + 1)
+    else scan_pcs t pcs n (i + 1) best cnt
 
-(* Pick the pc the next issue executes and how many lanes sit at it.
-   On the sparse path the scan re-detects reconvergence: every lane
-   back at one pc flips the wavefront to the dense path.  Shared by the
-   interpreting issue below and the threaded backend ({!Threaded}). *)
-let select_pc t =
-  if t.conv_pc >= 0 then (t.conv_pc, t.size)
+(* Pick the pc the next issue executes and how many lanes sit at it,
+   into [out.pc] and [out.executed_lanes].  On the sparse path the scan
+   re-detects reconvergence: every lane back at one pc flips the
+   wavefront to the dense path.  Shared by the interpreting issue below
+   and the threaded backend ({!Threaded}). *)
+let select_pc t (out : outcome) =
+  if t.conv_pc >= 0 then begin
+    out.pc <- t.conv_pc;
+    out.executed_lanes <- t.size
+  end
   else begin
-    let pc, cnt =
-      if t.sel_valid then (t.sel_pc, t.sel_cnt)
-      else scan_pcs t.pcs t.size 0 done_pc 0
-    in
+    if not t.sel_valid then scan_pcs t t.pcs t.size 0 done_pc 0;
+    let pc = t.sel_pc and cnt = t.sel_cnt in
     if cnt = t.size then t.conv_pc <- pc;
-    (pc, cnt)
+    out.pc <- pc;
+    out.executed_lanes <- cnt
   end
 
 (* Has [lb] already been coalesced?  Linear scan: a wavefront touches at
@@ -277,6 +322,18 @@ let[@inline] coalesce_and_check (out : outcome) ~line_bytes ~mem_words addr =
    conditional. *)
 let[@inline] dst_off ~size rd = (if rd = 0 then sink_reg else rd) * size
 
+(* The [uniform] bit of the slice an instruction writes; 0 when it
+   writes none. *)
+let written_bit (d : Fgpu_predecode.t) =
+  match d.Fgpu_predecode.kind with
+  | Fgpu_predecode.KAlu | Fgpu_predecode.KAlui | Fgpu_predecode.KLoadImm
+  | Fgpu_predecode.KLw | Fgpu_predecode.KSpecial ->
+      let rd = d.Fgpu_predecode.rd in
+      1 lsl if rd = 0 then sink_reg else rd
+  | Fgpu_predecode.KSw | Fgpu_predecode.KBranch | Fgpu_predecode.KJump
+  | Fgpu_predecode.KBarrier | Fgpu_predecode.KRet ->
+      0
+
 (* Execute one instruction for all lanes at the minimum PC.  Global
    memory is read/written immediately through [mem]; the line buffer in
    [out] carries the timing cost to the scheduler. *)
@@ -285,21 +342,23 @@ let issue t ~(dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
   assert (not (finished t));
   let size = t.size in
   let pcs = t.pcs and regs = t.regs in
-  let pc, executed = select_pc t in
+  select_pc t out;
+  let pc = out.pc and executed = out.executed_lanes in
   (* the interpreting path writes [pcs] without maintaining the sparse
      selection cache *)
   t.sel_valid <- false;
   if pc < 0 || pc >= Array.length dprog then fault "pc %d outside program" pc;
   let d = dprog.(pc) in
+  (* nor does it track uniformity: whatever it writes is assumed to
+     differ across lanes *)
+  t.uniform <- t.uniform land lnot (written_bit d);
   let live_before = t.live_lanes in
-  out.pc <- pc;
   out.mem_line_count <- 0;
   out.mem_is_store <- d.Fgpu_predecode.is_store;
   out.used_div <- d.Fgpu_predecode.uses_div;
   out.used_mul <- d.Fgpu_predecode.uses_mul;
   out.taken_branch <- false;
   out.hit_barrier <- false;
-  out.executed_lanes <- executed;
   out.partial_mask <- executed < live_before;
   let dense = t.conv_pc >= 0 in
   (match d.Fgpu_predecode.kind with

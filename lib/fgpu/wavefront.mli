@@ -7,7 +7,9 @@
     Registers and memory are native [int array]s holding canonical
     {!Ggpu_isa.I32} values (an [int32 array] would box every element);
     [issue] consumes the predecoded program and a reusable [outcome]
-    scratch record, so the steady-state issue path allocates nothing. *)
+    scratch record, so the steady-state issue path allocates nothing.
+    The register file is the one large allocation per wavefront; a
+    scheduler can recycle it through {!create}'s [reuse]. *)
 
 val done_pc : int
 
@@ -32,6 +34,15 @@ type t = {
           slice 32 is a write sink that absorbs [rd = 0] results so
           writes need no check either.  Read through {!reg} from
           outside the issue path. *)
+  mutable uniform : int;
+      (** bit [r] set: every lane of register slice [r] holds the same
+          value (bit 0 always holds: x0 is never written).  {!create}
+          sets every bit.  The threaded backend reads the mask to run a
+          dense instruction with uniform sources once and broadcast the
+          result, and keeps it exact for what it writes; every other
+          writer of [regs] ({!issue}, {!set_reg}, the threaded sparse
+          path) clears the bit of the slice it writes.  A stale set bit
+          would silently give every lane lane 0's value. *)
   mutable conv_pc : int;
       (** incrementally-tracked convergence: when >= 0, every lane is
           live at this pc and [pcs] may be stale; -1 means [pcs] is
@@ -77,6 +88,7 @@ val make_outcome : max_lanes:int -> outcome
 exception Fault of string
 
 val create :
+  ?reuse:t ->
   wg_id:int ->
   wf_index:int ->
   size:int ->
@@ -84,9 +96,13 @@ val create :
   wg_size:int ->
   global_size:int ->
   params:int32 list ->
+  unit ->
   t
 (** Lanes beyond the workgroup or global range start retired; [params]
-    are preloaded into r1..rN of every lane. *)
+    are preloaded into r1..rN of every lane.  [reuse] hands over a
+    retired wavefront of the same [size] whose [pcs]/[regs] storage the
+    new one takes (zeroed first), saving the register file's major-heap
+    allocation; the old wavefront must not be issued again. *)
 
 val finished : t -> bool
 
@@ -102,11 +118,16 @@ val set_pc : t -> lane:int -> int -> unit
 
 val min_pc : t -> int
 
-val select_pc : t -> int * int
-(** The pc the next issue executes and the number of lanes sitting at
-    it, in one pass.  On the sparse path the scan re-detects
-    reconvergence and flips the wavefront back to dense ([conv_pc]).
-    Backend helper, shared by {!issue} and {!Threaded}. *)
+val select_pc : t -> outcome -> unit
+(** Write the pc the next issue executes and the number of lanes
+    sitting at it into the outcome's [pc] and [executed_lanes], in one
+    pass and without allocating.  On the sparse path the scan
+    re-detects reconvergence and flips the wavefront back to dense
+    ([conv_pc]).  Backend helper, shared by {!issue} and {!Threaded}. *)
+
+val written_bit : Ggpu_isa.Fgpu_predecode.t -> int
+(** The [uniform] bit of the register slice an instruction writes
+    ([rd = 0] writes the sink slice), or 0 if it writes no register. *)
 
 val alu : Ggpu_isa.Fgpu_isa.alu_op -> int -> int -> int
 (** ALU semantics on canonical {!Ggpu_isa.I32} values (RISC-V M
@@ -126,6 +147,9 @@ val reg : t -> lane:int -> int -> int32
 (** Architectural register read as [int32] (fault-injection interface). *)
 
 val set_reg : t -> lane:int -> int -> int32 -> unit
+(** Overwrite one lane's register from outside the issue path (fault
+    injection); clears the register's [uniform] bit. *)
+
 val local_id : t -> lane:int -> int
 
 val issue :

@@ -21,8 +21,13 @@ let parse_lines lines =
       if line = "" || line.[0] = '#' then None else Some (Rule.of_line line))
     lines
 
+(* Forced under a mutex: codegen compiles kernels on several domains at
+   once, and forcing one [lazy] from two domains raises
+   [CamlinternalLazy.Undefined].  It stays lazy because parsing at
+   module initialisation would cost every process a few ms. *)
 let builtin = lazy (parse_lines builtin_lines)
-let default () = Lazy.force builtin
+let builtin_lock = Mutex.create ()
+let default () = Mutex.protect builtin_lock (fun () -> Lazy.force builtin)
 
 let load_file path =
   let ic = open_in path in

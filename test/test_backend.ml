@@ -288,14 +288,57 @@ let test_suite_failures_registered () =
 (* --- FI classification signatures are backend-independent -------------- *)
 
 let test_fi_signature_backend_parity () =
-  let signature backend =
-    Campaign.signature
-      (Campaign.run ~domains:1 ~backend ~target:(Campaign.Ggpu 2)
-         ~workload:Suite.copy ~size:256 ~trials:40 ~seed:7 ())
+  List.iter
+    (fun (workload, seed) ->
+      let signature backend =
+        Campaign.signature
+          (Campaign.run ~domains:1 ~backend ~target:(Campaign.Ggpu 2) ~workload
+             ~size:256 ~trials:40 ~seed ())
+      in
+      Alcotest.(check string)
+        (workload.Suite.name ^ " fi signature identical across backends")
+        (signature Gpu.Interp) (signature Gpu.Threaded))
+    [ (Suite.copy, 7); (Suite.parallel_sel, 42) ]
+
+(* --- fault injection into a wavefront-uniform register ----------------- *)
+
+(* The threaded backend executes an instruction once per wavefront when
+   its source registers hold the same value in every lane
+   ([Wavefront.uniform]).  A fault that changes one lane of such a
+   register must clear its uniform bit, or every lane would go on
+   reading lane 0's value.  parallel_sel's [n] is a parameter, so it is
+   uniform until the flip; lane 5's copy then bounds a different loop
+   trip count.  The interpreter never reads the mask and is the
+   reference. *)
+let test_inject_into_uniform_register () =
+  let w = Suite.parallel_sel and size = 256 in
+  let compiled = Codegen_fgpu.compile w.Suite.kernel in
+  let n_reg = List.assoc "n" compiled.Codegen_fgpu.param_regs in
+  let config = Config.with_cus Config.default 2 in
+  let run ~backend ~at =
+    let flip (probe : Gpu.probe) =
+      let wf = probe.Gpu.p_wavefronts.(0) and lane = 5 in
+      Wavefront.set_reg wf ~lane n_reg
+        (Int32.logxor (Wavefront.reg wf ~lane n_reg) 1l)
+    in
+    let r =
+      Run_fgpu.run ~config ~backend ~inject:(at, flip) compiled
+        ~args:(w.Suite.mk_args ~size) ~global_size:(w.Suite.global_size ~size)
+        ~local_size:(min w.Suite.local_size size) ()
+    in
+    (Stats.to_assoc r.Run_fgpu.stats, Run_fgpu.output r w.Suite.output_buffer)
   in
-  Alcotest.(check string)
-    "fi signature identical across backends"
-    (signature Gpu.Interp) (signature Gpu.Threaded)
+  List.iter
+    (fun at ->
+      let stats_ref, out_ref = run ~backend:Gpu.Interp ~at in
+      let stats, out = run ~backend:Gpu.Threaded ~at in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "stats, flip at cycle %d" at)
+        stats_ref stats;
+      Alcotest.(check (array int32))
+        (Printf.sprintf "output, flip at cycle %d" at)
+        out_ref out)
+    [ 0; 1 ]
 
 let suite =
   [
@@ -309,5 +352,7 @@ let suite =
           test_suite_failures_registered;
         Alcotest.test_case "fi signature backend parity" `Slow
           test_fi_signature_backend_parity;
+        Alcotest.test_case "inject into uniform register" `Quick
+          test_inject_into_uniform_register;
       ] );
   ]

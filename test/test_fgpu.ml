@@ -200,6 +200,99 @@ let test_workgroup_accounting () =
   (* 1024 items / local 256 = 4 workgroups *)
   Alcotest.(check int) "workgroups" 4 result.Run_fgpu.stats.Stats.workgroups
 
+(* The issue loop allocates nothing: a longer loop at the same launch
+   geometry adds wavefront-instructions but no minor-heap words.  The
+   loop body mixes a wavefront-uniform load (interactive: heap pop,
+   cache charge) with per-lane ALU work (burst issue).  Measured as the
+   difference of two launches, so per-launch and per-workgroup
+   allocations cancel. *)
+let test_issue_loop_allocation_free () =
+  let open Ast in
+  let kernel =
+    {
+      name = "loop_alloc";
+      params = [ Buffer "a"; Buffer "out"; Scalar "iters" ];
+      body =
+        [
+          Let ("i", Global_id);
+          Let ("acc", const 0);
+          For
+            ( "k",
+              const 0,
+              var "iters",
+              [
+                Assign
+                  ( "acc",
+                    var "acc" +: load "a" (Binop (And, var "k", const 63))
+                    +: var "i" );
+              ] );
+          Store ("out", var "i", var "acc");
+        ];
+    }
+  in
+  let compiled = Codegen_fgpu.compile kernel in
+  let config = Config.with_cus Config.default 2 in
+  let launch backend iters =
+    let args =
+      {
+        Interp.buffers =
+          [ ("a", Array.init 64 Int32.of_int); ("out", Array.make 256 0l) ];
+        scalars = [ ("iters", Int32.of_int iters) ];
+      }
+    in
+    let before = Gc.minor_words () in
+    let r =
+      Run_fgpu.run ~config ~backend compiled ~args ~global_size:256
+        ~local_size:128 ()
+    in
+    (Gc.minor_words () -. before, r.Run_fgpu.stats.Stats.wf_instructions)
+  in
+  List.iter
+    (fun backend ->
+      ignore (launch backend 1);
+      let words_lo, wfi_lo = launch backend 16 in
+      let words_hi, wfi_hi = launch backend 256 in
+      let per_wfi = (words_hi -. words_lo) /. float_of_int (wfi_hi - wfi_lo) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per extra wavefront-instruction"
+           (Gpu.backend_name backend) per_wfi)
+        true (per_wfi < 0.1))
+    [ Gpu.Threaded; Gpu.Interp ]
+
+(* Registers start at zero in every wavefront, including one that takes
+   over the register file of a workgroup retired earlier in the launch.
+   Each work-item stores r20, then sets it to 7.  On one CU only eight
+   64-item workgroups are resident at a time, so most of the 64 run in
+   recycled register files, and must still store zero. *)
+let test_recycled_registers_start_at_zero () =
+  let open Ggpu_isa.Fgpu_isa in
+  let program =
+    [|
+      Special (Lid, 5);
+      Special (Wgoff, 6);
+      Alu (Add, 7, 5, 6);
+      Alui (Sll, 7, 7, 2l);
+      Alu (Add, 7, 7, 1);
+      Sw (20, 7, 0);
+      Li (20, 7l);
+      Ret;
+    |]
+  in
+  let n = 4096 in
+  List.iter
+    (fun backend ->
+      let mem = Array.make n 1l in
+      let stats =
+        Gpu.run ~backend (Config.with_cus Config.default 1) ~program
+          ~params:[ 0l ] ~global_size:n ~local_size:64 ~mem
+      in
+      Alcotest.(check int) "workgroups" 64 stats.Stats.workgroups;
+      Alcotest.(check bool)
+        (Gpu.backend_name backend ^ ": every item stored zero")
+        true
+        (Array.for_all (fun v -> v = 0l) mem))
+    [ Gpu.Threaded; Gpu.Interp ]
+
 (* Property: GPU result equals interpreter result for random sizes on a
    divergent kernel (div_int exercises the iterative divider too). *)
 let prop_gpu_div_random =
@@ -230,6 +323,10 @@ let suite =
         Alcotest.test_case "bad config rejected" `Quick test_bad_config_rejected;
         Alcotest.test_case "workgroup accounting" `Quick
           test_workgroup_accounting;
+        Alcotest.test_case "issue loop allocation-free" `Quick
+          test_issue_loop_allocation_free;
+        Alcotest.test_case "recycled registers start at zero" `Quick
+          test_recycled_registers_start_at_zero;
         QCheck_alcotest.to_alcotest prop_gpu_div_random;
       ] );
   ]
