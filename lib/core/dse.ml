@@ -142,6 +142,16 @@ let balanced_cut tech (path : Timing.path) =
   | Some cell -> (
       match Cell.outputs cell with net :: _ -> Some net | [] -> None)
 
+(* Apply a division to the macro the worst path launches from.  The
+   report holds that macro already, so it is fetched by id instead of
+   replaying the edit by name, which would scan every cell. *)
+let divide netlist macro edit =
+  let cell = Netlist.find_cell netlist (Cell.id macro) in
+  match edit with
+  | Map.Split_words { banks; _ } -> Netlist.split_macro_words netlist cell ~banks
+  | Map.Split_bits { slices; _ } -> Netlist.split_macro_bits netlist cell ~slices
+  | Map.Pipeline _ -> assert false (* split candidates are divisions *)
+
 let pipeline_edit tech netlist (path : Timing.path) =
   let net =
     match balanced_cut tech path with
@@ -242,7 +252,7 @@ let explore ?(max_iterations = 400) ?(strategy = Full) ?(incremental = true)
           in
           match meeting with
           | best :: _ ->
-              Map.apply_edit netlist best.edit;
+              divide netlist path.Timing.launch best.edit;
               Some best.edit
           | [] -> (
               (* no single division meets: take the best improvement and
@@ -255,7 +265,7 @@ let explore ?(max_iterations = 400) ?(strategy = Full) ?(incremental = true)
               in
               match improving with
               | best :: _ ->
-                  Map.apply_edit netlist best.edit;
+                  divide netlist path.Timing.launch best.edit;
                   Some best.edit
               | [] ->
                   if pipeline_allowed then pipeline_edit tech netlist path

@@ -24,12 +24,20 @@
      adjacency (parallelizable across independent cones, which never
      share a net), and the incremental path re-sweeps dirty cones
      through a level-bucket queue so every dirty cell is relaxed at most
-     once per sync instead of once per worklist visit.
+     once per sync instead of once per worklist visit.  The report
+     reads one endpoint summary per sequential cell (endpoint count,
+     worst delay, that endpoint's net).  A sync refreshes only the
+     summaries of the journal's cells and of the sequential readers of
+     nets whose arrival, predecessor or launch changed, so analysing
+     after an edit costs what the edit touches, not what the design
+     holds.
 
    Arrival times are the unique fixpoint of max-plus propagation on the
    DAG, and every tie-break below mirrors the legacy code exactly
    (first-max over input pins, ascending-id endpoint scans, strictly
-   greater replacement), so the two engines are bit-identical - enforced
+   greater replacement: a summary keeps its cell's first maximum in pin
+   order, and the report takes the first maximum over summaries in
+   ascending cell id), so the two engines are bit-identical - enforced
    by the differential qcheck properties in [test/test_csr.ml]. *)
 
 open Ggpu_hw
@@ -256,9 +264,16 @@ type csr_engine = {
   mutable k_launch : int array; (* launching sequential cell id; -1 *)
   (* per-cell, indexed by raw cell id *)
   mutable k_level : int array; (* comb level; -1 for non-comb/absent *)
-  mutable k_queued : Bytes.t; (* level-bucket queue membership *)
+  mutable k_queued : Bytes.t;
+      (* membership: comb cells in the level buckets, other cells in the
+         stale-endpoint list *)
   mutable k_max_level : int;
-  mutable k_seq : int list; (* sequential cell ids, ascending *)
+  (* endpoint summary of a sequential cell, over the input pins a launch
+     register reaches: their number, the worst [arrival +. setup +. skew]
+     and the net of the first pin to reach it; count 0 for other ids *)
+  mutable k_ep_count : int array;
+  mutable k_ep_delay : float array;
+  mutable k_ep_net : int array;
   mutable k_report : (int * report) option;
   mutable k_full : int;
   mutable k_incremental : int;
@@ -294,7 +309,39 @@ let ensure_cell_capacity k id =
   if id >= Array.length k.k_level then begin
     let n = max (id + 1) (2 * Array.length k.k_level) in
     k.k_level <- grow_int_array k.k_level n ~default:(-1);
-    k.k_queued <- grow_bytes k.k_queued n
+    k.k_queued <- grow_bytes k.k_queued n;
+    k.k_ep_count <- grow_int_array k.k_ep_count n ~default:0;
+    k.k_ep_delay <- grow_float_array k.k_ep_delay n;
+    k.k_ep_net <- grow_int_array k.k_ep_net n ~default:(-1)
+  end
+
+(* Recompute the endpoint summary of cell [id] from the arrival arrays
+   with [report_over_ids]'s arithmetic and pin order (strictly greater
+   replaces, so the first maximum wins).  A removed or combinational
+   cell has no endpoints. *)
+let csr_refresh_endpoints k id =
+  ensure_cell_capacity k id;
+  k.k_ep_count.(id) <- 0;
+  k.k_ep_net.(id) <- -1;
+  let nl = k.k_netlist in
+  if Netlist.mem_cell nl id then begin
+    let cell = Netlist.find_cell nl id in
+    if Cell.is_sequential cell then begin
+      let setup = setup_time k.k_tech cell in
+      let skew = k.k_tech.Tech.stdcell.Stdcell.clock_skew_ns in
+      List.iter
+        (fun net ->
+          let nid = Net.id net in
+          if nid < Array.length k.k_launch && k.k_launch.(nid) >= 0 then begin
+            let delay_ns = k.k_arr.(nid) +. setup +. skew in
+            if k.k_ep_count.(id) = 0 || delay_ns > k.k_ep_delay.(id) then begin
+              k.k_ep_delay.(id) <- delay_ns;
+              k.k_ep_net.(id) <- nid
+            end;
+            k.k_ep_count.(id) <- k.k_ep_count.(id) + 1
+          end)
+        (Cell.inputs cell)
+    end
   end
 
 (* Rebuild the CSR structure from scratch and run the levelized full
@@ -317,7 +364,9 @@ let csr_rebuild k =
   k.k_launch <- Array.make net_bound (-1);
   k.k_level <- Array.make cell_bound (-1);
   k.k_queued <- Bytes.make cell_bound '\000';
-  k.k_seq <- seq_ids nl;
+  k.k_ep_count <- Array.make cell_bound 0;
+  k.k_ep_delay <- Array.make cell_bound 0.0;
+  k.k_ep_net <- Array.make cell_bound (-1);
   (* dense comb numbering, ascending cell id *)
   let comb_rev =
     Netlist.fold_cells nl ~init:[] ~f:(fun acc c ->
@@ -543,7 +592,9 @@ let csr_rebuild k =
       (Ggpu_par.Parallel.map ~domains
          (fun chunk -> Array.iter relax chunk)
          chunks)
-  end
+  end;
+  Netlist.iter_cells nl (fun cell ->
+      if Cell.is_sequential cell then csr_refresh_endpoints k (Cell.id cell))
 
 (* Incremental sync, phase A: restore the level fixpoint over the dirty
    region.  level(c) = 1 + max level of distinct comb drivers (0 with
@@ -620,7 +671,9 @@ let csr_fix_levels k ~cells ~nets =
    ascending order relaxes every dirty cell exactly once, after all its
    dirty predecessors (a reader's level strictly exceeds its comb
    driver's, restored by phase A).  Seeding and change detection mirror
-   the legacy worklist byte for byte. *)
+   the legacy worklist byte for byte.  Returns the cells whose endpoint
+   summaries are stale: the journal's non-comb cells and the sequential
+   readers of every net whose arrival, predecessor or launch changed. *)
 let csr_resweep k ~cells ~nets =
   let nl = k.k_netlist and tech = k.k_tech in
   let buckets = ref (Array.make (k.k_max_level + 1) []) in
@@ -631,16 +684,23 @@ let csr_resweep k ~cells ~nets =
       buckets := b
     end
   in
+  (* [k_queued] admits a cell once per sync: a comb cell into the level
+     buckets, any other id into [stale] *)
+  let first_visit id =
+    ensure_cell_capacity k id;
+    let fresh = Bytes.get k.k_queued id = '\000' in
+    Bytes.set k.k_queued id '\001';
+    fresh
+  in
+  let stale = ref [] in
+  let mark_stale id = if first_visit id then stale := id :: !stale in
   let enqueue cell =
-    if Cell.is_comb cell then begin
-      let id = Cell.id cell in
-      ensure_cell_capacity k id;
-      if Bytes.get k.k_queued id = '\000' then begin
-        Bytes.set k.k_queued id '\001';
-        let l = max 0 k.k_level.(id) in
-        ensure_bucket l;
-        !buckets.(l) <- id :: !buckets.(l)
-      end
+    let id = Cell.id cell in
+    if not (Cell.is_comb cell) then mark_stale id
+    else if first_visit id then begin
+      let l = max 0 k.k_level.(id) in
+      ensure_bucket l;
+      !buckets.(l) <- id :: !buckets.(l)
     end
   in
   let enqueue_readers net = List.iter enqueue (Netlist.readers_of nl net) in
@@ -692,9 +752,15 @@ let csr_resweep k ~cells ~nets =
       if Netlist.mem_cell nl id then begin
         let cell = Netlist.find_cell nl id in
         if Cell.is_comb cell then enqueue cell
-        else List.iter (reseed_seq_output cell) (Cell.outputs cell)
+        else begin
+          mark_stale id;
+          List.iter (reseed_seq_output cell) (Cell.outputs cell)
+        end
       end
-      (* removed cells: their output nets are in [nets] *))
+      else
+        (* removed cells: their output nets are in [nets]; a removed
+           register's summary must go *)
+        mark_stale id)
     cells;
   (* relaxation of one dirty cell: same first-max fold as [eval_cell],
      reading the flat arrays *)
@@ -758,7 +824,9 @@ let csr_resweep k ~cells ~nets =
     in
     drain ();
     incr l
-  done
+  done;
+  List.iter (fun id -> Bytes.set k.k_queued id '\000') !stale;
+  !stale
 
 (* Materialize the legacy hashtable view of the CSR arrays (for
    {!engine_arrivals} consumers and the differential tests). *)
@@ -792,82 +860,41 @@ let csr_arrivals k =
       end);
   arrivals
 
-(* Worst path over the CSR arrays; scan order and tie-breaks replicate
-   [report_over_ids] exactly. *)
+(* Worst path over the endpoint summaries: the first strict maximum in
+   ascending cell id, which is [report_over_ids]'s scan order since each
+   summary already holds its cell's first maximum in pin order. *)
 let csr_report k =
-  let nl = k.k_netlist and tech = k.k_tech in
-  let worst = ref None in
-  let endpoints = ref 0 in
-  let skew = tech.Tech.stdcell.Stdcell.clock_skew_ns in
-  List.iter
-    (fun id ->
-      let cell = Netlist.find_cell nl id in
-      let setup = lazy (setup_time tech cell) in
-      List.iter
-        (fun net ->
-          let nid = Net.id net in
-          if nid < Array.length k.k_launch && k.k_launch.(nid) >= 0 then begin
-            incr endpoints;
-            let arrival = k.k_arr.(nid) in
-            let delay_ns = arrival +. Lazy.force setup +. skew in
-            match !worst with
-            | Some (best, _, _) when best >= delay_ns -> ()
-            | Some _ | None -> worst := Some (delay_ns, nid, cell)
-          end)
-        (Cell.inputs cell))
-    k.k_seq;
-  match !worst with
-  | None -> raise No_paths
-  | Some (_, endpoint_nid, capture) -> (
-      let rec walk nid acc =
-        if nid < Array.length k.k_pred_cell && k.k_pred_cell.(nid) >= 0 then begin
-          let cell = Netlist.find_cell nl k.k_pred_cell.(nid) in
-          let prev = k.k_pred_net.(nid) in
-          if prev >= 0 then walk prev (cell :: acc)
-          else (cell :: acc, None)
-        end
-        else (acc, Netlist.driver_of nl (Netlist.find_net nl nid))
-      in
-      let through, launch_opt = walk endpoint_nid [] in
-      let launch =
-        match launch_opt with
-        | Some cell when Cell.is_sequential cell -> Some cell
-        | Some _ | None -> None
-      in
-      match launch with
-      | None -> raise No_paths (* cannot happen: endpoint has a launch *)
-      | Some launch ->
-          let arrival = k.k_arr.(endpoint_nid) in
-          let delay_ns =
-            arrival +. setup_time tech capture
-            +. tech.Tech.stdcell.Stdcell.clock_skew_ns
-          in
-          let worst = { launch; capture; through; delay_ns } in
-          {
-            worst;
-            max_delay_ns = worst.delay_ns;
-            fmax_mhz = 1000.0 /. worst.delay_ns;
-            endpoint_count = !endpoints;
-          })
-
-(* Keep the cached sequential-id list equal to [seq_ids netlist]:
-   every added, removed or rewired cell id appears in the journal, so
-   dropping the touched ids and re-inserting the ones that are (still)
-   sequential restores the invariant. *)
-let merge_seq_ids nl seq touched =
-  match touched with
-  | [] -> seq
-  | touched ->
-      let touched = List.sort_uniq Int.compare touched in
-      let keep = List.filter (fun id -> not (List.mem id touched)) seq in
-      let add =
-        List.filter
-          (fun id ->
-            Netlist.mem_cell nl id
-            && Cell.is_sequential (Netlist.find_cell nl id))
-          touched
-      in
-      List.merge Int.compare keep add
+  let nl = k.k_netlist in
+  let worst = ref (-1) and endpoints = ref 0 in
+  for id = 0 to Array.length k.k_ep_count - 1 do
+    let n = k.k_ep_count.(id) in
+    if n > 0 then begin
+      endpoints := !endpoints + n;
+      if !worst < 0 || k.k_ep_delay.(id) > k.k_ep_delay.(!worst) then
+        worst := id
+    end
+  done;
+  if !worst < 0 then raise No_paths;
+  let capture = Netlist.find_cell nl !worst in
+  let rec walk nid acc =
+    if nid < Array.length k.k_pred_cell && k.k_pred_cell.(nid) >= 0 then begin
+      let cell = Netlist.find_cell nl k.k_pred_cell.(nid) in
+      let prev = k.k_pred_net.(nid) in
+      if prev >= 0 then walk prev (cell :: acc) else (cell :: acc, None)
+    end
+    else (acc, Netlist.driver_of nl (Netlist.find_net nl nid))
+  in
+  let through, launch_opt = walk k.k_ep_net.(!worst) [] in
+  match launch_opt with
+  | Some launch when Cell.is_sequential launch ->
+      let delay_ns = k.k_ep_delay.(!worst) in
+      {
+        worst = { launch; capture; through; delay_ns };
+        max_delay_ns = delay_ns;
+        fmax_mhz = 1000.0 /. delay_ns;
+        endpoint_count = !endpoints;
+      }
+  | Some _ | None -> raise No_paths (* cannot happen: endpoint has a launch *)
 
 let csr_make ~domains tech netlist =
   let k =
@@ -884,7 +911,9 @@ let csr_make ~domains tech netlist =
       k_level = [||];
       k_queued = Bytes.empty;
       k_max_level = 0;
-      k_seq = [];
+      k_ep_count = [||];
+      k_ep_delay = [||];
+      k_ep_net = [||];
       k_report = None;
       k_full = 1;
       k_incremental = 0;
@@ -901,13 +930,17 @@ let csr_sync k =
     | Some { Netlist.cells = []; nets = [] } -> ()
     | Some { Netlist.cells; nets } ->
         let before = k.k_relaxed in
-        Ggpu_obs.Trace.with_span "sta.incremental" (fun () ->
-            csr_fix_levels k ~cells ~nets;
-            csr_resweep k ~cells ~nets);
-        k.k_seq <- merge_seq_ids k.k_netlist k.k_seq cells;
+        let refreshed =
+          Ggpu_obs.Trace.with_span "sta.incremental" (fun () ->
+              csr_fix_levels k ~cells ~nets;
+              let stale = csr_resweep k ~cells ~nets in
+              List.iter (csr_refresh_endpoints k) stale;
+              List.length stale)
+        in
         k.k_incremental <- k.k_incremental + 1;
         Ggpu_obs.Metrics.count "sta.incremental_updates" 1;
-        Ggpu_obs.Metrics.observe_named "sta.cone_cells" (k.k_relaxed - before)
+        Ggpu_obs.Metrics.observe_named "sta.cone_cells" (k.k_relaxed - before);
+        Ggpu_obs.Metrics.observe_named "sta.endpoints_refreshed" refreshed
     | None ->
         (* journal truncated: too far behind, rebuild from scratch *)
         Ggpu_obs.Trace.with_span "sta.full" (fun () -> csr_rebuild k);
@@ -1092,6 +1125,25 @@ let incremental_update engine ~cells ~nets =
       end
     end
   done
+
+(* Keep the cached sequential-id list equal to [seq_ids netlist]:
+   every added, removed or rewired cell id appears in the journal, so
+   dropping the touched ids and re-inserting the ones that are (still)
+   sequential restores the invariant. *)
+let merge_seq_ids nl seq touched =
+  match touched with
+  | [] -> seq
+  | touched ->
+      let touched = List.sort_uniq Int.compare touched in
+      let keep = List.filter (fun id -> not (List.mem id touched)) seq in
+      let add =
+        List.filter
+          (fun id ->
+            Netlist.mem_cell nl id
+            && Cell.is_sequential (Netlist.find_cell nl id))
+          touched
+      in
+      List.merge Int.compare keep add
 
 let update_seq_ids engine touched =
   engine.e_seq <- merge_seq_ids engine.e_netlist engine.e_seq touched

@@ -57,6 +57,12 @@ val analyse_csr : ?domains:int -> Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> repor
     same mutating netlist (the planner's analyse-edit loop).  After an
     edit, only the fan-out cone of the touched cells is relaxed, using
     the netlist's change journal ({!Ggpu_hw.Netlist.changes_since}).
+    The {!Csr} engine also keeps an endpoint summary per sequential
+    cell (endpoint count, worst delay, that endpoint's net) and
+    refreshes only those of the journal's cells and of the sequential
+    readers of nets whose arrival, predecessor or launch changed; the
+    report is the first maximum over the summaries in ascending cell
+    id, each summary holding its cell's first maximum in pin order.
     Results are bit-identical to {!analyse}. *)
 
 type engine

@@ -221,6 +221,26 @@ let test_dse_csr_matches_legacy () =
     (List.map Map.edit_to_string csr.Dse.map.Map.edits);
   check_reports "final report" legacy.Dse.final csr.Dse.final
 
+(* An incremental analysis costs what the edit touches, not what the
+   design holds: after one pipeline on the same CU-0 net, the next
+   analysis allocates about as much at 32 CUs as at 8. *)
+let test_incremental_cost_flat () =
+  let words num_cus =
+    let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus in
+    let engine = Timing.make_engine tech nl in
+    ignore (Timing.engine_analyse engine);
+    (match Netlist.find_net_by_name nl "cu0/regfile/addr/d" with
+    | Some net -> ignore (Netlist.insert_pipeline nl net)
+    | None -> Alcotest.fail "no net cu0/regfile/addr/d");
+    let before = Gc.minor_words () in
+    ignore (Timing.engine_analyse engine);
+    Gc.minor_words () -. before
+  in
+  let w8 = words 8 and w32 = words 32 in
+  if w32 > 1.5 *. w8 then
+    Alcotest.failf "32 CUs allocate %.0f words, over 1.5x the %.0f at 8 CUs"
+      w32 w8
+
 let test_engine_impl_dispatch () =
   let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:1 in
   Alcotest.(check bool) "default engine is CSR" true
@@ -241,5 +261,7 @@ let suite =
           test_dse_csr_matches_legacy;
         Alcotest.test_case "engine impl dispatch" `Quick
           test_engine_impl_dispatch;
+        Alcotest.test_case "incremental cost flat in CU count" `Quick
+          test_incremental_cost_flat;
       ] );
   ]

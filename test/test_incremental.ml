@@ -67,21 +67,29 @@ let check_bit_identity ~num_cus () =
 
 let test_bit_identity_1cu () = check_bit_identity ~num_cus:1 ()
 let test_bit_identity_8cu () = check_bit_identity ~num_cus:8 ()
+let test_bit_identity_16cu () = check_bit_identity ~num_cus:16 ()
 
 (* The planner itself must converge to the same answer with and without
-   the engine. *)
+   the engine, inside the paper's range and beyond it. *)
 let test_dse_incremental_matches_full () =
-  let run ~incremental =
-    let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:2 in
-    Dse.explore ~incremental tech nl ~num_cus:2 ~period_ns:(1000.0 /. 667.0)
-  in
-  let inc = run ~incremental:true and full = run ~incremental:false in
-  Alcotest.(check int) "iterations" full.Dse.iterations inc.Dse.iterations;
-  Alcotest.(check (list string))
-    "same edits"
-    (List.map Map.edit_to_string full.Dse.map.Map.edits)
-    (List.map Map.edit_to_string inc.Dse.map.Map.edits);
-  check_reports_identical "final report" inc.Dse.final full.Dse.final
+  List.iter
+    (fun num_cus ->
+      let run ~incremental =
+        let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus in
+        Dse.explore ~incremental tech nl ~num_cus
+          ~period_ns:(1000.0 /. 667.0)
+      in
+      let inc = run ~incremental:true and full = run ~incremental:false in
+      let msg = Printf.sprintf "%d CU" num_cus in
+      Alcotest.(check int)
+        (msg ^ ": iterations") full.Dse.iterations inc.Dse.iterations;
+      Alcotest.(check (list string))
+        (msg ^ ": same edits")
+        (List.map Map.edit_to_string full.Dse.map.Map.edits)
+        (List.map Map.edit_to_string inc.Dse.map.Map.edits);
+      check_reports_identical (msg ^ ": final report") inc.Dse.final
+        full.Dse.final)
+    [ 2; 16 ]
 
 (* [Netlist.copy] must hand the flow an independent netlist: editing the
    copy leaves the base untouched, and DSE on a copy converges exactly
@@ -117,6 +125,8 @@ let suite =
           test_bit_identity_1cu;
         Alcotest.test_case "engine bit-identical, 8 CU" `Slow
           test_bit_identity_8cu;
+        Alcotest.test_case "engine bit-identical, 16 CU" `Slow
+          test_bit_identity_16cu;
         Alcotest.test_case "dse incremental matches full" `Quick
           test_dse_incremental_matches_full;
         Alcotest.test_case "netlist copy is independent" `Quick
