@@ -61,20 +61,20 @@ let backend_term =
 
 let sim_domains_term =
   let doc =
-    "Domain fan-out for the functional phase $(i,inside) one simulation \
-     (CU-parallel split). Simulated results are bit-identical for any \
-     value; 1 disables the split."
+    "Domain fan-out for the functional (record) pass $(i,inside) one \
+     simulation. Simulated results are bit-identical for any value; at \
+     1, a launch timed at one CU count runs in place."
   in
   Arg.(value & opt int 1 & info [ "sim-domains" ] ~doc ~docv:"D")
 
-(* On subcommands with no job fan-out (run/compare) the CU-parallel
-   split is the only domain knob, so --domains and --sim-domains name
-   the same flag there. *)
+(* On subcommands with no job fan-out (run/compare) the record pass
+   is the only domain knob, so --domains and --sim-domains name the
+   same flag there. *)
 let sim_domains_alias_term =
   let doc =
-    "Domain fan-out for the functional phase inside one simulation \
-     (CU-parallel split). Simulated results are bit-identical for any \
-     value; 1 disables the split."
+    "Domain fan-out for the functional (record) pass inside one \
+     simulation. Simulated results are bit-identical for any value; at \
+     1, a launch timed at one CU count runs in place."
   in
   Arg.(value & opt int 1 & info [ "domains"; "sim-domains" ] ~doc ~docv:"D")
 

@@ -38,12 +38,15 @@ val run_ggpu :
   ?domains:int ->
   ?superopt:bool ->
   Ggpu_kernels.Suite.t ->
-  num_cus:int ->
-  int
-(** Cycle count at the workload's G-GPU size.  [backend] selects the
-    simulator execution engine and [domains] the CU-parallel split;
-    cycle counts are bit-identical for any combination.  [superopt]
-    (default true) is forwarded to {!Ggpu_kernels.Codegen_fgpu.compile}. *)
+  cu_counts:int list ->
+  int list
+(** Cycle counts at the workload's G-GPU size, one per entry of
+    [cu_counts], from one launch ({!Ggpu_kernels.Run_fgpu.run_cus}:
+    compiled, given inputs and executed once, timed at every count).
+    [backend] selects the simulator execution engine and [domains] the
+    functional fan-out; cycle counts are bit-identical for any
+    combination.  [superopt] (default true) is forwarded to
+    {!Ggpu_kernels.Codegen_fgpu.compile}. *)
 
 val table3 :
   ?workloads:Ggpu_kernels.Suite.t list ->

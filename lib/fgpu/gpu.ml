@@ -44,26 +44,30 @@
      the golden cycle table and the differential property tests hold
      them to it.
 
-   - [domains] > 1 splits the run into a functional phase and a timing
-     phase.  Timing is not decomposable per CU (every memory issue
+   - Record and replay splits a launch into a functional pass and a
+     timing pass.  Timing is not decomposable per CU (every memory issue
      arbitrates for the shared cache's ports and the AXI bus, and
      workgroup dispatch consults a global cursor), but the functional
      execution is: workgroups only interact through barriers within
-     themselves, so each workgroup's lane work can run in its own
-     domain.  Phase A executes all workgroups functionally in parallel
-     ({!Ggpu_par.Parallel.map}), recording each wavefront's issue
-     stream (pc, lane counts, coalesced lines, flags) into a compact
-     trace.  Phase B replays those traces through the unchanged
-     sequential scheduler — same heap, same cache arbitration, same
-     dispatch, same PMU hooks — so every timing decision is made by
-     exactly the code that makes it at [domains = 1], and the result is
-     bit-identical at every domain count by construction.  Runs that
-     need mid-flight architectural access (fault injection, watchdog
-     truncation) fall back to in-place execution, as does any split run
-     whose phase A faults or whose replay desynchronises (possible only
+     themselves, so each workgroup's lane work can run on its own, in
+     any order and on any domain.  The record pass executes all
+     workgroups functionally ({!Ggpu_par.Parallel.map} over [domains]),
+     recording each wavefront's issue stream (pc, lane counts,
+     coalesced lines, flags) into a compact trace ({!Tbuf}).  A replay
+     runs those traces through the unchanged scheduler — same heap,
+     same cache arbitration, same dispatch, same PMU hooks — so every
+     timing decision is made by exactly the code that makes it in
+     place, and the result is bit-identical by construction.  Registers,
+     memory and issue streams do not depend on the CU count, so
+     [run_cus] records once and replays once per count, each replay
+     from a fresh cache, heap and stats.  One count on one domain runs
+     in place: a record pass plus one replay costs more.  Runs that need
+     mid-flight architectural access (fault injection, watchdog
+     truncation) run in place, as does every count of a launch whose
+     record pass faults or whose replay desynchronises (possible only
      for racy or non-uniformly-synchronised kernels): global memory is
-     restored from a snapshot and the run repeats sequentially, giving
-     exactly the sequential semantics including partial-result state. *)
+     restored from a snapshot before each count, giving exactly the
+     in-place semantics including partial-result state. *)
 
 type workgroup = {
   wg_id : int;
@@ -218,25 +222,50 @@ let rec probe_ready (slots : Wavefront.t array) n t idx k =
 let pick_wavefront cu t =
   probe_ready cu.wf_slots cu.n_wfs t (cu.rr mod cu.n_wfs) 0
 
-(* One wavefront's recorded issue stream for split-mode replay: per
-   issue [pc; meta; line...] where [meta] packs the executed-lane
-   count (bits 0-15), the coalesced line count (bits 16-31) and the
-   outcome flags (bits 32+). *)
+(* One wavefront's recorded issue stream for replay: a byte string of
+   LEB128 varints (7 bits per byte, high bit set on every byte but the
+   last).  Per issue: the pc; then one word packing the executed-lane
+   count (low [lane_bits] bits), the coalesced line count (the next
+   [lane_bits]) and the outcome flags (above); then each line as its
+   index (byte address over line size).  A full-width issue with no
+   memory access and no flag takes two bytes.  Every field is
+   non-negative: a recorded stream comes from a record pass that did
+   not fault, so its lines passed the range check. *)
 module Tbuf = struct
-  type t = { mutable buf : int array; mutable len : int }
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create () = { buf = Array.make 256 0; len = 0 }
+  let create () = { buf = Bytes.create 64; len = 0 }
 
-  let record b (out : Wavefront.outcome) =
+  (* bytes a varint of a non-negative int can take *)
+  let max_varint = 9
+
+  let rec put_slow buf p v =
+    if v < 0x80 then begin
+      Bytes.unsafe_set buf p (Char.unsafe_chr v);
+      p + 1
+    end
+    else begin
+      Bytes.unsafe_set buf p (Char.unsafe_chr (v land 0x7F lor 0x80));
+      put_slow buf (p + 1) (v lsr 7)
+    end
+
+  (* write [v] at [p]; returns the position after it *)
+  let[@inline] put buf p v =
+    if v < 0x80 then begin
+      Bytes.unsafe_set buf p (Char.unsafe_chr v);
+      p + 1
+    end
+    else put_slow buf p v
+
+  (* [lane_bits] holds any lane or line count of the launch *)
+  let record b ~lane_bits ~line_bytes (out : Wavefront.outcome) =
     let nl = out.Wavefront.mem_line_count in
-    let need = b.len + 2 + nl in
-    if need > Array.length b.buf then begin
-      let a = Array.make (max (2 * Array.length b.buf) need) 0 in
-      Array.blit b.buf 0 a 0 b.len;
+    let need = b.len + (max_varint * (2 + nl)) in
+    if need > Bytes.length b.buf then begin
+      let a = Bytes.create (max (2 * Bytes.length b.buf) need) in
+      Bytes.blit b.buf 0 a 0 b.len;
       b.buf <- a
     end;
-    let a = b.buf and p = b.len in
-    a.(p) <- out.Wavefront.pc;
     let flags =
       (if out.Wavefront.partial_mask then 1 else 0)
       lor (if out.Wavefront.mem_is_store then 2 else 0)
@@ -246,26 +275,78 @@ module Tbuf = struct
       lor (if out.Wavefront.hit_barrier then 32 else 0)
       lor if out.Wavefront.retired then 64 else 0
     in
-    a.(p + 1) <-
-      out.Wavefront.executed_lanes lor (nl lsl 16) lor (flags lsl 32);
+    let buf = b.buf in
+    let p = put buf b.len out.Wavefront.pc in
+    let p =
+      ref
+        (put buf p
+           (out.Wavefront.executed_lanes lor (nl lsl lane_bits)
+           lor (flags lsl (2 * lane_bits))))
+    in
     for i = 0 to nl - 1 do
-      a.(p + 2 + i) <- out.Wavefront.mem_lines.(i)
+      p := put buf !p (out.Wavefront.mem_lines.(i) / line_bytes)
     done;
-    b.len <- p + 2 + nl
+    b.len <- !p
+
+  (* A read position.  The stream's bytes are passed to each read, so
+     moving a reader between streams writes only an int. *)
+  type reader = { mutable pos : int }
+
+  let reader () = { pos = 0 }
+
+  let rec get_slow buf r v shift =
+    let c = Char.code (Bytes.unsafe_get buf r.pos) in
+    r.pos <- r.pos + 1;
+    let v = v lor ((c land 0x7F) lsl shift) in
+    if c < 0x80 then v else get_slow buf r v (shift + 7)
+
+  (* the varint at the reader's position, which moves past it *)
+  let[@inline] get buf r =
+    let c = Char.code (Bytes.unsafe_get buf r.pos) in
+    r.pos <- r.pos + 1;
+    if c < 0x80 then c else get_slow buf r (c land 0x7F) 7
+
+  (* Decode the issue at the reader's position into [out], moving past
+     it; the inverse of [record]. *)
+  let read buf r ~lane_bits ~line_bytes (out : Wavefront.outcome) =
+    out.Wavefront.pc <- get buf r;
+    let meta = get buf r in
+    let mask = (1 lsl lane_bits) - 1 in
+    out.Wavefront.executed_lanes <- meta land mask;
+    let nl = (meta lsr lane_bits) land mask in
+    out.Wavefront.mem_line_count <- nl;
+    let flags = meta lsr (2 * lane_bits) in
+    out.Wavefront.partial_mask <- flags land 1 <> 0;
+    out.Wavefront.mem_is_store <- flags land 2 <> 0;
+    out.Wavefront.used_div <- flags land 4 <> 0;
+    out.Wavefront.used_mul <- flags land 8 <> 0;
+    out.Wavefront.taken_branch <- flags land 16 <> 0;
+    out.Wavefront.hit_barrier <- flags land 32 <> 0;
+    out.Wavefront.retired <- flags land 64 <> 0;
+    for i = 0 to nl - 1 do
+      out.Wavefront.mem_lines.(i) <- get buf r * line_bytes
+    done
 end
 
-let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
-    (cfg : Config.t) ~program ~params ~global_size ~local_size ~mem =
+(* [run_cus] with the single-count options: [inject], [max_cycles] and
+   [pmu] need one count, and only [run] passes them. *)
+let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
+    (base : Config.t) ~cus ~program ~params ~global_size ~local_size ~mem =
   Ggpu_obs.Trace.with_span "fgpu.run"
     ~args:
       [
-        ("cus", string_of_int cfg.Config.num_cus);
+        ("cus", String.concat "," (List.map string_of_int cus));
         ("global_size", string_of_int global_size);
         ("backend", backend_name backend);
       ]
   @@ fun () ->
-  let t0_ns = Ggpu_obs.Metrics.now_ns () in
-  let cfg = Config.validate cfg in
+  (* where the wall time of the next published run starts *)
+  let mark_ns = ref (Ggpu_obs.Metrics.now_ns ()) in
+  if cus = [] then fail "empty CU-count list";
+  let cfgs = List.map (Config.with_cus base) cus in
+  (* Only [num_cus] differs between counts: the launch geometry, line
+     size and timing parameters below are shared by every count. *)
+  let cfg = List.hd cfgs in
   if global_size < 0 then fail "negative global size";
   if local_size <= 0 then fail "non-positive local size";
   if local_size > cfg.Config.max_workitems_per_cu then
@@ -273,7 +354,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       cfg.Config.max_workitems_per_cu;
   if Array.length program = 0 then fail "empty program";
   if domains < 1 then fail "non-positive domain count";
-  if global_size = 0 then Stats.create ()
+  if global_size = 0 then List.map (fun _ -> Stats.create ()) cfgs
   else begin
     let dprog = Ggpu_isa.Fgpu_predecode.of_program program in
     let prog_len = Array.length dprog in
@@ -316,13 +397,25 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
        ints, copied back into the caller's [int32 array] on every exit
        path so partial results survive watchdogs and faults *)
     let imem = Array.map Ggpu_isa.I32.of_int32 mem in
+    (* only changed words are written back: each write boxes an
+       [int32], which the next minor collection promotes when [mem]
+       lives in the major heap, and most words of a launch are inputs
+       it never writes *)
     let copy_back () =
       for i = 0 to Array.length mem - 1 do
-        mem.(i) <- Ggpu_isa.I32.to_int32 imem.(i)
+        let v = imem.(i) in
+        if v <> Ggpu_isa.I32.of_int32 mem.(i) then
+          mem.(i) <- Ggpu_isa.I32.to_int32 v
       done
     in
     Fun.protect ~finally:copy_back @@ fun () ->
     let line_words = cfg.Config.cache.Config.line_words in
+    let line_bytes = 4 * line_words in
+    (* bits that hold any count up to [wf_size] *)
+    let lane_bits =
+      let rec width n = if n = 0 then 0 else 1 + width (n lsr 1) in
+      width wf_size
+    in
     (* how an issue executes its lanes; both backends write the same
        architectural state and the same outcome record *)
     let issue_arch : Wavefront.t -> Wavefront.outcome -> unit =
@@ -335,11 +428,13 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       | Interp -> fun wf out -> Wavefront.issue wf ~dprog ~mem:imem ~line_words out
     in
     (* [reuse ()] offers a retired wavefront whose storage the new one
-       may take over *)
-    let make_wg ~reuse wg_id =
+       may take over; [registers] is false for a replay, which never
+       reads them *)
+    let make_wg ?registers ~reuse wg_id =
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->
-            Wavefront.create ?reuse:(reuse ()) ~wg_id ~wf_index ~size:wf_size
+            Wavefront.create ?reuse:(reuse ()) ?registers ~wg_id ~wf_index
+              ~size:wf_size
               ~wg_offset:(wg_id * local_size)
               ~wg_size:(min local_size (global_size - (wg_id * local_size)))
               ~global_size ~params ())
@@ -362,24 +457,31 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
     let slot_capacity =
       max wfs_per_wg (cfg.Config.max_workitems_per_cu / wf_size)
     in
-    (* Split-mode is only sound when nothing needs to see or bound the
-       architectural state mid-flight. *)
-    let use_split =
-      domains > 1 && Option.is_none inject && Option.is_none max_cycles
+    (* Recording is worth it when its streams are replayed more than
+       once or its functional work fans out over domains, and sound only
+       when nothing needs to see or bound the architectural state
+       mid-flight. *)
+    let record =
+      (List.compare_length_with cfgs 1 > 0 || domains > 1)
+      && Option.is_none inject && Option.is_none max_cycles
       && wfs_per_wg * wf_size <= cfg.Config.max_workitems_per_cu
     in
-    (* Phase A: run every workgroup functionally, workgroups fanned out
-       over domains.  Within a workgroup, wavefronts run in slot order
-       in barrier-delimited rounds: each runs until it hits a barrier
-       or retires, then all arrived wavefronts are released together —
-       the architectural barrier semantics, independent of the timing
-       interleaving phase B will choose.  Always runs every wavefront
-       to retirement, so the traces cover any schedule phase B picks
-       (a replay that needs less — a kernel whose sequential schedule
-       deadlocks — fails and falls back to sequential execution). *)
-    let exec_traces () =
+    (* The record pass: run every workgroup functionally, workgroups
+       fanned out over domains.  Within a workgroup, wavefronts run in
+       slot order in barrier-delimited rounds: each runs until it hits a
+       barrier or retires, then all arrived wavefronts are released
+       together — the architectural barrier semantics, independent of
+       the timing interleaving a replay will choose.  Always runs every
+       wavefront to retirement, so the traces cover any schedule a
+       replay picks (a replay that needs less — a kernel whose
+       sequential schedule deadlocks — fails and falls back to in-place
+       execution).  On one domain the workgroups run one after another,
+       and each takes its register files from the one before. *)
+    let record_pass () =
+      let spare = Stack.create () in
+      let reuse () = if domains = 1 then Stack.pop_opt spare else None in
       let exec_wg wg_id =
-        let wg = make_wg ~reuse:(fun () -> None) wg_id in
+        let wg = make_wg ~reuse wg_id in
         let wfs = wg.wavefronts in
         let nw = Array.length wfs in
         let out = Wavefront.make_outcome ~max_lanes:wf_size in
@@ -393,7 +495,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
               let stop = ref false in
               while not !stop do
                 issue_arch wf out;
-                Tbuf.record bufs.(i) out;
+                Tbuf.record bufs.(i) ~lane_bits ~line_bytes out;
                 if out.Wavefront.hit_barrier then begin
                   wf.Wavefront.at_barrier <- true;
                   stop := true
@@ -410,18 +512,22 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
               end)
             wfs
         done;
+        if domains = 1 then Array.iter (fun wf -> Stack.push wf spare) wfs;
         bufs
       in
-      let results =
-        Ggpu_par.Parallel.map ~domains exec_wg (List.init num_wgs Fun.id)
-      in
-      Array.of_list results
+      (* one stream per wavefront, indexed [wg_id * wfs_per_wg + wf_index] *)
+      Array.concat
+        (Ggpu_par.Parallel.map ~domains exec_wg (List.init num_wgs Fun.id))
     in
-    (* The discrete-event simulation proper.  With [traces] the issue
-       step replays the recorded streams; without, it executes lanes in
-       place.  Everything else — dispatch, scheduling, cache and AXI
-       arbitration, stats, PMU — is the same code either way. *)
-    let simulate ~(traces : Tbuf.t array array option) =
+    (* The discrete-event simulation proper, at [cfg]'s CU count.  With
+       [traces] the issue step replays the recorded streams; without, it
+       executes lanes in place.  Everything else — dispatch, scheduling,
+       cache and AXI arbitration, stats, PMU — is the same code either
+       way, and every call starts from its own cache, event heap and
+       stats.  Returns the stats with the event count, peak heap depth
+       and end time, which [publish] reports once the run's result is
+       kept. *)
+    let simulate (cfg : Config.t) ~(traces : Tbuf.t array option) =
       let stats = Stats.create () in
       let cache = Cache.create cfg ~stats in
       let cus =
@@ -483,7 +589,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
           && cu.resident_items + (wfs_per_wg * wf_size)
              <= cfg.Config.max_workitems_per_cu
         then begin
-          let wg = make_wg ~reuse !next_wg in
+          let wg = make_wg ~registers:(Option.is_none traces) ~reuse !next_wg in
           incr next_wg;
           Array.iter
             (fun wf ->
@@ -564,44 +670,32 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
           in
           mem_loop now (i - 1) (if c > acc then c else acc)
       in
+      (* a replay's read position in each stream, and its reader *)
       let cursors =
         match traces with
         | None -> [||]
-        | Some tr ->
-            Array.map (fun bufs -> Array.make (Array.length bufs) 0) tr
+        | Some tr -> Array.make (Array.length tr) 0
+      in
+      let rd = Tbuf.reader () in
+      let stream (wf : Wavefront.t) =
+        (wf.Wavefront.wg_id * wfs_per_wg) + wf.Wavefront.wf_index
       in
       let issue_into : Wavefront.t -> Wavefront.outcome -> unit =
         match traces with
         | None -> issue_arch
         | Some tr ->
             fun wf out ->
-              let wg = wf.Wavefront.wg_id and wi = wf.Wavefront.wf_index in
-              let b = tr.(wg).(wi) in
-              let p = cursors.(wg).(wi) in
+              let s = stream wf in
+              let b = tr.(s) and p = cursors.(s) in
               if p >= b.Tbuf.len then
-                fail "replay desync: trace exhausted for wg %d wf %d" wg wi;
-              let a = b.Tbuf.buf in
-              out.Wavefront.pc <- Array.unsafe_get a p;
-              let meta = Array.unsafe_get a (p + 1) in
-              out.Wavefront.executed_lanes <- meta land 0xFFFF;
-              let nl = (meta lsr 16) land 0xFFFF in
-              out.Wavefront.mem_line_count <- nl;
-              let flags = meta lsr 32 in
-              out.Wavefront.partial_mask <- flags land 1 <> 0;
-              out.Wavefront.mem_is_store <- flags land 2 <> 0;
-              out.Wavefront.used_div <- flags land 4 <> 0;
-              out.Wavefront.used_mul <- flags land 8 <> 0;
-              out.Wavefront.taken_branch <- flags land 16 <> 0;
-              out.Wavefront.hit_barrier <- flags land 32 <> 0;
-              let retired = flags land 64 <> 0 in
-              out.Wavefront.retired <- retired;
-              for i = 0 to nl - 1 do
-                out.Wavefront.mem_lines.(i) <- Array.unsafe_get a (p + 2 + i)
-              done;
-              cursors.(wg).(wi) <- p + 2 + nl;
-              (* memory already holds phase A's writes; only the
+                fail "replay desync: trace exhausted for wg %d wf %d"
+                  wf.Wavefront.wg_id wf.Wavefront.wf_index;
+              rd.Tbuf.pos <- p;
+              Tbuf.read b.Tbuf.buf rd ~lane_bits ~line_bytes out;
+              cursors.(s) <- rd.Tbuf.pos;
+              (* memory already holds the record pass's writes; only the
                  scheduler-visible liveness needs maintaining *)
-              if retired then wf.Wavefront.live_lanes <- 0
+              if out.Wavefront.retired then wf.Wavefront.live_lanes <- 0
       in
       (* The pc the wavefront's next issue will execute, read without
          mutating anything: the burst check consults [interactive] with
@@ -616,10 +710,13 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
               else Wavefront.min_pc wf
         | Some tr ->
             fun wf ->
-              let wg = wf.Wavefront.wg_id and wi = wf.Wavefront.wf_index in
-              let b = tr.(wg).(wi) in
-              let p = cursors.(wg).(wi) in
-              if p >= b.Tbuf.len then -1 else b.Tbuf.buf.(p)
+              let s = stream wf in
+              let b = tr.(s) and p = cursors.(s) in
+              if p >= b.Tbuf.len then -1
+              else begin
+                rd.Tbuf.pos <- p;
+                Tbuf.get b.Tbuf.buf rd
+              end
       in
       let pending_inject = ref inject in
       let watchdog = Option.is_some max_cycles in
@@ -800,36 +897,81 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       in
       if stuck > 0 then fail "deadlock: %d wavefronts never retired" stuck;
       if pmu_on then Ggpu_pmu.Pmu.finalize pmu_c ~cycles:stats.Stats.cycles;
+      let end_ns =
+        if Ggpu_obs.Metrics.ambient_enabled () then Ggpu_obs.Metrics.now_ns ()
+        else 0
+      in
+      (stats, !events_popped, !heap_depth_max, end_ns)
+    in
+    (* Report a run whose result the launch keeps.  Its wall time runs
+       from the end of the previous kept run (or the launch's start), so
+       a replay's includes nothing of the replays before it, the first
+       includes the record pass, and the times of a launch's runs add up
+       to the launch's. *)
+    let publish (stats, events, heap_depth, end_ns) =
       if Ggpu_obs.Metrics.ambient_enabled () then begin
-        let wall_ns = max 1 (Ggpu_obs.Metrics.now_ns () - t0_ns) in
+        let wall_ns = max 1 (end_ns - !mark_ns) in
+        mark_ns := end_ns;
         Ggpu_obs.Metrics.count "sim.fgpu.runs" 1;
         Ggpu_obs.Metrics.count "sim.fgpu.cycles" stats.Stats.cycles;
         Ggpu_obs.Metrics.count "sim.fgpu.wf_instructions"
           stats.Stats.wf_instructions;
         Ggpu_obs.Metrics.count "sim.fgpu.wall_ns" wall_ns;
-        Ggpu_obs.Metrics.count "sim.fgpu.events" !events_popped;
-        Ggpu_obs.Metrics.record_gauge "sim.fgpu.heap_depth" !heap_depth_max;
+        Ggpu_obs.Metrics.count "sim.fgpu.events" events;
+        Ggpu_obs.Metrics.record_gauge "sim.fgpu.heap_depth" heap_depth;
         Ggpu_obs.Metrics.record_gauge "sim.fgpu.kcycles_per_s"
           (stats.Stats.cycles * 1_000_000 / wall_ns)
       end;
       stats
     in
-    if use_split then begin
-      (* phase A mutates global memory; snapshot it so a fallback can
-         repeat the run with exact sequential semantics *)
+    if not (record || List.compare_length_with cfgs 1 > 0) then
+      [ publish (simulate cfg ~traces:None) ]
+    else begin
+      (* the record pass and each in-place count mutate global memory;
+         every count starts from this image *)
       let imem0 = Array.copy imem in
-      match
-        let traces = exec_traces () in
-        if Ggpu_obs.Metrics.ambient_enabled () then
-          Ggpu_obs.Metrics.count "sim.fgpu.split_runs" 1;
-        simulate ~traces:(Some traces)
-      with
-      | stats -> stats
-      | exception (Wavefront.Fault _ | Launch_error _) ->
-          Array.blit imem0 0 imem 0 (Array.length imem0);
-          if Ggpu_obs.Metrics.ambient_enabled () then
-            Ggpu_obs.Metrics.count "sim.fgpu.split_fallbacks" 1;
-          simulate ~traces:None
+      let restore () = Array.blit imem0 0 imem 0 (Array.length imem0) in
+      let in_place () =
+        List.mapi
+          (fun i cfg ->
+            if i > 0 then restore ();
+            publish (simulate cfg ~traces:None))
+          cfgs
+      in
+      if not record then in_place ()
+      else
+        match
+          let traces = Ggpu_obs.Trace.with_span "fgpu.record" record_pass in
+          List.map
+            (fun (cfg : Config.t) ->
+              Ggpu_obs.Trace.with_span "fgpu.replay"
+                ~args:[ ("cus", string_of_int cfg.Config.num_cus) ]
+                (fun () -> simulate cfg ~traces:(Some traces)))
+            cfgs
+        with
+        | runs ->
+            if Ggpu_obs.Metrics.ambient_enabled () then begin
+              Ggpu_obs.Metrics.count "sim.fgpu.record_passes" 1;
+              Ggpu_obs.Metrics.count "sim.fgpu.split_runs" (List.length runs);
+              Ggpu_obs.Metrics.count "sim.fgpu.split_fallbacks" 0
+            end;
+            List.map publish runs
+        | exception (Wavefront.Fault _ | Launch_error _) ->
+            restore ();
+            if Ggpu_obs.Metrics.ambient_enabled () then
+              Ggpu_obs.Metrics.count "sim.fgpu.split_fallbacks" 1;
+            in_place ()
     end
-    else simulate ~traces:None
   end
+
+let run_cus ?backend ?domains cfg ~cus ~program ~params ~global_size
+    ~local_size ~mem =
+  launch ?backend ?domains cfg ~cus ~program ~params ~global_size ~local_size
+    ~mem
+
+let run ?max_cycles ?inject ?pmu ?backend ?domains (cfg : Config.t) ~program
+    ~params ~global_size ~local_size ~mem =
+  List.hd
+    (launch ?max_cycles ?inject ?pmu ?backend ?domains cfg
+       ~cus:[ cfg.Config.num_cus ] ~program ~params ~global_size ~local_size
+       ~mem)

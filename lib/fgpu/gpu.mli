@@ -73,10 +73,47 @@ val run :
     workgroups out over that many {!Ggpu_par} domains, replaying the
     recorded issue streams through the sequential timing model so
     stats, memory and PMU output are bit-identical at every domain
-    count.  Runs that need mid-flight state access ([inject] or
-    [max_cycles]) ignore [domains] and execute in place, as does any
-    split run that faults or desynchronises (racy kernels): memory is
-    restored from a snapshot and the run repeats sequentially.
+    count (see {!run_cus} for the contract).  Runs that need
+    mid-flight state access ([inject] or [max_cycles]) ignore
+    [domains] and execute in place.
     @raise Launch_error on bad geometry or an empty program.
     @raise Watchdog_timeout when simulated time exceeds [max_cycles].
+    @raise Wavefront.Fault on out-of-range memory accesses. *)
+
+val run_cus :
+  ?backend:backend ->
+  ?domains:int ->
+  Config.t ->
+  cus:int list ->
+  program:Ggpu_isa.Fgpu_isa.t array ->
+  params:int32 list ->
+  global_size:int ->
+  local_size:int ->
+  mem:int32 array ->
+  Stats.t list
+(** One launch timed at several CU counts: the stats of each count, in
+    [cus] order, as {!run} with [Config.with_cus cfg n] would return
+    them.  Only the CU count varies; the rest of [cfg] is shared.
+    [run] is the one-count case.
+
+    With two or more counts (or [domains] > 1) a record pass executes
+    every workgroup once, on [domains] domains, and records each
+    wavefront's issue stream; each count then replays the streams
+    through the timing model from a fresh cache, event heap and stats.
+    [mem] ends holding the one final memory image.
+
+    Contract: results are exact for race-free kernels — no work-item
+    reads a word another work-item writes unless a barrier orders the
+    two within one workgroup, and no two work-items write one word.
+    Registers, memory and issue streams then do not depend on the
+    schedule, so a replay at any count matches an in-place run.  If
+    the record pass faults, or a replay desynchronises (a racy or
+    non-uniformly-synchronised kernel), memory is restored and every
+    count runs in place in order, each from the launch's initial
+    memory: the stats are then exactly those of separate {!run} calls
+    on fresh copies of memory, a fault surfaces from the first count
+    that raises it, and [mem] holds what the last count run left.
+    @raise Launch_error on bad geometry, an empty program or an empty
+    [cus].
+    @raise Config.Bad_config on an unsupported count.
     @raise Wavefront.Fault on out-of-range memory accesses. *)

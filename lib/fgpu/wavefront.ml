@@ -141,16 +141,17 @@ let make_outcome ~max_lanes =
     retired = false;
   }
 
-let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
-    ~(params : int32 list) () =
+let create ?reuse ?(registers = true) ~wg_id ~wf_index ~size ~wg_offset
+    ~wg_size ~global_size ~(params : int32 list) () =
+  let reg_words = if registers then num_reg_slices * size else 0 in
   let pcs, regs =
     match reuse with
-    | Some (old : t) when old.size = size ->
+    | Some (old : t) when old.size = size && Array.length old.regs = reg_words ->
         (* a retired wavefront's storage: zeroed, it is indistinguishable
            from a fresh allocation *)
-        Array.fill old.regs 0 (Array.length old.regs) 0;
+        Array.fill old.regs 0 reg_words 0;
         (old.pcs, old.regs)
-    | _ -> (Array.make size 0, Array.make (num_reg_slices * size) 0)
+    | _ -> (Array.make size 0, Array.make reg_words 0)
   in
   let first_lid = wf_index * size in
   let live = ref 0 in
@@ -164,11 +165,12 @@ let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
       incr live
     end
   done;
-  List.iteri
-    (fun i v ->
-      let r = i + 1 and v = I32.of_int32 v in
-      Array.fill regs (r * size) size v)
-    params;
+  if registers then
+    List.iteri
+      (fun i v ->
+        let r = i + 1 and v = I32.of_int32 v in
+        Array.fill regs (r * size) size v)
+      params;
   {
     wg_id;
     wf_index;

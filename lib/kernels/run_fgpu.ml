@@ -24,9 +24,10 @@ let layout_buffers ~base_addr buffers =
       (name, placed, data))
     buffers
 
-let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
-    ?pmu ?backend ?domains (compiled : Codegen_fgpu.compiled)
-    ~(args : Interp.args) ~global_size ~local_size () =
+(* Lay the buffers out in a fresh global memory, hand it and the
+   parameter values to [launch], then read every buffer back. *)
+let with_memory ~base_addr (compiled : Codegen_fgpu.compiled)
+    ~(args : Interp.args) ~global_size launch =
   Ggpu_obs.Trace.with_span "kernels.run_fgpu"
     ~args:[ ("global_size", string_of_int global_size) ]
   @@ fun () ->
@@ -55,18 +56,31 @@ let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
     |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
     |> List.map (fun (name, _) -> param_value name)
   in
-  let stats =
-    Gpu.run ?max_cycles ?inject ?pmu ?backend ?domains config
-      ~program:compiled.Codegen_fgpu.code
-      ~params ~global_size ~local_size ~mem
-  in
+  let stats = launch ~program:compiled.Codegen_fgpu.code ~params ~mem in
   let buffers =
     List.map
       (fun (name, addr, data) ->
         (name, Array.sub mem (addr / 4) (Array.length data)))
       placed
   in
+  (stats, buffers)
+
+let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
+    ?pmu ?backend ?domains compiled ~args ~global_size ~local_size () =
+  let stats, buffers =
+    with_memory ~base_addr compiled ~args ~global_size
+      (Gpu.run ?max_cycles ?inject ?pmu ?backend ?domains config ~global_size
+         ~local_size)
+  in
   { stats; buffers }
+
+let run_cus ?(config = Config.default) ?(base_addr = 0x1000) ?backend ?domains
+    compiled ~args ~global_size ~local_size ~cus () =
+  let stats, buffers =
+    with_memory ~base_addr compiled ~args ~global_size
+      (Gpu.run_cus ?backend ?domains config ~cus ~global_size ~local_size)
+  in
+  List.map (fun stats -> { stats; buffers }) stats
 
 let output result name =
   match List.assoc_opt name result.buffers with

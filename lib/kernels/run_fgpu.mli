@@ -28,5 +28,22 @@ val run :
     the performance-monitoring collector, the lane-execution engine,
     and the functional-phase domain fan-out). *)
 
+val run_cus :
+  ?config:Ggpu_fgpu.Config.t ->
+  ?base_addr:int ->
+  ?backend:Ggpu_fgpu.Gpu.backend ->
+  ?domains:int ->
+  Codegen_fgpu.compiled ->
+  args:Interp.args ->
+  global_size:int ->
+  local_size:int ->
+  cus:int list ->
+  unit ->
+  result list
+(** One launch timed at each CU count in [cus] (overriding [config]'s),
+    through {!Ggpu_fgpu.Gpu.run_cus}: buffers are laid out, given their
+    inputs and executed once.  One result per count, in order; they
+    share one [buffers] list, the launch's final memory. *)
+
 val output : result -> string -> int32 array
 (** @raise Setup_error on an unknown buffer name. *)

@@ -175,9 +175,44 @@ let is_nop = function
       true
   | _ -> false
 
+(* What matching compares literally in an instruction: its constructor
+   and ALU op, plus the immediate of [Alui]/[Li]/[Lui].  A window can
+   match a rule only if its first instruction has the head of the
+   rule's first lhs instruction. *)
+type head =
+  | H_alu of Fgpu_isa.alu_op
+  | H_alui of Fgpu_isa.alu_op * int32
+  | H_li of int32
+  | H_lui of int32
+
+let head_of = function
+  | Fgpu_isa.Alu (op, _, _, _) -> Some (H_alu op)
+  | Fgpu_isa.Alui (op, _, _, imm) -> Some (H_alui (op, imm))
+  | Fgpu_isa.Li (_, imm) -> Some (H_li imm)
+  | Fgpu_isa.Lui (_, imm) -> Some (H_lui imm)
+  | _ -> None
+
+let bucket index h = Option.value ~default:[] (Hashtbl.find_opt index h)
+
+(* The rules bucketed by the head of their lhs, each bucket in table
+   order.  A rule whose lhs is empty or starts with anything else can
+   never match a window and is left out. *)
+let index_rules (rules : Rule.t list) =
+  let index = Hashtbl.create 256 in
+  List.iter
+    (fun (rule : Rule.t) ->
+      match rule.lhs with
+      | first :: _ ->
+          Option.iter
+            (fun h -> Hashtbl.replace index h (rule :: bucket index h))
+            (head_of first)
+      | [] -> ())
+    (List.rev rules);
+  index
+
 (* One rewriting pass over the item list.  Returns the new items and
    what changed; [None] if nothing fired. *)
-let rewrite_pass ~rules (items : Fgpu_asm.item list) =
+let rewrite_pass ~index (items : Fgpu_asm.item list) =
   let arr = Array.of_list items in
   let n = Array.length arr in
   let live_out = liveness arr in
@@ -187,8 +222,12 @@ let rewrite_pass ~rules (items : Fgpu_asm.item list) =
     let at = !i in
     (match window_insn arr.(at) with
     | Some insn when is_nop insn -> fired := Some (`Nop, at, 1, [])
-    | Some _ ->
-        (* try every rule anchored at [at], table order = priority *)
+    | Some insn ->
+        (* try the rules anchored at [at] whose head matches, table
+           order = priority *)
+        let rules =
+          match head_of insn with Some h -> bucket index h | None -> []
+        in
         List.iter
           (fun (rule : Rule.t) ->
             if !fired = None then begin
@@ -235,10 +274,11 @@ let max_passes = 64
 let optimise_items ?(cfg = Ggpu_fgpu.Config.default) ~rules items =
   let counts : (string, Rule.t * int ref) Hashtbl.t = Hashtbl.create 16 in
   let nops = ref 0 and saved = ref 0 in
+  let index = index_rules rules in
   let rec fix items pass =
     if pass >= max_passes then items
     else
-      match rewrite_pass ~rules items with
+      match rewrite_pass ~index items with
       | None -> items
       | Some (what, items') ->
           (match what with

@@ -166,13 +166,32 @@ let observe c ~backend ~domains =
   in
   (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers)
 
+(* One launch timed at every count of [run_cus_counts]: its record pass
+   runs once and each count replays it. *)
+let run_cus_counts = [ 1; 2; 4 ]
+
+let observe_cus c ~backend ~domains =
+  let compiled = Codegen_fgpu.compile c.kernel in
+  Run_fgpu.run_cus ~backend ~domains compiled ~args:(mk_args c)
+    ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ()
+  |> List.map (fun r -> (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers))
+
 let prop_backends_and_domains_agree =
   QCheck.Test.make ~name:"backend x domains differential" ~count:30 arb_case
     (fun c ->
       let reference = observe c ~backend:Gpu.Interp ~domains:1 in
+      let per_count =
+        List.map
+          (fun cus -> observe { c with cus } ~backend:Gpu.Interp ~domains:1)
+          run_cus_counts
+      in
       List.for_all
         (fun (backend, domains) -> observe c ~backend ~domains = reference)
-        [ (Gpu.Threaded, 1); (Gpu.Threaded, 3); (Gpu.Threaded, 4); (Gpu.Interp, 2) ])
+        [ (Gpu.Threaded, 1); (Gpu.Threaded, 3); (Gpu.Threaded, 4); (Gpu.Interp, 2) ]
+      && List.for_all
+           (fun (backend, domains) ->
+             observe_cus c ~backend ~domains = per_count)
+           [ (Gpu.Threaded, 1); (Gpu.Threaded, 3); (Gpu.Interp, 1) ])
 
 (* --- superopt peephole differential ------------------------------------ *)
 
@@ -266,6 +285,70 @@ let test_split_barrier_cross_wavefront () =
         true (res = res_ref))
     [ (Gpu.Threaded, 1); (Gpu.Threaded, 2); (Gpu.Threaded, 4); (Gpu.Interp, 3) ]
 
+(* --- a faulting record pass falls back to in-place runs ----------------- *)
+
+(* Workgroup 3 stores far past the end of memory straight away; every
+   other work-item loops first, then stores its own slot.  In place on
+   one CU, workgroups 0-7 are resident together, so workgroup 3 faults
+   before workgroups 0-2 have stored; the record pass runs workgroups in
+   order and faults only after they have.  [run_cus] must restore memory
+   and run the first count in place, raising what [run] raises and
+   leaving the memory [run] leaves. *)
+let test_record_fault_falls_back () =
+  let kernel =
+    {
+      Ast.name = "oob_store";
+      params = [ Ast.Buffer "out" ];
+      body =
+        [
+          Ast.Let ("i", Ast.Global_id);
+          Ast.If
+            ( Ast.(Group_id ==: const 3),
+              [ Ast.Store ("out", Ast.(var "i" +: const 1_000_000), Ast.var "i") ],
+              [] );
+          Ast.Let ("acc", Ast.const 0);
+          Ast.For
+            ( "k",
+              Ast.const 0,
+              Ast.const 32,
+              [ Ast.Assign ("acc", Ast.(var "acc" +: var "k")) ] );
+          Ast.Store ("out", Ast.var "i", Ast.(var "acc" +: var "i"));
+        ];
+    }
+  in
+  let n = 1024 in
+  let program = (Codegen_fgpu.compile kernel).Codegen_fgpu.code in
+  (* "out" sits at address 0, so its base is the only parameter *)
+  let faulting launch =
+    let mem = Array.make n 0l in
+    match launch ~mem with
+    | (_ : Stats.t list) -> Alcotest.fail "expected a fault"
+    | exception Wavefront.Fault msg -> (msg, mem)
+  in
+  let msg_ref, mem_ref =
+    faulting (fun ~mem ->
+        [
+          Gpu.run (Config.with_cus Config.default 1) ~program ~params:[ 0l ]
+            ~global_size:n ~local_size:64 ~mem;
+        ])
+  in
+  Alcotest.(check bool)
+    "in place, workgroup 0 has not stored when the fault hits" true
+    (mem_ref.(0) = 0l);
+  List.iter
+    (fun (backend, domains) ->
+      let label =
+        Printf.sprintf "%s, %d domain(s)" (Gpu.backend_name backend) domains
+      in
+      let msg, mem =
+        faulting (fun ~mem ->
+            Gpu.run_cus ~backend ~domains Config.default ~cus:[ 1; 2; 4 ]
+              ~program ~params:[ 0l ] ~global_size:n ~local_size:64 ~mem)
+      in
+      Alcotest.(check string) (label ^ ": fault message") msg_ref msg;
+      Alcotest.(check (array int32)) (label ^ ": memory") mem_ref mem)
+    [ (Gpu.Threaded, 1); (Gpu.Threaded, 2); (Gpu.Interp, 1) ]
+
 (* --- suite metrics: failures counter always present -------------------- *)
 
 let test_suite_failures_registered () =
@@ -348,6 +431,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_superopt_preserves_semantics;
         Alcotest.test_case "split barrier cross-wavefront" `Quick
           test_split_barrier_cross_wavefront;
+        Alcotest.test_case "record pass fault falls back" `Quick
+          test_record_fault_falls_back;
         Alcotest.test_case "suite.failures registered at zero" `Quick
           test_suite_failures_registered;
         Alcotest.test_case "fi signature backend parity" `Slow
