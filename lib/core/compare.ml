@@ -71,26 +71,23 @@ let run_riscv (w : Suite.t) =
   in
   result.Run_rv32.stats.Ggpu_riscv.Cpu.cycles
 
-let run_ggpu ?backend ?domains ?superopt (w : Suite.t) ~cu_counts =
-  let size = w.Suite.ggpu_size in
-  let args = w.Suite.mk_args ~size in
-  let compiled = Codegen_fgpu.compile ?superopt w.Suite.kernel in
-  Run_fgpu.run_cus ?backend ?domains compiled ~args ~cus:cu_counts
-    ~global_size:(w.Suite.global_size ~size)
-    ~local_size:(min w.Suite.local_size size)
-    ()
-  |> List.map (fun (r : Run_fgpu.result) ->
-         r.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles)
-
 (* Table III: input sizes and measured cycle counts.  Each kernel is
-   compiled, given its inputs and executed once, then timed at every CU
-   count. *)
+   compiled, given its G-GPU-size inputs and executed once, then timed
+   at every CU count. *)
 let table3 ?(workloads = Suite.all) ?backend ?domains ?superopt
     ?(cu_counts = cu_counts) () =
   check_cu_counts cu_counts;
   List.map
-    (fun w ->
-      let ggpu = run_ggpu ?backend ?domains ?superopt w ~cu_counts in
+    (fun (w : Suite.t) ->
+      let size = w.Suite.ggpu_size in
+      let args = w.Suite.mk_args ~size in
+      let compiled = Codegen_fgpu.compile ?superopt w.Suite.kernel in
+      let ggpu =
+        Run_fgpu.run_cus ?backend ?domains compiled ~args ~cus:cu_counts
+          ~global_size:(w.Suite.global_size ~size)
+          ~local_size:(min w.Suite.local_size size)
+          ()
+      in
       {
         kernel = w.Suite.name;
         riscv_size = w.Suite.riscv_size;
@@ -98,7 +95,9 @@ let table3 ?(workloads = Suite.all) ?backend ?domains ?superopt
         riscv_kcycles = float_of_int (run_riscv w) /. 1000.0;
         ggpu_kcycles =
           List.map2
-            (fun cus cycles -> (cus, float_of_int cycles /. 1000.0))
+            (fun cus (r : Run_fgpu.result) ->
+              let cycles = r.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles in
+              (cus, float_of_int cycles /. 1000.0))
             cu_counts ggpu;
       })
     workloads

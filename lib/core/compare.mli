@@ -33,21 +33,6 @@ val riscv_area_mm2 : Ggpu_tech.Tech.t -> float
 val run_riscv : Ggpu_kernels.Suite.t -> int
 (** Cycle count at the workload's RISC-V size. *)
 
-val run_ggpu :
-  ?backend:Ggpu_fgpu.Gpu.backend ->
-  ?domains:int ->
-  ?superopt:bool ->
-  Ggpu_kernels.Suite.t ->
-  cu_counts:int list ->
-  int list
-(** Cycle counts at the workload's G-GPU size, one per entry of
-    [cu_counts], from one launch ({!Ggpu_kernels.Run_fgpu.run_cus}:
-    compiled, given inputs and executed once, timed at every count).
-    [backend] selects the simulator execution engine and [domains] the
-    functional fan-out; cycle counts are bit-identical for any
-    combination.  [superopt] (default true) is forwarded to
-    {!Ggpu_kernels.Codegen_fgpu.compile}. *)
-
 val table3 :
   ?workloads:Ggpu_kernels.Suite.t list ->
   ?backend:Ggpu_fgpu.Gpu.backend ->
@@ -57,7 +42,14 @@ val table3 :
   unit ->
   row list
 (** Measure Table III over [cu_counts] (default {!cu_counts}; extended
-    grids may include 16/32/64 — see {!check_cu_counts}). *)
+    grids may include 16/32/64 — see {!check_cu_counts}).  Each
+    kernel's G-GPU cycle counts come from one launch at its G-GPU size
+    ({!Ggpu_kernels.Run_fgpu.run_cus}: compiled, given inputs and
+    executed once, timed at every count).  [backend] selects the
+    simulator execution engine and [domains] the functional fan-out;
+    cycle counts are bit-identical for any combination.  [superopt]
+    (default true) is forwarded to
+    {!Ggpu_kernels.Codegen_fgpu.compile}. *)
 
 val ggpu_areas_mm2 :
   ?tech:Ggpu_tech.Tech.t -> ?cu_counts:int list -> unit -> (int * float) list

@@ -397,15 +397,9 @@ let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
        ints, copied back into the caller's [int32 array] on every exit
        path so partial results survive watchdogs and faults *)
     let imem = Array.map Ggpu_isa.I32.of_int32 mem in
-    (* only changed words are written back: each write boxes an
-       [int32], which the next minor collection promotes when [mem]
-       lives in the major heap, and most words of a launch are inputs
-       it never writes *)
     let copy_back () =
       for i = 0 to Array.length mem - 1 do
-        let v = imem.(i) in
-        if v <> Ggpu_isa.I32.of_int32 mem.(i) then
-          mem.(i) <- Ggpu_isa.I32.to_int32 v
+        mem.(i) <- Ggpu_isa.I32.to_int32 imem.(i)
       done
     in
     Fun.protect ~finally:copy_back @@ fun () ->
@@ -428,13 +422,11 @@ let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       | Interp -> fun wf out -> Wavefront.issue wf ~dprog ~mem:imem ~line_words out
     in
     (* [reuse ()] offers a retired wavefront whose storage the new one
-       may take over; [registers] is false for a replay, which never
-       reads them *)
-    let make_wg ?registers ~reuse wg_id =
+       may take over *)
+    let make_wg ~reuse wg_id =
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->
-            Wavefront.create ?reuse:(reuse ()) ?registers ~wg_id ~wf_index
-              ~size:wf_size
+            Wavefront.create ?reuse:(reuse ()) ~wg_id ~wf_index ~size:wf_size
               ~wg_offset:(wg_id * local_size)
               ~wg_size:(min local_size (global_size - (wg_id * local_size)))
               ~global_size ~params ())
@@ -589,7 +581,7 @@ let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
           && cu.resident_items + (wfs_per_wg * wf_size)
              <= cfg.Config.max_workitems_per_cu
         then begin
-          let wg = make_wg ~registers:(Option.is_none traces) ~reuse !next_wg in
+          let wg = make_wg ~reuse !next_wg in
           incr next_wg;
           Array.iter
             (fun wf ->

@@ -141,17 +141,16 @@ let make_outcome ~max_lanes =
     retired = false;
   }
 
-let create ?reuse ?(registers = true) ~wg_id ~wf_index ~size ~wg_offset
-    ~wg_size ~global_size ~(params : int32 list) () =
-  let reg_words = if registers then num_reg_slices * size else 0 in
+let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
+    ~(params : int32 list) () =
   let pcs, regs =
     match reuse with
-    | Some (old : t) when old.size = size && Array.length old.regs = reg_words ->
+    | Some (old : t) when old.size = size ->
         (* a retired wavefront's storage: zeroed, it is indistinguishable
            from a fresh allocation *)
-        Array.fill old.regs 0 reg_words 0;
+        Array.fill old.regs 0 (Array.length old.regs) 0;
         (old.pcs, old.regs)
-    | _ -> (Array.make size 0, Array.make reg_words 0)
+    | _ -> (Array.make size 0, Array.make (num_reg_slices * size) 0)
   in
   let first_lid = wf_index * size in
   let live = ref 0 in
@@ -165,12 +164,11 @@ let create ?reuse ?(registers = true) ~wg_id ~wf_index ~size ~wg_offset
       incr live
     end
   done;
-  if registers then
-    List.iteri
-      (fun i v ->
-        let r = i + 1 and v = I32.of_int32 v in
-        Array.fill regs (r * size) size v)
-      params;
+  List.iteri
+    (fun i v ->
+      let r = i + 1 and v = I32.of_int32 v in
+      Array.fill regs (r * size) size v)
+    params;
   {
     wg_id;
     wf_index;

@@ -89,7 +89,6 @@ exception Fault of string
 
 val create :
   ?reuse:t ->
-  ?registers:bool ->
   wg_id:int ->
   wf_index:int ->
   size:int ->
@@ -103,11 +102,7 @@ val create :
     are preloaded into r1..rN of every lane.  [reuse] hands over a
     retired wavefront of the same [size] whose [pcs]/[regs] storage the
     new one takes (zeroed first), saving the register file's major-heap
-    allocation; the old wavefront must not be issued again.
-    [registers] (default true) [false] leaves [regs] empty: a wavefront
-    that only carries scheduling state for a replay of recorded issues,
-    and must never be issued itself.  [reuse] hands over storage only
-    between wavefronts that agree on [registers]. *)
+    allocation; the old wavefront must not be issued again. *)
 
 val finished : t -> bool
 

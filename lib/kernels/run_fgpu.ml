@@ -74,11 +74,11 @@ let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
   in
   { stats; buffers }
 
-let run_cus ?(config = Config.default) ?(base_addr = 0x1000) ?backend ?domains
-    compiled ~args ~global_size ~local_size ~cus () =
+let run_cus ?backend ?domains compiled ~args ~global_size ~local_size ~cus () =
   let stats, buffers =
-    with_memory ~base_addr compiled ~args ~global_size
-      (Gpu.run_cus ?backend ?domains config ~cus ~global_size ~local_size)
+    with_memory ~base_addr:0x1000 compiled ~args ~global_size
+      (Gpu.run_cus ?backend ?domains Config.default ~cus ~global_size
+         ~local_size)
   in
   List.map (fun stats -> { stats; buffers }) stats
 

@@ -29,8 +29,6 @@ val run :
     and the functional-phase domain fan-out). *)
 
 val run_cus :
-  ?config:Ggpu_fgpu.Config.t ->
-  ?base_addr:int ->
   ?backend:Ggpu_fgpu.Gpu.backend ->
   ?domains:int ->
   Codegen_fgpu.compiled ->
@@ -40,10 +38,11 @@ val run_cus :
   cus:int list ->
   unit ->
   result list
-(** One launch timed at each CU count in [cus] (overriding [config]'s),
-    through {!Ggpu_fgpu.Gpu.run_cus}: buffers are laid out, given their
-    inputs and executed once.  One result per count, in order; they
-    share one [buffers] list, the launch's final memory. *)
+(** One launch of {!Ggpu_fgpu.Config.default} timed at each CU count
+    in [cus], through {!Ggpu_fgpu.Gpu.run_cus}: buffers are laid out as
+    {!run} lays them out, given their inputs and executed once.  One
+    result per count, in order; they share one [buffers] list, the
+    launch's final memory. *)
 
 val output : result -> string -> int32 array
 (** @raise Setup_error on an unknown buffer name. *)
