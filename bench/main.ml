@@ -307,17 +307,15 @@ let run_fi () =
 
 (* --- Performance: incremental STA + parallel version grid -------------- *)
 
-(* Three-way comparison of the full Table-I sweep:
+(* Two-way comparison of the full Table-I sweep:
 
-     seed    sequential versions, full STA recompute per DSE step,
-             legacy hashtable engine (the PR 0 behaviour);
-     legacy  parallel versions + incremental STA on the legacy engine
-             (the PR 1 flow, the baseline the CSR rewrite must beat);
-     csr     the same flow on the CSR levelized engine (the default).
+     seed  sequential versions, a full STA ({!Ggpu_synth.Timing.analyse})
+           at every DSE step (the original flow);
+     csr   parallel versions + the incremental CSR engine (the flow).
 
-   All three produce bit-identical Table I rows; only wall time and the
-   STA-call counters differ.  Timings land in BENCH_dse.json; CI gates
-   csr-vs-legacy via PERF_DSE_MIN_SPEEDUP. *)
+   Both must produce identical Table I rows; only wall time and the STA
+   counters differ.  Timings land in BENCH_dse.json; CI gates the
+   speedup via PERF_DSE_MIN_SPEEDUP. *)
 let bench_json_path = "BENCH_dse.json"
 
 let run_perf_dse () =
@@ -333,18 +331,13 @@ let run_perf_dse () =
     (v, Unix.gettimeofday () -. t0)
   in
   let seed () =
-    Versions.table1_syntheses ~tech ~parallel:false ~incremental:false
-      ~sta:Ggpu_synth.Timing.Legacy ()
-  in
-  let legacy () =
-    Versions.table1_syntheses ~tech ~sta:Ggpu_synth.Timing.Legacy ()
+    Versions.table1_syntheses ~tech ~parallel:false ~incremental:false ()
   in
   let csr () = Versions.table1_syntheses ~tech () in
   (* warm every path once so cold-start (GC, page faults) does not
      inflate whichever variant runs first, then take the best of two
      timed sweeps per variant, interleaved against machine noise *)
   ignore (seed ());
-  ignore (legacy ());
   ignore (csr ());
   let best_of_2 f =
     let v, w1 = time f in
@@ -352,38 +345,27 @@ let run_perf_dse () =
     (v, Float.min w1 w2)
   in
   let seed_syntheses, seed_s = best_of_2 seed in
-  let _legacy_syntheses, legacy_s = best_of_2 legacy in
   let csr_syntheses, csr_s = best_of_2 csr in
-  let sta_calls syntheses =
-    List.fold_left
-      (fun acc s -> acc + s.Flow.syn_perf.Dse.sta_calls)
-      0 syntheses
+  let sum field syntheses =
+    List.fold_left (fun acc s -> acc + field s.Flow.syn_perf) 0 syntheses
   in
-  let sta_full syntheses =
-    List.fold_left
-      (fun acc s -> acc + s.Flow.syn_perf.Dse.sta_full)
-      0 syntheses
-  in
+  let seed_full = sum (fun p -> p.Dse.sta_full) seed_syntheses in
+  let csr_calls = sum (fun p -> p.Dse.sta_calls) csr_syntheses in
+  let csr_full = sum (fun p -> p.Dse.sta_full) csr_syntheses in
   let speedup_vs_seed = seed_s /. csr_s in
-  let speedup_vs_legacy = legacy_s /. csr_s in
   let domains = Parallel.default_domains () in
   Printf.printf
-    "table1 (12 versions): seed %.3fs (%d full STA recomputes) -> legacy \
-     %.3fs -> csr %.3fs (%d STA calls, %d full)\n\
-    \  %.1fx vs seed | %.2fx vs legacy incremental, on %d domains\n"
-    seed_s (sta_full seed_syntheses) legacy_s csr_s
-    (sta_calls csr_syntheses)
-    (sta_full csr_syntheses)
-    speedup_vs_seed speedup_vs_legacy domains;
+    "table1 (12 versions): seed %.3fs (%d full STA recomputes) -> csr \
+     %.3fs (%d STA calls, %d full)\n\
+    \  %.1fx vs seed, on %d domains\n"
+    seed_s seed_full csr_s csr_calls csr_full speedup_vs_seed domains;
   let oc = open_out bench_json_path in
   Printf.fprintf oc
     {|{
   "benchmark": "versions-table1",
   "seed_wall_s": %.6f,
-  "legacy_wall_s": %.6f,
   "new_wall_s": %.6f,
   "speedup": %.3f,
-  "csr_speedup_vs_legacy": %.3f,
   "domains": %d,
   "seed_sta_full_recomputes": %d,
   "new_sta_calls": %d,
@@ -399,30 +381,36 @@ let run_perf_dse () =
   }
 }
 |}
-    seed_s legacy_s csr_s speedup_vs_seed speedup_vs_legacy domains
-    (sta_full seed_syntheses)
-    (sta_calls csr_syntheses)
-    (sta_full csr_syntheses)
+    seed_s csr_s speedup_vs_seed domains seed_full csr_calls csr_full
     result.Dse.iterations result.Dse.perf.Dse.sta_calls
     result.Dse.perf.Dse.sta_full result.Dse.perf.Dse.sta_incremental
     result.Dse.perf.Dse.sta_wall_s result.Dse.perf.Dse.edit_wall_s
     result.Dse.perf.Dse.total_wall_s;
   close_out oc;
   Printf.printf "wrote %s\n" bench_json_path;
-  (* CI gates: the grid must keep beating the seed baseline BENCH_dse.json
-     has tracked since PR 1 by a wide margin, and the CSR engine must not
-     regress against the legacy incremental flow it replaced *)
-  (match Sys.getenv_opt "PERF_DSE_MIN_SPEEDUP" with
+  (* exact checks: the incremental grid must reproduce the seed's rows
+     with one full STA per version and one STA call per full seed STA *)
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "perf-dse: %s\n" msg;
+        exit 1)
+      fmt
+  in
+  let rows = List.map (fun s -> s.Flow.syn_report) in
+  if rows seed_syntheses <> rows csr_syntheses then
+    fail "CSR grid's Table I rows differ from the seed's";
+  let versions = List.length csr_syntheses in
+  if csr_full <> versions then
+    fail "CSR grid ran %d full STAs over %d versions, expected one each"
+      csr_full versions;
+  if csr_calls <> seed_full then
+    fail "CSR grid made %d STA calls, seed ran %d full STAs" csr_calls
+      seed_full;
+  (* CI gate: the grid must keep beating the seed by a wide margin *)
+  match Sys.getenv_opt "PERF_DSE_MIN_SPEEDUP" with
   | Some threshold when speedup_vs_seed < float_of_string threshold ->
-      Printf.eprintf "perf-dse: speedup vs seed %.2f below required %s\n"
-        speedup_vs_seed threshold;
-      exit 1
-  | _ -> ());
-  match Sys.getenv_opt "PERF_DSE_MIN_CSR_SPEEDUP" with
-  | Some threshold when speedup_vs_legacy < float_of_string threshold ->
-      Printf.eprintf "perf-dse: speedup vs legacy STA %.2f below required %s\n"
-        speedup_vs_legacy threshold;
-      exit 1
+      fail "speedup vs seed %.2f below required %s" speedup_vs_seed threshold
   | _ -> ()
 
 (* --- Analytical placement ------------------------------------------------ *)

@@ -78,31 +78,6 @@ let sim_domains_alias_term =
   in
   Arg.(value & opt int 1 & info [ "domains"; "sim-domains" ] ~doc ~docv:"D")
 
-(* STA engine selection, shared by synth/dse/versions.  Both engines
-   are bit-identical in every observable; the flag exists for A/B
-   benchmarking of the CSR levelized sweep against the hashtable
-   walker it replaced. *)
-let sta_conv =
-  let parse = function
-    | "csr" -> Ok Ggpu_synth.Timing.Csr
-    | "legacy" -> Ok Ggpu_synth.Timing.Legacy
-    | other ->
-        Error (`Msg (Printf.sprintf "unknown STA engine %S (csr | legacy)" other))
-  in
-  let print fmt i =
-    Format.pp_print_string fmt
-      (match i with Ggpu_synth.Timing.Csr -> "csr" | Ggpu_synth.Timing.Legacy -> "legacy")
-  in
-  Arg.conv (parse, print)
-
-let sta_term =
-  let doc =
-    "Static-timing engine: $(b,csr) (levelized CSR sweep, the default) \
-     or $(b,legacy) (hashtable worklist). Reports are bit-identical \
-     either way."
-  in
-  Arg.(value & opt sta_conv Ggpu_synth.Timing.Csr & info [ "sta" ] ~doc ~docv:"ENGINE")
-
 let placer_conv =
   let parse = function
     | "columns" -> Ok Flow.Columns
@@ -197,13 +172,13 @@ let with_obs obs f =
 
 (* --- synth ------------------------------------------------------------- *)
 
-let synth_run obs tech cus freq area power sta =
+let synth_run obs tech cus freq area power =
   match spec_of ~cus ~freq ~area ~power with
   | Error e -> Error e
   | Ok spec ->
       handle_dse_errors (fun () ->
           with_obs obs @@ fun () ->
-          let syn = Flow.synthesise_timed ~tech ~sta spec in
+          let syn = Flow.synthesise_timed ~tech spec in
           print_endline Ggpu_synth.Report.header;
           print_endline (Ggpu_synth.Report.row_to_string syn.Flow.syn_report);
           Printf.printf "(%d divisions, %d pipelines; see 'map' for detail)\n"
@@ -216,7 +191,7 @@ let synth_term =
   Term.(
     term_result ~usage:false
       (const synth_run $ obs_term $ tech_term $ cus_term $ freq_term
-     $ area_term $ power_term $ sta_term))
+     $ area_term $ power_term))
 
 let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Logic synthesis of one G-GPU version") synth_term
@@ -271,7 +246,7 @@ let layout_cmd =
     in
     Arg.(value & flag & info [ "check-determinism" ] ~doc)
   in
-  let run obs tech cus freq area power sta place place_domains check_det =
+  let run obs tech cus freq area power place place_domains check_det =
     match spec_of ~cus ~freq ~area ~power with
     | Error e -> Error e
     | Ok spec ->
@@ -280,7 +255,7 @@ let layout_cmd =
         else
           handle_dse_errors (fun () ->
               with_obs obs @@ fun () ->
-              let impl = Flow.implement ~tech ~sta ~place ~place_domains spec in
+              let impl = Flow.implement ~tech ~place ~place_domains spec in
               Format.printf "%a" Flow.pp_implementation impl;
               print_string (Ggpu_layout.Render.render impl.Flow.floorplan);
               Format.printf "%a@." Ggpu_layout.Timing_post.pp
@@ -328,7 +303,7 @@ let layout_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ tech_term $ cus_term $ freq_term $ area_term
-       $ power_term $ sta_term $ place_term $ place_domains_term
+       $ power_term $ place_term $ place_domains_term
        $ check_determinism_term))
   in
   Cmd.v
@@ -389,12 +364,12 @@ let versions_cmd =
     in
     Arg.(value & flag & info [ "sequential" ] ~doc)
   in
-  let run obs tech cus_list freq sequential sta place place_domains =
+  let run obs tech cus_list freq sequential place place_domains =
     with_obs obs @@ fun () ->
     let parallel = not sequential and incremental = not sequential in
     match
       handle_dse_errors (fun () ->
-          Versions.scaling ~tech ~parallel ~incremental ~sta ~place
+          Versions.scaling ~tech ~parallel ~incremental ~place
             ~place_domains ~freq_mhz:freq ~cu_counts:cus_list ())
     with
     | exception Invalid_argument msg -> Error (`Msg msg)
@@ -421,7 +396,7 @@ let versions_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ tech_term $ cus_list_term $ freq_term
-       $ sequential_term $ sta_term $ place_term $ place_domains_term))
+       $ sequential_term $ place_term $ place_domains_term))
   in
   Cmd.v
     (Cmd.info "versions"

@@ -173,8 +173,11 @@ let edit_kind = function
   | Map.Split_bits _ -> "split_bits"
   | Map.Pipeline _ -> "pipeline"
 
-let explore ?(max_iterations = 400) ?(strategy = Full) ?(incremental = true)
-    ?(sta = Timing.Csr) tech netlist ~num_cus ~period_ns =
+(* Edits one exploration may apply before it gives up. *)
+let max_iterations = 400
+
+let explore ?(strategy = Full) ?(incremental = true) tech netlist ~num_cus
+    ~period_ns =
   Ggpu_obs.Trace.with_span "dse.explore"
     ~args:
       [
@@ -190,7 +193,7 @@ let explore ?(max_iterations = 400) ?(strategy = Full) ?(incremental = true)
   let timed c f = Ggpu_obs.Metrics.time_counter c f in
   let engine =
     if incremental then
-      Some (timed sta_ns (fun () -> Timing.make_engine ~impl:sta tech netlist))
+      Some (timed sta_ns (fun () -> Timing.make_engine tech netlist))
     else None
   in
   let analyse () =

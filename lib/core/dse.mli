@@ -34,21 +34,18 @@ type result = {
 }
 
 val explore :
-  ?max_iterations:int ->
   ?strategy:strategy ->
   ?incremental:bool ->
-  ?sta:Ggpu_synth.Timing.impl ->
   Ggpu_tech.Tech.t ->
   Ggpu_hw.Netlist.t ->
   num_cus:int ->
   period_ns:float ->
   result
 (** [incremental] (default [true]) reuses one {!Ggpu_synth.Timing}
-    engine across iterations so each analysis after an edit relaxes only
-    the touched fan-out cone; [false] recomputes from scratch every
-    iteration (the pre-engine behaviour, kept for benchmarking).  [sta]
-    selects the engine implementation (default {!Ggpu_synth.Timing.Csr};
-    [Legacy] is the hashtable baseline, kept for differential testing
-    and the perf benches).  All combinations produce identical maps and
-    reports.
-    @raise Cannot_meet when no sequence of edits reaches the period. *)
+    engine across iterations so each analysis after an edit re-sweeps
+    only the touched fan-out cone; [false] runs the full
+    {!Ggpu_synth.Timing.analyse} every iteration (the pre-engine
+    behaviour, kept as the oracle for [--sequential] and the benches).
+    Both produce identical maps and reports.
+    @raise Cannot_meet when no sequence of edits reaches the period,
+    or after 400 edits. *)

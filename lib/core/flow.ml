@@ -49,7 +49,7 @@ type synthesis = {
 (* Logic synthesis only - enough for a Table I row.  [base] supplies a
    pre-elaborated netlist for the spec's CU count; it is copied, not
    mutated, so one base can serve several frequency targets. *)
-let synthesise_timed ?(tech = Tech.default_65nm) ?(incremental = true) ?sta
+let synthesise_timed ?(tech = Tech.default_65nm) ?(incremental = true)
     ?base (spec : Spec.t) =
   Ggpu_obs.Trace.with_span "flow.synthesise"
     ~args:
@@ -66,7 +66,7 @@ let synthesise_timed ?(tech = Tech.default_65nm) ?(incremental = true) ?sta
   in
   let dse, t_dse =
     obs_phase "dse" @@ fun () ->
-    Dse.explore ~incremental ?sta tech netlist ~num_cus:spec.Spec.num_cus
+    Dse.explore ~incremental tech netlist ~num_cus:spec.Spec.num_cus
       ~period_ns:(Spec.period_ns spec)
   in
   let report, t_report =
@@ -94,7 +94,7 @@ let base_macro_count ~num_cus =
 type placer = Columns | Analytic
 
 (* Full RTL-to-layout implementation. *)
-let implement ?(tech = Tech.default_65nm) ?incremental ?sta ?base
+let implement ?(tech = Tech.default_65nm) ?incremental ?base
     ?(place = Columns) ?(place_domains = 1) (spec : Spec.t) =
   Ggpu_obs.Trace.with_span "flow.implement"
     ~args:
@@ -103,7 +103,7 @@ let implement ?(tech = Tech.default_65nm) ?incremental ?sta ?base
         ("freq_mhz", string_of_int spec.Spec.freq_mhz);
       ]
   @@ fun () ->
-  let syn = synthesise_timed ~tech ?incremental ?sta ?base spec in
+  let syn = synthesise_timed ~tech ?incremental ?base spec in
   let netlist = syn.syn_netlist in
   let floorplan, t_floorplan =
     obs_phase "floorplan" @@ fun () ->

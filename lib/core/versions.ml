@@ -61,28 +61,28 @@ let map_specs ?(parallel = true) ?(incremental = true) ~f specs =
   end
 
 (* Table I, regenerated, with per-version counters. *)
-let table1_syntheses ?tech ?parallel ?incremental ?sta () =
+let table1_syntheses ?tech ?parallel ?incremental () =
   map_specs ?parallel ?incremental
     ~f:(fun ?base spec ->
-      Flow.synthesise_timed ?tech ?incremental ?sta ?base spec)
+      Flow.synthesise_timed ?tech ?incremental ?base spec)
     (table1_specs ())
 
-let table1 ?tech ?parallel ?incremental ?sta () =
+let table1 ?tech ?parallel ?incremental () =
   List.map
     (fun s -> s.Flow.syn_report)
-    (table1_syntheses ?tech ?parallel ?incremental ?sta ())
+    (table1_syntheses ?tech ?parallel ?incremental ())
 
 (* The four physical implementations behind Table II and Figs. 3/4. *)
-let physical ?tech ?parallel ?incremental ?sta () =
+let physical ?tech ?parallel ?incremental () =
   map_specs ?parallel ?incremental
-    ~f:(fun ?base spec -> Flow.implement ?tech ?incremental ?sta ?base spec)
+    ~f:(fun ?base spec -> Flow.implement ?tech ?incremental ?base spec)
     (physical_specs ())
 
 (* The scaling study: full implementations at 8/16/32/64 CUs, one
    frequency target, shared bases per CU count as everywhere else. *)
-let scaling ?tech ?parallel ?incremental ?sta ?place ?place_domains ?freq_mhz
+let scaling ?tech ?parallel ?incremental ?place ?place_domains ?freq_mhz
     ?cu_counts () =
   map_specs ?parallel ?incremental
     ~f:(fun ?base spec ->
-      Flow.implement ?tech ?incremental ?sta ?base ?place ?place_domains spec)
+      Flow.implement ?tech ?incremental ?base ?place ?place_domains spec)
     (scaling_specs ?freq_mhz ?cu_counts ())

@@ -24,19 +24,16 @@ val table1_syntheses :
   ?tech:Ggpu_tech.Tech.t ->
   ?parallel:bool ->
   ?incremental:bool ->
-  ?sta:Ggpu_synth.Timing.impl ->
   unit ->
   Flow.synthesis list
 (** The 12 Table-I syntheses with their performance counters.
     [parallel] (default [true]) spreads versions across a {!Parallel}
-    domain pool; [incremental] and [sta] are forwarded to
-    {!Dse.explore}. *)
+    domain pool; [incremental] is forwarded to {!Dse.explore}. *)
 
 val table1 :
   ?tech:Ggpu_tech.Tech.t ->
   ?parallel:bool ->
   ?incremental:bool ->
-  ?sta:Ggpu_synth.Timing.impl ->
   unit ->
   Ggpu_synth.Report.row list
 (** Regenerate Table I (frequency-major order, as published). *)
@@ -45,7 +42,6 @@ val physical :
   ?tech:Ggpu_tech.Tech.t ->
   ?parallel:bool ->
   ?incremental:bool ->
-  ?sta:Ggpu_synth.Timing.impl ->
   unit ->
   Flow.implementation list
 (** Implement 1CU@500, 1CU@667, 8CU@500 and 8CU@667; the last derates
@@ -55,7 +51,6 @@ val scaling :
   ?tech:Ggpu_tech.Tech.t ->
   ?parallel:bool ->
   ?incremental:bool ->
-  ?sta:Ggpu_synth.Timing.impl ->
   ?place:Flow.placer ->
   ?place_domains:int ->
   ?freq_mhz:int ->

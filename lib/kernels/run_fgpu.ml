@@ -15,7 +15,10 @@ exception Setup_error of string
 
 let align64 a = (a + 63) land lnot 63
 
-let layout_buffers ~base_addr buffers =
+(* Byte address the first buffer is placed at. *)
+let base_addr = 0x1000
+
+let layout_buffers buffers =
   let addr = ref (align64 base_addr) in
   List.map
     (fun (name, data) ->
@@ -26,12 +29,12 @@ let layout_buffers ~base_addr buffers =
 
 (* Lay the buffers out in a fresh global memory, hand it and the
    parameter values to [launch], then read every buffer back. *)
-let with_memory ~base_addr (compiled : Codegen_fgpu.compiled)
+let with_memory (compiled : Codegen_fgpu.compiled)
     ~(args : Interp.args) ~global_size launch =
   Ggpu_obs.Trace.with_span "kernels.run_fgpu"
     ~args:[ ("global_size", string_of_int global_size) ]
   @@ fun () ->
-  let placed = layout_buffers ~base_addr args.Interp.buffers in
+  let placed = layout_buffers args.Interp.buffers in
   let needed_words =
     List.fold_left
       (fun acc (_, addr, data) -> max acc ((addr / 4) + Array.length data))
@@ -65,10 +68,10 @@ let with_memory ~base_addr (compiled : Codegen_fgpu.compiled)
   in
   (stats, buffers)
 
-let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
-    ?pmu ?backend ?domains compiled ~args ~global_size ~local_size () =
+let run ?(config = Config.default) ?max_cycles ?inject ?pmu ?backend ?domains
+    compiled ~args ~global_size ~local_size () =
   let stats, buffers =
-    with_memory ~base_addr compiled ~args ~global_size
+    with_memory compiled ~args ~global_size
       (Gpu.run ?max_cycles ?inject ?pmu ?backend ?domains config ~global_size
          ~local_size)
   in
@@ -76,7 +79,7 @@ let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
 
 let run_cus ?backend ?domains compiled ~args ~global_size ~local_size ~cus () =
   let stats, buffers =
-    with_memory ~base_addr:0x1000 compiled ~args ~global_size
+    with_memory compiled ~args ~global_size
       (Gpu.run_cus ?backend ?domains Config.default ~cus ~global_size
          ~local_size)
   in

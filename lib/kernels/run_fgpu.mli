@@ -11,7 +11,6 @@ exception Setup_error of string
 
 val run :
   ?config:Ggpu_fgpu.Config.t ->
-  ?base_addr:int ->
   ?max_cycles:int ->
   ?inject:int * (Ggpu_fgpu.Gpu.probe -> unit) ->
   ?pmu:Ggpu_pmu.Pmu.t ->
@@ -23,7 +22,8 @@ val run :
   local_size:int ->
   unit ->
   result
-(** [max_cycles], [inject], [pmu], [backend] and [domains] are
+(** Buffers are placed from byte address 0x1000, 64-byte aligned.
+    [max_cycles], [inject], [pmu], [backend] and [domains] are
     forwarded to {!Ggpu_fgpu.Gpu.run} (watchdog, fault-injection hook,
     the performance-monitoring collector, the lane-execution engine,
     and the functional-phase domain fan-out). *)

@@ -15,9 +15,15 @@ exception Setup_error of string
 
 let align64 a = (a + 63) land lnot 63
 
+(* Byte address the first buffer is placed at. *)
+let base_addr = 0x1000
+
+(* Instructions a run may execute before {!Ggpu_riscv.Cpu.Out_of_fuel}. *)
+let fuel = 500_000_000
+
 (* Buffers are placed consecutively from [base_addr], 64-byte aligned,
    mimicking an OpenCL runtime allocating device buffers. *)
-let layout_buffers ~base_addr buffers =
+let layout_buffers buffers =
   let addr = ref (align64 base_addr) in
   List.map
     (fun (name, data) ->
@@ -26,22 +32,21 @@ let layout_buffers ~base_addr buffers =
       (name, placed, data))
     buffers
 
-let run ?(fuel = 500_000_000) ?(base_addr = 0x1000) ?mem_words ?max_cycles
-    ?inject (compiled : Codegen_rv32.compiled) ~(args : Interp.args)
-    ~global_size ~local_size () =
+let run ?max_cycles ?inject (compiled : Codegen_rv32.compiled)
+    ~(args : Interp.args) ~global_size ~local_size () =
   Ggpu_obs.Trace.with_span "kernels.run_rv32"
     ~args:[ ("global_size", string_of_int global_size) ]
   @@ fun () ->
-  let placed = layout_buffers ~base_addr args.Interp.buffers in
+  let placed = layout_buffers args.Interp.buffers in
   let needed_words =
     List.fold_left
       (fun acc (_, addr, data) -> max acc ((addr / 4) + Array.length data))
       (base_addr / 4) placed
   in
-  let mem_words =
-    match mem_words with Some w -> w | None -> needed_words + 64
+  let cpu =
+    Cpu.create ~mem_words:(needed_words + 64)
+      ~program:compiled.Codegen_rv32.code ()
   in
-  let cpu = Cpu.create ~mem_words ~program:compiled.Codegen_rv32.code () in
   List.iter (fun (_, addr, data) -> Cpu.write_block cpu ~addr data) placed;
   let param_value name =
     match List.find_opt (fun (n, _, _) -> String.equal n name) placed with

@@ -9,9 +9,6 @@ type result = {
 exception Setup_error of string
 
 val run :
-  ?fuel:int ->
-  ?base_addr:int ->
-  ?mem_words:int ->
   ?max_cycles:int ->
   ?inject:int * (Ggpu_riscv.Cpu.t -> unit) ->
   Codegen_rv32.compiled ->
@@ -20,7 +17,10 @@ val run :
   local_size:int ->
   unit ->
   result
-(** [max_cycles] arms {!Ggpu_riscv.Cpu.run}'s cycle watchdog. [inject]
+(** Buffers are placed from byte address 0x1000, 64-byte aligned, in a
+    memory sized to hold them; the run executes at most 500,000,000
+    instructions (@raise Ggpu_riscv.Cpu.Out_of_fuel beyond that).
+    [max_cycles] arms {!Ggpu_riscv.Cpu.run}'s cycle watchdog. [inject]
     is a [(cycle, f)] fault-injection hook: the CPU single-steps to the
     first instruction boundary at or after [cycle], [f] corrupts the
     state, and the run resumes (skipped if the program halts first). *)

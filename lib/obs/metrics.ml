@@ -112,7 +112,7 @@ let observe h v =
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let time_counter c f =
   let t0 = now_ns () in

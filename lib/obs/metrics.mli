@@ -60,7 +60,9 @@ val observe : histogram -> int -> unit
 (** {1 Time} *)
 
 val now_ns : unit -> int
-(** Wall-clock nanoseconds (epoch-based, monotone enough for spans). *)
+(** Monotonic-clock nanoseconds.  The origin is arbitrary but shared by
+    every process on the host, so only differences (and spans of
+    different processes on one host) are meaningful. *)
 
 val time_counter : counter -> (unit -> 'a) -> 'a
 (** Run the thunk and add its elapsed nanoseconds to the counter, also

@@ -113,7 +113,7 @@ let replay ?(batch = 64) t reqs =
   let lat_us = ref [] in
   let ok = ref 0 and cached = ref 0 and rejected = ref 0 in
   let expired = ref 0 and failed = ref 0 and sent = ref 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Metrics.now_ns () in
   let rec window = function
     | [] -> ()
     | reqs ->
@@ -127,12 +127,11 @@ let replay ?(batch = 64) t reqs =
         let chunk = List.map with_trace chunk in
         (* pipeline: write the whole window, then collect its replies;
            latency is measured from the window's send to each reply *)
-        let sent_at = Unix.gettimeofday () in
         let sent_at_ns = Metrics.now_ns () in
         List.iter (fun r -> send_line t (Proto.request_to_line r)) chunk;
-        incr_sent chunk sent_at sent_at_ns;
+        incr_sent chunk sent_at_ns;
         window rest
-  and incr_sent chunk sent_at sent_at_ns =
+  and incr_sent chunk sent_at_ns =
     List.iter
       (fun (req : Proto.request) ->
         incr sent;
@@ -143,10 +142,9 @@ let replay ?(batch = 64) t reqs =
               failwith
                 (Printf.sprintf "replay: response %d for request %d"
                    resp.Proto.id req.Proto.id);
-            root_span req ~ts_ns:sent_at_ns
-              ~dur_ns:(Metrics.now_ns () - sent_at_ns);
-            lat_us :=
-              ((Unix.gettimeofday () -. sent_at) *. 1e6) :: !lat_us;
+            let dur_ns = Metrics.now_ns () - sent_at_ns in
+            root_span req ~ts_ns:sent_at_ns ~dur_ns;
+            lat_us := (float_of_int dur_ns /. 1e3) :: !lat_us;
             (match resp.Proto.status with
             | Proto.Done ->
                 incr ok;
@@ -157,7 +155,7 @@ let replay ?(batch = 64) t reqs =
       chunk
   in
   window reqs;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = float_of_int (Metrics.now_ns () - t0) /. 1e9 in
   let lats = Array.of_list !lat_us in
   Array.sort compare lats;
   let mean_us =

@@ -11,34 +11,34 @@
    is how macro geometry ends up on the critical path - the pivot of the
    paper's whole design-space exploration).
 
-   Two interchangeable engines implement the propagation:
+   Two implementations share the propagation rules:
 
-   - the legacy hashtable engine (the original implementation, kept as
-     the differential-testing reference and the PR 1 perf baseline):
-     arrival tables are [(int, float) Hashtbl.t] and the incremental
-     path is a FIFO worklist over the dirty fan-out cone;
-   - the CSR engine (the default): cells and nets are numbered densely
-     by their already-dense ids, arrivals live in unboxed [float array]s,
-     the combinational graph is levelized once per build, the full sweep
-     walks cells in level order over flat compressed-sparse-row
-     adjacency (parallelizable across independent cones, which never
-     share a net), and the incremental path re-sweeps dirty cones
-     through a level-bucket queue so every dirty cell is relaxed at most
-     once per sync instead of once per worklist visit.  The report
-     reads one endpoint summary per sequential cell (endpoint count,
-     worst delay, that endpoint's net).  A sync refreshes only the
-     summaries of the journal's cells and of the sequential readers of
-     nets whose arrival, predecessor or launch changed, so analysing
-     after an edit costs what the edit touches, not what the design
-     holds.
+   - the full sweep ([compute_arrivals], [analyse]): hashtable arrival
+     tables filled in topological order, then one endpoint scan
+     ([report_of_arrivals]).  It is the oracle the incremental engine is
+     tested against, and what a flow without an engine runs at every
+     step;
+   - the incremental CSR engine ([make_engine], [engine_analyse]): cells
+     and nets are numbered densely by their already-dense ids, arrivals
+     live in unboxed [float array]s, the combinational graph is
+     levelized once per build, the initial sweep walks cells in level
+     order over flat compressed-sparse-row adjacency, and after an edit
+     the dirty cones are re-swept through a level-bucket queue so every
+     dirty cell is relaxed at most once per sync.  The report reads one
+     endpoint summary per sequential cell (endpoint count, worst delay,
+     that endpoint's net).  A sync refreshes only the summaries of the
+     journal's cells and of the sequential readers of nets whose
+     arrival, predecessor or launch changed, so analysing after an edit
+     costs what the edit touches, not what the design holds.
 
    Arrival times are the unique fixpoint of max-plus propagation on the
-   DAG, and every tie-break below mirrors the legacy code exactly
-   (first-max over input pins, ascending-id endpoint scans, strictly
-   greater replacement: a summary keeps its cell's first maximum in pin
-   order, and the report takes the first maximum over summaries in
-   ascending cell id), so the two engines are bit-identical - enforced
-   by the differential qcheck properties in [test/test_csr.ml]. *)
+   DAG, and every tie-break in the engine mirrors [eval_cell] and
+   [report_of_arrivals] exactly (first-max over input pins,
+   ascending-id endpoint scans, strictly greater replacement: a summary
+   keeps its cell's first maximum in pin order, and the report takes the
+   first maximum over summaries in ascending cell id), so the engine is
+   bit-identical to the full sweep - enforced by the differential tests
+   in [test/test_csr.ml] and [test/test_incremental.ml]. *)
 
 open Ggpu_hw
 open Ggpu_tech
@@ -90,9 +90,8 @@ type arrivals = {
 }
 
 (* Worst input arrival and resulting output arrival of a comb cell, as a
-   pure function of the current arrival table.  Shared by the full
-   recomputation and the incremental engine so both produce bit-identical
-   results. *)
+   pure function of the current arrival table.  The engine's relaxations
+   repeat this fold over its flat arrays, tie-break included. *)
 let eval_cell tech arrivals cell =
   let arrival net =
     Option.value ~default:0.0
@@ -182,27 +181,25 @@ let trace_path netlist arrivals ~endpoint_net ~capture tech =
       in
       Some { launch; capture; through; delay_ns }
 
-(* Worst register-to-register path over a (full or incrementally
-   maintained) arrival table.  Endpoints are scanned in ascending cell-id
-   order so the reported worst path is deterministic, and only endpoint
-   nets that actually produce a register path are counted — paths from
-   primary inputs carry no [net_launch] entry and must not inflate the
-   endpoint count.  The cached launch origin makes the scan O(1) per
-   endpoint; only the single worst path is traced back through the
-   predecessor chain. *)
-let seq_ids netlist =
-  Netlist.fold_cells netlist ~init:[] ~f:(fun acc cell ->
-      if Cell.is_sequential cell then Cell.id cell :: acc else acc)
-  |> List.sort Int.compare
-
-let report_over_ids tech netlist arrivals ids =
+(* Worst register-to-register path over an arrival table.  Endpoints are
+   scanned in ascending cell-id order so the reported worst path is
+   deterministic, and only endpoint nets that actually produce a register
+   path are counted — paths from primary inputs carry no [net_launch]
+   entry and must not inflate the endpoint count.  The cached launch
+   origin makes the scan O(1) per endpoint; only the single worst path is
+   traced back through the predecessor chain. *)
+let report_of_arrivals tech netlist arrivals =
+  let seq_cells =
+    Netlist.fold_cells netlist ~init:[] ~f:(fun acc cell ->
+        if Cell.is_sequential cell then cell :: acc else acc)
+    |> List.sort (fun a b -> Int.compare (Cell.id a) (Cell.id b))
+  in
   (* worst endpoint: (delay, endpoint net, capture cell) *)
   let worst = ref None in
   let endpoints = ref 0 in
   let skew = tech.Tech.stdcell.Stdcell.clock_skew_ns in
   List.iter
-    (fun id ->
-      let cell = Netlist.find_cell netlist id in
+    (fun cell ->
       let setup = lazy (setup_time tech cell) in
       List.iter
         (fun net ->
@@ -218,7 +215,7 @@ let report_over_ids tech netlist arrivals ids =
             | Some _ | None -> worst := Some (delay_ns, net, cell)
           end)
         (Cell.inputs cell))
-    ids;
+    seq_cells;
   match !worst with
   | None -> raise No_paths
   | Some (_, endpoint_net, capture) -> (
@@ -234,9 +231,6 @@ let report_over_ids tech netlist arrivals ids =
             endpoint_count = !endpoints;
           })
 
-let report_of_arrivals tech netlist arrivals =
-  report_over_ids tech netlist arrivals (seq_ids netlist)
-
 (* Full analysis: worst register-to-register path. *)
 let analyse tech netlist =
   Ggpu_obs.Trace.with_span "sta.full" @@ fun () ->
@@ -251,10 +245,9 @@ let analyse tech netlist =
    the per-cell levelization; CSR adjacency exists during full sweeps
    and is dropped afterwards — the incremental path reads pin lists
    straight off the (small) dirty cones. *)
-type csr_engine = {
+type engine = {
   k_tech : Tech.t;
   k_netlist : Netlist.t;
-  k_domains : int; (* cone-parallel fan-out of full sweeps *)
   mutable k_revision : int;
   (* per-net, indexed by raw net id *)
   mutable k_arr : float array; (* worst arrival; 0.0 when absent *)
@@ -277,7 +270,6 @@ type csr_engine = {
   mutable k_report : (int * report) option;
   mutable k_full : int;
   mutable k_incremental : int;
-  mutable k_relaxed : int;
 }
 
 let grow_int_array a n ~default =
@@ -316,7 +308,7 @@ let ensure_cell_capacity k id =
   end
 
 (* Recompute the endpoint summary of cell [id] from the arrival arrays
-   with [report_over_ids]'s arithmetic and pin order (strictly greater
+   with [report_of_arrivals]'s arithmetic and pin order (strictly greater
    replaces, so the first maximum wins).  A removed or combinational
    cell has no endpoints. *)
 let csr_refresh_endpoints k id =
@@ -540,59 +532,7 @@ let csr_rebuild k =
     if d <> 0 then d else compare a b
   in
   Array.sort cmp order;
-  let domains = min k.k_domains n_comb in
-  if domains <= 1 then Array.iter relax order
-  else begin
-    (* independent cones: weakly-connected components of the comb graph.
-       Cones never share a net (each net has a unique driver and every
-       edge of a cell stays inside its component), so sweeping cones
-       from separate domains touches disjoint array slots and the result
-       is bit-identical at any domain count. *)
-    let parent = Array.init n_comb (fun c -> c) in
-    let rec find x = if parent.(x) = x then x else find parent.(x) in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then
-        if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-    in
-    for e = 0 to !n_edges - 1 do
-      union !edge_from.(e) !edge_to.(e)
-    done;
-    let comp_size = Array.make n_comb 0 in
-    for c = 0 to n_comb - 1 do
-      let r = find c in
-      comp_size.(r) <- comp_size.(r) + 1
-    done;
-    (* greedily pack components (ascending root) into [domains] chunks *)
-    let chunk_of_root = Array.make n_comb (-1) in
-    let target = (n_comb + domains - 1) / domains in
-    let chunk = ref 0 and filled = ref 0 in
-    for c = 0 to n_comb - 1 do
-      if find c = c then begin
-        if !filled >= target && !chunk < domains - 1 then begin
-          incr chunk;
-          filled := 0
-        end;
-        chunk_of_root.(c) <- !chunk;
-        filled := !filled + comp_size.(c)
-      end
-    done;
-    let buckets = Array.make domains [] in
-    (* walk the sweep order backwards so each bucket ends up forward *)
-    for i = n_comb - 1 downto 0 do
-      let c = order.(i) in
-      let b = chunk_of_root.(find c) in
-      buckets.(b) <- c :: buckets.(b)
-    done;
-    let chunks =
-      Array.to_list (Array.map Array.of_list buckets)
-      |> List.filter (fun a -> Array.length a > 0)
-    in
-    ignore
-      (Ggpu_par.Parallel.map ~domains
-         (fun chunk -> Array.iter relax chunk)
-         chunks)
-  end;
+  Array.iter relax order;
   Netlist.iter_cells nl (fun cell ->
       if Cell.is_sequential cell then csr_refresh_endpoints k (Cell.id cell))
 
@@ -670,10 +610,14 @@ let csr_fix_levels k ~cells ~nets =
    Dirty comb cells sit in per-level buckets; processing levels in
    ascending order relaxes every dirty cell exactly once, after all its
    dirty predecessors (a reader's level strictly exceeds its comb
-   driver's, restored by phase A).  Seeding and change detection mirror
-   the legacy worklist byte for byte.  Returns the cells whose endpoint
-   summaries are stale: the journal's non-comb cells and the sequential
-   readers of every net whose arrival, predecessor or launch changed. *)
+   driver's, restored by phase A).  Seeds are [compute_arrivals]'s
+   (clk-to-q on sequential outputs, no entry on an undriven net) and each
+   relaxation is [eval_cell]'s fold, so the re-swept cones hold what a
+   full sweep computes; a cell's readers are queued only when one of its
+   outputs changed arrival, predecessor or launch.  Returns the cells
+   whose endpoint summaries are stale: the journal's non-comb cells and
+   the sequential readers of every net whose arrival, predecessor or
+   launch changed. *)
 let csr_resweep k ~cells ~nets =
   let nl = k.k_netlist and tech = k.k_tech in
   let buckets = ref (Array.make (k.k_max_level + 1) []) in
@@ -764,8 +708,9 @@ let csr_resweep k ~cells ~nets =
     cells;
   (* relaxation of one dirty cell: same first-max fold as [eval_cell],
      reading the flat arrays *)
+  let relaxed = ref 0 in
   let relax cell =
-    k.k_relaxed <- k.k_relaxed + 1;
+    incr relaxed;
     let worst_in =
       List.fold_left
         (fun acc net ->
@@ -826,9 +771,9 @@ let csr_resweep k ~cells ~nets =
     incr l
   done;
   List.iter (fun id -> Bytes.set k.k_queued id '\000') !stale;
-  !stale
+  (!stale, !relaxed)
 
-(* Materialize the legacy hashtable view of the CSR arrays (for
+(* Materialize the hashtable view of the CSR arrays (for
    {!engine_arrivals} consumers and the differential tests). *)
 let csr_arrivals k =
   let nl = k.k_netlist in
@@ -861,7 +806,7 @@ let csr_arrivals k =
   arrivals
 
 (* Worst path over the endpoint summaries: the first strict maximum in
-   ascending cell id, which is [report_over_ids]'s scan order since each
+   ascending cell id, which is [report_of_arrivals]'s scan order since each
    summary already holds its cell's first maximum in pin order. *)
 let csr_report k =
   let nl = k.k_netlist in
@@ -896,12 +841,12 @@ let csr_report k =
       }
   | Some _ | None -> raise No_paths (* cannot happen: endpoint has a launch *)
 
-let csr_make ~domains tech netlist =
+let make_engine tech netlist =
+  Ggpu_obs.Trace.with_span "sta.engine_init" @@ fun () ->
   let k =
     {
       k_tech = tech;
       k_netlist = netlist;
-      k_domains = max 1 domains;
       k_revision = Netlist.revision netlist;
       k_arr = [||];
       k_driven = Bytes.empty;
@@ -917,7 +862,6 @@ let csr_make ~domains tech netlist =
       k_report = None;
       k_full = 1;
       k_incremental = 0;
-      k_relaxed = 0;
     }
   in
   csr_rebuild k;
@@ -929,17 +873,16 @@ let csr_sync k =
     (match Netlist.changes_since k.k_netlist k.k_revision with
     | Some { Netlist.cells = []; nets = [] } -> ()
     | Some { Netlist.cells; nets } ->
-        let before = k.k_relaxed in
-        let refreshed =
+        let refreshed, relaxed =
           Ggpu_obs.Trace.with_span "sta.incremental" (fun () ->
               csr_fix_levels k ~cells ~nets;
-              let stale = csr_resweep k ~cells ~nets in
+              let stale, relaxed = csr_resweep k ~cells ~nets in
               List.iter (csr_refresh_endpoints k) stale;
-              List.length stale)
+              (List.length stale, relaxed))
         in
         k.k_incremental <- k.k_incremental + 1;
         Ggpu_obs.Metrics.count "sta.incremental_updates" 1;
-        Ggpu_obs.Metrics.observe_named "sta.cone_cells" (k.k_relaxed - before);
+        Ggpu_obs.Metrics.observe_named "sta.cone_cells" relaxed;
         Ggpu_obs.Metrics.observe_named "sta.endpoints_refreshed" refreshed
     | None ->
         (* journal truncated: too far behind, rebuild from scratch *)
@@ -950,257 +893,23 @@ let csr_sync k =
     k.k_report <- None
   end
 
-(* Standalone levelized analysis over a throwaway CSR build; [domains]
-   fans the full sweep over independent cones. *)
-let analyse_csr ?(domains = 1) tech netlist =
-  Ggpu_obs.Trace.with_span "sta.full_csr" @@ fun () ->
-  Ggpu_obs.Metrics.count "sta.full_analyses" 1;
-  csr_report (csr_make ~domains tech netlist)
+type engine_stats = { full_recomputes : int; incremental_updates : int }
 
-(* --- Legacy incremental engine ---------------------------------------- *)
+let engine_stats k =
+  { full_recomputes = k.k_full; incremental_updates = k.k_incremental }
 
-(* Caches the arrival tables across analyses of the same (mutating)
-   netlist.  On each analysis the engine reads the netlist's change
-   journal and relaxes only the fan-out cone of the touched cells with a
-   worklist, instead of re-walking the whole graph.  Arrival times are a
-   unique fixpoint of the max-plus propagation on the DAG, so the result
-   is bit-identical to a full recomputation. *)
-type legacy_engine = {
-  e_tech : Tech.t;
-  e_netlist : Netlist.t;
-  mutable e_revision : int; (* netlist revision the tables reflect *)
-  mutable e_arrivals : arrivals;
-  mutable e_seq : int list; (* sequential cell ids, ascending *)
-  mutable e_report : (int * report) option;
-  mutable e_full : int;
-  mutable e_incremental : int;
-  mutable e_relaxed : int;
-}
+let engine_arrivals k =
+  csr_sync k;
+  csr_arrivals k
 
-type engine = Legacy_engine of legacy_engine | Csr_engine of csr_engine
-
-type impl = Legacy | Csr
-
-type engine_stats = {
-  full_recomputes : int;
-  incremental_updates : int;
-  cells_relaxed : int; (* comb cells relaxed by incremental updates *)
-}
-
-let make_legacy_engine tech netlist =
-  {
-    e_tech = tech;
-    e_netlist = netlist;
-    e_revision = Netlist.revision netlist;
-    e_arrivals = compute_arrivals tech netlist;
-    e_seq = seq_ids netlist;
-    e_report = None;
-    e_full = 1;
-    e_incremental = 0;
-    e_relaxed = 0;
-  }
-
-let make_engine ?(impl = Csr) ?(domains = 1) tech netlist =
-  Ggpu_obs.Trace.with_span "sta.engine_init" @@ fun () ->
-  match impl with
-  | Legacy -> Legacy_engine (make_legacy_engine tech netlist)
-  | Csr -> Csr_engine (csr_make ~domains tech netlist)
-
-let engine_impl = function Legacy_engine _ -> Legacy | Csr_engine _ -> Csr
-
-let engine_stats = function
-  | Legacy_engine e ->
-      {
-        full_recomputes = e.e_full;
-        incremental_updates = e.e_incremental;
-        cells_relaxed = e.e_relaxed;
-      }
-  | Csr_engine k ->
-      {
-        full_recomputes = k.k_full;
-        incremental_updates = k.k_incremental;
-        cells_relaxed = k.k_relaxed;
-      }
-
-let incremental_update engine ~cells ~nets =
-  let tech = engine.e_tech and nl = engine.e_netlist in
-  let { net_arrival; net_pred; net_launch } = engine.e_arrivals in
-  let queue = Queue.create () in
-  let queued = Hashtbl.create 64 in
-  let enqueue cell =
-    if Cell.is_comb cell then begin
-      let id = Cell.id cell in
-      if not (Hashtbl.mem queued id) then begin
-        Hashtbl.add queued id ();
-        Queue.add id queue
-      end
-    end
-  in
-  let enqueue_readers net = List.iter enqueue (Netlist.readers_of nl net) in
-  (* a sequential driver re-seeds its output nets with clk-to-q *)
-  let reseed_seq_output cell net =
-    let nid = Net.id net in
-    let t = launch_delay tech cell in
-    let same_launch =
-      match Hashtbl.find_opt net_launch nid with
-      | Some l -> Cell.id l = Cell.id cell
-      | None -> false
-    in
-    if
-      Hashtbl.find_opt net_arrival nid <> Some t
-      || Hashtbl.mem net_pred nid || not same_launch
-    then begin
-      Hashtbl.replace net_arrival nid t;
-      Hashtbl.remove net_pred nid;
-      Hashtbl.replace net_launch nid cell;
-      enqueue_readers net
-    end
-  in
-  let touch_net nid =
-    let net = Netlist.find_net nl nid in
-    match Netlist.driver_of nl net with
-    | None ->
-        (* driver removed and not replaced: the net reverts to the
-           primary-input default (no table entry) *)
-        if
-          Hashtbl.mem net_arrival nid || Hashtbl.mem net_pred nid
-          || Hashtbl.mem net_launch nid
-        then begin
-          Hashtbl.remove net_arrival nid;
-          Hashtbl.remove net_pred nid;
-          Hashtbl.remove net_launch nid;
-          enqueue_readers net
-        end
-    | Some driver when Cell.is_sequential driver -> reseed_seq_output driver net
-    | Some driver -> enqueue driver
-  in
-  List.iter touch_net nets;
-  List.iter
-    (fun id ->
-      if Netlist.mem_cell nl id then begin
-        let cell = Netlist.find_cell nl id in
-        if Cell.is_comb cell then enqueue cell
-        else List.iter (reseed_seq_output cell) (Cell.outputs cell)
-      end
-      (* removed cells: their output nets are in [nets] *))
-    cells;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    Hashtbl.remove queued id;
-    if Netlist.mem_cell nl id then begin
-      let cell = Netlist.find_cell nl id in
-      if Cell.is_comb cell then begin
-        engine.e_relaxed <- engine.e_relaxed + 1;
-        let out_time, in_net, launch = eval_cell tech engine.e_arrivals cell in
-        List.iter
-          (fun net ->
-            let nid = Net.id net in
-            let same_arrival = Hashtbl.find_opt net_arrival nid = Some out_time in
-            let same_pred =
-              match Hashtbl.find_opt net_pred nid with
-              | Some (prev_cell, prev_net) ->
-                  Cell.id prev_cell = Cell.id cell
-                  && (match (prev_net, in_net) with
-                     | None, None -> true
-                     | Some a, Some b -> Net.id a = Net.id b
-                     | Some _, None | None, Some _ -> false)
-              | None -> false
-            in
-            let same_launch =
-              match (Hashtbl.find_opt net_launch nid, launch) with
-              | None, None -> true
-              | Some a, Some b -> Cell.id a = Cell.id b
-              | Some _, None | None, Some _ -> false
-            in
-            (* always refresh the stored cell values (they may have been
-               rewired), but only propagate on a real change *)
-            Hashtbl.replace net_arrival nid out_time;
-            Hashtbl.replace net_pred nid (cell, in_net);
-            (match launch with
-            | Some l -> Hashtbl.replace net_launch nid l
-            | None -> Hashtbl.remove net_launch nid);
-            if not (same_arrival && same_pred && same_launch) then
-              enqueue_readers net)
-          (Cell.outputs cell)
-      end
-    end
-  done
-
-(* Keep the cached sequential-id list equal to [seq_ids netlist]:
-   every added, removed or rewired cell id appears in the journal, so
-   dropping the touched ids and re-inserting the ones that are (still)
-   sequential restores the invariant. *)
-let merge_seq_ids nl seq touched =
-  match touched with
-  | [] -> seq
-  | touched ->
-      let touched = List.sort_uniq Int.compare touched in
-      let keep = List.filter (fun id -> not (List.mem id touched)) seq in
-      let add =
-        List.filter
-          (fun id ->
-            Netlist.mem_cell nl id
-            && Cell.is_sequential (Netlist.find_cell nl id))
-          touched
-      in
-      List.merge Int.compare keep add
-
-let update_seq_ids engine touched =
-  engine.e_seq <- merge_seq_ids engine.e_netlist engine.e_seq touched
-
-let legacy_sync engine =
-  let rev = Netlist.revision engine.e_netlist in
-  if rev <> engine.e_revision then begin
-    (match Netlist.changes_since engine.e_netlist engine.e_revision with
-    | Some { Netlist.cells = []; nets = [] } -> ()
-    | Some { Netlist.cells; nets } ->
-        let before = engine.e_relaxed in
-        Ggpu_obs.Trace.with_span "sta.incremental" (fun () ->
-            incremental_update engine ~cells ~nets);
-        update_seq_ids engine cells;
-        engine.e_incremental <- engine.e_incremental + 1;
-        Ggpu_obs.Metrics.count "sta.incremental_updates" 1;
-        Ggpu_obs.Metrics.observe_named "sta.cone_cells"
-          (engine.e_relaxed - before)
-    | None ->
-        (* journal truncated: too far behind, recompute from scratch *)
-        Ggpu_obs.Trace.with_span "sta.full" (fun () ->
-            engine.e_arrivals <- compute_arrivals engine.e_tech engine.e_netlist;
-            engine.e_seq <- seq_ids engine.e_netlist);
-        engine.e_full <- engine.e_full + 1;
-        Ggpu_obs.Metrics.count "sta.full_recomputes" 1);
-    engine.e_revision <- rev;
-    engine.e_report <- None
-  end
-
-let engine_arrivals = function
-  | Legacy_engine e ->
-      legacy_sync e;
-      e.e_arrivals
-  | Csr_engine k ->
-      csr_sync k;
-      csr_arrivals k
-
-let engine_analyse = function
-  | Legacy_engine engine -> (
-      legacy_sync engine;
-      match engine.e_report with
-      | Some (rev, report) when rev = engine.e_revision -> report
-      | Some _ | None ->
-          let report =
-            report_over_ids engine.e_tech engine.e_netlist engine.e_arrivals
-              engine.e_seq
-          in
-          engine.e_report <- Some (engine.e_revision, report);
-          report)
-  | Csr_engine k -> (
-      csr_sync k;
-      match k.k_report with
-      | Some (rev, report) when rev = k.k_revision -> report
-      | Some _ | None ->
-          let report = csr_report k in
-          k.k_report <- Some (k.k_revision, report);
-          report)
+let engine_analyse k =
+  csr_sync k;
+  match k.k_report with
+  | Some (rev, report) when rev = k.k_revision -> report
+  | Some _ | None ->
+      let report = csr_report k in
+      k.k_report <- Some (k.k_revision, report);
+      report
 
 let slack_ns report ~period_ns = period_ns -. report.max_delay_ns
 let meets report ~period_ns = slack_ns report ~period_ns >= 0.0

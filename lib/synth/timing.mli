@@ -35,7 +35,8 @@ type arrivals = {
 }
 
 val compute_arrivals : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> arrivals
-(** Exposed for post-route analysis ({!Ggpu_layout.Timing_post}). *)
+(** Full sweep in topological order: the reference the incremental
+    engine's {!engine_arrivals} must equal, net by net. *)
 
 val analyse : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> report
 (** Full recomputation.  Deterministic: endpoints are scanned in
@@ -45,54 +46,39 @@ val analyse : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> report
     @raise No_paths if the netlist has no register-to-register path.
     @raise Ggpu_hw.Topo.Combinational_loop on a combinational cycle. *)
 
-val analyse_csr : ?domains:int -> Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> report
-(** Full analysis through a throwaway CSR levelized build.  Bit-identical
-    to {!analyse} at any [domains]; [domains > 1] fans the forward sweep
-    over independent combinational cones via [Ggpu_par].
-    @raise No_paths / @raise Ggpu_hw.Topo.Combinational_loop as {!analyse}. *)
-
 (** {1 Incremental engine}
 
-    Caches topological/arrival state across repeated analyses of the
-    same mutating netlist (the planner's analyse-edit loop).  After an
-    edit, only the fan-out cone of the touched cells is relaxed, using
-    the netlist's change journal ({!Ggpu_hw.Netlist.changes_since}).
-    The {!Csr} engine also keeps an endpoint summary per sequential
-    cell (endpoint count, worst delay, that endpoint's net) and
-    refreshes only those of the journal's cells and of the sequential
-    readers of nets whose arrival, predecessor or launch changed; the
-    report is the first maximum over the summaries in ascending cell
-    id, each summary holding its cell's first maximum in pin order.
-    Results are bit-identical to {!analyse}. *)
+    Caches levelized arrival state in int-indexed arrays across repeated
+    analyses of the same mutating netlist (the planner's analyse-edit
+    loop).  After an edit, only the fan-out cone of the touched cells is
+    re-swept, using the netlist's change journal
+    ({!Ggpu_hw.Netlist.changes_since}).  The engine also keeps an
+    endpoint summary per sequential cell (endpoint count, worst delay,
+    that endpoint's net) and refreshes only those of the journal's cells
+    and of the sequential readers of nets whose arrival, predecessor or
+    launch changed; the report is the first maximum over the summaries
+    in ascending cell id, each summary holding its cell's first maximum
+    in pin order.  Results are bit-identical to {!analyse}, and the
+    arrival tables to {!compute_arrivals}. *)
 
 type engine
-
-type impl =
-  | Legacy  (** original hashtable tables + FIFO worklist *)
-  | Csr  (** int-indexed CSR arrays + levelized sweeps (default) *)
 
 type engine_stats = {
   full_recomputes : int;  (** whole-graph recomputations (>= 1) *)
   incremental_updates : int;  (** journal-driven cone updates *)
-  cells_relaxed : int;  (** comb cells relaxed incrementally *)
 }
 
-val make_engine :
-  ?impl:impl -> ?domains:int -> Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> engine
-(** Performs the initial full computation.  [impl] selects the engine
-    (default {!Csr}; the two are bit-identical — {!Legacy} survives as
-    the differential-testing reference).  [domains] (default 1) fans
-    full CSR sweeps over independent combinational cones; it does not
-    affect results, only wall-clock. *)
-
-val engine_impl : engine -> impl
+val make_engine : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> engine
+(** Performs the initial full computation. *)
 
 val engine_analyse : engine -> report
 (** Synchronise with the netlist's current revision and report.
     @raise No_paths as {!analyse}. *)
 
 val engine_arrivals : engine -> arrivals
-(** Synchronised arrival tables (same caveats as {!compute_arrivals}). *)
+(** Synchronised arrival tables, equal to {!compute_arrivals} on the
+    current netlist; read by post-route analysis
+    ({!Ggpu_layout.Timing_post}). *)
 
 val engine_stats : engine -> engine_stats
 

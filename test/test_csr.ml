@@ -1,14 +1,13 @@
 (* Differential tests for the CSR levelized timing engine: on random
-   netlists and on generated designs, the CSR sweep must be
-   bit-identical to the legacy hashtable walker — same arrival table
-   net by net, same worst path, same fmax, same endpoint census — both
-   on full analysis and while replaying edits through the incremental
-   path. *)
+   netlists and on generated designs, the engine must be bit-identical
+   to the full sweep ({!Timing.analyse}, {!Timing.compute_arrivals}) —
+   same arrival, predecessor and launch net by net, same worst path,
+   same fmax, same endpoint census — both on the initial build and
+   while replaying edits through the incremental path. *)
 
 open Ggpu_hw
 open Ggpu_tech
 open Ggpu_synth
-open Ggpu_core
 
 let tech = Tech.default_65nm
 
@@ -107,61 +106,65 @@ let check_reports msg (a : Timing.report) (b : Timing.report) =
     a.Timing.worst.Timing.delay_ns b.Timing.worst.Timing.delay_ns
 
 (* The arrival tables, net by net: every net of the netlist must carry
-   the same float in both engines (absence counts as 0, matching the
-   report scan), and agree on whether a launch register reaches it. *)
-let check_arrivals msg nl (legacy : Timing.arrivals) (csr : Timing.arrivals) =
+   the same arrival (absent = 0, as the report scans it), the same
+   worst predecessor (driving cell and input net) and the same launch
+   register. *)
+let check_arrivals msg nl (full : Timing.arrivals) (eng : Timing.arrivals) =
+  let arrival tbl nid = Option.value ~default:0.0 (Hashtbl.find_opt tbl nid) in
+  let pred tbl nid =
+    Option.map
+      (fun (cell, prev) -> (Cell.id cell, Option.map Net.id prev))
+      (Hashtbl.find_opt tbl nid)
+  in
+  let launch tbl nid = Option.map Cell.id (Hashtbl.find_opt tbl nid) in
   Netlist.iter_nets nl (fun net ->
-      let look tbl =
-        match Hashtbl.find_opt tbl (Net.id net) with
-        | Some t -> t
-        | None -> 0.0
-      in
+      let nid = Net.id net in
+      let what field = Printf.sprintf "%s: %s of net %d" msg field nid in
       Alcotest.(check (float 0.0))
-        (Printf.sprintf "%s: arrival of net %d" msg (Net.id net))
-        (look legacy.Timing.net_arrival)
-        (look csr.Timing.net_arrival);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: launch presence on net %d" msg (Net.id net))
-        (Hashtbl.mem legacy.Timing.net_launch (Net.id net))
-        (Hashtbl.mem csr.Timing.net_launch (Net.id net)))
+        (what "arrival")
+        (arrival full.Timing.net_arrival nid)
+        (arrival eng.Timing.net_arrival nid);
+      Alcotest.(check (option (pair int (option int))))
+        (what "predecessor")
+        (pred full.Timing.net_pred nid)
+        (pred eng.Timing.net_pred nid);
+      Alcotest.(check (option int))
+        (what "launch")
+        (launch full.Timing.net_launch nid)
+        (launch eng.Timing.net_launch nid))
 
-let engines_identical msg nl =
-  let legacy = Timing.make_engine ~impl:Timing.Legacy tech nl in
-  let csr = Timing.make_engine ~impl:Timing.Csr tech nl in
-  check_reports msg (Timing.engine_analyse legacy) (Timing.engine_analyse csr);
+(* The engine against the full sweep on the netlist as it stands. *)
+let check_engine msg nl engine =
+  check_reports msg (Timing.analyse tech nl) (Timing.engine_analyse engine);
   check_arrivals msg nl
-    (Timing.engine_arrivals legacy)
-    (Timing.engine_arrivals csr)
+    (Timing.compute_arrivals tech nl)
+    (Timing.engine_arrivals engine)
 
 (* --- properties ---------------------------------------------------------- *)
 
 let prop_random_full_identity =
-  QCheck.Test.make ~name:"csr full analysis == legacy on random netlists"
+  QCheck.Test.make ~name:"csr full analysis == full sweep on random netlists"
     ~count:60
     QCheck.(
       triple (int_range 1 6) (int_range 0 40) (small_list small_int))
     (fun (ffs, gates, choices) ->
       let nl = build_random ~ffs ~gates choices in
-      engines_identical "random" nl;
+      check_engine "random" nl (Timing.make_engine tech nl);
       true)
 
-(* Replay: both engines attached to one netlist, pipeline registers
+(* Replay: an engine attached to one netlist, pipeline registers
    inserted one at a time on driven nets; after every edit the CSR
-   incremental re-sweep must match the legacy incremental walker AND a
-   from-scratch analysis. *)
+   incremental re-sweep must match a from-scratch analysis and sweep. *)
 let prop_random_replay_identity =
   QCheck.Test.make
-    ~name:"csr incremental replay == legacy == full on random netlists"
+    ~name:"csr incremental replay == full sweep on random netlists"
     ~count:30
     QCheck.(
       triple (int_range 2 5) (int_range 4 25) (small_list small_int))
     (fun (ffs, gates, choices) ->
       let nl = build_random ~ffs ~gates choices in
-      let legacy = Timing.make_engine ~impl:Timing.Legacy tech nl in
-      let csr = Timing.make_engine ~impl:Timing.Csr tech nl in
-      check_reports "initial"
-        (Timing.engine_analyse legacy)
-        (Timing.engine_analyse csr);
+      let csr = Timing.make_engine tech nl in
+      check_engine "initial" nl csr;
       (* pipeline the first few comb-driven nets, one edit per step *)
       let targets =
         List.filteri
@@ -176,21 +179,54 @@ let prop_random_replay_identity =
       List.iteri
         (fun i net ->
           ignore (Netlist.insert_pipeline nl net);
-          let msg = Printf.sprintf "after pipeline %d" i in
-          let fresh = Timing.analyse tech nl in
-          check_reports (msg ^ " (legacy vs csr)")
-            (Timing.engine_analyse legacy)
-            (Timing.engine_analyse csr);
-          check_reports (msg ^ " (csr vs fresh)") fresh
-            (Timing.engine_analyse csr);
-          check_arrivals msg nl
-            (Timing.engine_arrivals legacy)
-            (Timing.engine_arrivals csr))
+          check_engine (Printf.sprintf "after pipeline %d" i) nl csr)
         targets;
       let stats = Timing.engine_stats csr in
       if targets <> [] && stats.Timing.incremental_updates = 0 then
         QCheck.Test.fail_report "csr engine never took the incremental path";
       true)
+
+(* An engine that falls behind the netlist's bounded change journal
+   cannot replay what it missed and must rebuild from scratch: a
+   pipeline edit followed by enough no-op mutations to truncate the
+   journal past the engine's revision still shows up in the next
+   analysis, which counts as a second full recompute; the engine then
+   returns to the incremental path. *)
+let test_journal_truncation_rebuilds () =
+  let nl = build_random ~ffs:3 ~gates:20 (List.init 40 (fun i -> (i * 7) + 3)) in
+  let engine = Timing.make_engine tech nl in
+  let since = Netlist.revision nl in
+  let comb_nets =
+    List.filter
+      (fun net ->
+        match Netlist.driver_of nl net with
+        | Some c -> Cell.is_comb c && Netlist.readers_of nl net <> []
+        | None -> false)
+      (Netlist.nets nl)
+  in
+  let first, second =
+    match comb_nets with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "random netlist has under two comb-driven nets"
+  in
+  ignore (Netlist.insert_pipeline nl first);
+  for _ = 1 to 70_000 do
+    Netlist.set_outputs nl (Netlist.outputs nl)
+  done;
+  Alcotest.(check bool)
+    "journal truncated past the engine" true
+    (Netlist.changes_since nl since = None);
+  check_engine "after truncation" nl engine;
+  let stats = Timing.engine_stats engine in
+  Alcotest.(check (pair int int))
+    "full, incremental after truncation" (2, 0)
+    (stats.Timing.full_recomputes, stats.Timing.incremental_updates);
+  ignore (Netlist.insert_pipeline nl second);
+  check_engine "pipeline after rebuild" nl engine;
+  let stats = Timing.engine_stats engine in
+  Alcotest.(check (pair int int))
+    "full, incremental after one more edit" (2, 1)
+    (stats.Timing.full_recomputes, stats.Timing.incremental_updates)
 
 (* --- generated designs --------------------------------------------------- *)
 
@@ -198,28 +234,11 @@ let test_generated_identity () =
   List.iter
     (fun num_cus ->
       let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus in
-      engines_identical (Printf.sprintf "%d CU" num_cus) nl;
-      (* cone-parallel sweep is bit-identical to the serial one *)
-      check_reports
-        (Printf.sprintf "%d CU domains" num_cus)
-        (Timing.analyse_csr tech nl)
-        (Timing.analyse_csr ~domains:4 tech nl))
+      check_engine
+        (Printf.sprintf "%d CU" num_cus)
+        nl
+        (Timing.make_engine tech nl))
     [ 1; 2 ]
-
-(* The planner must converge identically on either engine: same edit
-   list, same final report, same iteration count. *)
-let test_dse_csr_matches_legacy () =
-  let run sta =
-    let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:2 in
-    Dse.explore ~sta tech nl ~num_cus:2 ~period_ns:(1000.0 /. 667.0)
-  in
-  let csr = run Timing.Csr and legacy = run Timing.Legacy in
-  Alcotest.(check int) "iterations" legacy.Dse.iterations csr.Dse.iterations;
-  Alcotest.(check (list string))
-    "same edits"
-    (List.map Map.edit_to_string legacy.Dse.map.Map.edits)
-    (List.map Map.edit_to_string csr.Dse.map.Map.edits);
-  check_reports "final report" legacy.Dse.final csr.Dse.final
 
 (* An incremental analysis costs what the edit touches, not what the
    design holds: after one pipeline on the same CU-0 net, the next
@@ -241,26 +260,16 @@ let test_incremental_cost_flat () =
     Alcotest.failf "32 CUs allocate %.0f words, over 1.5x the %.0f at 8 CUs"
       w32 w8
 
-let test_engine_impl_dispatch () =
-  let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:1 in
-  Alcotest.(check bool) "default engine is CSR" true
-    (Timing.engine_impl (Timing.make_engine tech nl) = Timing.Csr);
-  Alcotest.(check bool) "legacy engine selectable" true
-    (Timing.engine_impl (Timing.make_engine ~impl:Timing.Legacy tech nl)
-    = Timing.Legacy)
-
 let suite =
   [
     ( "csr-sta",
       [
         QCheck_alcotest.to_alcotest prop_random_full_identity;
         QCheck_alcotest.to_alcotest prop_random_replay_identity;
+        Alcotest.test_case "journal truncation rebuilds" `Quick
+          test_journal_truncation_rebuilds;
         Alcotest.test_case "generated designs bit-identical" `Quick
           test_generated_identity;
-        Alcotest.test_case "dse converges identically on both engines" `Quick
-          test_dse_csr_matches_legacy;
-        Alcotest.test_case "engine impl dispatch" `Quick
-          test_engine_impl_dispatch;
         Alcotest.test_case "incremental cost flat in CU count" `Quick
           test_incremental_cost_flat;
       ] );

@@ -1,8 +1,9 @@
 (* Property tests for the incremental timing engine: after every DSE
    edit the engine report must be bit-identical to a full recomputation
-   (same floats, same endpoint census, same worst path cell by cell).
-   The edits come from a real [Dse.explore] run, replayed one at a time
-   on a fresh netlist with an engine attached. *)
+   (same floats, same endpoint census, same worst path cell by cell),
+   and its arrival tables to the full sweep's, net by net.  The edits
+   come from a real [Dse.explore] run, replayed one at a time on a
+   fresh netlist with an engine attached. *)
 
 open Ggpu_tech
 open Ggpu_synth
@@ -10,35 +11,9 @@ open Ggpu_core
 
 let tech = Tech.default_65nm
 
-let check_reports_identical msg (eng : Timing.report) (full : Timing.report) =
-  Alcotest.(check (float 0.0))
-    (msg ^ ": max_delay_ns")
-    full.Timing.max_delay_ns eng.Timing.max_delay_ns;
-  Alcotest.(check (float 0.0))
-    (msg ^ ": fmax_mhz")
-    full.Timing.fmax_mhz eng.Timing.fmax_mhz;
-  Alcotest.(check int)
-    (msg ^ ": endpoint_count")
-    full.Timing.endpoint_count eng.Timing.endpoint_count;
-  let name c = Ggpu_hw.Cell.name c in
-  Alcotest.(check string)
-    (msg ^ ": launch")
-    (name full.Timing.worst.Timing.launch)
-    (name eng.Timing.worst.Timing.launch);
-  Alcotest.(check string)
-    (msg ^ ": capture")
-    (name full.Timing.worst.Timing.capture)
-    (name eng.Timing.worst.Timing.capture);
-  Alcotest.(check (list string))
-    (msg ^ ": through")
-    (List.map name full.Timing.worst.Timing.through)
-    (List.map name eng.Timing.worst.Timing.through);
-  Alcotest.(check (float 0.0))
-    (msg ^ ": path delay")
-    full.Timing.worst.Timing.delay_ns eng.Timing.worst.Timing.delay_ns
-
 (* Replay each edit of a converged 667 MHz map one at a time, checking
-   engine-vs-full identity after every step. *)
+   the engine's report and arrival tables against the full sweep after
+   every step. *)
 let check_bit_identity ~num_cus () =
   let edits =
     let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus in
@@ -50,15 +25,13 @@ let check_bit_identity ~num_cus () =
   Alcotest.(check bool) "map has edits" true (List.length edits > 0);
   let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus in
   let engine = Timing.make_engine tech nl in
-  check_reports_identical "initial" (Timing.engine_analyse engine)
-    (Timing.analyse tech nl);
+  Test_csr.check_engine "initial" nl engine;
   List.iteri
     (fun i edit ->
       Map.apply_edit nl edit;
-      check_reports_identical
+      Test_csr.check_engine
         (Printf.sprintf "after edit %d (%s)" i (Map.edit_to_string edit))
-        (Timing.engine_analyse engine)
-        (Timing.analyse tech nl))
+        nl engine)
     edits;
   let stats = Timing.engine_stats engine in
   Alcotest.(check int) "one full recompute" 1 stats.Timing.full_recomputes;
@@ -87,8 +60,8 @@ let test_dse_incremental_matches_full () =
         (msg ^ ": same edits")
         (List.map Map.edit_to_string full.Dse.map.Map.edits)
         (List.map Map.edit_to_string inc.Dse.map.Map.edits);
-      check_reports_identical (msg ^ ": final report") inc.Dse.final
-        full.Dse.final)
+      Test_csr.check_reports (msg ^ ": final report") full.Dse.final
+        inc.Dse.final)
     [ 2; 16 ]
 
 (* [Netlist.copy] must hand the flow an independent netlist: editing the

@@ -51,6 +51,28 @@ let test_gauge_max () =
   M.gauge_max g 5;
   Alcotest.(check (option int)) "keeps max" (Some 7) (M.gauge_value g)
 
+(* --- clock --------------------------------------------------------------- *)
+
+(* Every use of [now_ns] is a duration, so it must never step back, and
+   a sleep must read at least its length, through [time_counter] too. *)
+let test_now_ns_monotonic () =
+  let prev = ref (M.now_ns ()) in
+  for _ = 1 to 10_000 do
+    let t = M.now_ns () in
+    if t < !prev then Alcotest.failf "now_ns stepped back: %d after %d" t !prev;
+    prev := t
+  done;
+  let t0 = M.now_ns () in
+  Unix.sleepf 0.02;
+  let slept = M.now_ns () - t0 in
+  if slept < 20_000_000 then
+    Alcotest.failf "a 20 ms sleep read as %d ns" slept;
+  let c = M.counter (M.create ()) "sleep_ns" in
+  M.time_counter c (fun () -> Unix.sleepf 0.01);
+  if M.counter_value c < 10_000_000 then
+    Alcotest.failf "time_counter read a 10 ms sleep as %d ns"
+      (M.counter_value c)
+
 (* --- histograms ---------------------------------------------------------- *)
 
 let test_histogram_invariants () =
@@ -503,6 +525,7 @@ let suite =
         Alcotest.test_case "counter monotone" `Quick test_counter_monotone;
         Alcotest.test_case "kind clash" `Quick test_kind_clash;
         Alcotest.test_case "gauge max" `Quick test_gauge_max;
+        Alcotest.test_case "now_ns monotonic" `Quick test_now_ns_monotonic;
         Alcotest.test_case "histogram invariants" `Quick
           test_histogram_invariants;
         Alcotest.test_case "histogram bad buckets" `Quick
