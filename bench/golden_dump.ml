@@ -11,7 +11,7 @@ let cycles_of ~superopt (w : Suite.t) ~size ~cus =
   let compiled = Codegen_fgpu.compile ~superopt w.Suite.kernel in
   let args = w.Suite.mk_args ~size in
   let config = Config.with_cus Config.default cus in
-  Run_fgpu.run ~config ~backend:Gpu.Interp compiled ~args
+  Run_fgpu.run ~config compiled ~args
     ~global_size:(w.Suite.global_size ~size)
     ~local_size:(min w.Suite.local_size size) ()
 

@@ -587,9 +587,10 @@ let sim_json_path = "BENCH_sim.json"
    speedup tracked across PRs. *)
 let seed_fgpu_cycles_per_s = 835897.00278148404
 
-(* Aggregate fgpu_wf_instr_per_s of the PR 4 BENCH_sim.json (the
-   event-heap interpreter, before the threaded-code backend).  The
-   headline work-rate ratio against it is the backend speedup. *)
+(* Aggregate fgpu_wf_instr_per_s that BENCH_sim.json recorded while
+   lanes still executed through a tag-dispatch interpreter (the
+   event-heap scheduler, before threaded-code lanes), on another
+   machine.  wf_speedup_vs_pr4 is the current work rate over it. *)
 let pr4_fgpu_wf_instr_per_s = 2681197.0502227317
 
 (* Kernels that issue analytic multi-cycle divides advance simulated
@@ -609,8 +610,7 @@ type sim_row = {
   r_gsize : int;
   r_cycles : int;
   r_wf : int;
-  r_wall_thr : float;  (* threaded backend, the headline engine *)
-  r_wall_int : float;  (* interpreter backend, the A/B reference *)
+  r_wall : float;
   r_div_derived : bool;  (* cycles/s inflated by analytic divides *)
   r_rsize : int;
   r_rv_cycles : int;
@@ -638,38 +638,23 @@ let run_perf_sim () =
     let open Ggpu_kernels in
     let gsize = w.Suite.round_size (min 8192 w.Suite.ggpu_size) in
     let compiled = Codegen_fgpu.compile w.Suite.kernel in
-    let launch backend =
+    let launch () =
       time (fun () ->
-          Run_fgpu.run ~config:fgpu_config ~backend ~domains:exec_domains
-            compiled
+          Run_fgpu.run ~config:fgpu_config ~domains:exec_domains compiled
             ~args:(w.Suite.mk_args ~size:gsize)
             ~global_size:(w.Suite.global_size ~size:gsize)
             ~local_size:(min w.Suite.local_size gsize)
             ())
     in
-    (* warm each backend once — first-touch page faults, code warmup
-       and GC growth land here, not in the timed runs — and use the
-       warm pair as a correctness sweep: both engines must produce the
-       same stats on every suite kernel, every run *)
-    let result_thr, _ = launch Ggpu_fgpu.Gpu.Threaded in
-    let result_int, _ = launch Ggpu_fgpu.Gpu.Interp in
-    if
-      Ggpu_fgpu.Stats.to_assoc result_thr.Run_fgpu.stats
-      <> Ggpu_fgpu.Stats.to_assoc result_int.Run_fgpu.stats
-    then begin
-      Printf.eprintf "perf-sim: %s: threaded and interp stats differ\n"
-        w.Suite.name;
-      exit 1
-    end;
-    (* best-of-2 timed launches per backend, interleaved so neither
-       engine systematically absorbs transient machine noise *)
-    let best backend =
-      let _, w1 = launch backend in
-      let _, w2 = launch backend in
+    (* one warm launch — first-touch page faults, code warmup and GC
+       growth land here, not in the timed runs — then the best of two
+       timed ones *)
+    let result, _ = launch () in
+    let wall =
+      let _, w1 = launch () in
+      let _, w2 = launch () in
       Float.min w1 w2
     in
-    let wall_thr = best Ggpu_fgpu.Gpu.Threaded in
-    let wall_int = best Ggpu_fgpu.Gpu.Interp in
     let rsize = w.Suite.round_size w.Suite.riscv_size in
     let rv_cycles, rv_wall =
       let compiled = Codegen_rv32.compile w.Suite.kernel in
@@ -686,10 +671,9 @@ let run_perf_sim () =
     {
       r_name = w.Suite.name;
       r_gsize = gsize;
-      r_cycles = result_thr.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles;
-      r_wf = result_thr.Run_fgpu.stats.Ggpu_fgpu.Stats.wf_instructions;
-      r_wall_thr = wall_thr;
-      r_wall_int = wall_int;
+      r_cycles = result.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles;
+      r_wf = result.Run_fgpu.stats.Ggpu_fgpu.Stats.wf_instructions;
+      r_wall = wall;
       r_div_derived = uses_div compiled.Codegen_fgpu.code;
       r_rsize = rsize;
       r_rv_cycles = rv_cycles;
@@ -706,15 +690,14 @@ let run_perf_sim () =
      EXPERIMENTS.md) and flagged as derived.  wf-instructions/s charges
      each kernel for the work the simulator actually performs and is
      the headline number. *)
-  Printf.printf "%-13s %8s %10s %12s %12s %12s %8s %12s\n" "kernel" "gp size"
-    "gp cyc" "thr insn/s" "int insn/s" "gp cyc/s" "rv size" "rv cyc/s";
+  Printf.printf "%-13s %8s %10s %12s %12s %8s %12s\n" "kernel" "gp size"
+    "gp cyc" "gp insn/s" "gp cyc/s" "rv size" "rv cyc/s";
   List.iter
     (fun r ->
-      Printf.printf "%-13s %8d %10d %12.3e %12.3e %11.3e%s %8d %12.3e\n"
+      Printf.printf "%-13s %8d %10d %12.3e %11.3e%s %8d %12.3e\n"
         r.r_name r.r_gsize r.r_cycles
-        (per_s r.r_wf r.r_wall_thr)
-        (per_s r.r_wf r.r_wall_int)
-        (per_s r.r_cycles r.r_wall_thr)
+        (per_s r.r_wf r.r_wall)
+        (per_s r.r_cycles r.r_wall)
         (if r.r_div_derived then "*" else " ")
         r.r_rsize
         (per_s r.r_rv_cycles r.r_rv_wall))
@@ -723,30 +706,22 @@ let run_perf_sim () =
   let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
   let fgpu_cycles = total (fun r -> float_of_int r.r_cycles) in
   let fgpu_wf = total (fun r -> float_of_int r.r_wf) in
-  let fgpu_wall = total (fun r -> r.r_wall_thr) in
-  let fgpu_wall_int = total (fun r -> r.r_wall_int) in
+  let fgpu_wall = total (fun r -> r.r_wall) in
   let rv_cycles = total (fun r -> float_of_int r.r_rv_cycles) in
   let rv_wall = total (fun r -> r.r_rv_wall) in
   let agg_cycles_per_s =
     if fgpu_wall > 0.0 then fgpu_cycles /. fgpu_wall else 0.0
   in
   let agg_wf_per_s = if fgpu_wall > 0.0 then fgpu_wf /. fgpu_wall else 0.0 in
-  let agg_wf_per_s_int =
-    if fgpu_wall_int > 0.0 then fgpu_wf /. fgpu_wall_int else 0.0
-  in
   let speedup_vs_seed = agg_cycles_per_s /. seed_fgpu_cycles_per_s in
   let wf_speedup_vs_pr4 = agg_wf_per_s /. pr4_fgpu_wf_instr_per_s in
-  let backend_ratio =
-    if agg_wf_per_s_int > 0.0 then agg_wf_per_s /. agg_wf_per_s_int else 0.0
-  in
   Printf.printf
     "totals (4 CUs, %d exec domain(s)):\n\
-    \  threaded %.3e wf-insns/s | %.2fx vs PR 4 interp | %.2fx vs interp \
-     same tree\n\
-    \  threaded %.3e cycles/s (derived) | %.2fx vs seed\n\
-    \  interp   %.3e wf-insns/s | rv32 %.3e cycles/s\n"
-    exec_domains agg_wf_per_s wf_speedup_vs_pr4 backend_ratio agg_cycles_per_s
-    speedup_vs_seed agg_wf_per_s_int
+    \  fgpu %.3e wf-insns/s | %.2fx vs interpreter baseline\n\
+    \  fgpu %.3e cycles/s (derived) | %.2fx vs seed\n\
+    \  rv32 %.3e cycles/s\n"
+    exec_domains agg_wf_per_s wf_speedup_vs_pr4 agg_cycles_per_s
+    speedup_vs_seed
     (if rv_wall > 0.0 then rv_cycles /. rv_wall else 0.0);
   (* superopt peephole: dynamic cycle reduction per kernel, the
      mined-rule payoff.  Baseline recompiles with ~superopt:false; the
@@ -759,8 +734,7 @@ let run_perf_sim () =
         let open Ggpu_kernels in
         let compiled = Codegen_fgpu.compile ~superopt:false w.Suite.kernel in
         let result =
-          Run_fgpu.run ~config:fgpu_config ~backend:Ggpu_fgpu.Gpu.Threaded
-            ~domains:exec_domains compiled
+          Run_fgpu.run ~config:fgpu_config ~domains:exec_domains compiled
             ~args:(w.Suite.mk_args ~size:r.r_gsize)
             ~global_size:(w.Suite.global_size ~size:r.r_gsize)
             ~local_size:(min w.Suite.local_size r.r_gsize)
@@ -846,9 +820,7 @@ let run_perf_sim () =
     (per_s pmu_cycles pmu_wall) pmu_overhead_pct
     (if pmu_identical then "" else "  [CYCLE MISMATCH]");
   let open Ggpu_obs.Json in
-  (* per-kernel fgpu numbers are the threaded (default) backend;
-     *_interp_* fields are the A/B reference on the same tree.
-     fgpu_cycles_per_s_derived marks kernels whose cycles/s is inflated
+  (* fgpu_cycles_per_s_derived marks kernels whose cycles/s is inflated
      by analytic multi-cycle divides — compare wf_instr_per_s instead. *)
   let kernel_obj r =
     Obj
@@ -857,13 +829,10 @@ let run_perf_sim () =
         ("fgpu_size", Int r.r_gsize);
         ("fgpu_cycles", Int r.r_cycles);
         ("fgpu_wf_instructions", Int r.r_wf);
-        ("fgpu_backend", String "threaded");
-        ("fgpu_wall_s", Float r.r_wall_thr);
-        ("fgpu_cycles_per_s", Float (per_s r.r_cycles r.r_wall_thr));
+        ("fgpu_wall_s", Float r.r_wall);
+        ("fgpu_cycles_per_s", Float (per_s r.r_cycles r.r_wall));
         ("fgpu_cycles_per_s_derived", Bool r.r_div_derived);
-        ("fgpu_wf_instr_per_s", Float (per_s r.r_wf r.r_wall_thr));
-        ("fgpu_interp_wall_s", Float r.r_wall_int);
-        ("fgpu_interp_wf_instr_per_s", Float (per_s r.r_wf r.r_wall_int));
+        ("fgpu_wf_instr_per_s", Float (per_s r.r_wf r.r_wall));
         ("rv32_size", Int r.r_rsize);
         ("rv32_cycles", Int r.r_rv_cycles);
         ("rv32_wall_s", Float r.r_rv_wall);
@@ -875,15 +844,12 @@ let run_perf_sim () =
       [
         ("benchmark", String "simulator-throughput");
         ("fgpu_cus", Int 4);
-        ("fgpu_backend", String "threaded");
         ("fgpu_exec_domains", Int exec_domains);
         ("kernels", List (List.map kernel_obj rows));
         ( "totals",
           Obj
             [
               ("fgpu_wf_instr_per_s", Float agg_wf_per_s);
-              ("fgpu_interp_wf_instr_per_s", Float agg_wf_per_s_int);
-              ("backend_wf_speedup", Float backend_ratio);
               ("pr4_fgpu_wf_instr_per_s", Float pr4_fgpu_wf_instr_per_s);
               ("wf_speedup_vs_pr4", Float wf_speedup_vs_pr4);
               ("fgpu_cycles_per_s", Float agg_cycles_per_s);

@@ -34,31 +34,6 @@ let freq_term =
   let doc = "Target frequency in MHz." in
   Arg.(value & opt int 500 & info [ "freq" ] ~doc ~docv:"MHZ")
 
-(* Simulator execution-engine selection, shared by run/fi/bench.  Both
-   engines are bit-identical in every observable; the flag exists for
-   A/B throughput measurement and for falling back to the reference
-   interpreter when debugging the threaded compiler itself. *)
-let backend_conv =
-  let parse s =
-    match Ggpu_fgpu.Gpu.backend_of_string s with
-    | Some b -> Ok b
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown backend %S (interp | threaded)" s))
-  in
-  let print fmt b = Format.pp_print_string fmt (Ggpu_fgpu.Gpu.backend_name b) in
-  Arg.conv (parse, print)
-
-let backend_term =
-  let doc =
-    "Simulator lane-execution engine: $(b,threaded) (per-PC compiled \
-     closures, the default) or $(b,interp) (tag-dispatch reference). \
-     Simulated results are bit-identical either way."
-  in
-  Arg.(
-    value
-    & opt backend_conv Ggpu_fgpu.Gpu.Threaded
-    & info [ "backend" ] ~doc ~docv:"ENGINE")
-
 let sim_domains_term =
   let doc =
     "Domain fan-out for the functional (record) pass $(i,inside) one \
@@ -428,7 +403,7 @@ let compare_cmd =
       & opt (list int) Compare.cu_counts
       & info [ "cus" ] ~doc ~docv:"N,..")
   in
-  let run obs tech kernel cus_list backend sim_domains superopt =
+  let run obs tech kernel cus_list sim_domains superopt =
     with_obs obs @@ fun () ->
     let workloads =
       match kernel with
@@ -440,7 +415,7 @@ let compare_cmd =
             exit 1)
     in
     match
-      Compare.table3 ~workloads ~backend ~domains:sim_domains ~superopt
+      Compare.table3 ~workloads ~domains:sim_domains ~superopt
         ~cu_counts:cus_list ()
     with
     | exception Invalid_argument msg -> Error (`Msg msg)
@@ -455,7 +430,7 @@ let compare_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ tech_term $ kernel_term $ cus_list_term
-       $ backend_term $ sim_domains_alias_term $ superopt_term))
+       $ sim_domains_alias_term $ superopt_term))
   in
   Cmd.v
     (Cmd.info "compare"
@@ -482,7 +457,7 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "pmu" ] ~doc)
   in
-  let run obs cus name size pmu backend sim_domains superopt =
+  let run obs cus name size pmu sim_domains superopt =
     with_obs obs @@ fun () ->
     let w =
       try Ggpu_kernels.Suite.find name
@@ -518,8 +493,8 @@ let run_cmd =
       else None
     in
     let result =
-      Ggpu_kernels.Run_fgpu.run ~config ?pmu:collector ~backend
-        ~domains:sim_domains compiled ~args
+      Ggpu_kernels.Run_fgpu.run ~config ?pmu:collector ~domains:sim_domains
+        compiled ~args
         ~global_size:(w.Ggpu_kernels.Suite.global_size ~size)
         ~local_size:(min w.Ggpu_kernels.Suite.local_size size)
         ()
@@ -555,7 +530,7 @@ let run_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ cus_term $ kernel_req $ size_term $ pmu_term
-       $ backend_term $ sim_domains_alias_term $ superopt_term))
+       $ sim_domains_alias_term $ superopt_term))
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate one kernel on the G-GPU") term
 
@@ -595,7 +570,7 @@ let fi_cmd =
     in
     Arg.(value & opt (some string) None & info [ "expect" ] ~doc ~docv:"SIG")
   in
-  let run obs cus kernel target trials seed size domains backend expect =
+  let run obs cus kernel target trials seed size domains expect =
     with_obs obs @@ fun () ->
     let w =
       try Ggpu_kernels.Suite.find kernel
@@ -621,8 +596,7 @@ let fi_cmd =
           | Ggpu_fi.Campaign.Rv32 -> w.Ggpu_kernels.Suite.riscv_size)
     in
     let report =
-      Ggpu_fi.Campaign.run ?domains ~backend ~target ~workload:w ~size ~trials
-        ~seed ()
+      Ggpu_fi.Campaign.run ?domains ~target ~workload:w ~size ~trials ~seed ()
     in
     Format.printf "%a@." Ggpu_fi.Campaign.pp_report report;
     let signature = Ggpu_fi.Campaign.signature report in
@@ -639,8 +613,7 @@ let fi_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ cus_term $ kernel_req $ target_term
-       $ trials_term $ seed_term $ size_term $ domains_term $ backend_term
-       $ expect_term))
+       $ trials_term $ seed_term $ size_term $ domains_term $ expect_term))
   in
   Cmd.v
     (Cmd.info "fi"
@@ -666,7 +639,7 @@ let bench_cmd =
     in
     Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"D")
   in
-  let run obs domains cus_list backend sim_domains superopt =
+  let run obs domains cus_list sim_domains superopt =
     with_obs obs @@ fun () ->
     let domains =
       match domains with
@@ -680,8 +653,7 @@ let bench_cmd =
     let jobs = Ggpu_kernels.Suite_runner.grid ~cu_counts:cus_list () in
     let t0 = Ggpu_obs.Metrics.now_ns () in
     let results, merged =
-      Ggpu_kernels.Suite_runner.run ~domains ~backend ~sim_domains ~superopt
-        jobs
+      Ggpu_kernels.Suite_runner.run ~domains ~sim_domains ~superopt jobs
     in
     let wall_ns = max 1 (Ggpu_obs.Metrics.now_ns () - t0) in
     Printf.printf "%-20s %8s %10s %10s %12s %6s\n" "job" "size" "cycles"
@@ -728,8 +700,8 @@ let bench_cmd =
   let term =
     Term.(
       term_result ~usage:false
-        (const run $ obs_term $ domains_term $ cus_grid_term $ backend_term
-       $ sim_domains_term $ superopt_term))
+        (const run $ obs_term $ domains_term $ cus_grid_term $ sim_domains_term
+       $ superopt_term))
   in
   Cmd.v
     (Cmd.info "bench"
@@ -788,7 +760,7 @@ let perf_report_cmd =
     Arg.(value & opt int 64 & info [ "stride" ] ~doc ~docv:"N")
   in
   let run obs domains cus_list kernel out baseline max_regress max_overhead
-      check stride backend sim_domains =
+      check stride sim_domains =
     match check with
     | Some file -> (
         match Ggpu_pmu.Report.validate_file file with
@@ -830,14 +802,13 @@ let perf_report_cmd =
           | None -> None
           | Some _ ->
               let bare, _ =
-                Ggpu_kernels.Suite_runner.run ~domains ~backend ~sim_domains
-                  jobs
+                Ggpu_kernels.Suite_runner.run ~domains ~sim_domains jobs
               in
               Some (job_wall bare)
         in
         let results, _merged =
           Ggpu_kernels.Suite_runner.run ~domains ~pmu:true ~pmu_stride:stride
-            ~backend ~sim_domains jobs
+            ~sim_domains jobs
         in
         let entries =
           List.map
@@ -936,7 +907,7 @@ let perf_report_cmd =
       term_result ~usage:false
         (const run $ obs_term $ domains_term $ cus_grid_term $ kernel_term
        $ out_term $ baseline_term $ max_regress_term $ max_overhead_term
-       $ check_term $ stride_term $ backend_term $ sim_domains_term))
+       $ check_term $ stride_term $ sim_domains_term))
   in
   Cmd.v
     (Cmd.info "perf-report"
@@ -954,7 +925,7 @@ let profile_cmd =
     let doc = "Workload to profile: dse | layout | sim | fi | table1." in
     Arg.(value & pos 0 string "dse" & info [] ~doc ~docv:"WORKLOAD")
   in
-  let run obs tech cus freq backend workload =
+  let run obs tech cus freq workload =
     with_obs obs @@ fun () ->
     (* the whole point of this command is the span table *)
     Ggpu_obs.Trace.enable ();
@@ -983,7 +954,7 @@ let profile_cmd =
               Ggpu_kernels.Codegen_fgpu.compile w.Ggpu_kernels.Suite.kernel
             in
             ignore
-              (Ggpu_kernels.Run_fgpu.run ~config ~backend compiled
+              (Ggpu_kernels.Run_fgpu.run ~config compiled
                  ~args:(w.Ggpu_kernels.Suite.mk_args ~size)
                  ~global_size:(w.Ggpu_kernels.Suite.global_size ~size)
                  ~local_size:(min w.Ggpu_kernels.Suite.local_size size)
@@ -991,8 +962,7 @@ let profile_cmd =
           Ggpu_kernels.Suite.all
     | "fi" ->
         ignore
-          (Ggpu_fi.Campaign.run ~backend
-             ~target:(Ggpu_fi.Campaign.Ggpu cus)
+          (Ggpu_fi.Campaign.run ~target:(Ggpu_fi.Campaign.Ggpu cus)
              ~workload:(Ggpu_kernels.Suite.find "copy")
              ~size:512 ~trials:200 ~seed:42 ())
     | "table1" -> ignore (Versions.table1 ~tech ())
@@ -1007,7 +977,7 @@ let profile_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ tech_term $ cus_term $ freq_term
-       $ backend_term $ workload_term))
+       $ workload_term))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1122,14 +1092,13 @@ let serve_cmd =
     Arg.(value & opt int 500 & info [ "slow-ms" ] ~doc ~docv:"MS")
   in
   let run obs socket domains cache_capacity queue_capacity recorder_capacity
-      slow_ms backend =
+      slow_ms =
     with_obs obs @@ fun () ->
     let engine_config =
       {
         Ggpu_serve.Engine.default_config with
         Ggpu_serve.Engine.cache_capacity;
         queue_capacity;
-        backend;
       }
     in
     Ggpu_serve.Daemon.run ~engine_config ?domains ~recorder_capacity ~slow_ms
@@ -1140,7 +1109,7 @@ let serve_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ socket_term $ domains_term $ cache_term
-       $ queue_term $ recorder_term $ slow_ms_term $ backend_term))
+       $ queue_term $ recorder_term $ slow_ms_term))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1413,8 +1382,13 @@ let superopt_cmd =
     Arg.(value & opt (some string) None & info [ "rules" ] ~doc ~docv:"FILE")
   in
   let load_rules = function
-    | None -> So.Rules.default ()
-    | Some path -> So.Rules.load_file path
+    | None -> Ok (So.Rules.default ())
+    | Some path -> (
+        match So.Rules.load_file path with
+        | rules -> Ok rules
+        | exception So.Rule.Parse_error msg ->
+            Error (`Msg (Printf.sprintf "%s: %s" path msg))
+        | exception Sys_error msg -> Error (`Msg msg))
   in
   let do_mine budget max_len max_rules seed domains =
     let space = { So.Search.default_space with max_len } in
@@ -1519,7 +1493,8 @@ let superopt_cmd =
       Arg.(value & flag & info [ "asm" ] ~doc)
     in
     let run kernel rules_file asm =
-      let rules = load_rules rules_file in
+      let ( let+ ) r f = Result.map f r in
+      let+ rules = load_rules rules_file in
       List.iter
         (fun w ->
           let raw =
@@ -1541,8 +1516,7 @@ let superopt_cmd =
           if asm then
             Format.printf "--- before@.%a@.--- after@.%a@."
               Ggpu_isa.Fgpu_asm.pp_program code Ggpu_isa.Fgpu_asm.pp_program opt)
-        (workloads_of kernel);
-      Ok ()
+        (workloads_of kernel)
     in
     let term =
       Term.(
@@ -1557,9 +1531,7 @@ let superopt_cmd =
       term
   in
   let report_cmd =
-    let run kernel rules_file cus =
-      let rules = load_rules rules_file in
-      ignore rules;
+    let run kernel cus =
       Format.printf "%-14s %10s %10s %8s %s@." "kernel" "cycles" "baseline"
         "delta" "rewrites";
       let total_base = ref 0 and total_opt = ref 0 and improved = ref 0 in
@@ -1606,7 +1578,7 @@ let superopt_cmd =
     let term =
       Term.(
         term_result ~usage:false
-          (const run $ kernel_term $ rules_file_term $ cus_term))
+          (const run $ kernel_term $ cus_term))
     in
     Cmd.v
       (Cmd.info "report"

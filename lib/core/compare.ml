@@ -74,7 +74,7 @@ let run_riscv (w : Suite.t) =
 (* Table III: input sizes and measured cycle counts.  Each kernel is
    compiled, given its G-GPU-size inputs and executed once, then timed
    at every CU count. *)
-let table3 ?(workloads = Suite.all) ?backend ?domains ?superopt
+let table3 ?(workloads = Suite.all) ?domains ?superopt
     ?(cu_counts = cu_counts) () =
   check_cu_counts cu_counts;
   List.map
@@ -83,7 +83,7 @@ let table3 ?(workloads = Suite.all) ?backend ?domains ?superopt
       let args = w.Suite.mk_args ~size in
       let compiled = Codegen_fgpu.compile ?superopt w.Suite.kernel in
       let ggpu =
-        Run_fgpu.run_cus ?backend ?domains compiled ~args ~cus:cu_counts
+        Run_fgpu.run_cus ?domains compiled ~args ~cus:cu_counts
           ~global_size:(w.Suite.global_size ~size)
           ~local_size:(min w.Suite.local_size size)
           ()

@@ -35,7 +35,6 @@ val run_riscv : Ggpu_kernels.Suite.t -> int
 
 val table3 :
   ?workloads:Ggpu_kernels.Suite.t list ->
-  ?backend:Ggpu_fgpu.Gpu.backend ->
   ?domains:int ->
   ?superopt:bool ->
   ?cu_counts:int list ->
@@ -45,10 +44,9 @@ val table3 :
     grids may include 16/32/64 — see {!check_cu_counts}).  Each
     kernel's G-GPU cycle counts come from one launch at its G-GPU size
     ({!Ggpu_kernels.Run_fgpu.run_cus}: compiled, given inputs and
-    executed once, timed at every count).  [backend] selects the
-    simulator execution engine and [domains] the functional fan-out;
-    cycle counts are bit-identical for any combination.  [superopt]
-    (default true) is forwarded to
+    executed once, timed at every count).  [domains] sets the
+    functional fan-out; cycle counts are bit-identical at any count.
+    [superopt] (default true) is forwarded to
     {!Ggpu_kernels.Codegen_fgpu.compile}. *)
 
 val ggpu_areas_mm2 :

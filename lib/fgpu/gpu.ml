@@ -35,39 +35,36 @@
    valid, and a valid cache means no mutation happened since it was
    computed, so a recomputation would return the same value.
 
-   Two orthogonal execution choices sit on top of that scheduler:
+   An issue executes its lanes through per-pc closures compiled once
+   per launch ({!Threaded}).  [with_issue] lets a test substitute
+   another lane engine — the reference in [test/fgpu_oracle.ml] — for
+   the launches it makes; the golden cycle table and the differential
+   property tests hold the two to identical architectural state.
 
-   - [backend] picks how an issue executes its lanes: [Interp]
-     dispatches on predecoded instruction tags ({!Wavefront.issue});
-     [Threaded] runs per-pc closures compiled once per launch
-     ({!Threaded}).  Both must leave identical architectural state —
-     the golden cycle table and the differential property tests hold
-     them to it.
-
-   - Record and replay splits a launch into a functional pass and a
-     timing pass.  Timing is not decomposable per CU (every memory issue
-     arbitrates for the shared cache's ports and the AXI bus, and
-     workgroup dispatch consults a global cursor), but the functional
-     execution is: workgroups only interact through barriers within
-     themselves, so each workgroup's lane work can run on its own, in
-     any order and on any domain.  The record pass executes all
-     workgroups functionally ({!Ggpu_par.Parallel.map} over [domains]),
-     recording each wavefront's issue stream (pc, lane counts,
-     coalesced lines, flags) into a compact trace ({!Tbuf}).  A replay
-     runs those traces through the unchanged scheduler — same heap,
-     same cache arbitration, same dispatch, same PMU hooks — so every
-     timing decision is made by exactly the code that makes it in
-     place, and the result is bit-identical by construction.  Registers,
-     memory and issue streams do not depend on the CU count, so
-     [run_cus] records once and replays once per count, each replay
-     from a fresh cache, heap and stats.  One count on one domain runs
-     in place: a record pass plus one replay costs more.  Runs that need
-     mid-flight architectural access (fault injection, watchdog
-     truncation) run in place, as does every count of a launch whose
-     record pass faults or whose replay desynchronises (possible only
-     for racy or non-uniformly-synchronised kernels): global memory is
-     restored from a snapshot before each count, giving exactly the
-     in-place semantics including partial-result state. *)
+   Record and replay splits a launch into a functional pass and a
+   timing pass.  Timing is not decomposable per CU (every memory issue
+   arbitrates for the shared cache's ports and the AXI bus, and
+   workgroup dispatch consults a global cursor), but the functional
+   execution is: workgroups only interact through barriers within
+   themselves, so each workgroup's lane work can run on its own, in
+   any order and on any domain.  The record pass executes all
+   workgroups functionally ({!Ggpu_par.Parallel.map} over [domains]),
+   recording each wavefront's issue stream (pc, lane counts,
+   coalesced lines, flags) into a compact trace ({!Tbuf}).  A replay
+   runs those traces through the unchanged scheduler — same heap,
+   same cache arbitration, same dispatch, same PMU hooks — so every
+   timing decision is made by exactly the code that makes it in
+   place, and the result is bit-identical by construction.  Registers,
+   memory and issue streams do not depend on the CU count, so
+   [run_cus] records once and replays once per count, each replay
+   from a fresh cache, heap and stats.  One count on one domain runs
+   in place: a record pass plus one replay costs more.  Runs that need
+   mid-flight architectural access (fault injection, watchdog
+   truncation) run in place, as does every count of a launch whose
+   record pass faults or whose replay desynchronises (possible only
+   for racy or non-uniformly-synchronised kernels): global memory is
+   restored from a snapshot before each count, giving exactly the
+   in-place semantics including partial-result state. *)
 
 type workgroup = {
   wg_id : int;
@@ -96,14 +93,23 @@ exception Watchdog_timeout of int
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Launch_error s)) fmt
 
-type backend = Interp | Threaded
+type issue =
+  Ggpu_isa.Fgpu_predecode.t array ->
+  mem:int array ->
+  line_words:int ->
+  Wavefront.t ->
+  Wavefront.outcome ->
+  unit
 
-let backend_name = function Interp -> "interp" | Threaded -> "threaded"
+(* The lane engine a test substituted on this domain; [None] runs
+   {!Threaded}.  Read once per launch, before any work fans out. *)
+let issue_override : issue option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let backend_of_string = function
-  | "interp" -> Some Interp
-  | "threaded" -> Some Threaded
-  | _ -> None
+let with_issue issue f =
+  let prev = Domain.DLS.get issue_override in
+  Domain.DLS.set issue_override (Some issue);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set issue_override prev) f
 
 (* Snapshot of the architectural state handed to a fault injector:
    every wavefront currently resident (CU-major, workgroup order), the
@@ -330,14 +336,13 @@ end
 
 (* [run_cus] with the single-count options: [inject], [max_cycles] and
    [pmu] need one count, and only [run] passes them. *)
-let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
-    (base : Config.t) ~cus ~program ~params ~global_size ~local_size ~mem =
+let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
+    ~program ~params ~global_size ~local_size ~mem =
   Ggpu_obs.Trace.with_span "fgpu.run"
     ~args:
       [
         ("cus", String.concat "," (List.map string_of_int cus));
         ("global_size", string_of_int global_size);
-        ("backend", backend_name backend);
       ]
   @@ fun () ->
   (* where the wall time of the next published run starts *)
@@ -410,16 +415,15 @@ let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       let rec width n = if n = 0 then 0 else 1 + width (n lsr 1) in
       width wf_size
     in
-    (* how an issue executes its lanes; both backends write the same
-       architectural state and the same outcome record *)
+    (* how an issue executes its lanes *)
     let issue_arch : Wavefront.t -> Wavefront.outcome -> unit =
-      match backend with
-      | Threaded ->
+      match Domain.DLS.get issue_override with
+      | None ->
           (* eta-expanded: a partial application here would send every
              issue through caml_curry with a fresh intermediate closure *)
           let th = Threaded.compile dprog ~wf_size ~mem:imem ~line_words in
           fun wf out -> Threaded.issue th wf out
-      | Interp -> fun wf out -> Wavefront.issue wf ~dprog ~mem:imem ~line_words out
+      | Some issue -> fun wf out -> issue dprog ~mem:imem ~line_words wf out
     in
     (* [reuse ()] offers a retired wavefront whose storage the new one
        may take over *)
@@ -956,14 +960,11 @@ let launch ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
     end
   end
 
-let run_cus ?backend ?domains cfg ~cus ~program ~params ~global_size
-    ~local_size ~mem =
-  launch ?backend ?domains cfg ~cus ~program ~params ~global_size ~local_size
-    ~mem
+let run_cus ?domains cfg ~cus ~program ~params ~global_size ~local_size ~mem =
+  launch ?domains cfg ~cus ~program ~params ~global_size ~local_size ~mem
 
-let run ?max_cycles ?inject ?pmu ?backend ?domains (cfg : Config.t) ~program
-    ~params ~global_size ~local_size ~mem =
+let run ?max_cycles ?inject ?pmu ?domains (cfg : Config.t) ~program ~params
+    ~global_size ~local_size ~mem =
   List.hd
-    (launch ?max_cycles ?inject ?pmu ?backend ?domains cfg
-       ~cus:[ cfg.Config.num_cus ] ~program ~params ~global_size ~local_size
-       ~mem)
+    (launch ?max_cycles ?inject ?pmu ?domains cfg ~cus:[ cfg.Config.num_cus ]
+       ~program ~params ~global_size ~local_size ~mem)

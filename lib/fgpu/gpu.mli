@@ -23,23 +23,10 @@ type probe = {
 }
 (** Architectural-state snapshot handed to a fault injector. *)
 
-type backend =
-  | Interp  (** dispatch on predecoded instruction tags per issue *)
-  | Threaded
-      (** per-pc closures compiled once per launch ({!Threaded}); the
-          default.  Bit-identical to [Interp] in every observable —
-          stats, memory, faults, PMU — just faster. *)
-
-val backend_name : backend -> string
-
-val backend_of_string : string -> backend option
-(** Recognises ["interp"] and ["threaded"]. *)
-
 val run :
   ?max_cycles:int ->
   ?inject:int * (probe -> unit) ->
   ?pmu:Ggpu_pmu.Pmu.t ->
-  ?backend:backend ->
   ?domains:int ->
   Config.t ->
   program:Ggpu_isa.Fgpu_isa.t array ->
@@ -68,20 +55,18 @@ val run :
     pays one load-and-branch per issue.  [run] calls
     {!Ggpu_pmu.Pmu.finalize} before returning.
 
-    [backend] selects the lane-execution engine (default [Threaded]);
-    [domains] > 1 additionally fans the functional execution of
-    workgroups out over that many {!Ggpu_par} domains, replaying the
-    recorded issue streams through the sequential timing model so
-    stats, memory and PMU output are bit-identical at every domain
-    count (see {!run_cus} for the contract).  Runs that need
-    mid-flight state access ([inject] or [max_cycles]) ignore
-    [domains] and execute in place.
+    Lanes execute through {!Threaded}.  [domains] > 1 fans the
+    functional execution of workgroups out over that many {!Ggpu_par}
+    domains, replaying the recorded issue streams through the
+    sequential timing model so stats, memory and PMU output are
+    bit-identical at every domain count (see {!run_cus} for the
+    contract).  Runs that need mid-flight state access ([inject] or
+    [max_cycles]) ignore [domains] and execute in place.
     @raise Launch_error on bad geometry or an empty program.
     @raise Watchdog_timeout when simulated time exceeds [max_cycles].
     @raise Wavefront.Fault on out-of-range memory accesses. *)
 
 val run_cus :
-  ?backend:backend ->
   ?domains:int ->
   Config.t ->
   cus:int list ->
@@ -117,3 +102,24 @@ val run_cus :
     [cus].
     @raise Config.Bad_config on an unsupported count.
     @raise Wavefront.Fault on out-of-range memory accesses. *)
+
+type issue =
+  Ggpu_isa.Fgpu_predecode.t array ->
+  mem:int array ->
+  line_words:int ->
+  Wavefront.t ->
+  Wavefront.outcome ->
+  unit
+(** A lane engine: execute one instruction of the predecoded program
+    for the lanes of the wavefront at its minimum pc, against the
+    launch's working memory ([line_words] words per cache line), and
+    describe the issue in the outcome record, overwritten in place. *)
+
+val with_issue : issue -> (unit -> 'a) -> 'a
+(** [with_issue issue f] runs [f] with every launch it makes on the
+    calling domain executing its lanes through [issue] instead of
+    {!Threaded}, and restores the previous engine when [f] returns or
+    raises.  A launch reads the engine once, on the domain that starts
+    it, so a launch started on another domain (a worker pool) keeps
+    {!Threaded}.  A test seam: the reference engine in
+    [test/fgpu_oracle.ml] checks {!Threaded} through it. *)

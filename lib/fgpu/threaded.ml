@@ -1,18 +1,18 @@
-(* Threaded-code backend: compile a predecoded program into per-pc
-   OCaml closures so the hot loop executes straight-line compiled code
+(* The lane engine: compile a predecoded program into per-pc OCaml
+   closures so the hot loop executes straight-line compiled code
    instead of dispatching on instruction tags.
 
    [compile] runs once per launch and turns every instruction into two
    closures — one for the dense (converged) path, one for the sparse
-   (divergent) path — mirroring {!Wavefront.issue}'s convergence split.
+   (divergent) path, chosen per issue by the wavefront's [conv_pc].
    Each closure captures everything that is constant for the launch:
    the operand slice offsets into the register-major register file
    ([rs1 * size] etc., with [rd = 0] redirected to the write sink), the
    precomputed immediate, the branch target, and the global-memory
-   array.  What the interpreting path re-derives on every issue — field
-   loads from the predecode record, the destination-offset computation,
-   the per-lane-group [match] on the instruction kind and operator —
-   is paid exactly once at compile time.
+   array.  What a tag-dispatching engine re-derives on every issue —
+   field loads from the predecode record, the destination-offset
+   computation, the per-lane [match] on the instruction kind and
+   operator — is paid exactly once at compile time.
 
    The lane loops themselves live in top-level functions that take
    every loop-invariant as a parameter.  A closure that ran the [for]
@@ -44,17 +44,17 @@
    not.  The sparse path clears the destination's bit through a per-pc
    mask applied in {!issue}, since it writes only some lanes.
 
-   Equivalence contract: for any wavefront state, [issue th wf out]
-   leaves the wavefront, the outcome record and global memory in
-   exactly the state {!Wavefront.issue} would, including fault messages
-   and the charge-line-before-validating order of memory checks.  The
-   one representational liberty is already sanctioned by the wavefront
-   invariants: a uniform branch outcome on the dense path updates only
-   [conv_pc] and leaves [pcs] stale (the interpreting path writes real
-   pcs first), which is unobservable because every external reader goes
-   through {!Wavefront.materialize_pcs}.  The uniform short-cuts are
-   the same kind of liberty: they skip only work whose result the lane
-   loop would have written identically into every lane. *)
+   Specification: the reference engine in [test/fgpu_oracle.ml].  For
+   any wavefront state, [issue th wf out] leaves the wavefront's
+   architectural state, the outcome record and global memory exactly
+   as the reference does, including fault messages and the
+   charge-line-before-validating order of memory checks.  The caches
+   the reference does without ([conv_pc], [sel_pc]/[sel_cnt], the
+   [uniform] mask) are representational liberties: a converged
+   wavefront's [pcs] stay stale, which is unobservable because every
+   external reader goes through {!Wavefront.materialize_pcs}, and the
+   uniform short-cuts skip only work whose result the lane loop would
+   have written identically into every lane. *)
 
 open Ggpu_isa
 
@@ -72,8 +72,9 @@ type t = {
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Wavefront.Fault s)) fmt
 
-(* Destination slice offset with the x0 write sink, as in the
-   interpreting path. *)
+(* Destination slice offset: an [rd = 0] result is architecturally
+   discarded, so it lands in the write sink and the lane loop needs no
+   conditional. *)
 let dst_off ~size rd = (if rd = 0 then Wavefront.sink_reg else rd) * size
 
 (* ------------------------------------------------------------------ *)
@@ -1344,9 +1345,8 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
   done;
   { dense; sparse; flags; keep; prog_len = n }
 
-(* Issue prologue/epilogue shared with the interpreting path: pick the
-   pc, validate it, reset the outcome record, run the compiled lane
-   loop, record retirement. *)
+(* Issue prologue/epilogue: pick the pc, validate it, reset the outcome
+   record, run the compiled lane loop, record retirement. *)
 let issue (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) : unit =
   assert (not (Wavefront.finished wf));
   Wavefront.select_pc wf out;

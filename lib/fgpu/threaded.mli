@@ -1,14 +1,16 @@
-(** Threaded-code backend: the predecoded program compiled once per
-    launch into per-pc closures (one dense, one sparse, mirroring the
-    convergence split of {!Wavefront.issue}), so the hot loop executes
+(** The lane engine: the predecoded program compiled once per launch
+    into per-pc closures (one dense, one sparse, following the
+    wavefront's convergence state [conv_pc]), so the hot loop executes
     straight-line compiled lane loops with all operand offsets,
     immediates and branch targets captured at compile time.
 
-    Behaviourally interchangeable with the interpreting path: for any
-    wavefront state, {!issue} leaves the wavefront, the outcome record
-    and global memory exactly as {!Wavefront.issue} would — including
-    fault messages and memory-check ordering.  Enforced by the golden
-    cycle table and the differential property tests. *)
+    Its specification is the reference engine in [test/fgpu_oracle.ml]:
+    for any wavefront state, {!issue} leaves the architectural state of
+    the wavefront, the outcome record and global memory exactly as the
+    reference would — including fault messages and memory-check
+    ordering.  Enforced by the golden cycle table and the differential
+    property tests, which run the reference through
+    {!Gpu.with_issue}. *)
 
 type t
 
@@ -25,6 +27,7 @@ val compile :
     any simulation. *)
 
 val issue : t -> Wavefront.t -> Wavefront.outcome -> unit
-(** Drop-in replacement for {!Wavefront.issue} (same prologue, same
-    outcome contract).  @raise Wavefront.Fault on bad addresses or a
-    wild pc, with the interpreter's exact messages. *)
+(** Execute one instruction for the lanes at the wavefront's minimum
+    pc, against the memory the program was compiled with, and describe
+    the issue in the outcome record, overwritten in place.
+    @raise Wavefront.Fault on bad addresses or a wild pc. *)

@@ -1,4 +1,4 @@
-(* Wavefront state and lane-level execution.
+(* Wavefront state and the lane-level helpers the lane engine shares.
 
    A wavefront is 64 work-items executing in lockstep on 8 processing
    elements over 8 beats.  Full thread divergence is supported with a
@@ -7,10 +7,11 @@
    PC.  Divergent lane groups therefore serialise (as in any SIMT
    machine) and naturally reconverge at control-flow join points, because
    all compiler-emitted joins are at larger addresses than the paths that
-   reach them.
+   reach them.  The lane engine is {!Threaded}; the specification it is
+   tested against is the reference engine in [test/fgpu_oracle.ml].
 
    Register semantics mirror {!Ggpu_riscv.Cpu} (RISC-V M division corner
-   cases) so the GPU, the CPU and the reference interpreter agree
+   cases) so the GPU, the CPU and the kernel DSL's interpreter agree
    bit-for-bit.  Registers and global memory are [int array]s in the
    canonical sign-extended representation of {!Ggpu_isa.I32}: an [int32
    array] stores one boxed cell per element, which would cost an
@@ -31,37 +32,34 @@
      [rd <> 0] test either.  The sink is scratch — external readers go
      through {!reg}, which answers 0 for x0 directly.
 
-   [issue] consumes the predecoded program ({!Ggpu_isa.Fgpu_predecode})
-   and writes into a caller-owned [outcome] scratch record — the pc
-   selection included, which reports its pc and lane count there rather
-   than in a tuple — so a multi-million-instruction run allocates
-   nothing per issue.  The one large allocation is the register file
-   itself, 33 x [size] words, which lands directly in the major heap;
-   {!create}'s [reuse] lets a scheduler hand a retired wavefront's
-   storage to the next one instead.  Two more devices keep the per-lane
-   cost at a handful of machine instructions:
+   An issue writes into a caller-owned [outcome] scratch record — the
+   pc selection included, which reports its pc and lane count there
+   rather than in a tuple — so a multi-million-instruction run
+   allocates nothing per issue.  The one large allocation is the
+   register file itself, 33 x [size] words, which lands directly in the
+   major heap; {!create}'s [reuse] lets a scheduler hand a retired
+   wavefront's storage to the next one instead.
 
-   - the instruction is discriminated once per lane group, with the hot
-     operators (the compiler does not inline through a 13-way match
-     without flambda) given dedicated lane loops;
+   Three caches on the wavefront spare the engine work a plain reading
+   of [pcs] and [regs] would redo:
 
    - convergence is tracked incrementally in [conv_pc].  When every lane
      sits at the same pc — the overwhelmingly common state for
-     data-parallel kernels — the issue path knows it without scanning
-     [pcs], executes a dense loop with no per-lane pc check, and leaves
-     [pcs] stale, advancing only [conv_pc].  The array is materialised
-     on the rare paths that read it directly (divergence, retirement,
+     data-parallel kernels — an issue knows it without scanning [pcs],
+     executes a dense loop with no per-lane pc check, and leaves [pcs]
+     stale, advancing only [conv_pc].  The array is materialised on the
+     rare paths that read it directly (divergence, retirement,
      fault-injection probes).  A mixed-outcome branch writes real pcs
      and drops to the sparse path; the sparse scan re-detects
-     reconvergence for free while computing the minimum pc.
+     reconvergence for free while computing the minimum pc;
 
-   A third device lives in the threaded backend ({!Threaded}) but its
-   state is here: [uniform] has bit [r] set when every lane of register
-   slice [r] holds the same value.  A dense instruction whose sources
-   are all uniform then computes one lane and broadcasts it.  The
-   interpreting [issue] below never reads the mask, so it stays an
-   independent reference, but like every other writer of [regs] it
-   clears the bit of the slice it writes. *)
+   - [sel_pc]/[sel_cnt] cache that scan while the sparse lane loops keep
+     it exact;
+
+   - [uniform] has bit [r] set when every lane of register slice [r]
+     holds the same value.  A dense instruction whose sources are all
+     uniform then computes one lane and broadcasts it.  Every writer of
+     [regs] that does not keep the bit exact clears it. *)
 
 open Ggpu_isa
 
@@ -95,8 +93,8 @@ type t = {
   mutable sel_cnt : int;
   mutable sel_valid : bool;
       (* [sel_pc]/[sel_cnt] hold scan_pcs of [pcs]; maintained by the
-         threaded backend's sparse loops (which visit every lane
-         anyway), invalidated by every other [pcs] writer *)
+         lane engine's sparse loops (which visit every lane anyway),
+         invalidated by every other [pcs] writer *)
   mutable live_lanes : int;
   mutable ready_at : int; (* cycle at which the next issue may happen *)
   mutable at_barrier : bool;
@@ -281,8 +279,7 @@ let rec scan_pcs t (pcs : int array) n i best cnt =
 (* Pick the pc the next issue executes and how many lanes sit at it,
    into [out.pc] and [out.executed_lanes].  On the sparse path the scan
    re-detects reconvergence: every lane back at one pc flips the
-   wavefront to the dense path.  Shared by the interpreting issue below
-   and the threaded backend ({!Threaded}). *)
+   wavefront to the dense path. *)
 let select_pc t (out : outcome) =
   if t.conv_pc >= 0 then begin
     out.pc <- t.conv_pc;
@@ -317,11 +314,6 @@ let[@inline] coalesce_and_check (out : outcome) ~line_bytes ~mem_words addr =
   if w >= mem_words then fault "address 0x%x out of memory" addr;
   w
 
-(* Destination slice offset: an [rd = 0] result is architecturally
-   discarded, so it lands in the sink slice and the lane loop needs no
-   conditional. *)
-let[@inline] dst_off ~size rd = (if rd = 0 then sink_reg else rd) * size
-
 (* The [uniform] bit of the slice an instruction writes; 0 when it
    writes none. *)
 let written_bit (d : Fgpu_predecode.t) =
@@ -333,446 +325,3 @@ let written_bit (d : Fgpu_predecode.t) =
   | Fgpu_predecode.KSw | Fgpu_predecode.KBranch | Fgpu_predecode.KJump
   | Fgpu_predecode.KBarrier | Fgpu_predecode.KRet ->
       0
-
-(* Execute one instruction for all lanes at the minimum PC.  Global
-   memory is read/written immediately through [mem]; the line buffer in
-   [out] carries the timing cost to the scheduler. *)
-let issue t ~(dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
-    (out : outcome) : unit =
-  assert (not (finished t));
-  let size = t.size in
-  let pcs = t.pcs and regs = t.regs in
-  select_pc t out;
-  let pc = out.pc and executed = out.executed_lanes in
-  (* the interpreting path writes [pcs] without maintaining the sparse
-     selection cache *)
-  t.sel_valid <- false;
-  if pc < 0 || pc >= Array.length dprog then fault "pc %d outside program" pc;
-  let d = dprog.(pc) in
-  (* nor does it track uniformity: whatever it writes is assumed to
-     differ across lanes *)
-  t.uniform <- t.uniform land lnot (written_bit d);
-  let live_before = t.live_lanes in
-  out.mem_line_count <- 0;
-  out.mem_is_store <- d.Fgpu_predecode.is_store;
-  out.used_div <- d.Fgpu_predecode.uses_div;
-  out.used_mul <- d.Fgpu_predecode.uses_mul;
-  out.taken_branch <- false;
-  out.hit_barrier <- false;
-  out.partial_mask <- executed < live_before;
-  let dense = t.conv_pc >= 0 in
-  (match d.Fgpu_predecode.kind with
-  | Fgpu_predecode.KAlu when dense -> (
-      t.conv_pc <- pc + 1;
-      let od = dst_off ~size d.Fgpu_predecode.rd
-      and o1 = d.Fgpu_predecode.rs1 * size
-      and o2 = d.Fgpu_predecode.rs2 * size in
-      match d.Fgpu_predecode.aop with
-      | Fgpu_isa.Add ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (I32.sx (a + b))
-          done
-      | Fgpu_isa.Sub ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (I32.sx (a - b))
-          done
-      | Fgpu_isa.Mul ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (I32.sx (a * b))
-          done
-      | Fgpu_isa.And ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (a land b)
-          done
-      | Fgpu_isa.Or ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (a lor b)
-          done
-      | Fgpu_isa.Slt ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (if a < b then 1 else 0)
-          done
-      | Fgpu_isa.Sll ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (I32.sx (a lsl (b land 31)))
-          done
-      | op ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane)
-            and b = Array.unsafe_get regs (o2 + lane) in
-            Array.unsafe_set regs (od + lane) (alu op a b)
-          done)
-  | Fgpu_predecode.KAlu -> (
-      let od = dst_off ~size d.Fgpu_predecode.rd
-      and o1 = d.Fgpu_predecode.rs1 * size
-      and o2 = d.Fgpu_predecode.rs2 * size in
-      match d.Fgpu_predecode.aop with
-      | Fgpu_isa.Add ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (I32.sx (a + b));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Sub ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (I32.sx (a - b));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Mul ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (I32.sx (a * b));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.And ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (a land b);
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Or ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (a lor b);
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Slt ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (if a < b then 1 else 0);
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Sll ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (I32.sx (a lsl (b land 31)));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | op ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane)
-              and b = Array.unsafe_get regs (o2 + lane) in
-              Array.unsafe_set regs (od + lane) (alu op a b);
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done)
-  | Fgpu_predecode.KAlui when dense -> (
-      t.conv_pc <- pc + 1;
-      let od = dst_off ~size d.Fgpu_predecode.rd
-      and o1 = d.Fgpu_predecode.rs1 * size
-      and b = d.Fgpu_predecode.imm in
-      match d.Fgpu_predecode.aop with
-      | Fgpu_isa.Add ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane) in
-            Array.unsafe_set regs (od + lane) (I32.sx (a + b))
-          done
-      | Fgpu_isa.And ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane) in
-            Array.unsafe_set regs (od + lane) (a land b)
-          done
-      | Fgpu_isa.Srl ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane) in
-            Array.unsafe_set regs (od + lane)
-              (I32.sx ((a land I32.mask) lsr (b land 31)))
-          done
-      | Fgpu_isa.Sll ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane) in
-            Array.unsafe_set regs (od + lane) (I32.sx (a lsl (b land 31)))
-          done
-      | op ->
-          for lane = 0 to size - 1 do
-            let a = Array.unsafe_get regs (o1 + lane) in
-            Array.unsafe_set regs (od + lane) (alu op a b)
-          done)
-  | Fgpu_predecode.KAlui -> (
-      let od = dst_off ~size d.Fgpu_predecode.rd
-      and o1 = d.Fgpu_predecode.rs1 * size
-      and b = d.Fgpu_predecode.imm in
-      match d.Fgpu_predecode.aop with
-      | Fgpu_isa.Add ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane) in
-              Array.unsafe_set regs (od + lane) (I32.sx (a + b));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.And ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane) in
-              Array.unsafe_set regs (od + lane) (a land b);
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Srl ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane) in
-              Array.unsafe_set regs (od + lane)
-                (I32.sx ((a land I32.mask) lsr (b land 31)));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | Fgpu_isa.Sll ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane) in
-              Array.unsafe_set regs (od + lane) (I32.sx (a lsl (b land 31)));
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done
-      | op ->
-          for lane = 0 to size - 1 do
-            if Array.unsafe_get pcs lane = pc then begin
-              let a = Array.unsafe_get regs (o1 + lane) in
-              Array.unsafe_set regs (od + lane) (alu op a b);
-              Array.unsafe_set pcs lane (pc + 1)
-            end
-          done)
-  | Fgpu_predecode.KLoadImm ->
-      let od = dst_off ~size d.Fgpu_predecode.rd and v = d.Fgpu_predecode.imm in
-      if dense then begin
-        t.conv_pc <- pc + 1;
-        Array.fill regs od size v
-      end
-      else
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then begin
-            Array.unsafe_set regs (od + lane) v;
-            Array.unsafe_set pcs lane (pc + 1)
-          end
-        done
-  | Fgpu_predecode.KLw ->
-      let od = dst_off ~size d.Fgpu_predecode.rd
-      and o1 = d.Fgpu_predecode.rs1 * size
-      and off = d.Fgpu_predecode.imm in
-      let line_bytes = line_words * 4 in
-      let mem_words = Array.length mem in
-      if dense then begin
-        t.conv_pc <- pc + 1;
-        for lane = 0 to size - 1 do
-          let addr = Array.unsafe_get regs (o1 + lane) + off in
-          let w = coalesce_and_check out ~line_bytes ~mem_words addr in
-          Array.unsafe_set regs (od + lane) (Array.unsafe_get mem w)
-        done
-      end
-      else
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then begin
-            let addr = Array.unsafe_get regs (o1 + lane) + off in
-            let w = coalesce_and_check out ~line_bytes ~mem_words addr in
-            Array.unsafe_set regs (od + lane) (Array.unsafe_get mem w);
-            Array.unsafe_set pcs lane (pc + 1)
-          end
-        done
-  | Fgpu_predecode.KSw ->
-      (* the store-data register travels in the rd field: a read, so no
-         sink redirection — x0 reads as slice 0's zeros *)
-      let o2 = d.Fgpu_predecode.rd * size
-      and o1 = d.Fgpu_predecode.rs1 * size
-      and off = d.Fgpu_predecode.imm in
-      let line_bytes = line_words * 4 in
-      let mem_words = Array.length mem in
-      if dense then begin
-        t.conv_pc <- pc + 1;
-        for lane = 0 to size - 1 do
-          let addr = Array.unsafe_get regs (o1 + lane) + off in
-          let w = coalesce_and_check out ~line_bytes ~mem_words addr in
-          Array.unsafe_set mem w (Array.unsafe_get regs (o2 + lane))
-        done
-      end
-      else
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then begin
-            let addr = Array.unsafe_get regs (o1 + lane) + off in
-            let w = coalesce_and_check out ~line_bytes ~mem_words addr in
-            Array.unsafe_set mem w (Array.unsafe_get regs (o2 + lane));
-            Array.unsafe_set pcs lane (pc + 1)
-          end
-        done
-  | Fgpu_predecode.KBranch ->
-      (* a branch always computes real per-lane pcs: a mixed outcome is
-         exactly how a converged wavefront diverges.  In dense mode the
-         taken count decides whether convergence survives (uniform
-         outcome) or [pcs] becomes authoritative.  The second operand
-         travels in the rd field (a read). *)
-      let o1 = d.Fgpu_predecode.rs1 * size and o2 = d.Fgpu_predecode.rd * size in
-      let target = pc + 1 + d.Fgpu_predecode.imm in
-      let taken = ref 0 in
-      (if dense then begin
-         (match d.Fgpu_predecode.cnd with
-         | Fgpu_isa.Lt ->
-             for lane = 0 to size - 1 do
-               let a = Array.unsafe_get regs (o1 + lane)
-               and b = Array.unsafe_get regs (o2 + lane) in
-               if a < b then begin
-                 incr taken;
-                 Array.unsafe_set pcs lane target
-               end
-               else Array.unsafe_set pcs lane (pc + 1)
-             done
-         | Fgpu_isa.Ge ->
-             for lane = 0 to size - 1 do
-               let a = Array.unsafe_get regs (o1 + lane)
-               and b = Array.unsafe_get regs (o2 + lane) in
-               if a >= b then begin
-                 incr taken;
-                 Array.unsafe_set pcs lane target
-               end
-               else Array.unsafe_set pcs lane (pc + 1)
-             done
-         | Fgpu_isa.Eq ->
-             for lane = 0 to size - 1 do
-               let a = Array.unsafe_get regs (o1 + lane)
-               and b = Array.unsafe_get regs (o2 + lane) in
-               if a = b then begin
-                 incr taken;
-                 Array.unsafe_set pcs lane target
-               end
-               else Array.unsafe_set pcs lane (pc + 1)
-             done
-         | Fgpu_isa.Ne ->
-             for lane = 0 to size - 1 do
-               let a = Array.unsafe_get regs (o1 + lane)
-               and b = Array.unsafe_get regs (o2 + lane) in
-               if a <> b then begin
-                 incr taken;
-                 Array.unsafe_set pcs lane target
-               end
-               else Array.unsafe_set pcs lane (pc + 1)
-             done
-         | c ->
-             for lane = 0 to size - 1 do
-               let a = Array.unsafe_get regs (o1 + lane)
-               and b = Array.unsafe_get regs (o2 + lane) in
-               if cond_holds c a b then begin
-                 incr taken;
-                 Array.unsafe_set pcs lane target
-               end
-               else Array.unsafe_set pcs lane (pc + 1)
-             done);
-         if !taken = 0 then t.conv_pc <- pc + 1
-         else if !taken = size then t.conv_pc <- target
-         else t.conv_pc <- -1
-       end
-       else begin
-         let c = d.Fgpu_predecode.cnd in
-         for lane = 0 to size - 1 do
-           if Array.unsafe_get pcs lane = pc then begin
-             let a = Array.unsafe_get regs (o1 + lane)
-             and b = Array.unsafe_get regs (o2 + lane) in
-             if cond_holds c a b then begin
-               incr taken;
-               Array.unsafe_set pcs lane target
-             end
-             else Array.unsafe_set pcs lane (pc + 1)
-           end
-         done
-       end);
-      out.taken_branch <- !taken > 0
-  | Fgpu_predecode.KJump ->
-      let target = d.Fgpu_predecode.imm in
-      out.taken_branch <- true;
-      if dense then t.conv_pc <- target
-      else
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then
-            Array.unsafe_set pcs lane target
-        done
-  | Fgpu_predecode.KSpecial ->
-      let sp = d.Fgpu_predecode.sp in
-      let od = dst_off ~size d.Fgpu_predecode.rd in
-      if dense then begin
-        t.conv_pc <- pc + 1;
-        match sp with
-        | Fgpu_isa.Lid ->
-            let first = t.wf_index * size in
-            for lane = 0 to size - 1 do
-              Array.unsafe_set regs (od + lane) (first + lane)
-            done
-        | Fgpu_isa.Wgid -> Array.fill regs od size t.wg_id
-        | Fgpu_isa.Wgoff -> Array.fill regs od size t.wg_offset
-        | Fgpu_isa.Wgsize -> Array.fill regs od size t.wg_size
-        | Fgpu_isa.Gsize -> Array.fill regs od size t.global_size
-      end
-      else
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then begin
-            let v =
-              match sp with
-              | Fgpu_isa.Lid -> local_id t ~lane
-              | Fgpu_isa.Wgid -> t.wg_id
-              | Fgpu_isa.Wgoff -> t.wg_offset
-              | Fgpu_isa.Wgsize -> t.wg_size
-              | Fgpu_isa.Gsize -> t.global_size
-            in
-            Array.unsafe_set regs (od + lane) v;
-            Array.unsafe_set pcs lane (pc + 1)
-          end
-        done
-  | Fgpu_predecode.KBarrier ->
-      out.hit_barrier <- true;
-      if dense then t.conv_pc <- pc + 1
-      else
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then
-            Array.unsafe_set pcs lane (pc + 1)
-        done
-  | Fgpu_predecode.KRet ->
-      if dense then begin
-        (* all lanes retire together; [pcs] becomes authoritative again
-           so external readers see the retired state directly *)
-        Array.fill pcs 0 size done_pc;
-        t.conv_pc <- -1;
-        t.live_lanes <- 0
-      end
-      else begin
-        for lane = 0 to size - 1 do
-          if Array.unsafe_get pcs lane = pc then
-            Array.unsafe_set pcs lane done_pc
-        done;
-        t.live_lanes <- t.live_lanes - executed
-      end);
-  out.retired <- finished t

@@ -1,15 +1,17 @@
-(** Wavefront state and lane-level execution: 64 work-items in lockstep
-    on 8 processing elements, with full divergence under a minimum-PC
-    policy (divergent lane groups serialise and reconverge at joins).
-    Register semantics mirror {!Ggpu_riscv.Cpu} so all executors agree
-    bit-for-bit.
+(** Wavefront state and the lane-level helpers of the lane engine
+    ({!Threaded}): 64 work-items in lockstep on 8 processing elements,
+    with full divergence under a minimum-PC policy (divergent lane
+    groups serialise and reconverge at joins).  Register semantics
+    mirror {!Ggpu_riscv.Cpu} so all executors agree bit-for-bit; the
+    specification of one issue is the reference engine in
+    [test/fgpu_oracle.ml].
 
     Registers and memory are native [int array]s holding canonical
     {!Ggpu_isa.I32} values (an [int32 array] would box every element);
-    [issue] consumes the predecoded program and a reusable [outcome]
-    scratch record, so the steady-state issue path allocates nothing.
-    The register file is the one large allocation per wavefront; a
-    scheduler can recycle it through {!create}'s [reuse]. *)
+    an issue writes a reusable [outcome] scratch record, so the
+    steady-state issue path allocates nothing.  The register file is
+    the one large allocation per wavefront; a scheduler can recycle it
+    through {!create}'s [reuse]. *)
 
 val done_pc : int
 
@@ -37,12 +39,12 @@ type t = {
   mutable uniform : int;
       (** bit [r] set: every lane of register slice [r] holds the same
           value (bit 0 always holds: x0 is never written).  {!create}
-          sets every bit.  The threaded backend reads the mask to run a
-          dense instruction with uniform sources once and broadcast the
+          sets every bit.  {!Threaded} reads the mask to run a dense
+          instruction with uniform sources once and broadcast the
           result, and keeps it exact for what it writes; every other
-          writer of [regs] ({!issue}, {!set_reg}, the threaded sparse
-          path) clears the bit of the slice it writes.  A stale set bit
-          would silently give every lane lane 0's value. *)
+          writer of [regs] ({!set_reg}, the sparse lane loops) clears
+          the bit of the slice it writes.  A stale set bit would
+          silently give every lane lane 0's value. *)
   mutable conv_pc : int;
       (** incrementally-tracked convergence: when >= 0, every lane is
           live at this pc and [pcs] may be stale; -1 means [pcs] is
@@ -51,9 +53,9 @@ type t = {
   mutable sel_cnt : int;
   mutable sel_valid : bool;
       (** when true, [sel_pc]/[sel_cnt] cache what a scan of [pcs]
-          would return ({!select_pc}'s sparse answer).  The threaded
-          backend's sparse lane loops maintain the cache as they
-          rewrite [pcs]; every other writer invalidates it. *)
+          would return ({!select_pc}'s sparse answer).  The sparse
+          lane loops of {!Threaded} maintain the cache as they rewrite
+          [pcs]; every other writer invalidates it. *)
   mutable live_lanes : int;
   mutable ready_at : int;
   mutable at_barrier : bool;
@@ -82,7 +84,7 @@ type outcome = {
 }
 
 val make_outcome : max_lanes:int -> outcome
-(** Scratch record for {!issue}; [max_lanes] bounds the per-issue line
+(** Scratch record for one issue; [max_lanes] bounds the per-issue line
     count (one wavefront touches at most one line per lane). *)
 
 exception Fault of string
@@ -123,7 +125,7 @@ val select_pc : t -> outcome -> unit
     sitting at it into the outcome's [pc] and [executed_lanes], in one
     pass and without allocating.  On the sparse path the scan
     re-detects reconvergence and flips the wavefront back to dense
-    ([conv_pc]).  Backend helper, shared by {!issue} and {!Threaded}. *)
+    ([conv_pc]). *)
 
 val written_bit : Ggpu_isa.Fgpu_predecode.t -> int
 (** The [uniform] bit of the register slice an instruction writes
@@ -151,15 +153,3 @@ val set_reg : t -> lane:int -> int -> int32 -> unit
     injection); clears the register's [uniform] bit. *)
 
 val local_id : t -> lane:int -> int
-
-val issue :
-  t ->
-  dprog:Ggpu_isa.Fgpu_predecode.t array ->
-  mem:int array ->
-  line_words:int ->
-  outcome ->
-  unit
-(** Execute one instruction for all lanes at the minimum PC. Global
-    memory is read/written immediately; timing comes from the outcome
-    scratch record, overwritten in place. @raise Fault on bad addresses
-    or a wild PC. *)

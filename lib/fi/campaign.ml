@@ -123,7 +123,7 @@ let run_trials ?domains one trials =
   end;
   trials_run
 
-let run ?domains ?backend ?(watchdog_factor = 8) ~target ~(workload : Suite.t)
+let run ?domains ?(watchdog_factor = 8) ~target ~(workload : Suite.t)
     ~size ~trials ~seed () =
   Ggpu_obs.Trace.with_span "fi.campaign"
     ~args:
@@ -142,8 +142,8 @@ let run ?domains ?backend ?(watchdog_factor = 8) ~target ~(workload : Suite.t)
       let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default cus in
       let compiled = Codegen_fgpu.compile workload.Suite.kernel in
       let launch ?max_cycles ?inject () =
-        Run_fgpu.run ~config ?max_cycles ?inject ?backend compiled ~args
-          ~global_size ~local_size ()
+        Run_fgpu.run ~config ?max_cycles ?inject compiled ~args ~global_size
+          ~local_size ()
       in
       let golden = launch () in
       let golden_out = Run_fgpu.output golden workload.Suite.output_buffer in

@@ -35,7 +35,6 @@ type report = {
 
 val run :
   ?domains:int ->
-  ?backend:Ggpu_fgpu.Gpu.backend ->
   ?watchdog_factor:int ->
   target:target ->
   workload:Ggpu_kernels.Suite.t ->
@@ -47,9 +46,7 @@ val run :
 (** Run a campaign of [trials] injected runs of [workload] at [size]
     work-items. The watchdog is [watchdog_factor * golden_cycles +
     10_000] simulated cycles (default factor 8). [domains] sizes the
-    domain pool ([1] forces a serial run).  [backend] selects the
-    simulator's lane-execution engine for Ggpu targets (ignored for
-    Rv32); classifications and signatures are backend-independent. *)
+    domain pool ([1] forces a serial run, on the calling domain). *)
 
 val signature : report -> string
 (** Compact [structure:masked/sdc/due/hang] token list (ending with a

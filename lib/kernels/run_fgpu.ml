@@ -68,20 +68,19 @@ let with_memory (compiled : Codegen_fgpu.compiled)
   in
   (stats, buffers)
 
-let run ?(config = Config.default) ?max_cycles ?inject ?pmu ?backend ?domains
-    compiled ~args ~global_size ~local_size () =
+let run ?(config = Config.default) ?max_cycles ?inject ?pmu ?domains compiled
+    ~args ~global_size ~local_size () =
   let stats, buffers =
     with_memory compiled ~args ~global_size
-      (Gpu.run ?max_cycles ?inject ?pmu ?backend ?domains config ~global_size
+      (Gpu.run ?max_cycles ?inject ?pmu ?domains config ~global_size
          ~local_size)
   in
   { stats; buffers }
 
-let run_cus ?backend ?domains compiled ~args ~global_size ~local_size ~cus () =
+let run_cus ?domains compiled ~args ~global_size ~local_size ~cus () =
   let stats, buffers =
     with_memory compiled ~args ~global_size
-      (Gpu.run_cus ?backend ?domains Config.default ~cus ~global_size
-         ~local_size)
+      (Gpu.run_cus ?domains Config.default ~cus ~global_size ~local_size)
   in
   List.map (fun stats -> { stats; buffers }) stats
 

@@ -14,7 +14,6 @@ val run :
   ?max_cycles:int ->
   ?inject:int * (Ggpu_fgpu.Gpu.probe -> unit) ->
   ?pmu:Ggpu_pmu.Pmu.t ->
-  ?backend:Ggpu_fgpu.Gpu.backend ->
   ?domains:int ->
   Codegen_fgpu.compiled ->
   args:Interp.args ->
@@ -23,13 +22,12 @@ val run :
   unit ->
   result
 (** Buffers are placed from byte address 0x1000, 64-byte aligned.
-    [max_cycles], [inject], [pmu], [backend] and [domains] are
-    forwarded to {!Ggpu_fgpu.Gpu.run} (watchdog, fault-injection hook,
-    the performance-monitoring collector, the lane-execution engine,
-    and the functional-phase domain fan-out). *)
+    [max_cycles], [inject], [pmu] and [domains] are forwarded to
+    {!Ggpu_fgpu.Gpu.run} (watchdog, fault-injection hook, the
+    performance-monitoring collector, and the functional-phase domain
+    fan-out). *)
 
 val run_cus :
-  ?backend:Ggpu_fgpu.Gpu.backend ->
   ?domains:int ->
   Codegen_fgpu.compiled ->
   args:Interp.args ->

@@ -30,7 +30,6 @@ val run :
   ?domains:int ->
   ?pmu:bool ->
   ?pmu_stride:int ->
-  ?backend:Ggpu_fgpu.Gpu.backend ->
   ?sim_domains:int ->
   ?superopt:bool ->
   job list ->
@@ -42,9 +41,9 @@ val run :
     [pmu_stride] sets the hot-PC sampling period in cycles.
     [superopt] (default true) is forwarded to
     {!Codegen_fgpu.compile} — [false] disables the peephole pass.
-    [backend] and [sim_domains] are forwarded to each job's simulator
-    launch ({!Ggpu_fgpu.Gpu.run}); [sim_domains] fans out the
-    functional phase *within* one simulation and is independent of
-    [domains], which spreads whole jobs.  Merged metrics — including
-    the always-present ["suite.failures"] counter, explicitly zero on
-    a clean run — are bit-identical for any combination of the two. *)
+    [sim_domains] is forwarded to each job's simulator launch
+    ({!Ggpu_fgpu.Gpu.run}); it fans out the functional phase *within*
+    one simulation and is independent of [domains], which spreads
+    whole jobs.  Merged metrics — including the always-present
+    ["suite.failures"] counter, explicitly zero on a clean run — are
+    bit-identical for any combination of the two. *)

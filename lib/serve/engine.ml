@@ -17,7 +17,6 @@ type config = {
   queue_capacity : int;
   retry_after_ms : int;
   pmu_stride : int;
-  backend : Ggpu_fgpu.Gpu.backend;
 }
 
 let default_config =
@@ -27,7 +26,6 @@ let default_config =
     queue_capacity = 256;
     retry_after_ms = 50;
     pmu_stride = 64;
-    backend = Ggpu_fgpu.Gpu.Threaded;
   }
 
 type queued = { req : Proto.request; arrival_ns : int }
@@ -321,9 +319,8 @@ let execute t plan artifact =
       in
       let args = w.Ggpu_kernels.Suite.mk_args ~size in
       match
-        Ggpu_kernels.Run_fgpu.run ~config ?pmu:collector
-          ~backend:t.cfg.backend compiled ~args ~global_size:gsize
-          ~local_size:lsize ()
+        Ggpu_kernels.Run_fgpu.run ~config ?pmu:collector compiled ~args
+          ~global_size:gsize ~local_size:lsize ()
       with
       | exception e -> Error (Printexc.to_string e)
       | result ->

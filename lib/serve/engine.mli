@@ -9,8 +9,8 @@
 
     Determinism contract: a payload is a pure function of its memo key,
     so a cache hit returns the exact bytes the cold computation
-    produced — enforced by tests across execution backends and domain
-    counts. *)
+    produced — enforced by tests across pool sizes and against the
+    reference lane engine. *)
 
 type config = {
   cache_capacity : int;  (** result entries, across all shards *)
@@ -18,12 +18,11 @@ type config = {
   queue_capacity : int;  (** pending requests before backpressure *)
   retry_after_ms : int;  (** hint sent with [Rejected] *)
   pmu_stride : int;  (** hot-PC sampling period of [Perf] requests *)
-  backend : Ggpu_fgpu.Gpu.backend;  (** simulator execution engine *)
 }
 
 val default_config : config
 (** 4096 entries over 8 shards, queue of 256, retry hint 50 ms,
-    stride 64, threaded backend. *)
+    stride 64. *)
 
 type t
 

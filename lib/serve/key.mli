@@ -32,9 +32,9 @@ val sim :
   global_size:int ->
   local_size:int ->
   string
-(** Key of a simulation request.  Execution backend and domain fan-out
-    are deliberately not part of the key: simulated results are
-    bit-identical across both (enforced by tests). *)
+(** Key of a simulation request.  Domain fan-out is deliberately not
+    part of the key: simulated results are bit-identical at every
+    domain count (enforced by tests). *)
 
 val perf :
   config:Ggpu_fgpu.Config.t ->

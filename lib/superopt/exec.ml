@@ -78,7 +78,7 @@ let no_mem : int array = [||]
 
 (* Execute one predecoded instruction for this lane.  Returns [false]
    when the instruction was [Ret] (the lane halts), [true] otherwise.
-   Memory addressing matches {!Ggpu_fgpu.Wavefront.issue}: byte
+   Memory addressing matches the simulator's lane engine: byte
    addresses, 4-aligned, bounds-checked against [mem] in words. *)
 let[@inline] step ?(mem = no_mem) t (d : Fgpu_predecode.t) =
   let regs = t.regs in
@@ -130,8 +130,8 @@ let run ?(mem = no_mem) t (dprog : Fgpu_predecode.t array) =
 
 (* Instruction-major execution of one wavefront: instruction [i] runs
    for every lane before instruction [i+1] runs for any — exactly the
-   dense (converged) issue order of {!Ggpu_fgpu.Wavefront.issue} on a
-   straight-line program, which never diverges.  Test-path only; it
+   simulator's issue order on a straight-line program, which never
+   diverges.  Test-path only; it
    allocates one [t] per lane. *)
 let run_wavefront ?(mem = no_mem) ~size ~wg_id ~wg_offset ~wg_size ~global_size
     ~params (dprog : Fgpu_predecode.t array) =

@@ -1,8 +1,9 @@
 (** Zero-allocation straight-line FGPU sequence executor over
     {!Ggpu_isa.I32} lane state: one lane's registers, no scheduler, no
-    event heap.  Semantics are bit-identical to
-    {!Ggpu_fgpu.Wavefront.issue} for every straight-line instruction
-    (ALU including RISC-V M division corner cases, load immediates,
+    event heap.  Semantics are bit-identical to the simulator's lane
+    engine ({!Ggpu_fgpu.Threaded}) and to its reference in
+    [test/fgpu_oracle.ml] for every straight-line instruction (ALU
+    including RISC-V M division corner cases, load immediates,
     loads/stores, SIMT specials); branches and jumps fault. *)
 
 type t = {

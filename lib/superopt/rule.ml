@@ -110,9 +110,14 @@ let parse_words s =
     String.split_on_char ',' s
     |> List.map (fun w ->
            let w = String.trim w in
+           let bad why = raise (Parse_error (Printf.sprintf "%s: %S" why w)) in
            match Int32.of_string_opt ("0x" ^ w) with
-           | Some word -> Fgpu_isa.decode word
-           | None -> raise (Parse_error (Printf.sprintf "bad word %S" w)))
+           | None -> bad "bad word"
+           | Some word -> (
+               (* an illegal opcode, or an ALU funct the ISA lacks *)
+               try Fgpu_isa.decode word
+               with Fgpu_isa.Decode_error why | Fgpu_isa.Encode_error why ->
+                 bad why))
 
 let of_line line =
   let fail why = raise (Parse_error (Printf.sprintf "%s in %S" why line)) in

@@ -134,8 +134,3 @@ let legal_bit_splits spec =
     else go (slices * 2) acc
   in
   go 2 []
-
-let pp_attrs fmt a =
-  Format.fprintf fmt
-    "clk2q=%.3fns setup=%.3fns area=%.0fum2 leak=%.1fnW eread=%.2fpJ"
-    a.clk_to_q_ns a.setup_ns a.area_um2 a.leak_nw a.read_energy_pj

@@ -46,4 +46,3 @@ val legal_word_splits : Ggpu_hw.Macro_spec.t -> int list
 (** Bank counts (powers of two) keeping banks within compiler limits. *)
 
 val legal_bit_splits : Ggpu_hw.Macro_spec.t -> int list
-val pp_attrs : Format.formatter -> attrs -> unit

@@ -38,7 +38,6 @@ let default_9layer =
   }
 
 let signal_layers t = List.filter (fun l -> l.signal) t.layers
-let layer_names t = List.map (fun l -> l.name) t.layers
 
 let find t name =
   match List.find_opt (fun l -> l.name = name) t.layers with

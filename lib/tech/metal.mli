@@ -14,7 +14,6 @@ type t = { layers : layer list }
 
 val default_9layer : t
 val signal_layers : t -> layer list
-val layer_names : t -> string list
 
 val find : t -> string -> layer
 (** @raise Invalid_argument on an unknown layer name. *)

@@ -43,9 +43,6 @@ let comb_delay_ns t op ~width =
 let comb_area_um2 t op ~width =
   float_of_int (Ggpu_hw.Op.gates op ~width) *. t.gate_area_um2
 
-let comb_leak_nw t op ~width =
-  float_of_int (Ggpu_hw.Op.gates op ~width) *. t.gate_leak_nw
-
 (* Average switching energy per cycle for a combinational cell. *)
 let comb_energy_fj t op ~width =
   float_of_int (Ggpu_hw.Op.gates op ~width)

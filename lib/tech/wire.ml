@@ -16,6 +16,3 @@ type t = {
 let default_65nm = { buffered_delay_ns_per_mm = 0.125; local_detour_factor = 1.12 }
 
 let delay_ns t ~length_mm = t.buffered_delay_ns_per_mm *. length_mm
-
-(* Estimated routed length of a net given its half-perimeter wirelength. *)
-let routed_length_mm t ~hpwl_mm = t.local_detour_factor *. hpwl_mm

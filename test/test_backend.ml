@@ -1,13 +1,13 @@
-(* Backend equivalence tests: the interpreting and threaded-code
-   lane-execution engines, and the split (CU-parallel) execution mode,
-   must be indistinguishable in every observable — stats, output
+(* Engine equivalence tests: the lane engine ({!Threaded}) and its
+   reference ({!Fgpu_oracle}), and the split (CU-parallel) execution
+   mode, must be indistinguishable in every observable — stats, output
    buffers, FI classification signatures, suite metrics.
 
    The differential property generates random kernels (arithmetic,
    divergent control flow, bounded loops, coalesced/masked loads,
    cross-wavefront barrier communication) and random launch geometry,
-   then checks every (backend x domains) combination against the
-   sequential interpreter.  Generated kernels are race-free by
+   then checks every (engine x domains) combination against the
+   reference on one domain.  Generated kernels are race-free by
    construction — stores go only to the work-item's own slot, and
    cross-item reads only cross a barrier — because that is the
    contract under which split mode promises bit-identical results. *)
@@ -15,6 +15,7 @@
 open Ggpu_kernels
 open Ggpu_fgpu
 open Ggpu_fi
+open Fgpu_oracle
 
 (* read-only input buffer size; load indices are masked to [0, asize) *)
 let asize = 64
@@ -157,12 +158,13 @@ let mk_args c =
   in
   { Interp.buffers; scalars = [ ("n", Int32.of_int c.gsize) ] }
 
-let observe c ~backend ~domains =
+let observe c ~engine ~domains =
   let config = Config.with_cus Config.default c.cus in
   let compiled = Codegen_fgpu.compile c.kernel in
   let r =
-    Run_fgpu.run ~config ~backend ~domains compiled ~args:(mk_args c)
-      ~global_size:c.gsize ~local_size:c.lsize ()
+    with_engine engine (fun () ->
+        Run_fgpu.run ~config ~domains compiled ~args:(mk_args c)
+          ~global_size:c.gsize ~local_size:c.lsize ())
   in
   (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers)
 
@@ -170,28 +172,29 @@ let observe c ~backend ~domains =
    runs once and each count replays it. *)
 let run_cus_counts = [ 1; 2; 4 ]
 
-let observe_cus c ~backend ~domains =
+let observe_cus c ~engine ~domains =
   let compiled = Codegen_fgpu.compile c.kernel in
-  Run_fgpu.run_cus ~backend ~domains compiled ~args:(mk_args c)
-    ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ()
+  with_engine engine (fun () ->
+      Run_fgpu.run_cus ~domains compiled ~args:(mk_args c)
+        ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ())
   |> List.map (fun r -> (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers))
 
 let prop_backends_and_domains_agree =
   QCheck.Test.make ~name:"backend x domains differential" ~count:30 arb_case
     (fun c ->
-      let reference = observe c ~backend:Gpu.Interp ~domains:1 in
+      let reference = observe c ~engine:Oracle ~domains:1 in
       let per_count =
         List.map
-          (fun cus -> observe { c with cus } ~backend:Gpu.Interp ~domains:1)
+          (fun cus -> observe { c with cus } ~engine:Oracle ~domains:1)
           run_cus_counts
       in
       List.for_all
-        (fun (backend, domains) -> observe c ~backend ~domains = reference)
-        [ (Gpu.Threaded, 1); (Gpu.Threaded, 3); (Gpu.Threaded, 4); (Gpu.Interp, 2) ]
+        (fun (engine, domains) -> observe c ~engine ~domains = reference)
+        [ (Threaded, 1); (Threaded, 3); (Threaded, 4); (Oracle, 2) ]
       && List.for_all
-           (fun (backend, domains) ->
-             observe_cus c ~backend ~domains = per_count)
-           [ (Gpu.Threaded, 1); (Gpu.Threaded, 3); (Gpu.Interp, 1) ])
+           (fun (engine, domains) ->
+             observe_cus c ~engine ~domains = per_count)
+           [ (Threaded, 1); (Threaded, 3); (Oracle, 1) ])
 
 (* --- superopt peephole differential ------------------------------------ *)
 
@@ -247,7 +250,7 @@ let test_split_barrier_cross_wavefront () =
     }
   in
   let n = 512 in
-  let run ~backend ~domains =
+  let run ~engine ~domains =
     let args =
       {
         Interp.buffers = [ ("out", Array.make n 0l); ("res", Array.make n 0l) ];
@@ -256,12 +259,13 @@ let test_split_barrier_cross_wavefront () =
     in
     let compiled = Codegen_fgpu.compile kernel in
     let r =
-      Run_fgpu.run ~backend ~domains compiled ~args ~global_size:n
-        ~local_size:128 ()
+      with_engine engine (fun () ->
+          Run_fgpu.run ~domains compiled ~args ~global_size:n ~local_size:128
+            ())
     in
     (Stats.to_assoc r.Run_fgpu.stats, Run_fgpu.output r "res")
   in
-  let (stats_ref, res_ref) = run ~backend:Gpu.Interp ~domains:1 in
+  let (stats_ref, res_ref) = run ~engine:Oracle ~domains:1 in
   (* analytic expectation: each item reads its cross-wavefront peer *)
   for i = 0 to n - 1 do
     let lid = i mod 128 in
@@ -272,18 +276,18 @@ let test_split_barrier_cross_wavefront () =
       res_ref.(i)
   done;
   List.iter
-    (fun (backend, domains) ->
-      let stats, res = run ~backend ~domains in
+    (fun (engine, domains) ->
+      let stats, res = run ~engine ~domains in
       Alcotest.(check bool)
-        (Printf.sprintf "stats equal (%s, %d domains)"
-           (Gpu.backend_name backend) domains)
+        (Printf.sprintf "stats equal (%s, %d domains)" (engine_name engine)
+           domains)
         true
         (stats = stats_ref);
       Alcotest.(check bool)
-        (Printf.sprintf "res equal (%s, %d domains)" (Gpu.backend_name backend)
+        (Printf.sprintf "res equal (%s, %d domains)" (engine_name engine)
            domains)
         true (res = res_ref))
-    [ (Gpu.Threaded, 1); (Gpu.Threaded, 2); (Gpu.Threaded, 4); (Gpu.Interp, 3) ]
+    [ (Threaded, 1); (Threaded, 2); (Threaded, 4); (Oracle, 3) ]
 
 (* --- a faulting record pass falls back to in-place runs ----------------- *)
 
@@ -336,18 +340,19 @@ let test_record_fault_falls_back () =
     "in place, workgroup 0 has not stored when the fault hits" true
     (mem_ref.(0) = 0l);
   List.iter
-    (fun (backend, domains) ->
+    (fun (engine, domains) ->
       let label =
-        Printf.sprintf "%s, %d domain(s)" (Gpu.backend_name backend) domains
+        Printf.sprintf "%s, %d domain(s)" (engine_name engine) domains
       in
       let msg, mem =
         faulting (fun ~mem ->
-            Gpu.run_cus ~backend ~domains Config.default ~cus:[ 1; 2; 4 ]
-              ~program ~params:[ 0l ] ~global_size:n ~local_size:64 ~mem)
+            with_engine engine (fun () ->
+                Gpu.run_cus ~domains Config.default ~cus:[ 1; 2; 4 ] ~program
+                  ~params:[ 0l ] ~global_size:n ~local_size:64 ~mem))
       in
       Alcotest.(check string) (label ^ ": fault message") msg_ref msg;
       Alcotest.(check (array int32)) (label ^ ": memory") mem_ref mem)
-    [ (Gpu.Threaded, 1); (Gpu.Threaded, 2); (Gpu.Interp, 1) ]
+    [ (Threaded, 1); (Threaded, 2); (Oracle, 1) ]
 
 (* --- suite metrics: failures counter always present -------------------- *)
 
@@ -368,53 +373,57 @@ let test_suite_failures_registered () =
     "suite.jobs counted" (Some 1)
     (Ggpu_obs.Metrics.find_counter snap "suite.jobs")
 
-(* --- FI classification signatures are backend-independent -------------- *)
+(* --- FI classification signatures are engine-independent --------------- *)
 
+(* One domain: the campaign's launches run on this one, so the
+   reference engine reaches every trial. *)
 let test_fi_signature_backend_parity () =
   List.iter
     (fun (workload, seed) ->
-      let signature backend =
-        Campaign.signature
-          (Campaign.run ~domains:1 ~backend ~target:(Campaign.Ggpu 2) ~workload
-             ~size:256 ~trials:40 ~seed ())
+      let signature engine =
+        with_engine engine (fun () ->
+            Campaign.signature
+              (Campaign.run ~domains:1 ~target:(Campaign.Ggpu 2) ~workload
+                 ~size:256 ~trials:40 ~seed ()))
       in
       Alcotest.(check string)
-        (workload.Suite.name ^ " fi signature identical across backends")
-        (signature Gpu.Interp) (signature Gpu.Threaded))
+        (workload.Suite.name ^ " fi signature identical across engines")
+        (signature Oracle) (signature Threaded))
     [ (Suite.copy, 7); (Suite.parallel_sel, 42) ]
 
 (* --- fault injection into a wavefront-uniform register ----------------- *)
 
-(* The threaded backend executes an instruction once per wavefront when
-   its source registers hold the same value in every lane
+(* The lane engine executes an instruction once per wavefront when its
+   source registers hold the same value in every lane
    ([Wavefront.uniform]).  A fault that changes one lane of such a
    register must clear its uniform bit, or every lane would go on
    reading lane 0's value.  parallel_sel's [n] is a parameter, so it is
    uniform until the flip; lane 5's copy then bounds a different loop
-   trip count.  The interpreter never reads the mask and is the
-   reference. *)
+   trip count.  The reference engine never reads the mask. *)
 let test_inject_into_uniform_register () =
   let w = Suite.parallel_sel and size = 256 in
   let compiled = Codegen_fgpu.compile w.Suite.kernel in
   let n_reg = List.assoc "n" compiled.Codegen_fgpu.param_regs in
   let config = Config.with_cus Config.default 2 in
-  let run ~backend ~at =
+  let run ~engine ~at =
     let flip (probe : Gpu.probe) =
       let wf = probe.Gpu.p_wavefronts.(0) and lane = 5 in
       Wavefront.set_reg wf ~lane n_reg
         (Int32.logxor (Wavefront.reg wf ~lane n_reg) 1l)
     in
     let r =
-      Run_fgpu.run ~config ~backend ~inject:(at, flip) compiled
-        ~args:(w.Suite.mk_args ~size) ~global_size:(w.Suite.global_size ~size)
-        ~local_size:(min w.Suite.local_size size) ()
+      with_engine engine (fun () ->
+          Run_fgpu.run ~config ~inject:(at, flip) compiled
+            ~args:(w.Suite.mk_args ~size)
+            ~global_size:(w.Suite.global_size ~size)
+            ~local_size:(min w.Suite.local_size size) ())
     in
     (Stats.to_assoc r.Run_fgpu.stats, Run_fgpu.output r w.Suite.output_buffer)
   in
   List.iter
     (fun at ->
-      let stats_ref, out_ref = run ~backend:Gpu.Interp ~at in
-      let stats, out = run ~backend:Gpu.Threaded ~at in
+      let stats_ref, out_ref = run ~engine:Oracle ~at in
+      let stats, out = run ~engine:Threaded ~at in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "stats, flip at cycle %d" at)
         stats_ref stats;
@@ -422,6 +431,38 @@ let test_inject_into_uniform_register () =
         (Printf.sprintf "output, flip at cycle %d" at)
         out_ref out)
     [ 0; 1 ]
+
+(* --- the kernel suite at the simulator benchmark's sizes --------------- *)
+
+(* Every suite kernel at the size [bench perf-sim] times
+   ([Suite_runner.default_size], 4 CUs): the lane engine must match the
+   reference in every stat and every buffer.  The random kernels above
+   are small; these run the suite's long loops, divergent selections
+   and multi-million-cycle launches. *)
+let test_suite_matches_oracle () =
+  let config = Config.with_cus Config.default 4 in
+  List.iter
+    (fun (w : Suite.t) ->
+      let size = Suite_runner.default_size w in
+      let compiled = Codegen_fgpu.compile w.Suite.kernel in
+      let observe engine =
+        let r =
+          with_engine engine (fun () ->
+              Run_fgpu.run ~config compiled ~args:(w.Suite.mk_args ~size)
+                ~global_size:(w.Suite.global_size ~size)
+                ~local_size:(min w.Suite.local_size size) ())
+        in
+        (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers)
+      in
+      let stats_ref, buffers_ref = observe Oracle in
+      let stats, buffers = observe Threaded in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s size %d: stats" w.Suite.name size)
+        stats_ref stats;
+      Alcotest.(check (list (pair string (array int32))))
+        (Printf.sprintf "%s size %d: buffers" w.Suite.name size)
+        buffers_ref buffers)
+    Suite.all
 
 let suite =
   [
@@ -439,5 +480,7 @@ let suite =
           test_fi_signature_backend_parity;
         Alcotest.test_case "inject into uniform register" `Quick
           test_inject_into_uniform_register;
+        Alcotest.test_case "suite at perf-sim sizes matches oracle" `Slow
+          test_suite_matches_oracle;
       ] );
   ]

@@ -238,7 +238,7 @@ let test_issue_loop_allocation_free () =
      double as they grow, and only those under the minor heap's size
      limit count here, so its figure sits above zero but is bounded
      per wavefront, not per instruction (0.054 at this geometry). *)
-  let launch backend ~cus iters =
+  let launch ~cus iters =
     let args =
       {
         Interp.buffers =
@@ -248,24 +248,23 @@ let test_issue_loop_allocation_free () =
     in
     let before = Gc.minor_words () in
     let r =
-      Run_fgpu.run_cus ~backend compiled ~args ~global_size:256
-        ~local_size:128 ~cus ()
+      Run_fgpu.run_cus compiled ~args ~global_size:256 ~local_size:128 ~cus ()
     in
     ( Gc.minor_words () -. before,
       (List.hd r).Run_fgpu.stats.Stats.wf_instructions )
   in
   List.iter
-    (fun (backend, cus) ->
-      ignore (launch backend ~cus 1);
-      let words_lo, wfi_lo = launch backend ~cus 16 in
-      let words_hi, wfi_hi = launch backend ~cus 256 in
+    (fun cus ->
+      ignore (launch ~cus 1);
+      let words_lo, wfi_lo = launch ~cus 16 in
+      let words_hi, wfi_hi = launch ~cus 256 in
       let per_wfi = (words_hi -. words_lo) /. float_of_int (wfi_hi - wfi_lo) in
       Alcotest.(check bool)
         (Printf.sprintf
-           "%s, cus %s: %.3f minor words per extra wavefront-instruction"
-           (Gpu.backend_name backend) (cus_label cus) per_wfi)
+           "cus %s: %.3f minor words per extra wavefront-instruction"
+           (cus_label cus) per_wfi)
         true (per_wfi < 0.1))
-    [ (Gpu.Threaded, [ 2 ]); (Gpu.Interp, [ 2 ]); (Gpu.Threaded, [ 1; 2 ]) ]
+    [ [ 2 ]; [ 1; 2 ] ]
 
 (* Registers start at zero in every wavefront, including one that takes
    over the register file of a workgroup retired earlier in the launch.
@@ -290,21 +289,22 @@ let test_recycled_registers_start_at_zero () =
   in
   let n = 4096 in
   List.iter
-    (fun (backend, cus) ->
+    (fun (engine, cus) ->
       let mem = Array.make n 1l in
       let stats =
-        Gpu.run_cus ~backend Config.default ~cus ~program ~params:[ 0l ]
-          ~global_size:n ~local_size:64 ~mem
+        Fgpu_oracle.with_engine engine (fun () ->
+            Gpu.run_cus Config.default ~cus ~program ~params:[ 0l ]
+              ~global_size:n ~local_size:64 ~mem)
       in
       List.iter
         (fun s -> Alcotest.(check int) "workgroups" 64 s.Stats.workgroups)
         stats;
       Alcotest.(check bool)
         (Printf.sprintf "%s, cus %s: every item stored zero"
-           (Gpu.backend_name backend) (cus_label cus))
+           (Fgpu_oracle.engine_name engine) (cus_label cus))
         true
         (Array.for_all (fun v -> v = 0l) mem))
-    [ (Gpu.Threaded, [ 1 ]); (Gpu.Interp, [ 1 ]); (Gpu.Threaded, [ 1; 2 ]) ]
+    Fgpu_oracle.[ (Threaded, [ 1 ]); (Oracle, [ 1 ]); (Threaded, [ 1; 2 ]) ]
 
 (* Property: GPU result equals interpreter result for random sizes on a
    divergent kernel (div_int exercises the iterative divider too). *)

@@ -19,14 +19,13 @@
    `gpuplanner run --kernel K --size S` after [round_size].
    Regenerate rows with `dune exec bench/golden_dump.exe`.
 
-   Every case runs under a matrix of (backend x domains) execution
-   combinations — the threaded-code engine and the CU-parallel split
-   must hit the same table, bit for bit.  CI can pin a single extra
-   combination via GGPU_GOLDEN_BACKEND / GGPU_GOLDEN_DOMAINS, which
-   replaces the default matrix for that run. *)
+   Every case runs under a matrix of (engine x domains) execution
+   combinations — the reference engine, the lane engine and the
+   CU-parallel split must hit the same table, bit for bit. *)
 
 open Ggpu_kernels
 open Ggpu_fgpu
+open Fgpu_oracle
 
 (* (kernel, size, cus, stats in Stats.to_assoc order:
    cycles; wf_instructions; lane_instructions; divergent_issues; loads;
@@ -86,7 +85,7 @@ let stat_names =
     "evictions"; "axi_words"; "barriers"; "workgroups"; "vu_busy_cycles";
   ]
 
-let run_golden ~backend ~domains (name, size, cus, expected) () =
+let run_golden ~engine ~domains (name, size, cus, expected) () =
   let w = Suite.find name in
   let size = w.Suite.round_size size in
   let compiled = Codegen_fgpu.compile w.Suite.kernel in
@@ -95,8 +94,9 @@ let run_golden ~backend ~domains (name, size, cus, expected) () =
   let local_size = min w.Suite.local_size size in
   let config = Config.with_cus Config.default cus in
   let result =
-    Run_fgpu.run ~config ~backend ~domains compiled ~args ~global_size
-      ~local_size ()
+    with_engine engine (fun () ->
+        Run_fgpu.run ~config ~domains compiled ~args ~global_size ~local_size
+          ())
   in
   (* results must still be correct, not just timed identically *)
   let got = Run_fgpu.output result w.Suite.output_buffer in
@@ -116,38 +116,20 @@ let run_golden ~backend ~domains (name, size, cus, expected) () =
       Alcotest.(check int) (Printf.sprintf "%s/%dcu %s" name cus k) v' v)
     assoc expected_assoc
 
-(* Default (backend, domains) execution matrix; CI overrides it with a
-   single pinned combination via the environment to exercise e.g.
-   `threaded x 4 domains` as a dedicated step. *)
-let combos =
-  match (Sys.getenv_opt "GGPU_GOLDEN_BACKEND", Sys.getenv_opt "GGPU_GOLDEN_DOMAINS") with
-  | None, None -> [ (Gpu.Interp, 1); (Gpu.Threaded, 1); (Gpu.Threaded, 4) ]
-  | b, d ->
-      let backend =
-        match b with
-        | None -> Gpu.Threaded
-        | Some s -> (
-            match Gpu.backend_of_string s with
-            | Some backend -> backend
-            | None ->
-                failwith
-                  (Printf.sprintf "GGPU_GOLDEN_BACKEND: unknown backend %S" s))
-      in
-      let domains = match d with None -> 1 | Some s -> int_of_string s in
-      [ (backend, domains) ]
+let combos = [ (Oracle, 1); (Threaded, 1); (Threaded, 4) ]
 
 let suite =
   [
     ( "golden-cycles",
       List.concat_map
-        (fun (backend, domains) ->
+        (fun (engine, domains) ->
           List.map
             (fun ((name, size, cus, _) as case) ->
               Alcotest.test_case
                 (Printf.sprintf "%s size=%d cus=%d [%s/%dd]" name size cus
-                   (Gpu.backend_name backend) domains)
+                   (engine_name engine) domains)
                 `Slow
-                (run_golden ~backend ~domains case))
+                (run_golden ~engine ~domains case))
             golden)
         combos );
   ]

@@ -1,5 +1,5 @@
 (* The serving subsystem: memo-cache key injectivity, byte-identical
-   cache hits across backends and pool sizes, batching/coalescing,
+   cache hits across lane engines and pool sizes, batching/coalescing,
    LRU bounds, backpressure, deadlines, the persistent domain pool and
    the wire protocol. *)
 
@@ -192,20 +192,20 @@ let test_cold_warm_identical () =
   Alcotest.(check int) "three misses" 3 (counter engine "serve.cache.miss");
   Alcotest.(check int) "three hits" 3 (counter engine "serve.cache.hit")
 
+(* A payload computed through the reference lane engine: with no pool
+   the engine runs its misses on this domain, where [with_engine]
+   reaches them. *)
 let test_backends_identical () =
-  let engine_of backend =
-    E.create ~config:{ E.default_config with E.backend } ()
-  in
-  let thr = engine_of Ggpu_fgpu.Gpu.Threaded in
-  let int_ = engine_of Ggpu_fgpu.Gpu.Interp in
   List.iter
     (fun kind ->
-      let a = E.process thr [ req ~id:1 kind ] in
-      let b = E.process int_ [ req ~id:1 kind ] in
+      let payload engine =
+        Fgpu_oracle.with_engine engine (fun () ->
+            done_result (List.hd (E.process (E.create ()) [ req ~id:1 kind ])))
+      in
       Alcotest.(check string)
-        "threaded and interp payload bytes identical"
-        (done_result (List.hd a))
-        (done_result (List.hd b)))
+        "threaded and oracle payload bytes identical"
+        (payload Fgpu_oracle.Threaded)
+        (payload Fgpu_oracle.Oracle))
     [
       sim ~kernel:"vec_mul" ~cus:2 ~size:256;
       sim ~kernel:"div_int" ~cus:1 ~size:256;

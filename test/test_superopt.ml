@@ -1,5 +1,6 @@
 (* Unit tests for the ggpu_superopt library: the straight-line
-   executor must agree bit-for-bit with the full Gpu.run pipeline, the
+   executor must agree bit-for-bit with the full Gpu.run pipeline under
+   both lane engines, the
    rule table must survive serialisation, the peephole's liveness
    guard must block unsound rewrites, and a tiny mining run must
    produce only verified, strictly-cheaper rules. *)
@@ -11,7 +12,8 @@ open Ggpu_superopt
 
 (* One wavefront, one workgroup: every lane loads its own word, mangles
    it through the ALU (including both shift flavours and a Mul), and
-   stores it back.  The memory image after Gpu.run and after
+   stores it back.  The memory image after Gpu.run, through the
+   reference lane engine and through the production one, and after
    Exec.run_wavefront must be bit-identical. *)
 let straightline_program =
   [|
@@ -51,12 +53,19 @@ let division_program =
 let run_both ~program ~lanes ~words init =
   let mem32 = Array.init words (fun i -> init i) in
   let mem_exec = Array.map I32.of_int32 mem32 in
-  let config = Ggpu_fgpu.Config.default in
-  let stats =
-    Ggpu_fgpu.Gpu.run config ~program ~params:[ 0l ] ~global_size:lanes
-      ~local_size:lanes ~mem:mem32
+  let gpu engine =
+    let mem = Array.copy mem32 in
+    Fgpu_oracle.with_engine engine (fun () ->
+        ignore
+          (Ggpu_fgpu.Gpu.run Ggpu_fgpu.Config.default ~program ~params:[ 0l ]
+             ~global_size:lanes ~local_size:lanes ~mem
+            : Ggpu_fgpu.Stats.t));
+    mem
   in
-  ignore stats;
+  let mem32 = gpu Fgpu_oracle.Oracle in
+  Alcotest.(check (array int32))
+    "threaded matches the reference engine" mem32
+    (gpu Fgpu_oracle.Threaded);
   let lanes_state =
     Exec.run_wavefront ~mem:mem_exec ~size:lanes ~wg_id:0 ~wg_offset:0
       ~wg_size:lanes ~global_size:lanes ~params:[ 0l ]
@@ -129,7 +138,31 @@ let test_rule_parse_errors () =
       match Rule.of_line line with
       | _ -> Alcotest.failf "parse accepted %S" line
       | exception Rule.Parse_error _ -> ())
-    [ "nonsense"; "00000000"; "zz => 00000000 ; clobbers= ; saves=1" ]
+    [
+      "nonsense";
+      "00000000";
+      "zz => 00000000 ; clobbers= ; saves=1";
+      (* an illegal opcode (63) *)
+      "ffffffff => ; clobbers= ; saves=0";
+      (* an ALU funct the ISA lacks (18) *)
+      "0255d112 => ; clobbers= ; saves=0";
+    ]
+
+(* Whatever word a rule line carries, parsing it returns a rule or
+   raises [Parse_error]: the decoder's own errors must not escape. *)
+let prop_rule_line_total =
+  QCheck.Test.make ~name:"rule line parses or raises Parse_error" ~count:1000
+    QCheck.(pair int32 int32)
+    (fun (a, b) ->
+      List.for_all
+        (fun line ->
+          match Rule.of_line line with
+          | (_ : Rule.t) -> true
+          | exception Rule.Parse_error _ -> true)
+        [
+          Printf.sprintf "%08lx => ; clobbers= ; saves=0" a;
+          Printf.sprintf "%08lx => %08lx ; clobbers= ; saves=0" a b;
+        ])
 
 (* --- peephole liveness guard ------------------------------------------- *)
 
@@ -237,6 +270,7 @@ let suite =
           test_rule_roundtrip_builtin;
         Alcotest.test_case "rule file save/load" `Quick test_rule_file_roundtrip;
         Alcotest.test_case "rule parse errors" `Quick test_rule_parse_errors;
+        QCheck_alcotest.to_alcotest prop_rule_line_total;
         Alcotest.test_case "peephole fires when clobber dead" `Quick
           test_peephole_fires_when_clobber_dead;
         Alcotest.test_case "peephole blocked when clobber live" `Quick
