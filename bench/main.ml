@@ -353,7 +353,7 @@ let run_perf_dse () =
   let csr_calls = sum (fun p -> p.Dse.sta_calls) csr_syntheses in
   let csr_full = sum (fun p -> p.Dse.sta_full) csr_syntheses in
   let speedup_vs_seed = seed_s /. csr_s in
-  let domains = Parallel.default_domains () in
+  let domains = Ggpu_par.Parallel.default_domains () in
   Printf.printf
     "table1 (12 versions): seed %.3fs (%d full STA recomputes) -> csr \
      %.3fs (%d STA calls, %d full)\n\

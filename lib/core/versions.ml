@@ -4,8 +4,9 @@
    ~600 MHz after routing, Fig. 4 / Table II).
 
    Each version owns a freshly generated netlist and the flow touches no
-   shared mutable state, so the grid runs across a {!Parallel} domain
-   pool by default; [~parallel:false] restores the sequential sweep. *)
+   shared mutable state, so the grid runs across a {!Ggpu_par.Parallel}
+   domain pool by default; [~parallel:false] restores the sequential
+   sweep. *)
 
 let cu_counts = [ 1; 2; 4; 8 ]
 let frequencies_mhz = [ 500; 590; 667 ]
@@ -45,17 +46,17 @@ let shared_bases ?domains specs =
   let cus =
     List.sort_uniq Int.compare (List.map (fun s -> s.Spec.num_cus) specs)
   in
-  Parallel.map ?domains
+  Ggpu_par.Parallel.map ?domains
     (fun num_cus -> (num_cus, Ggpu_rtlgen.Generate.generate_cus ~num_cus))
     cus
 
 let map_specs ?(parallel = true) ?(incremental = true) ~f specs =
   let domains = domains_of ~parallel in
   if not incremental then
-    Parallel.map ?domains (fun spec -> f ?base:None spec) specs
+    Ggpu_par.Parallel.map ?domains (fun spec -> f ?base:None spec) specs
   else begin
     let bases = shared_bases ?domains specs in
-    Parallel.map ?domains
+    Ggpu_par.Parallel.map ?domains
       (fun spec -> f ?base:(List.assoc_opt spec.Spec.num_cus bases) spec)
       specs
   end

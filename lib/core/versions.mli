@@ -27,8 +27,9 @@ val table1_syntheses :
   unit ->
   Flow.synthesis list
 (** The 12 Table-I syntheses with their performance counters.
-    [parallel] (default [true]) spreads versions across a {!Parallel}
-    domain pool; [incremental] is forwarded to {!Dse.explore}. *)
+    [parallel] (default [true]) spreads versions across a
+    {!Ggpu_par.Parallel} domain pool; [incremental] is forwarded to
+    {!Dse.explore}. *)
 
 val table1 :
   ?tech:Ggpu_tech.Tech.t ->

@@ -98,6 +98,3 @@ let beats t = t.wavefront_size / t.pes_per_cu
 
 let wavefronts_per_workgroup t ~local_size =
   (local_size + t.wavefront_size - 1) / t.wavefront_size
-
-let max_workgroups_per_cu t ~local_size =
-  max 1 (t.max_workitems_per_cu / max t.wavefront_size local_size)

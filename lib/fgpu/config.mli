@@ -49,4 +49,3 @@ val beats : t -> int
 (** Vector-pipeline occupancy per wavefront instruction. *)
 
 val wavefronts_per_workgroup : t -> local_size:int -> int
-val max_workgroups_per_cu : t -> local_size:int -> int

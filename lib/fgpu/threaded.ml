@@ -11,8 +11,8 @@
    precomputed immediate, the branch target, and the global-memory
    array.  What a tag-dispatching engine re-derives on every issue —
    field loads from the predecode record, the destination-offset
-   computation, the per-lane [match] on the instruction kind and
-   operator — is paid exactly once at compile time.
+   computation, the per-lane [match] on the instruction kind — is paid
+   exactly once at compile time.
 
    The lane loops themselves live in top-level functions that take
    every loop-invariant as a parameter.  A closure that ran the [for]
@@ -24,6 +24,25 @@
    projects each captured value exactly once per issue, passes them as
    arguments, and the self tail call compiles to a jump with every
    operand in a machine register.
+
+   Specialised loops.  Each instruction shape has one generic loop that
+   takes the operator or condition as an argument and calls
+   {!Wavefront.alu} or {!Wavefront.cond_holds} per lane: [d_gen],
+   [di_gen], [c_gen]/[w_gen], [s_gen], [si_gen] and [sb_gen] run every
+   operator.  A per-operator loop inlines its operator and saves that
+   per-lane call, so it earns its code only where traffic runs it.  Ten
+   remain, each carrying at least 2 % of the lane visits of Table III's
+   record passes or of a serve-size mix (the seven suite kernels at 64
+   to 1024 work-items on 2 CUs): dense [d_add], [d_mul], [d_and],
+   [d_or], [d_xor] and [d_slt], dense-immediate [di_sll] and [di_sltu],
+   the fused dense equality branch [b_eq], and sparse-immediate
+   [si_add].  Running those through the generic loops too made
+   Table III about a third slower.  Every other (operator, path) pair
+   runs generic: none would reach 2 % on either, the busiest (a sparse
+   [add]) carries 1.7 % of the mix.  A new per-operator loop comes with
+   its measured share of lane visits (EXPERIMENTS, "Per-operator lane
+   loops").  [compile] picks a pc's loop once, so one closure per shape
+   serves every operator.
 
    Per-issue outcome flags that depend only on the instruction
    (store/div/mul) live in a side table consulted by {!issue} rather
@@ -88,14 +107,6 @@ let rec d_add (regs : int array) o1 o2 od lane n =
     d_add regs o1 o2 od (lane + 1) n
   end
 
-let rec d_sub (regs : int array) o1 o2 od lane n =
-  if lane < n then begin
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    Array.unsafe_set regs (od + lane) (I32.sx (a - b));
-    d_sub regs o1 o2 od (lane + 1) n
-  end
-
 let rec d_mul (regs : int array) o1 o2 od lane n =
   if lane < n then begin
     let a = Array.unsafe_get regs (o1 + lane)
@@ -128,14 +139,6 @@ let rec d_slt (regs : int array) o1 o2 od lane n =
     d_slt regs o1 o2 od (lane + 1) n
   end
 
-let rec d_sll (regs : int array) o1 o2 od lane n =
-  if lane < n then begin
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    Array.unsafe_set regs (od + lane) (I32.sx (a lsl (b land 31)));
-    d_sll regs o1 o2 od (lane + 1) n
-  end
-
 let rec d_xor (regs : int array) o1 o2 od lane n =
   if lane < n then begin
     let a = Array.unsafe_get regs (o1 + lane)
@@ -153,41 +156,13 @@ let rec d_gen op (regs : int array) o1 o2 od lane n =
   end
 
 (* Immediate forms: the second operand is the same constant for every
-   lane. *)
-
-let rec di_add (regs : int array) o1 b od lane n =
-  if lane < n then begin
-    let a = Array.unsafe_get regs (o1 + lane) in
-    Array.unsafe_set regs (od + lane) (I32.sx (a + b));
-    di_add regs o1 b od (lane + 1) n
-  end
-
-let rec di_and (regs : int array) o1 b od lane n =
-  if lane < n then begin
-    let a = Array.unsafe_get regs (o1 + lane) in
-    Array.unsafe_set regs (od + lane) (a land b);
-    di_and regs o1 b od (lane + 1) n
-  end
-
-let rec di_srl (regs : int array) o1 sh od lane n =
-  if lane < n then begin
-    let a = Array.unsafe_get regs (o1 + lane) in
-    Array.unsafe_set regs (od + lane) (I32.sx ((a land I32.mask) lsr sh));
-    di_srl regs o1 sh od (lane + 1) n
-  end
+   lane.  [sh] arrives pre-masked to a shift amount (loop-invariant). *)
 
 let rec di_sll (regs : int array) o1 sh od lane n =
   if lane < n then begin
     let a = Array.unsafe_get regs (o1 + lane) in
     Array.unsafe_set regs (od + lane) (I32.sx (a lsl sh));
     di_sll regs o1 sh od (lane + 1) n
-  end
-
-let rec di_xor (regs : int array) o1 b od lane n =
-  if lane < n then begin
-    let a = Array.unsafe_get regs (o1 + lane) in
-    Array.unsafe_set regs (od + lane) (a lxor b);
-    di_xor regs o1 b od (lane + 1) n
   end
 
 (* [bu] arrives pre-masked to unsigned 32-bit (loop-invariant). *)
@@ -248,24 +223,7 @@ let branch_once (wf : Wavefront.t) (out : Wavefront.outcome) c o1 o2 target
   wf.Wavefront.conv_pc <- (if taken then target else next);
   out.Wavefront.taken_branch <- taken
 
-(* Branch taken-lane counts, one comparison kind each. *)
-
-let rec c_lt (regs : int array) o1 o2 lane n acc =
-  if lane >= n then acc
-  else
-    c_lt regs o1 o2 (lane + 1) n
-      (if Array.unsafe_get regs (o1 + lane) < Array.unsafe_get regs (o2 + lane)
-       then acc + 1
-       else acc)
-
-let rec c_ge (regs : int array) o1 o2 lane n acc =
-  if lane >= n then acc
-  else
-    c_ge regs o1 o2 (lane + 1) n
-      (if
-         Array.unsafe_get regs (o1 + lane) >= Array.unsafe_get regs (o2 + lane)
-       then acc + 1
-       else acc)
+(* Taken-lane count of a dense branch on non-uniform sources. *)
 
 let rec c_gen c (regs : int array) o1 o2 lane n acc =
   if lane >= n then acc
@@ -283,9 +241,10 @@ let rec c_gen c (regs : int array) o1 o2 lane n acc =
    equality branches are mixed more often than not, so the fused form
    saves the second (write) pass; a uniform outcome just re-converges
    via [conv_pc] and the freshly written pcs go stale, which the
-   wavefront invariants allow.  Lt/Ge keep the count-first two-pass
-   shape: they guard loop back-edges and are uniform on every trip but
-   the last, where writing pcs would be pure waste. *)
+   wavefront invariants allow.  The other conditions keep the
+   count-first two-pass shape, [c_gen] then [w_gen]: Lt/Ge guard loop
+   back-edges and are uniform on every trip but the last, where writing
+   pcs would be pure waste. *)
 
 let rec b_eq (regs : int array) (pcs : int array) o1 o2 target next lane n tk =
   if lane >= n then tk
@@ -298,37 +257,7 @@ let rec b_eq (regs : int array) (pcs : int array) o1 o2 target next lane n tk =
     b_eq regs pcs o1 o2 target next (lane + 1) n (tk + ti)
   end
 
-let rec b_ne (regs : int array) (pcs : int array) o1 o2 target next lane n tk =
-  if lane >= n then tk
-  else begin
-    let ti =
-      Bool.to_int
-        (Array.unsafe_get regs (o1 + lane) <> Array.unsafe_get regs (o2 + lane))
-    in
-    Array.unsafe_set pcs lane (next + ((target - next) land -ti));
-    b_ne regs pcs o1 o2 target next (lane + 1) n (tk + ti)
-  end
-
 (* Mixed branch outcome: write authoritative per-lane pcs. *)
-
-let rec w_lt (regs : int array) (pcs : int array) o1 o2 target next lane n =
-  if lane < n then begin
-    Array.unsafe_set pcs lane
-      (if Array.unsafe_get regs (o1 + lane) < Array.unsafe_get regs (o2 + lane)
-       then target
-       else next);
-    w_lt regs pcs o1 o2 target next (lane + 1) n
-  end
-
-let rec w_ge (regs : int array) (pcs : int array) o1 o2 target next lane n =
-  if lane < n then begin
-    Array.unsafe_set pcs lane
-      (if
-         Array.unsafe_get regs (o1 + lane) >= Array.unsafe_get regs (o2 + lane)
-       then target
-       else next);
-    w_ge regs pcs o1 o2 target next (lane + 1) n
-  end
 
 let rec w_gen c (regs : int array) (pcs : int array) o1 o2 target next lane n =
   if lane < n then begin
@@ -355,150 +284,11 @@ let rec w_gen c (regs : int array) (pcs : int array) o1 o2 target next lane n =
    [next] = pc + 1 every other live lane sits at > pc, i.e. >= [next] —
    the new minimum is [next] unconditionally, and the loop only counts
    lanes ending at [next].  Lane membership is a ~coin-flip data-
-   dependent test, so the loops are branchless: the result and the pc
-   advance are mask-selected ([msk] = all-ones for members), a
-   non-member store rewrites the old value.  The unconditional ALU work
-   is safe — no specialized op faults, and OCaml int ops do not trap. *)
-let rec s_add (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = I32.sx (a + b) in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_add wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec s_sub (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = I32.sx (a - b) in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_sub wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec s_mul (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = I32.sx (a * b) in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_mul wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec s_and (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = a land b in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_and wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec s_or (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = a lor b in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_or wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec s_slt (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = Bool.to_int (a < b) in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_slt wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec s_xor (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 o2 od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane)
-    and b = Array.unsafe_get regs (o2 + lane) in
-    let v = a lxor b in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    s_xor wf regs pcs pc next o1 o2 od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
+   dependent test, so the hot loops ([si_add], [s_fill], [s_lid]) are
+   branchless: the result and the pc advance are mask-selected ([msk] =
+   all-ones for members), a non-member store rewrites the old value.
+   The unconditional ALU work is safe — none of them faults, and OCaml
+   int ops do not trap.  The generic loops branch per lane. *)
 let rec s_gen op (wf : Wavefront.t) (regs : int array) (pcs : int array)
     (pc : int) next o1 o2 od lane n cnt =
   if lane >= n then begin
@@ -536,45 +326,6 @@ let rec si_add (wf : Wavefront.t) (regs : int array) (pcs : int array)
     let p' = p lxor ((p lxor next) land msk) in
     Array.unsafe_set pcs lane p';
     si_add wf regs pcs pc next o1 b od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-let rec si_xor (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 b od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane) in
-    let v = a lxor b in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    si_xor wf regs pcs pc next o1 b od (lane + 1) n (cnt + Bool.to_int (p' = next))
-  end
-
-(* [bu] arrives pre-masked to unsigned 32-bit (loop-invariant). *)
-let rec si_sltu (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) next o1 bu od lane n cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- next;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    let msk = -(Bool.to_int (p = pc)) in
-    let a = Array.unsafe_get regs (o1 + lane) in
-    let v = Bool.to_int (a land I32.mask < bu) in
-    let old = Array.unsafe_get regs (od + lane) in
-    Array.unsafe_set regs (od + lane) (old lxor ((old lxor v) land msk));
-    let p' = p lxor ((p lxor next) land msk) in
-    Array.unsafe_set pcs lane p';
-    si_sltu wf regs pcs pc next o1 bu od (lane + 1) n (cnt + Bool.to_int (p' = next))
   end
 
 let rec si_gen op (wf : Wavefront.t) (regs : int array) (pcs : int array)
@@ -657,126 +408,6 @@ let rec s_retarget (wf : Wavefront.t) (pcs : int array) (pc : int)
 (* Sparse branches: lanes at [pc] move to [target]/[next]; the result
    records whether any lane took the branch. *)
 
-let rec sb_lt (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) o1 o2 target next lane n any best cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- best;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true;
-    any
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    if p = pc then
-      if
-        Array.unsafe_get regs (o1 + lane) < Array.unsafe_get regs (o2 + lane)
-      then begin
-        Array.unsafe_set pcs lane target;
-        if target < best then sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n true target 1
-        else if target > best then sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n true best cnt
-        else sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n true best (cnt + 1)
-      end
-      else begin
-        Array.unsafe_set pcs lane next;
-        if next < best then sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n any next 1
-        else if next > best then sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-        else sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-      end
-    else if p < best then sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n any p 1
-    else if p > best then sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-    else sb_lt wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-  end
-
-let rec sb_ge (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) o1 o2 target next lane n any best cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- best;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true;
-    any
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    if p = pc then
-      if
-        Array.unsafe_get regs (o1 + lane) >= Array.unsafe_get regs (o2 + lane)
-      then begin
-        Array.unsafe_set pcs lane target;
-        if target < best then sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n true target 1
-        else if target > best then sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n true best cnt
-        else sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n true best (cnt + 1)
-      end
-      else begin
-        Array.unsafe_set pcs lane next;
-        if next < best then sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n any next 1
-        else if next > best then sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-        else sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-      end
-    else if p < best then sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n any p 1
-    else if p > best then sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-    else sb_ge wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-  end
-
-let rec sb_eq (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) o1 o2 target next lane n any best cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- best;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true;
-    any
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    if p = pc then
-      if
-        Array.unsafe_get regs (o1 + lane) = Array.unsafe_get regs (o2 + lane)
-      then begin
-        Array.unsafe_set pcs lane target;
-        if target < best then sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n true target 1
-        else if target > best then sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n true best cnt
-        else sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n true best (cnt + 1)
-      end
-      else begin
-        Array.unsafe_set pcs lane next;
-        if next < best then sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n any next 1
-        else if next > best then sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-        else sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-      end
-    else if p < best then sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n any p 1
-    else if p > best then sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-    else sb_eq wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-  end
-
-let rec sb_ne (wf : Wavefront.t) (regs : int array) (pcs : int array)
-    (pc : int) o1 o2 target next lane n any best cnt =
-  if lane >= n then begin
-    wf.Wavefront.sel_pc <- best;
-    wf.Wavefront.sel_cnt <- cnt;
-    wf.Wavefront.sel_valid <- true;
-    any
-  end
-  else begin
-    let p = Array.unsafe_get pcs lane in
-    if p = pc then
-      if
-        Array.unsafe_get regs (o1 + lane) <> Array.unsafe_get regs (o2 + lane)
-      then begin
-        Array.unsafe_set pcs lane target;
-        if target < best then sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n true target 1
-        else if target > best then sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n true best cnt
-        else sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n true best (cnt + 1)
-      end
-      else begin
-        Array.unsafe_set pcs lane next;
-        if next < best then sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n any next 1
-        else if next > best then sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-        else sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-      end
-    else if p < best then sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n any p 1
-    else if p > best then sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n any best cnt
-    else sb_ne wf regs pcs pc o1 o2 target next (lane + 1) n any best (cnt + 1)
-  end
-
 let rec sb_gen c (wf : Wavefront.t) (regs : int array) (pcs : int array)
     (pc : int) o1 o2 target next lane n any best cnt =
   if lane >= n then begin
@@ -852,170 +483,62 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
     let dn, sp =
       match d.Fgpu_predecode.kind with
       | Fgpu_predecode.KAlu ->
+          let op = d.Fgpu_predecode.aop in
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
           and o2 = d.Fgpu_predecode.rs2 * size in
           let src =
             (1 lsl d.Fgpu_predecode.rs1) lor (1 lsl d.Fgpu_predecode.rs2)
           in
+          let dense_loop =
+            match op with
+            | Fgpu_isa.Add -> d_add
+            | Fgpu_isa.Mul -> d_mul
+            | Fgpu_isa.And -> d_and
+            | Fgpu_isa.Or -> d_or
+            | Fgpu_isa.Xor -> d_xor
+            | Fgpu_isa.Slt -> d_slt
+            | op -> d_gen op
+          in
           let dn : op =
-            match d.Fgpu_predecode.aop with
-            | Fgpu_isa.Add as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_add wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Sub as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_sub wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Mul as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_mul wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.And as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_and wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Or as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_or wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Slt as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_slt wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Sll as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_sll wf.Wavefront.regs o1 o2 od 0 size
-            | Fgpu_isa.Xor as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_xor wf.Wavefront.regs o1 o2 od 0 size
-            | op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  let b = Array.unsafe_get wf.Wavefront.regs o2 in
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    d_gen op wf.Wavefront.regs o1 o2 od 0 size
+           fun wf _ ->
+            wf.Wavefront.conv_pc <- next;
+            let b = Array.unsafe_get wf.Wavefront.regs o2 in
+            if not (alu_once wf op src dbit o1 b od size) then
+              dense_loop wf.Wavefront.regs o1 o2 od 0 size
           in
           let sp : op =
-            match d.Fgpu_predecode.aop with
-            | Fgpu_isa.Add ->
-                fun wf _ ->
-                  s_add wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | Fgpu_isa.Sub ->
-                fun wf _ ->
-                  s_sub wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | Fgpu_isa.Mul ->
-                fun wf _ ->
-                  s_mul wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | Fgpu_isa.And ->
-                fun wf _ ->
-                  s_and wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | Fgpu_isa.Or ->
-                fun wf _ ->
-                  s_or wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | Fgpu_isa.Slt ->
-                fun wf _ ->
-                  s_slt wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | Fgpu_isa.Xor ->
-                fun wf _ ->
-                  s_xor wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
-                    0
-            | op ->
-                fun wf _ ->
-                  s_gen op wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0
-                    size 0
+           fun wf _ ->
+            s_gen op wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0
+              size 0
           in
           (dn, sp)
       | Fgpu_predecode.KAlui ->
+          let op = d.Fgpu_predecode.aop in
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
           and b = d.Fgpu_predecode.imm in
           let src = 1 lsl d.Fgpu_predecode.rs1 in
+          (* [arg]: the immediate in the form the dense loop takes *)
+          let dense_loop, arg =
+            match op with
+            | Fgpu_isa.Sll -> (di_sll, b land 31)
+            | Fgpu_isa.Sltu -> (di_sltu, b land I32.mask)
+            | op -> (di_gen op, b)
+          in
+          let sparse_loop =
+            match op with Fgpu_isa.Add -> si_add | op -> si_gen op
+          in
           let dn : op =
-            match d.Fgpu_predecode.aop with
-            | Fgpu_isa.Add as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_add wf.Wavefront.regs o1 b od 0 size
-            | Fgpu_isa.And as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_and wf.Wavefront.regs o1 b od 0 size
-            | Fgpu_isa.Srl as op ->
-                let sh = b land 31 in
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_srl wf.Wavefront.regs o1 sh od 0 size
-            | Fgpu_isa.Sll as op ->
-                let sh = b land 31 in
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_sll wf.Wavefront.regs o1 sh od 0 size
-            | Fgpu_isa.Xor as op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_xor wf.Wavefront.regs o1 b od 0 size
-            | Fgpu_isa.Sltu as op ->
-                let bu = b land I32.mask in
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_sltu wf.Wavefront.regs o1 bu od 0 size
-            | op ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  if not (alu_once wf op src dbit o1 b od size) then
-                    di_gen op wf.Wavefront.regs o1 b od 0 size
+           fun wf _ ->
+            wf.Wavefront.conv_pc <- next;
+            if not (alu_once wf op src dbit o1 b od size) then
+              dense_loop wf.Wavefront.regs o1 arg od 0 size
           in
           let sp : op =
-            match d.Fgpu_predecode.aop with
-            | Fgpu_isa.Add ->
-                fun wf _ ->
-                  si_add wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
-                    size 0
-            | Fgpu_isa.Xor ->
-                fun wf _ ->
-                  si_xor wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
-                    size 0
-            | Fgpu_isa.Sltu ->
-                let bu = b land I32.mask in
-                fun wf _ ->
-                  si_sltu wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 bu od 0
-                    size 0
-            | op ->
-                fun wf _ ->
-                  si_gen op wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
-                    size 0
+           fun wf _ ->
+            sparse_loop wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
+              size 0
           in
           (dn, sp)
       | Fgpu_predecode.KLoadImm ->
@@ -1120,45 +643,14 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           let src =
             (1 lsl d.Fgpu_predecode.rs1) lor (1 lsl d.Fgpu_predecode.rd)
           in
-          (* dense: first pass only counts; real per-lane pcs are
-             written only on a mixed outcome, so uniform branches —
-             the common case — never touch [pcs] at all (it stays
-             stale under [conv_pc], which every external reader
-             materialises first) *)
+          (* dense, non-uniform sources: Eq runs the fused [b_eq] pass;
+             every other condition first only counts, and real per-lane
+             pcs are written only on a mixed outcome, so a branch whose
+             lanes agree never touches [pcs] (it stays stale under
+             [conv_pc], which every external reader materialises
+             first) *)
           let dn : op =
             match c with
-            | Fgpu_isa.Lt ->
-                fun wf out ->
-                  if wf.Wavefront.uniform land src = src then
-                    branch_once wf out c o1 o2 target next
-                  else begin
-                    let regs = wf.Wavefront.regs in
-                    let tk = c_lt regs o1 o2 0 size 0 in
-                    if tk = 0 then wf.Wavefront.conv_pc <- next
-                    else if tk = size then wf.Wavefront.conv_pc <- target
-                    else begin
-                      wf.Wavefront.conv_pc <- -1;
-                      w_lt regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                      set_split_sel wf target next tk size
-                    end;
-                    out.Wavefront.taken_branch <- tk > 0
-                  end
-            | Fgpu_isa.Ge ->
-                fun wf out ->
-                  if wf.Wavefront.uniform land src = src then
-                    branch_once wf out c o1 o2 target next
-                  else begin
-                    let regs = wf.Wavefront.regs in
-                    let tk = c_ge regs o1 o2 0 size 0 in
-                    if tk = 0 then wf.Wavefront.conv_pc <- next
-                    else if tk = size then wf.Wavefront.conv_pc <- target
-                    else begin
-                      wf.Wavefront.conv_pc <- -1;
-                      w_ge regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                      set_split_sel wf target next tk size
-                    end;
-                    out.Wavefront.taken_branch <- tk > 0
-                  end
             | Fgpu_isa.Eq ->
                 fun wf out ->
                   if wf.Wavefront.uniform land src = src then
@@ -1167,23 +659,6 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
                     let regs = wf.Wavefront.regs in
                     let tk =
                       b_eq regs wf.Wavefront.pcs o1 o2 target next 0 size 0
-                    in
-                    if tk = 0 then wf.Wavefront.conv_pc <- next
-                    else if tk = size then wf.Wavefront.conv_pc <- target
-                    else begin
-                      wf.Wavefront.conv_pc <- -1;
-                      set_split_sel wf target next tk size
-                    end;
-                    out.Wavefront.taken_branch <- tk > 0
-                  end
-            | Fgpu_isa.Ne ->
-                fun wf out ->
-                  if wf.Wavefront.uniform land src = src then
-                    branch_once wf out c o1 o2 target next
-                  else begin
-                    let regs = wf.Wavefront.regs in
-                    let tk =
-                      b_ne regs wf.Wavefront.pcs o1 o2 target next 0 size 0
                     in
                     if tk = 0 then wf.Wavefront.conv_pc <- next
                     else if tk = size then wf.Wavefront.conv_pc <- target
@@ -1211,32 +686,10 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
                   end
           in
           let sp : op =
-            match c with
-            | Fgpu_isa.Lt ->
-                fun wf out ->
-                  out.Wavefront.taken_branch <-
-                    sb_lt wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
-                      next 0 size false Wavefront.done_pc 0
-            | Fgpu_isa.Ge ->
-                fun wf out ->
-                  out.Wavefront.taken_branch <-
-                    sb_ge wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
-                      next 0 size false Wavefront.done_pc 0
-            | Fgpu_isa.Eq ->
-                fun wf out ->
-                  out.Wavefront.taken_branch <-
-                    sb_eq wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
-                      next 0 size false Wavefront.done_pc 0
-            | Fgpu_isa.Ne ->
-                fun wf out ->
-                  out.Wavefront.taken_branch <-
-                    sb_ne wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
-                      next 0 size false Wavefront.done_pc 0
-            | c ->
-                fun wf out ->
-                  out.Wavefront.taken_branch <-
-                    sb_gen c wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
-                      next 0 size false Wavefront.done_pc 0
+           fun wf out ->
+            out.Wavefront.taken_branch <-
+              sb_gen c wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
+                next 0 size false Wavefront.done_pc 0
           in
           (dn, sp)
       | Fgpu_predecode.KJump ->

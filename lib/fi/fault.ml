@@ -58,7 +58,3 @@ let outcome_name = function
 
 let pp fmt t =
   Format.fprintf fmt "%s@%d" (structure_name t.structure) t.cycle
-
-let pp_outcome fmt = function
-  | Due msg -> Format.fprintf fmt "due(%s)" msg
-  | o -> Format.pp_print_string fmt (outcome_name o)

@@ -28,4 +28,3 @@ type outcome =
 
 val outcome_name : outcome -> string
 val pp : Format.formatter -> t -> unit
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -344,11 +344,6 @@ let stats t =
             cell_instances = acc.cell_instances + count;
           })
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "ff_bits=%d comb_gates=%d macros=%d macro_bits=%d instances=%d" s.ff_bits
-    s.comb_gates s.macro_count s.macro_bits s.cell_instances
-
 (* --- Planner transforms ---------------------------------------------- *)
 
 (* Divide macro [cell] into [banks] banks addressed by the MSBs of the

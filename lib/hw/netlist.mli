@@ -100,7 +100,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Planner transforms} *)
 

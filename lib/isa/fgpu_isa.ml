@@ -301,11 +301,6 @@ let decode w =
   else if opcode = op_ret then Ret
   else raise (Decode_error (Printf.sprintf "bad opcode %d" opcode))
 
-(* Does the instruction read / write global memory? (used by the timing
-   model and the cache) *)
-let is_load = function Lw _ -> true | _ -> false
-let is_store = function Sw _ -> true | _ -> false
-
 let writes_reg = function
   | Alu (_, rd, _, _)
   | Alui (_, rd, _, _)

@@ -58,6 +58,4 @@ val encode : t -> int32
 val decode : int32 -> t
 (** @raise Decode_error on an illegal opcode. *)
 
-val is_load : t -> bool
-val is_store : t -> bool
 val writes_reg : t -> reg option

@@ -313,10 +313,3 @@ let decode w =
       | _ -> bad ())
   | 0x73 -> Ecall
   | _ -> bad ()
-
-let is_load = function Lw _ -> true | _ -> false
-let is_store = function Sw _ -> true | _ -> false
-
-let is_branch = function
-  | Beq _ | Bne _ | Blt _ | Bge _ | Bltu _ | Bgeu _ | Jal _ | Jalr _ -> true
-  | _ -> false

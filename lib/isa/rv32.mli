@@ -55,7 +55,3 @@ val encode : t -> int32
 
 val decode : int32 -> t
 (** @raise Decode_error on words outside the supported subset. *)
-
-val is_load : t -> bool
-val is_store : t -> bool
-val is_branch : t -> bool

@@ -87,9 +87,3 @@ let assemble items =
           end)
     items;
   Array.of_list (List.rev !out)
-
-let pp_program fmt program =
-  Array.iteri
-    (fun i insn ->
-      Format.fprintf fmt "%4x: %s@." (i * 4) (Rv32.to_string insn))
-    program

@@ -24,5 +24,3 @@ val split_hi_lo : int32 -> int32 * int32
 
 val assemble : item list -> Rv32.t array
 (** @raise Asm_error on duplicate or undefined labels. *)
-
-val pp_program : Format.formatter -> Rv32.t array -> unit

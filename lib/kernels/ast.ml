@@ -98,15 +98,6 @@ let rec stmt_uses p = function
 
 let kernel_uses p kernel = List.exists (stmt_uses p) kernel.body
 
-let uses_local_id kernel =
-  kernel_uses (function Local_id -> true | _ -> false) kernel
-
-let uses_group_id kernel =
-  kernel_uses (function Group_id -> true | _ -> false) kernel
-
-let uses_local_size kernel =
-  kernel_uses (function Local_size -> true | _ -> false) kernel
-
 let has_barrier kernel =
   let rec stmt_has = function
     | Barrier -> true

@@ -64,7 +64,4 @@ val scalars : kernel -> string list
 val expr_uses : (expr -> bool) -> expr -> bool
 val stmt_uses : (expr -> bool) -> stmt -> bool
 val kernel_uses : (expr -> bool) -> kernel -> bool
-val uses_local_id : kernel -> bool
-val uses_group_id : kernel -> bool
-val uses_local_size : kernel -> bool
 val has_barrier : kernel -> bool

@@ -87,10 +87,6 @@ let insn_to_string = function
   | Barrier -> "barrier"
   | Ret -> "ret"
 
-let pp_program fmt p =
-  Format.fprintf fmt "kernel %s@." p.kernel_name;
-  List.iter (fun i -> Format.fprintf fmt "  %s@." (insn_to_string i)) p.insns
-
 (* Registers read / written by an instruction. *)
 let value_reg = function Reg v -> [ v ] | Imm _ -> []
 

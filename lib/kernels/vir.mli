@@ -32,7 +32,6 @@ val value_to_string : value -> string
 val binop_to_string : Ast.binop -> string
 val cmpop_to_string : Ast.cmpop -> string
 val insn_to_string : insn -> string
-val pp_program : Format.formatter -> program -> unit
 
 val uses : insn -> vreg list
 (** Registers read (with multiplicity). *)

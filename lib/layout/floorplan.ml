@@ -33,11 +33,6 @@ type t = {
 
 let centre r = (r.x +. (r.w /. 2.0), r.y +. (r.h /. 2.0))
 
-let partition_centre t name =
-  match List.find_opt (fun p -> String.equal p.part_name name) t.partitions with
-  | Some p -> Some (centre p.rect)
-  | None -> None
-
 (* All placed copies of a region ("gmc" may be replicated as "gmc#1",
    "gmc#2", ... under the future-work floorplan). *)
 let region_centres t region =

@@ -26,7 +26,6 @@ val top_density : float
 (** 0.30, the paper's sparse top partition. *)
 
 val centre : rect -> float * float
-val partition_centre : t -> string -> (float * float) option
 
 val region_centres : t -> string -> (float * float) list
 (** All placed copies of a region (the GMC may be replicated under the

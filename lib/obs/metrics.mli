@@ -5,7 +5,7 @@
     are ints, timings are integer nanoseconds, gauges merge by [max] —
     so {!merge} is associative and commutative and a set of per-domain
     or per-item snapshots folds to a bit-identical result no matter how
-    work was partitioned over a {!Ggpu_core.Parallel} domain pool.
+    work was partitioned over a {!Ggpu_par.Parallel} domain pool.
 
     Two usage styles:
     - {b explicit registries} ({!create}/{!snapshot}/{!merge}) for

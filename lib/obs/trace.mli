@@ -6,7 +6,7 @@
     stay instrumented unconditionally.  When enabled, each domain
     appends begin/end events to its own buffer (no contention); buffers
     are registered globally so spans recorded inside a joined
-    {!Ggpu_core.Parallel} fan-out survive their domain.
+    {!Ggpu_par.Parallel} fan-out survive their domain.
 
     Besides wall-clock spans the tracer records Chrome counter tracks
     ({!counter}, phase ["C"]) and pre-measured complete spans

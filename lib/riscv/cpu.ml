@@ -214,8 +214,3 @@ let run ?(fuel = 500_000_000) ?max_cycles t =
       (t.stats.cycles * 1_000_000 / wall_ns)
   end;
   t.stats
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "cycles=%d instrs=%d loads=%d stores=%d branches=%d taken=%d" s.cycles
-    s.instructions s.loads s.stores s.branches s.taken_branches

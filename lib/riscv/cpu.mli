@@ -55,5 +55,3 @@ val run : ?fuel:int -> ?max_cycles:int -> t -> stats
 (** Run to the halting [Ecall].
     @raise Out_of_fuel after [fuel] instructions (default 5e8).
     @raise Watchdog_timeout when simulated cycles exceed [max_cycles]. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -5,13 +5,13 @@
    wavefront select-pc machinery.  This executor models exactly one
    lane stepping a straight-line program: registers and memory in the
    canonical sign-extended native-int representation of
-   {!Ggpu_isa.I32}, the same ALU/division/shift semantics as
-   {!Ggpu_fgpu.Wavefront} (RISC-V M corner cases included), and the
-   same register-file conventions — reads of r0 come from slice 0
-   which is never written, writes to r0 land in a sink slot.  [step]
-   and [run] allocate nothing: state lives in one preallocated [t] and
-   instructions arrive predecoded ({!Ggpu_isa.Fgpu_predecode}), so a
-   screening loop is a handful of array reads per instruction.
+   {!Ggpu_isa.I32}, the simulator's own ALU ({!Ggpu_fgpu.Wavefront.alu},
+   RISC-V M corner cases included), and the same register-file
+   conventions — reads of r0 come from slice 0 which is never written,
+   writes to r0 land in a sink slot.  [step] and [run] allocate
+   nothing: state lives in one preallocated [t] and instructions arrive
+   predecoded ({!Ggpu_isa.Fgpu_predecode}), so a screening loop is a
+   handful of array reads per instruction.
 
    Control flow (branches, jumps) is deliberately unsupported: rewrite
    windows never contain it (see {!Peephole}), and candidate
@@ -41,38 +41,11 @@ let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 let create () =
   { regs = Array.make num_slots 0; lid = 0; wgid = 0; wgoff = 0; wgsize = 0; gsize = 0 }
 
-let clear t =
-  Array.fill t.regs 0 num_slots 0;
-  t.lid <- 0;
-  t.wgid <- 0;
-  t.wgoff <- 0;
-  t.wgsize <- 0;
-  t.gsize <- 0
-
 let reg t r = if r = 0 then 0 else t.regs.(r)
 let set_reg t r v = if r <> 0 then t.regs.(r) <- I32.sx v
 
 let load_params t params =
   List.iteri (fun i v -> set_reg t (i + 1) (I32.of_int32 v)) params
-
-(* Same operator table as {!Ggpu_fgpu.Wavefront.alu}; duplicated here
-   rather than exported from the simulator so the executor depends
-   only on instruction semantics, not on wavefront state. *)
-let alu op a b =
-  match op with
-  | Fgpu_isa.Add -> I32.add a b
-  | Fgpu_isa.Sub -> I32.sub a b
-  | Fgpu_isa.Mul -> I32.mul a b
-  | Fgpu_isa.Div -> I32.div_signed a b
-  | Fgpu_isa.Rem -> I32.rem_signed a b
-  | Fgpu_isa.And -> a land b
-  | Fgpu_isa.Or -> a lor b
-  | Fgpu_isa.Xor -> a lxor b
-  | Fgpu_isa.Sll -> I32.sll a b
-  | Fgpu_isa.Srl -> I32.srl a b
-  | Fgpu_isa.Sra -> I32.sra a b
-  | Fgpu_isa.Slt -> if a < b then 1 else 0
-  | Fgpu_isa.Sltu -> if I32.ult a b then 1 else 0
 
 let no_mem : int array = [||]
 
@@ -87,10 +60,12 @@ let[@inline] step ?(mem = no_mem) t (d : Fgpu_predecode.t) =
   | Fgpu_predecode.KAlu ->
       let a = Array.unsafe_get regs d.Fgpu_predecode.rs1
       and b = Array.unsafe_get regs d.Fgpu_predecode.rs2 in
-      Array.unsafe_set regs od (alu d.Fgpu_predecode.aop a b)
+      Array.unsafe_set regs od
+        (Ggpu_fgpu.Wavefront.alu d.Fgpu_predecode.aop a b)
   | Fgpu_predecode.KAlui ->
       let a = Array.unsafe_get regs d.Fgpu_predecode.rs1 in
-      Array.unsafe_set regs od (alu d.Fgpu_predecode.aop a d.Fgpu_predecode.imm)
+      Array.unsafe_set regs od
+        (Ggpu_fgpu.Wavefront.alu d.Fgpu_predecode.aop a d.Fgpu_predecode.imm)
   | Fgpu_predecode.KLoadImm -> Array.unsafe_set regs od d.Fgpu_predecode.imm
   | Fgpu_predecode.KLw ->
       let addr = Array.unsafe_get regs d.Fgpu_predecode.rs1 + d.Fgpu_predecode.imm in

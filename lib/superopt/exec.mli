@@ -2,8 +2,8 @@
     {!Ggpu_isa.I32} lane state: one lane's registers, no scheduler, no
     event heap.  Semantics are bit-identical to the simulator's lane
     engine ({!Ggpu_fgpu.Threaded}) and to its reference in
-    [test/fgpu_oracle.ml] for every straight-line instruction (ALU
-    including RISC-V M division corner cases, load immediates,
+    [test/fgpu_oracle.ml] for every straight-line instruction (the ALU
+    is the simulator's own {!Ggpu_fgpu.Wavefront.alu}; load immediates,
     loads/stores, SIMT specials); branches and jumps fault. *)
 
 type t = {
@@ -18,7 +18,6 @@ type t = {
 exception Fault of string
 
 val create : unit -> t
-val clear : t -> unit
 
 val reg : t -> int -> int
 (** Canonical (sign-extended) value of an architectural register. *)

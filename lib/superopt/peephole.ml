@@ -302,7 +302,3 @@ let optimise_items ?(cfg = Ggpu_fgpu.Config.default) ~rules items =
 let optimise_program ?cfg ~rules (prog : Fgpu_isa.t array) =
   let items, report = optimise_items ?cfg ~rules (items_of_program prog) in
   (Fgpu_asm.assemble items, report)
-
-let count_hits ~rules prog =
-  let _, report = optimise_program ~rules prog in
-  report

@@ -34,6 +34,3 @@ val optimise_program :
   Ggpu_isa.Fgpu_isa.t array * report
 (** Apply the rule table plus algebraic no-op elimination to fixpoint
     and re-assemble. *)
-
-val count_hits : rules:Rule.t list -> Ggpu_isa.Fgpu_isa.t array -> report
-(** Dry-run [optimise_program], returning only the report. *)

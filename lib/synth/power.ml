@@ -59,7 +59,3 @@ let of_netlist tech netlist ~freq_mhz =
     energy_per_cycle_pj tech netlist *. freq_mhz *. 1.0e6 /. 1.0e12
   in
   { leakage_mw; dynamic_w; total_w = dynamic_w +. (leakage_mw /. 1000.0) }
-
-let pp fmt t =
-  Format.fprintf fmt "leak=%.2fmW dyn=%.2fW total=%.2fW" t.leakage_mw
-    t.dynamic_w t.total_w

@@ -9,4 +9,3 @@ val macro_activity : float
 val leakage_mw : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> float
 val energy_per_cycle_pj : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> float
 val of_netlist : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> freq_mhz:float -> t
-val pp : Format.formatter -> t -> unit

@@ -40,9 +40,6 @@ let default_65nm =
 let comb_delay_ns t op ~width =
   float_of_int (Ggpu_hw.Op.levels op ~width) *. t.gate_delay_ns
 
-let comb_area_um2 t op ~width =
-  float_of_int (Ggpu_hw.Op.gates op ~width) *. t.gate_area_um2
-
 (* Average switching energy per cycle for a combinational cell. *)
 let comb_energy_fj t op ~width =
   float_of_int (Ggpu_hw.Op.gates op ~width)

@@ -18,6 +18,5 @@ type t = {
 
 val default_65nm : t
 val comb_delay_ns : t -> Ggpu_hw.Op.t -> width:int -> float
-val comb_area_um2 : t -> Ggpu_hw.Op.t -> width:int -> float
 val comb_energy_fj : t -> Ggpu_hw.Op.t -> width:int -> float
 val pp : Format.formatter -> t -> unit

@@ -464,6 +464,400 @@ let test_suite_matches_oracle () =
         buffers_ref buffers)
     Suite.all
 
+(* --- every instruction on every path ----------------------------------- *)
+
+(* ISA-level programs of one 64-item wavefront on 1 CU put every ALU
+   operator, in register and immediate form, and every branch condition
+   through each path of the lane engine:
+   - per-lane sources, on the dense lane loops;
+   - uniform sources, on the once-per-wavefront short-cuts;
+   - a divergent region that only the lanes falling through a mixed
+     branch enter: an if around one ALU instruction, so the lanes that
+     skip it already sit at the next pc, and a branch nested in an if;
+   - the sparse path after half the lanes have retired: the same
+     operators, then [li], the five specials, [lw]/[sw], [jump],
+     [barrier] and [ret].
+   Operands are edge values.  Each launch must match the reference
+   engine in every stat and every word of memory, and every stored
+   result must match the operator table below, written over [Int32].
+   The lane engine and the reference share {!Wavefront.alu} and
+   {!Wavefront.cond_holds}, so only this table checks the operators. *)
+
+module Isa = Ggpu_isa.Fgpu_isa
+module Asm = Ggpu_isa.Fgpu_asm
+
+let edges =
+  [| 0l; 1l; -1l; 31l; 32l; 33l; -32l; Int32.max_int; Int32.min_int |]
+
+let bit c = if c then 1l else 0l
+
+(* RISC-V M: x / 0 = -1, x rem 0 = x, INT_MIN / -1 = INT_MIN and
+   INT_MIN rem -1 = 0; shift amounts are taken mod 32.  An immediate is
+   the [int32] the instruction carries, as predecode reads it. *)
+let ref_alu (op : Isa.alu_op) a b =
+  let sh = Int32.to_int b land 31 in
+  match op with
+  | Isa.Add -> Int32.add a b
+  | Isa.Sub -> Int32.sub a b
+  | Isa.Mul -> Int32.mul a b
+  | Isa.Div ->
+      if b = 0l then -1l
+      else if a = Int32.min_int && b = -1l then Int32.min_int
+      else Int32.div a b
+  | Isa.Rem ->
+      if b = 0l then a
+      else if a = Int32.min_int && b = -1l then 0l
+      else Int32.rem a b
+  | Isa.And -> Int32.logand a b
+  | Isa.Or -> Int32.logor a b
+  | Isa.Xor -> Int32.logxor a b
+  | Isa.Sll -> Int32.shift_left a sh
+  | Isa.Srl -> Int32.shift_right_logical a sh
+  | Isa.Sra -> Int32.shift_right a sh
+  | Isa.Slt -> bit (Int32.compare a b < 0)
+  | Isa.Sltu -> bit (Int32.unsigned_compare a b < 0)
+
+let ref_cond (c : Isa.cond) a b =
+  match c with
+  | Isa.Eq -> a = b
+  | Isa.Ne -> a <> b
+  | Isa.Lt -> Int32.compare a b < 0
+  | Isa.Ge -> Int32.compare a b >= 0
+  | Isa.Ltu -> Int32.unsigned_compare a b < 0
+  | Isa.Geu -> Int32.unsigned_compare a b >= 0
+
+let all_alu_ops =
+  Isa.
+    [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu ]
+
+let all_conds = Isa.[ Eq; Ne; Lt; Ge; Ltu; Geu ]
+
+(* One launch: lane [l] reads the operand pair [pair l] (register
+   inputs) and the pairs [taken l]/[fallen l] on which the program's
+   condition holds / fails for every lane.  Lanes whose parity equals
+   [split] enter the if-regions, and go on to the tail while the others
+   run the sparse body and retire. *)
+type launch = {
+  pair : int -> int32 * int32;
+  taken : int -> int32 * int32;
+  fallen : int -> int32 * int32;
+  split : int;
+}
+
+let sentinel = 0x5eed5eedl
+let lanes = 64
+
+(* Memory: six 64-word input vectors (the three pairs), then one word
+   per lane for each per-lane result and one word for each uniform
+   one, all starting at [sentinel]. *)
+let input_words = 6 * lanes
+
+type program = {
+  mutable items : Asm.item list;  (* reversed *)
+  mutable words : int;
+  mutable checks : (string * int * int * (launch -> int -> int32)) list;
+      (* label, first word, word count, expected value of a lane *)
+}
+
+let emit p items = p.items <- List.rev_append items p.items
+
+(* [sw r] to this lane's word of a fresh per-lane slot ([r5] holds the
+   lane's byte offset). *)
+let store_lanes p label r expect =
+  let base = p.words in
+  p.words <- base + lanes;
+  p.checks <- (label, base, lanes, expect) :: p.checks;
+  emit p [ Asm.I (Isa.Sw (r, 5, 4 * base)) ]
+
+(* [sw r] to one fresh word: every executing lane stores the same
+   value there. *)
+let store_one p label r v =
+  let base = p.words in
+  p.words <- base + 1;
+  p.checks <- (label, base, 1, fun _ _ -> v) :: p.checks;
+  emit p [ Asm.I (Isa.Sw (r, 0, 4 * base)) ]
+
+let inside (g : launch) l = l land 1 = g.split
+
+(* r4 = lid, r5 = its byte offset, r6 = its parity, r7/r8 = the lane's
+   pair, r13/r14 its taken pair and r15/r16 its fallen pair; r1 holds
+   [split].  A dense [barrier] and [jump] ride along. *)
+let prologue p =
+  emit p
+    Asm.
+      [
+        I (Isa.Special (Isa.Lid, 4));
+        I (Isa.Alui (Isa.Sll, 5, 4, 2l));
+        I (Isa.Alui (Isa.And, 6, 4, 1l));
+        I (Isa.Lw (7, 5, 0));
+        I (Isa.Lw (8, 5, 4 * lanes));
+        I (Isa.Lw (13, 5, 8 * lanes));
+        I (Isa.Lw (14, 5, 12 * lanes));
+        I (Isa.Lw (15, 5, 16 * lanes));
+        I (Isa.Lw (16, 5, 20 * lanes));
+        I Isa.Barrier;
+        I (Isa.Li (21, 7l));
+        Jump_to "dense";
+        I (Isa.Li (21, sentinel));
+        Label "dense";
+      ];
+  store_lanes p "dense jump" 21 (fun _ _ -> 7l)
+
+(* One operator on per-lane and on uniform sources, run by the lanes
+   [live] selects. *)
+let alu_cases p op ~path ~live =
+  let name = Isa.alu_op_to_string op in
+  let per_lane label f =
+    store_lanes p label 10 (fun g l ->
+        if live g l then f (g.pair l) else sentinel)
+  in
+  emit p [ Asm.I (Isa.Alu (op, 10, 7, 8)) ];
+  per_lane (Printf.sprintf "%s %s per-lane" path name) (fun (a, b) ->
+      ref_alu op a b);
+  Array.iter
+    (fun imm ->
+      emit p [ Asm.I (Isa.Alui (op, 10, 7, imm)) ];
+      per_lane (Printf.sprintf "%s %si %ld per-lane" path name imm)
+        (fun (a, _) -> ref_alu op a imm))
+    edges;
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun y ->
+          emit p
+            Asm.
+              [
+                I (Isa.Li (11, x));
+                I (Isa.Li (12, y));
+                I (Isa.Alu (op, 10, 11, 12));
+              ];
+          store_one p
+            (Printf.sprintf "%s %s uniform %ld %ld" path name x y)
+            10 (ref_alu op x y);
+          emit p Asm.[ I (Isa.Li (11, x)); I (Isa.Alui (op, 10, 11, y)) ];
+          store_one p
+            (Printf.sprintf "%s %si uniform %ld %ld" path name x y)
+            10 (ref_alu op x y))
+        edges)
+    edges
+
+(* An if around one instruction: lanes outside the region branch to
+   the next pc, where the store waits. *)
+let alu_if p op =
+  let name = Isa.alu_op_to_string op in
+  let region insn label f =
+    emit p
+      Asm.
+        [
+          I (Isa.Li (10, sentinel));
+          I (Isa.Branch (Isa.Ne, 6, 1, 1));
+          I insn;
+        ];
+    store_lanes p label 10 (fun g l ->
+        if inside g l then f (g.pair l) else sentinel)
+  in
+  region (Isa.Alu (op, 10, 7, 8)) ("if " ^ name) (fun (a, b) ->
+      ref_alu op a b);
+  Array.iter
+    (fun imm ->
+      region
+        (Isa.Alui (op, 10, 7, imm))
+        (Printf.sprintf "if %si %ld" name imm)
+        (fun (a, _) -> ref_alu op a imm))
+    edges
+
+(* r10 = 1 if the lane takes [c] on (r1, r2), 0 if it falls through. *)
+let marker c r1 r2 =
+  Asm.
+    [
+      I (Isa.Li (10, 1l)); I (Isa.Branch (c, r1, r2, 1)); I (Isa.Li (10, 0l));
+    ]
+
+let cond_cases p c ~path ~live =
+  let name = Isa.cond_to_string c in
+  List.iter
+    (fun (outcome, r1, r2, pair) ->
+      emit p (marker c r1 r2);
+      store_lanes p
+        (Printf.sprintf "%s %s %s" path name outcome)
+        10
+        (fun g l ->
+          if live g l then
+            let a, b = pair g l in
+            bit (ref_cond c a b)
+          else sentinel))
+    [
+      ("mixed", 7, 8, fun g -> g.pair);
+      ("all taken", 13, 14, fun g -> g.taken);
+      ("none taken", 15, 16, fun g -> g.fallen);
+    ];
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun y ->
+          emit p
+            (Asm.I (Isa.Li (11, x)) :: Asm.I (Isa.Li (12, y)) :: marker c 11 12);
+          store_one p
+            (Printf.sprintf "%s %s uniform %ld %ld" path name x y)
+            10
+            (bit (ref_cond c x y)))
+        edges)
+    edges
+
+(* A branch nested in an if: only the lanes inside the region issue
+   it, on the sparse path. *)
+let cond_if p c =
+  let name = Isa.cond_to_string c in
+  let region r1 r2 label f =
+    emit p
+      (Asm.I (Isa.Li (10, sentinel))
+      :: Asm.I (Isa.Branch (Isa.Ne, 6, 1, 3))
+      :: marker c r1 r2);
+    store_lanes p label 10 (fun g l ->
+        if inside g l then
+          let a, b = f g l in
+          bit (ref_cond c a b)
+        else sentinel)
+  in
+  region 7 8 ("if " ^ name ^ " per-lane") (fun g -> g.pair);
+  region 13 14 ("if " ^ name ^ " all taken") (fun g -> g.taken);
+  region 15 16 ("if " ^ name ^ " none taken") (fun g -> g.fallen);
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun y ->
+          emit p [ Asm.I (Isa.Li (11, x)); Asm.I (Isa.Li (12, y)) ];
+          region 11 12
+            (Printf.sprintf "if %s uniform %ld %ld" name x y)
+            (fun _ _ -> (x, y)))
+        edges)
+    edges
+
+(* After the split, the lanes outside the if-regions run [body] on the
+   sparse path and retire; the others then run the tail, also sparse
+   because half the wavefront is gone. *)
+let retire_and_tail p body =
+  let tailer g l = inside g l and live g l = not (inside g l) in
+  emit p [ Asm.Branch_to (Isa.Eq, 6, 1, "tail") ];
+  body ~live;
+  emit p Asm.[ I Isa.Ret; Label "tail" ];
+  let special sp label v =
+    emit p [ Asm.I (Isa.Special (sp, 20)) ];
+    store_lanes p label 20 (fun g l -> if tailer g l then v l else sentinel)
+  in
+  special Isa.Lid "sparse lid" Int32.of_int;
+  special Isa.Wgid "sparse wgid" (fun _ -> 0l);
+  special Isa.Wgoff "sparse wgoff" (fun _ -> 0l);
+  special Isa.Wgsize "sparse wgsize" (fun _ -> Int32.of_int lanes);
+  special Isa.Gsize "sparse gsize" (fun _ -> Int32.of_int lanes);
+  emit p [ Asm.I (Isa.Li (20, 0x7654321l)) ];
+  store_lanes p "sparse li" 20 (fun g l ->
+      if tailer g l then 0x7654321l else sentinel);
+  emit p [ Asm.I (Isa.Lw (20, 5, 0)) ];
+  store_lanes p "sparse lw" 20 (fun g l ->
+      if tailer g l then fst (g.pair l) else sentinel);
+  emit p
+    Asm.
+      [
+        I (Isa.Li (21, 7l));
+        Jump_to "sparse";
+        I (Isa.Li (21, sentinel));
+        Label "sparse";
+      ];
+  store_lanes p "sparse jump" 21 (fun g l ->
+      if tailer g l then 7l else sentinel);
+  emit p Asm.[ I Isa.Barrier; I Isa.Ret ]
+
+let build f =
+  let p = { items = []; words = input_words; checks = [] } in
+  prologue p;
+  f p;
+  (Asm.assemble (List.rev p.items), p.words, List.rev p.checks)
+
+let alu_program op =
+  build (fun p ->
+      alu_cases p op ~path:"dense" ~live:(fun _ _ -> true);
+      alu_if p op;
+      retire_and_tail p (alu_cases p op ~path:"sparse"))
+
+let cond_program c =
+  build (fun p ->
+      cond_cases p c ~path:"dense" ~live:(fun _ _ -> true);
+      cond_if p c;
+      retire_and_tail p (cond_cases p c ~path:"sparse"))
+
+(* Block [k] of the 81 edge pairs: lane [l] takes pair [64k + l] mod 81,
+   so two blocks cover them all.  [c]'s taken and fallen pairs cycle
+   through the edge pairs on which it holds / fails. *)
+let launches c =
+  let n = Array.length edges in
+  let pairs = Array.init (n * n) (fun q -> (edges.(q mod n), edges.(q / n))) in
+  let where f =
+    let sel = Array.of_seq (Seq.filter f (Array.to_seq pairs)) in
+    fun l -> sel.(l mod Array.length sel)
+  in
+  let taken = where (fun (a, b) -> ref_cond c a b)
+  and fallen = where (fun (a, b) -> not (ref_cond c a b)) in
+  List.concat_map
+    (fun k ->
+      List.map
+        (fun split ->
+          {
+            pair = (fun l -> pairs.(((lanes * k) + l) mod (n * n)));
+            taken;
+            fallen;
+            split;
+          })
+        [ 0; 1 ])
+    [ 0; 1 ]
+
+let run_launch (program, words, checks) (g : launch) ~what =
+  let mem =
+    Array.init words (fun w ->
+        if w >= input_words then sentinel
+        else
+          let a, b = g.pair (w mod lanes)
+          and at, bt = g.taken (w mod lanes)
+          and af, bf = g.fallen (w mod lanes) in
+          [| a; b; at; bt; af; bf |].(w / lanes))
+  in
+  let observe engine =
+    let mem = Array.copy mem in
+    let stats =
+      with_engine engine (fun () ->
+          Gpu.run (Config.with_cus Config.default 1) ~program
+            ~params:[ Int32.of_int g.split ] ~global_size:lanes
+            ~local_size:lanes ~mem)
+    in
+    (Stats.to_assoc stats, mem)
+  in
+  let stats_ref, mem_ref = observe Oracle in
+  let stats, mem = observe Threaded in
+  let where = Printf.sprintf "%s, split %d" what g.split in
+  Alcotest.(check (list (pair string int))) (where ^ ": stats") stats_ref stats;
+  Alcotest.(check (array int32)) (where ^ ": memory") mem_ref mem;
+  List.iter
+    (fun (label, base, n, expect) ->
+      for i = 0 to n - 1 do
+        let want = expect g i and got = mem.(base + i) in
+        if got <> want then
+          Alcotest.failf "%s: %s, lane %d (operands %ld, %ld): %ld, want %ld"
+            where label i (fst (g.pair i)) (snd (g.pair i)) got want
+      done)
+    checks
+
+let test_every_instruction_every_path () =
+  let run name program c =
+    List.iteri
+      (fun i g ->
+        run_launch program g ~what:(Printf.sprintf "%s, block %d" name (i / 2)))
+      (launches c)
+  in
+  List.iter
+    (fun op -> run (Isa.alu_op_to_string op) (alu_program op) Isa.Eq)
+    all_alu_ops;
+  List.iter (fun c -> run (Isa.cond_to_string c) (cond_program c) c) all_conds
+
 let suite =
   [
     ( "backend",
@@ -482,5 +876,7 @@ let suite =
           test_inject_into_uniform_register;
         Alcotest.test_case "suite at perf-sim sizes matches oracle" `Slow
           test_suite_matches_oracle;
+        Alcotest.test_case "every instruction on every path" `Quick
+          test_every_instruction_every_path;
       ] );
   ]

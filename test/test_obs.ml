@@ -169,9 +169,9 @@ let work reg i =
 let test_map_collect_deterministic () =
   let items = List.init 37 Fun.id in
   let serial_vs, serial_snap =
-    Ggpu_core.Parallel.map_collect ~domains:1 work items
+    Ggpu_par.Parallel.map_collect ~domains:1 work items
   in
-  let par_vs, par_snap = Ggpu_core.Parallel.map_collect ~domains:4 work items in
+  let par_vs, par_snap = Ggpu_par.Parallel.map_collect ~domains:4 work items in
   Alcotest.(check (list int)) "values identical" serial_vs par_vs;
   check_bool "snapshots bit-identical across domain counts" true
     (M.equal_snapshot serial_snap par_snap);
@@ -183,7 +183,7 @@ let test_ambient_deterministic () =
     M.set_ambient_enabled true;
     M.ambient_reset ();
     ignore
-      (Ggpu_core.Parallel.map ~domains
+      (Ggpu_par.Parallel.map ~domains
          (fun i ->
            M.count "x" 1;
            M.observe_named ~buckets:[ 8; 32 ] "v" i;
