@@ -33,7 +33,9 @@ type t = {
 
 let create (cfg : Config.t) ~stats =
   let line_bytes = cfg.Config.cache.Config.line_words * 4 in
-  let num_lines = max 1 (cfg.Config.cache.Config.size_bytes / line_bytes) in
+  let num_lines =
+    Int.max 1 (cfg.Config.cache.Config.size_bytes / line_bytes)
+  in
   {
     line_words = cfg.Config.cache.Config.line_words;
     num_lines;
@@ -66,13 +68,14 @@ let set_tag t i v = t.tags.(i) <- v
 let line_addr t i = (t.tags.(i) * t.num_lines + i) * t.line_words * 4
 
 (* Earliest-free resource arbitration: pick the slot that frees first,
-   start no earlier than [now], occupy it for [busy] cycles. *)
+   start no earlier than [now], occupy it for [busy] cycles.  [Int.max],
+   not [max]: the polymorphic one is a C call once per line. *)
 let acquire (slots : int array) ~now ~busy =
   let best = ref 0 in
   for i = 1 to Array.length slots - 1 do
     if slots.(i) < slots.(!best) then best := i
   done;
-  let start = max now slots.(!best) in
+  let start = Int.max now slots.(!best) in
   slots.(!best) <- start + busy;
   start
 

@@ -1,82 +1,64 @@
-(* Minimal binary min-heap of (time, payload) pairs, used by the
-   discrete-event scheduler.  Entries may be stale; the scheduler
-   revalidates on pop. *)
+(* Minimal binary min-heap of int keys, used by the discrete-event
+   scheduler, whose keys pack an event's time and CU.  Entries may be
+   stale; the scheduler revalidates on pop.
 
-type 'a t = {
-  mutable times : int array;
-  mutable payloads : 'a array;
-  mutable size : int;
-  dummy : 'a;
-}
+   Keys sit in an [int array], so a sift step reads and writes plain
+   words: no tag check, no write barrier.  The sift loops are top-level
+   functions that carry the moving key and fill a hole, rather than
+   closures or swaps, so push and pop allocate nothing. *)
 
-let create ~dummy = { times = Array.make 16 0; payloads = Array.make 16 dummy; size = 0; dummy }
+type t = { mutable keys : int array; mutable size : int }
 
+let create () = { keys = Array.make 16 0; size = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
-(* Drop every entry (capacity is kept), overwriting payload slots with
-   the dummy so discarded payloads don't keep their referents alive. *)
-let clear t =
-  Array.fill t.payloads 0 t.size t.dummy;
-  t.size <- 0
+(* Move [k] up from the hole at [i] to where it belongs. *)
+let rec sift_up (keys : int array) i k =
+  if i = 0 then Array.unsafe_set keys 0 k
+  else
+    let p = (i - 1) / 2 in
+    let kp = Array.unsafe_get keys p in
+    if kp > k then begin
+      Array.unsafe_set keys i kp;
+      sift_up keys p k
+    end
+    else Array.unsafe_set keys i k
 
-let grow t =
-  let cap = Array.length t.times in
-  if t.size = cap then begin
-    let times = Array.make (cap * 2) 0 in
-    let payloads = Array.make (cap * 2) t.dummy in
-    Array.blit t.times 0 times 0 cap;
-    Array.blit t.payloads 0 payloads 0 cap;
-    t.times <- times;
-    t.payloads <- payloads
-  end
+(* Move [k] down from the hole at [i] within the first [n] slots. *)
+let rec sift_down (keys : int array) n i k =
+  let l = (2 * i) + 1 in
+  if l >= n then Array.unsafe_set keys i k
+  else
+    let r = l + 1 in
+    let c =
+      if r < n && Array.unsafe_get keys r < Array.unsafe_get keys l then r
+      else l
+    in
+    let kc = Array.unsafe_get keys c in
+    if kc < k then begin
+      Array.unsafe_set keys i kc;
+      sift_down keys n c k
+    end
+    else Array.unsafe_set keys i k
 
-let swap t i j =
-  let ti = t.times.(i) and pi = t.payloads.(i) in
-  t.times.(i) <- t.times.(j);
-  t.payloads.(i) <- t.payloads.(j);
-  t.times.(j) <- ti;
-  t.payloads.(j) <- pi
-
-let push t time payload =
-  grow t;
-  let i = ref t.size in
-  t.times.(!i) <- time;
-  t.payloads.(!i) <- payload;
-  t.size <- t.size + 1;
-  while !i > 0 && t.times.((!i - 1) / 2) > t.times.(!i) do
-    swap t !i ((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done
+let push t key =
+  let n = t.size in
+  if n = Array.length t.keys then begin
+    let keys = Array.make (2 * n) 0 in
+    Array.blit t.keys 0 keys 0 n;
+    t.keys <- keys
+  end;
+  t.size <- n + 1;
+  sift_up t.keys n key
 
 exception Empty
 
-(* Remove the smallest entry and return its time alone, so a caller
-   whose time key already encodes the payload allocates no pair. *)
 let pop_time t =
-  if t.size = 0 then raise Empty;
-  let time = t.times.(0) in
-  t.size <- t.size - 1;
-  t.times.(0) <- t.times.(t.size);
-  t.payloads.(0) <- t.payloads.(t.size);
-  t.payloads.(t.size) <- t.dummy;
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && t.times.(l) < t.times.(!smallest) then smallest := l;
-    if r < t.size && t.times.(r) < t.times.(!smallest) then smallest := r;
-    if !smallest <> !i then begin
-      swap t !i !smallest;
-      i := !smallest
-    end
-    else continue := false
-  done;
-  time
-
-let pop t =
-  if t.size = 0 then raise Empty;
-  let payload = t.payloads.(0) in
-  let time = pop_time t in
-  (time, payload)
+  let n = t.size - 1 in
+  if n < 0 then raise Empty;
+  let keys = t.keys in
+  let top = Array.unsafe_get keys 0 in
+  t.size <- n;
+  if n > 0 then sift_down keys n 0 (Array.unsafe_get keys n);
+  top

@@ -1,23 +1,19 @@
-(** Minimal binary min-heap of (time, payload) pairs for the
-    discrete-event scheduler. Entries may be stale; the scheduler
-    revalidates on pop. *)
+(** Minimal binary min-heap of int keys for the discrete-event
+    scheduler, which packs an event's time and CU into one key.
+    Entries may be stale; the scheduler revalidates on pop.  Push and
+    pop allocate nothing (growing the backing array aside). *)
 
-type 'a t
+type t
 
-val create : dummy:'a -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
-val push : 'a t -> int -> 'a -> unit
-
-val clear : 'a t -> unit
-(** Drop every entry, releasing payload references; capacity is kept,
-    so a cleared heap can be reused without reallocation. *)
+val create : unit -> t
+val is_empty : t -> bool
+val length : t -> int
+val push : t -> int -> unit
 
 exception Empty
 
-val pop : 'a t -> int * 'a
-(** Smallest time first. @raise Empty on an empty heap. *)
-
-val pop_time : 'a t -> int
-(** [pop] without the payload: removes the smallest entry and returns
-    its time, allocating nothing.  @raise Empty on an empty heap. *)
+val pop_time : t -> int
+(** Remove the smallest key and return it.  Equal keys are
+    indistinguishable, so the sequence of popped keys is a function of
+    the pushed keys alone, never of the heap's layout.
+    @raise Empty on an empty heap. *)

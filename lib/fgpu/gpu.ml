@@ -14,13 +14,18 @@
    cycle runs complete in seconds.
 
    The per-issue path allocates nothing: the scheduler's scans are
-   top-level functions rather than per-call closures, heap keys carry
-   the CU id so a pop returns one int, and the issue itself writes into
-   a reused outcome record.  Each dispatched workgroup allocates its
-   wavefront records, but in the sequential simulation it takes its
-   register files — 33 x 64 words each, too large for the minor heap —
-   from workgroups that retired earlier in the launch, so short, wide
-   launches do not churn the major heap.
+   top-level functions rather than per-call closures, the event heap
+   holds bare int keys that carry the CU id, and the issue itself
+   writes into a reused outcome record.  Nor does it call C or divide:
+   integer [max]/[min] go through [Int] (the polymorphic ones compare
+   in C), and the round-robin cursor is reduced with [mod] only after a
+   retirement left it past the resident set.  Each dispatched
+   workgroup allocates its wavefront records.  In an in-place run or a
+   record pass on one domain it takes their register files — 33 x 64
+   words each, too large for the minor heap — from workgroups that
+   retired earlier in the launch, so short, wide launches do not churn
+   the major heap.  A replay's wavefronts have no register file at all
+   ({!Wavefront.timing_only}).
 
    Scheduler structures are flat: each CU keeps its resident wavefronts
    in a fixed array (paired with
@@ -136,13 +141,22 @@ let candidate_time cu =
       if runnable wf && wf.Wavefront.ready_at < !best then
         best := wf.Wavefront.ready_at
     done;
-    let c = if !best = no_candidate then no_candidate else max cu.vu_free !best in
+    let c =
+      if !best = no_candidate then no_candidate else Int.max cu.vu_free !best
+    in
     cu.cand <- c;
     cu.cand_valid <- true;
     c
   end
 
 let invalidate cu = cu.cand_valid <- false
+
+(* The round-robin cursor as a slot index.  [commit_rr] keeps it below
+   the slot count; only a retirement that shrank the slots can leave it
+   past them, so the division runs only then. *)
+let[@inline] rr_slot cu n =
+  let rr = cu.rr in
+  if rr < n then rr else rr mod n
 
 (* Fused candidate-time + round-robin pick for the burst continuation:
    one pass in probe order yields both the earliest issue time (cached
@@ -201,7 +215,7 @@ let next_issue cu =
        round-robin cursor itself, so when that wavefront is already
        ready at [vu_free] it wins outright — [min_ready <= ready_at <=
        vu] forces t' = vu and the probe stops on its first slot. *)
-    let rr = cu.rr mod n in
+    let rr = rr_slot cu n in
     let wf0 = Array.unsafe_get slots rr in
     if runnable wf0 && wf0.Wavefront.ready_at <= vu then begin
       cu.cand <- vu;
@@ -215,9 +229,8 @@ let next_issue cu =
    round-robin winner instead of scanning the rest (hot path: called
    once per issue popped from the heap).  Returns the slot index, -1 if
    nothing is ready.  A pure scan: it probes (rr + k) mod n for k = 0..,
-   without the per-probe division (the cursor may be stale past n after
-   a workgroup retired, hence the initial mod).  The caller commits the
-   cursor once it decides to issue the winner. *)
+   without the per-probe division.  The caller commits the cursor once
+   it decides to issue the winner. *)
 let rec probe_ready (slots : Wavefront.t array) n t idx k =
   if k >= n then -1
   else
@@ -226,7 +239,8 @@ let rec probe_ready (slots : Wavefront.t array) n t idx k =
     else probe_ready slots n t (if idx + 1 = n then 0 else idx + 1) (k + 1)
 
 let pick_wavefront cu t =
-  probe_ready cu.wf_slots cu.n_wfs t (cu.rr mod cu.n_wfs) 0
+  let n = cu.n_wfs in
+  probe_ready cu.wf_slots n t (rr_slot cu n) 0
 
 (* One wavefront's recorded issue stream for replay: a byte string of
    LEB128 varints (7 bits per byte, high bit set on every byte but the
@@ -268,7 +282,7 @@ module Tbuf = struct
     let nl = out.Wavefront.mem_line_count in
     let need = b.len + (max_varint * (2 + nl)) in
     if need > Bytes.length b.buf then begin
-      let a = Bytes.create (max (2 * Bytes.length b.buf) need) in
+      let a = Bytes.create (Int.max (2 * Bytes.length b.buf) need) in
       Bytes.blit b.buf 0 a 0 b.len;
       b.buf <- a
     end;
@@ -426,14 +440,20 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       | Some issue -> fun wf out -> issue dprog ~mem:imem ~line_words wf out
     in
     (* [reuse ()] offers a retired wavefront whose storage the new one
-       may take over *)
+       may take over; [reuse = None] builds timing-only wavefronts, for a
+       replay *)
     let make_wg ~reuse wg_id =
+      let wg_offset = wg_id * local_size in
+      let wg_size = Int.min local_size (global_size - wg_offset) in
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->
-            Wavefront.create ?reuse:(reuse ()) ~wg_id ~wf_index ~size:wf_size
-              ~wg_offset:(wg_id * local_size)
-              ~wg_size:(min local_size (global_size - (wg_id * local_size)))
-              ~global_size ~params ())
+            match reuse with
+            | Some reuse ->
+                Wavefront.create ?reuse:(reuse ()) ~wg_id ~wf_index
+                  ~size:wf_size ~wg_offset ~wg_size ~global_size ~params ()
+            | None ->
+                Wavefront.timing_only ~wg_id ~wf_index ~size:wf_size
+                  ~wg_offset ~wg_size ~global_size)
       in
       {
         wg_id;
@@ -447,11 +467,11 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       { wg_id = -1; wavefronts = [||]; barrier_waiting = 0; finished_wfs = 0; items = 0 }
     in
     let dummy_wf =
-      Wavefront.create ~wg_id:(-1) ~wf_index:0 ~size:1 ~wg_offset:0 ~wg_size:0
-        ~global_size:0 ~params:[] ()
+      Wavefront.timing_only ~wg_id:(-1) ~wf_index:0 ~size:1 ~wg_offset:0
+        ~wg_size:0 ~global_size:0
     in
     let slot_capacity =
-      max wfs_per_wg (cfg.Config.max_workitems_per_cu / wf_size)
+      Int.max wfs_per_wg (cfg.Config.max_workitems_per_cu / wf_size)
     in
     (* Recording is worth it when its streams are replayed more than
        once or its functional work fans out over domains, and sound only
@@ -477,7 +497,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       let spare = Stack.create () in
       let reuse () = if domains = 1 then Stack.pop_opt spare else None in
       let exec_wg wg_id =
-        let wg = make_wg ~reuse wg_id in
+        let wg = make_wg ~reuse:(Some reuse) wg_id in
         let wfs = wg.wavefronts in
         let nw = Array.length wfs in
         let out = Wavefront.make_outcome ~max_lanes:wf_size in
@@ -540,7 +560,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
               cand_valid = false;
             })
       in
-      let heap = Event_heap.create ~dummy:() in
+      let heap = Event_heap.create () in
       (* Heap keys pack (time, cu_id) so that equal-time events pop in
          CU order.  The pop sequence is then a pure function of the
          event *values* — never of push history or internal heap layout
@@ -553,7 +573,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       in
       let cu_mask = (1 lsl cu_bits) - 1 in
       let push_event t cu_id =
-        Event_heap.push heap ((t lsl cu_bits) lor cu_id) ()
+        Event_heap.push heap ((t lsl cu_bits) lor cu_id)
       in
       let schedule cu =
         let t = candidate_time cu in
@@ -561,9 +581,13 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       in
       let next_wg = ref 0 in
       (* Wavefronts of retired workgroups, whose register files the next
-         dispatched workgroup takes over instead of allocating *)
+         dispatched workgroup takes over instead of allocating; a
+         replay's have none *)
       let spare = Stack.create () in
-      let reuse () = Stack.pop_opt spare in
+      let reuse =
+        if Option.is_some traces then None
+        else Some (fun () -> Stack.pop_opt spare)
+      in
       (* One sample of [cu]'s wavefront-occupancy track, in simulated
          cycles; emitted at the points where occupancy changes (dispatch,
          barrier entry/release, retirement). *)
@@ -625,7 +649,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
           (fun wf ->
             if wf.Wavefront.at_barrier then begin
               wf.Wavefront.at_barrier <- false;
-              wf.Wavefront.ready_at <- max wf.Wavefront.ready_at now
+              wf.Wavefront.ready_at <- Int.max wf.Wavefront.ready_at now
             end)
           wg.wavefronts;
         wg.barrier_waiting <- 0;
@@ -649,7 +673,8 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
         done;
         cu.n_wfs <- !j;
         cu.resident_items <- cu.resident_items - wg.items;
-        Array.iter (fun wf -> Stack.push wf spare) wg.wavefronts;
+        if Option.is_some reuse then
+          Array.iter (fun wf -> Stack.push wf spare) wg.wavefronts;
         invalidate cu
       in
       let out = Wavefront.make_outcome ~max_lanes:wf_size in
@@ -906,7 +931,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
        to the launch's. *)
     let publish (stats, events, heap_depth, end_ns) =
       if Ggpu_obs.Metrics.ambient_enabled () then begin
-        let wall_ns = max 1 (end_ns - !mark_ns) in
+        let wall_ns = Int.max 1 (end_ns - !mark_ns) in
         mark_ns := end_ns;
         Ggpu_obs.Metrics.count "sim.fgpu.runs" 1;
         Ggpu_obs.Metrics.count "sim.fgpu.cycles" stats.Stats.cycles;

@@ -38,7 +38,9 @@
    allocates nothing per issue.  The one large allocation is the
    register file itself, 33 x [size] words, which lands directly in the
    major heap; {!create}'s [reuse] lets a scheduler hand a retired
-   wavefront's storage to the next one instead.
+   wavefront's storage to the next one instead.  A replay, which takes
+   every issue from a recorded trace, needs neither registers nor pcs:
+   {!timing_only} builds a wavefront with only the scheduler's state.
 
    Three caches on the wavefront spare the engine work a plain reading
    of [pcs] and [regs] would redo:
@@ -139,34 +141,14 @@ let make_outcome ~max_lanes =
     retired = false;
   }
 
-let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
-    ~(params : int32 list) () =
-  let pcs, regs =
-    match reuse with
-    | Some (old : t) when old.size = size ->
-        (* a retired wavefront's storage: zeroed, it is indistinguishable
-           from a fresh allocation *)
-        Array.fill old.regs 0 (Array.length old.regs) 0;
-        (old.pcs, old.regs)
-    | _ -> (Array.make size 0, Array.make (num_reg_slices * size) 0)
-  in
-  let first_lid = wf_index * size in
-  let live = ref 0 in
-  for lane = 0 to size - 1 do
-    let lid = first_lid + lane in
-    (* lanes past the workgroup or the global range never run *)
-    if lid >= wg_size || wg_offset + lid >= global_size then
-      pcs.(lane) <- done_pc
-    else begin
-      pcs.(lane) <- 0;
-      incr live
-    end
-  done;
-  List.iteri
-    (fun i v ->
-      let r = i + 1 and v = I32.of_int32 v in
-      Array.fill regs (r * size) size v)
-    params;
+(* Lanes of wavefront [wf_index] inside both the workgroup and the
+   global range: a prefix of its [size] lanes, possibly empty. *)
+let live_count ~wf_index ~size ~wg_offset ~wg_size ~global_size =
+  let n = Int.min wg_size (global_size - wg_offset) - (wf_index * size) in
+  if n < 0 then 0 else if n > size then size else n
+
+let make ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size ~pcs ~regs
+    ~live =
   {
     wg_id;
     wf_index;
@@ -178,17 +160,45 @@ let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
     regs;
     (* registers start at zero and parameters are broadcast *)
     uniform = all_uniform;
-    conv_pc = (if !live = size then 0 else -1);
+    conv_pc = (if live = size then 0 else -1);
     sel_pc = 0;
     sel_cnt = 0;
     sel_valid = false;
-    live_lanes = !live;
+    live_lanes = live;
     ready_at = 0;
     at_barrier = false;
     last_cu = -1;
     stall_kind = Ggpu_pmu.Pmu.sk_latency;
     dispatched_at = 0;
   }
+
+let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
+    ~(params : int32 list) () =
+  let pcs, regs =
+    match reuse with
+    | Some (old : t) when old.size = size ->
+        (* a retired wavefront's storage: zeroed, it is indistinguishable
+           from a fresh allocation *)
+        Array.fill old.regs 0 (Array.length old.regs) 0;
+        (old.pcs, old.regs)
+    | _ -> (Array.make size 0, Array.make (num_reg_slices * size) 0)
+  in
+  (* lanes past the workgroup or the global range never run *)
+  let live = live_count ~wf_index ~size ~wg_offset ~wg_size ~global_size in
+  Array.fill pcs 0 live 0;
+  Array.fill pcs live (size - live) done_pc;
+  List.iteri
+    (fun i v ->
+      let r = i + 1 and v = I32.of_int32 v in
+      Array.fill regs (r * size) size v)
+    params;
+  make ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size ~pcs ~regs
+    ~live
+
+let timing_only ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size =
+  make ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size ~pcs:[||]
+    ~regs:[||]
+    ~live:(live_count ~wf_index ~size ~wg_offset ~wg_size ~global_size)
 
 let finished t = t.live_lanes = 0
 

@@ -11,7 +11,8 @@
     an issue writes a reusable [outcome] scratch record, so the
     steady-state issue path allocates nothing.  The register file is
     the one large allocation per wavefront; a scheduler can recycle it
-    through {!create}'s [reuse]. *)
+    through {!create}'s [reuse], and a replay, which takes its issues
+    from a trace, builds {!timing_only} wavefronts that have none. *)
 
 val done_pc : int
 
@@ -105,6 +106,19 @@ val create :
     retired wavefront of the same [size] whose [pcs]/[regs] storage the
     new one takes (zeroed first), saving the register file's major-heap
     allocation; the old wavefront must not be issued again. *)
+
+val timing_only :
+  wg_id:int ->
+  wf_index:int ->
+  size:int ->
+  wg_offset:int ->
+  wg_size:int ->
+  global_size:int ->
+  t
+(** A wavefront that carries only what the scheduler reads: the
+    [live_lanes] {!create} would count, with empty [pcs] and [regs].
+    For a replay, whose issues come from a recorded trace; a lane
+    engine must never issue it. *)
 
 val finished : t -> bool
 

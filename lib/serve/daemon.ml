@@ -267,6 +267,11 @@ let drop_conn st conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
   st.conns <- List.filter (fun c -> c != conn) st.conns
 
+(* The longest line the daemon buffers: far above any request or
+   control a client sends (a few hundred bytes), and a bound on what one
+   connection can make the daemon hold. *)
+let max_line_bytes = 65536
+
 let read_ready st conn =
   let chunk = Bytes.create 4096 in
   let read_ts = Metrics.now_ns () in
@@ -276,14 +281,29 @@ let read_ready st conn =
       drop_conn st conn
   | 0 -> drop_conn st conn
   | n ->
-      for i = 0 to n - 1 do
-        let c = Bytes.get chunk i in
+      let i = ref 0 in
+      while !i < n do
+        let c = Bytes.get chunk !i in
+        incr i;
         if c = '\n' then begin
           let line = Buffer.contents conn.buf in
           Buffer.clear conn.buf;
           if String.trim line <> "" then handle_line st conn ~read_ts line
         end
-        else Buffer.add_char conn.buf c
+        else if Buffer.length conn.buf < max_line_bytes then
+          Buffer.add_char conn.buf c
+        else begin
+          (* the reply a malformed line gets, then the connection goes:
+             the rest of the line is not worth reading *)
+          write_line conn
+            (Proto.response_to_line
+               (unkeyed 0
+                  (Proto.Failed
+                     (Printf.sprintf "line longer than %d bytes"
+                        max_line_bytes))));
+          drop_conn st conn;
+          i := n
+        end
       done
 
 let accept_ready st =

@@ -17,9 +17,16 @@
     control returns the engine registry in text exposition format —
     both without the daemon having been started with tracing armed.
 
+    A line longer than {!max_line_bytes} gets the [failed] reply a
+    malformed line gets, and its connection is closed.
+
     Shutdown (a [shutdown] control line, SIGTERM or SIGINT) is graceful:
     the listener closes, queued work drains through the engine, replies
     flush, and the socket path is unlinked. *)
+
+val max_line_bytes : int
+(** The longest line a connection may send: 64 KiB, far above any
+    request or control. *)
 
 val run :
   ?engine_config:Engine.config ->

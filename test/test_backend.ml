@@ -132,7 +132,9 @@ let gen_case =
   let open G in
   let* kernel, with_barrier = gen_kernel in
   let* gsize = int_range 1 300 in
-  let* lsize = oneofl [ 64; 128 ] in
+  (* 96: a workgroup's second wavefront has lanes past the workgroup,
+     and a tail workgroup can hold a wavefront with no live lane *)
+  let* lsize = oneofl [ 64; 96; 128 ] in
   let* cus = oneofl [ 1; 2; 4 ] in
   return { kernel; gsize; lsize = min lsize gsize; cus; with_barrier }
 
@@ -169,15 +171,31 @@ let observe c ~engine ~domains =
   (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers)
 
 (* One launch timed at every count of [run_cus_counts]: its record pass
-   runs once and each count replays it. *)
+   runs once and each count replays it.  Also returns the launch's
+   [sim.fgpu.split_fallbacks]: a generated kernel is race-free, so a
+   replay that desynchronises is a replay bug, which the in-place
+   fallback would otherwise hide behind correct results. *)
 let run_cus_counts = [ 1; 2; 4 ]
 
 let observe_cus c ~engine ~domains =
+  let module M = Ggpu_obs.Metrics in
   let compiled = Codegen_fgpu.compile c.kernel in
-  with_engine engine (fun () ->
-      Run_fgpu.run_cus ~domains compiled ~args:(mk_args c)
-        ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ())
-  |> List.map (fun r -> (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers))
+  M.set_ambient_enabled true;
+  M.ambient_reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      M.set_ambient_enabled false;
+      M.ambient_reset ())
+    (fun () ->
+      let runs =
+        with_engine engine (fun () ->
+            Run_fgpu.run_cus ~domains compiled ~args:(mk_args c)
+              ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ())
+      in
+      ( M.find_counter (M.ambient_snapshot ()) "sim.fgpu.split_fallbacks",
+        List.map
+          (fun r -> (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers))
+          runs ))
 
 let prop_backends_and_domains_agree =
   QCheck.Test.make ~name:"backend x domains differential" ~count:30 arb_case
@@ -193,7 +211,7 @@ let prop_backends_and_domains_agree =
         [ (Threaded, 1); (Threaded, 3); (Threaded, 4); (Oracle, 2) ]
       && List.for_all
            (fun (engine, domains) ->
-             observe_cus c ~engine ~domains = per_count)
+             observe_cus c ~engine ~domains = (Some 0, per_count))
            [ (Threaded, 1); (Threaded, 3); (Oracle, 1) ])
 
 (* --- superopt peephole differential ------------------------------------ *)

@@ -152,30 +152,29 @@ let test_quantised_frequency () =
 (* --- Event heap ---------------------------------------------------------- *)
 
 let test_event_heap_ordering () =
-  let h = Event_heap.create ~dummy:(-1) in
-  List.iter (fun (t, v) -> Event_heap.push h t v)
-    [ (5, 50); (1, 10); (3, 30); (1, 11); (4, 40); (2, 20) ];
+  let h = Event_heap.create () in
+  List.iter (Event_heap.push h) [ 5; 1; 3; 1; 4; 2 ];
   let rec drain acc =
     if Event_heap.is_empty h then List.rev acc
-    else drain (fst (Event_heap.pop h) :: acc)
+    else drain (Event_heap.pop_time h :: acc)
   in
-  Alcotest.(check (list int)) "sorted times" [ 1; 1; 2; 3; 4; 5 ] (drain [])
+  Alcotest.(check (list int)) "sorted keys" [ 1; 1; 2; 3; 4; 5 ] (drain [])
 
 let prop_event_heap_sorted =
   QCheck.Test.make ~name:"event heap pops sorted" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 0 50) (int_range 0 1000))
-    (fun times ->
-      let h = Event_heap.create ~dummy:0 in
-      List.iteri (fun i t -> Event_heap.push h t i) times;
+    (fun keys ->
+      let h = Event_heap.create () in
+      List.iter (Event_heap.push h) keys;
       let rec drain acc =
         if Event_heap.is_empty h then List.rev acc
-        else drain (fst (Event_heap.pop h) :: acc)
+        else drain (Event_heap.pop_time h :: acc)
       in
-      drain [] = List.sort Int.compare times)
+      drain [] = List.sort Int.compare keys)
 
 let test_event_heap_empty_pop () =
-  let h = Event_heap.create ~dummy:0 in
-  match Event_heap.pop h with
+  let h = Event_heap.create () in
+  match Event_heap.pop_time h with
   | _ -> Alcotest.fail "expected Empty"
   | exception Event_heap.Empty -> ()
 

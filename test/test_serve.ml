@@ -587,6 +587,115 @@ let test_span_groups_render_deterministically () =
     (Json.to_string doc)
     (Json.to_string (Ggpu_obs.Trace.events_to_json events))
 
+(* --- the daemon under misbehaving clients -------------------------------- *)
+
+(* A connection to a daemon starting on another domain.  Reads time
+   out, so a daemon that never answers fails the test instead of
+   hanging it. *)
+let daemon_connect socket =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when Unix.gettimeofday () -. t0 < 10.0 ->
+        Unix.close fd;
+        Unix.sleepf 0.005;
+        go ()
+  in
+  go ()
+
+let send_all fd s =
+  let pos = ref 0 in
+  while !pos < String.length s do
+    pos := !pos + Unix.write_substring fd s !pos (String.length s - !pos)
+  done
+
+(* The next reply line, or [None] once the daemon has hung up (a reset
+   counts: it may close with bytes of ours unread). *)
+let recv_line fd =
+  let line = Buffer.create 256 and b = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd b 0 1 with
+    | 0 -> None
+    | _ when Bytes.get b 0 = '\n' -> Some (Buffer.contents line)
+    | _ ->
+        Buffer.add_char line (Bytes.get b 0);
+        go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "the daemon sent no reply within 5 s"
+  in
+  go ()
+
+(* The reply's [status], or its [control] for a control reply. *)
+let reply_kind line =
+  match Json.parse line with
+  | Error e -> Alcotest.failf "reply %S is not JSON: %s" line e
+  | Ok j -> (
+      match (Json.member "status" j, Json.member "control" j) with
+      | Some (Json.String s), _ | None, Some (Json.String s) -> s
+      | _ -> Alcotest.failf "reply %S has no status" line)
+
+let test_daemon_misbehaving_clients () =
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ggpu-daemon-%d.sock" (Unix.getpid ()))
+  in
+  let daemon =
+    Domain.spawn (fun () -> Ggpu_serve.Daemon.run ~domains:1 ~socket ())
+  in
+  let running = ref true in
+  let shutdown () =
+    let fd = daemon_connect socket in
+    send_all fd (P.control_to_line P.Shutdown ^ "\n");
+    let reply = recv_line fd in
+    Unix.close fd;
+    running := false;
+    Domain.join daemon;
+    reply
+  in
+  let check what expected fd =
+    Alcotest.(check (option string))
+      what (Some expected)
+      (Option.map reply_kind (recv_line fd))
+  in
+  Fun.protect
+    ~finally:(fun () -> if !running then ignore (shutdown ()))
+    (fun () ->
+      (* a line past the cap: one failed reply, then the daemon hangs up
+         without acting on what it read *)
+      let fd = daemon_connect socket in
+      send_all fd
+        (String.make (Ggpu_serve.Daemon.max_line_bytes + 1) 'x');
+      check "an over-long line fails" "failed" fd;
+      Alcotest.(check (option string)) "then the connection ends" None
+        (recv_line fd);
+      Unix.close fd;
+      (* binary junk: a failed reply, and the connection stays usable *)
+      let fd = daemon_connect socket in
+      send_all fd "\x00\xff\xfe{[\x01\x7f\x80junk\n";
+      check "binary junk fails" "failed" fd;
+      send_all fd (P.control_to_line P.Ping ^ "\n");
+      check "the same connection still answers" "ping" fd;
+      Unix.close fd;
+      (* a complete shutdown control without its newline, then a
+         disconnect: the half-written line is dropped, not run *)
+      let fd = daemon_connect socket in
+      send_all fd (P.control_to_line P.Shutdown);
+      Unix.close fd;
+      let fd = daemon_connect socket in
+      send_all fd (P.control_to_line P.Ping ^ "\n");
+      check "a new connection answers" "ping" fd;
+      Unix.close fd;
+      Alcotest.(check (option string))
+        "shutdown stops the daemon" (Some "shutdown")
+        (Option.map reply_kind (shutdown ())))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -622,5 +731,7 @@ let suite =
           test_step_traced_groups;
         Alcotest.test_case "span groups render deterministically" `Quick
           test_span_groups_render_deterministically;
+        Alcotest.test_case "daemon survives misbehaving clients" `Quick
+          test_daemon_misbehaving_clients;
       ] );
   ]
