@@ -45,6 +45,7 @@ type result = {
   map : Map.t;
   iterations : int;
   final : Timing.report;
+  engine : Timing.engine option; (* synced at the final netlist *)
   perf : perf;
 }
 
@@ -311,6 +312,7 @@ let explore ?(strategy = Full) ?(incremental = true) tech netlist ~num_cus
     map = { Map.num_cus; target_period_ns = period_ns; edits = edit_list };
     iterations = !iterations;
     final;
+    engine;
     perf =
       {
         sta_calls = !sta_calls;

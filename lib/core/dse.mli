@@ -30,6 +30,9 @@ type result = {
   map : Map.t;
   iterations : int;
   final : Ggpu_synth.Timing.report;  (** meets the period by construction *)
+  engine : Ggpu_synth.Timing.engine option;
+      (** the engine [final] came from, synchronised at the returned
+          netlist; [None] under [~incremental:false] *)
   perf : perf;
 }
 

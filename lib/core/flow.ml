@@ -46,11 +46,11 @@ type synthesis = {
   syn_phases : (string * float) list;
 }
 
-(* Logic synthesis only - enough for a Table I row.  [base] supplies a
-   pre-elaborated netlist for the spec's CU count; it is copied, not
-   mutated, so one base can serve several frequency targets. *)
-let synthesise_timed ?(tech = Tech.default_65nm) ?(incremental = true)
-    ?base (spec : Spec.t) =
+(* Logic synthesis only - enough for a Table I row - and the DSE result
+   it came from.  [base] supplies a pre-elaborated netlist for the
+   spec's CU count; it is copied, not mutated, so one base can serve
+   several frequency targets. *)
+let synthesise_dse ~tech ?(incremental = true) ?base (spec : Spec.t) =
   Ggpu_obs.Trace.with_span "flow.synthesise"
     ~args:
       [
@@ -74,14 +74,18 @@ let synthesise_timed ?(tech = Tech.default_65nm) ?(incremental = true)
     Report.of_netlist tech ~timing:dse.Dse.final netlist
       ~num_cus:spec.Spec.num_cus ~freq_mhz:spec.Spec.freq_mhz
   in
-  {
-    syn_netlist = netlist;
-    syn_map = dse.Dse.map;
-    syn_report = report;
-    syn_perf = dse.Dse.perf;
-    syn_phases =
-      [ ("generate", t_generate); ("dse", t_dse); ("report", t_report) ];
-  }
+  ( {
+      syn_netlist = netlist;
+      syn_map = dse.Dse.map;
+      syn_report = report;
+      syn_perf = dse.Dse.perf;
+      syn_phases =
+        [ ("generate", t_generate); ("dse", t_dse); ("report", t_report) ];
+    },
+    dse )
+
+let synthesise_timed ?(tech = Tech.default_65nm) ?incremental ?base spec =
+  fst (synthesise_dse ~tech ?incremental ?base spec)
 
 let synthesise ?tech spec =
   let s = synthesise_timed ?tech spec in
@@ -103,7 +107,7 @@ let implement ?(tech = Tech.default_65nm) ?incremental ?base
         ("freq_mhz", string_of_int spec.Spec.freq_mhz);
       ]
   @@ fun () ->
-  let syn = synthesise_timed ~tech ?incremental ?base spec in
+  let syn, dse = synthesise_dse ~tech ?incremental ?base spec in
   let netlist = syn.syn_netlist in
   let floorplan, t_floorplan =
     obs_phase "floorplan" @@ fun () ->
@@ -116,7 +120,9 @@ let implement ?(tech = Tech.default_65nm) ?incremental ?base
   in
   let post_timing, t_post =
     obs_phase "post_timing" @@ fun () ->
-    Timing_post.analyse tech netlist floorplan
+    (* DSE's engine is synchronised at this netlist: nothing since has
+       edited it, so post-route timing needs no rebuild *)
+    Timing_post.analyse ?engine:dse.Dse.engine tech netlist floorplan
   in
   (* beyond the paper's 8-CU grid the shared L2/AXI interconnect
      saturates; the derate lands before quantisation so 1..8-CU results

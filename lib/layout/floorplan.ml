@@ -66,12 +66,21 @@ let distance t ~from_ ~to_ =
 let cu_density = 0.70
 let top_density = 0.30
 
-let region_macro_stats netlist region =
-  Ggpu_hw.Netlist.fold_cells netlist ~init:(0, 0) ~f:(fun (total, divided) cell ->
-      if
-        String.equal (Ggpu_hw.Cell.region cell) region
-        && Ggpu_hw.Cell.is_macro cell
-      then begin
+(* Macro instances and planner-divided banks/slices of every region,
+   from one pass over the cells. *)
+let macros_by_region netlist =
+  let counts = Hashtbl.create 16 in
+  Ggpu_hw.Netlist.iter_cells netlist (fun cell ->
+      if Ggpu_hw.Cell.is_macro cell then begin
+        let region = Ggpu_hw.Cell.region cell in
+        let total, divided =
+          match Hashtbl.find_opt counts region with
+          | Some c -> c
+          | None ->
+              let c = (ref 0, ref 0) in
+              Hashtbl.add counts region c;
+              c
+        in
         let n = Ggpu_hw.Cell.count cell in
         let name = Ggpu_hw.Cell.name cell in
         let is_divided =
@@ -86,9 +95,13 @@ let region_macro_stats netlist region =
           in
           has "/bank" || has "/slice"
         in
-        (total + n, if is_divided then divided + n else divided)
-      end
-      else (total, divided))
+        total := !total + n;
+        if is_divided then divided := !divided + n
+      end);
+  fun region ->
+    match Hashtbl.find_opt counts region with
+    | Some (total, divided) -> (!total, !divided)
+    | None -> (0, 0)
 
 (* Footprint of a region in mm^2 given its placed area and density. *)
 let footprint area ~density =
@@ -101,7 +114,7 @@ let build ?(gmc_copies = 1) tech netlist ~num_cus =
   if gmc_copies < 1 || gmc_copies > 4 then
     invalid_arg "Floorplan.build: gmc_copies outside 1..4";
   let cu_regions = List.init num_cus (fun i -> Printf.sprintf "cu%d" i) in
-  let area_of region = Area.of_region tech netlist ~region in
+  let area_of = Area.by_region tech netlist in
   let cu_areas = List.map area_of cu_regions in
   let gmc_area = area_of "gmc" in
   let top_area = area_of "top" in
@@ -145,8 +158,9 @@ let build ?(gmc_copies = 1) tech netlist ~num_cus =
         { x = cu_w; y = centre_y -. (gmc_h /. 2.0); w = centre_w; h = gmc_h })
   in
   let top_rect = { x = cu_w; y = 0.0; w = centre_w; h = die_h } in
+  let macros_of = macros_by_region netlist in
   let part name rect area region =
-    let macro_count, divided_macros = region_macro_stats netlist region in
+    let macro_count, divided_macros = macros_of region in
     { part_name = name; rect; area; macro_count; divided_macros }
   in
   let gmc_parts =

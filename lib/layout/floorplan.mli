@@ -25,12 +25,6 @@ val cu_density : float
 val top_density : float
 (** 0.30, the paper's sparse top partition. *)
 
-val centre : rect -> float * float
-
-val region_centres : t -> string -> (float * float) list
-(** All placed copies of a region (the GMC may be replicated under the
-    future-work floorplan). *)
-
 val distance : t -> from_:string -> to_:string -> float
 (** Manhattan distance in mm; a net to a replicated region reaches its
     nearest copy. *)

@@ -474,14 +474,3 @@ let place ?(domains = 1) ?(iterations = default_iterations) ?gmc_copies tech
     overflow;
     domains;
   }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "placed %d partitions in %d iterations: WL %.2f -> %.2f mm (x%.2f), \
-     overflow %.4f, die %.2f x %.2f mm"
-    (List.length t.floorplan.Floorplan.partitions)
-    t.iterations t.wirelength_init_mm t.wirelength_mm
-    (if t.wirelength_mm > 0.0 then t.wirelength_init_mm /. t.wirelength_mm
-     else 0.0)
-    t.overflow t.floorplan.Floorplan.die.Floorplan.w
-    t.floorplan.Floorplan.die.Floorplan.h

@@ -40,5 +40,3 @@ val place :
     [iterations] (default {!default_iterations}) bounds the descent;
     [gmc_copies] is forwarded to {!Floorplan.build} for the anchored
     partition inventory. *)
-
-val pp : Format.formatter -> t -> unit

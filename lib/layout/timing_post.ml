@@ -50,14 +50,19 @@ let setup_of tech cell =
   | Cell.Macro spec -> (Memlib.query tech.Tech.memory spec).Memlib.setup_ns
   | Cell.Comb _ -> 0.0
 
-let analyse tech netlist (fp : Floorplan.t) =
+let analyse ?engine tech netlist (fp : Floorplan.t) =
   Ggpu_obs.Trace.with_span "layout.post_sta" @@ fun () ->
   Ggpu_obs.Metrics.count "layout.post_sta.calls" 1;
-  (* one engine serves both the worst-path report and the arrival table
-     (the old code ran two independent full computations) *)
-  let engine = Timing.make_engine tech netlist in
+  (* one engine serves both the worst-path report and the cross-net
+     arrivals: in the flow it is DSE's own, which syncs to the netlist's
+     current revision before it answers, so it reads as a fresh engine
+     would at no rebuild *)
+  let engine =
+    match engine with
+    | Some engine -> engine
+    | None -> Timing.make_engine tech netlist
+  in
   let pre = Timing.engine_analyse engine in
-  let arrivals = Timing.engine_arrivals engine in
   let worst_cross = ref None in
   Netlist.iter_nets netlist (fun net ->
       match Netlist.driver_of netlist net with
@@ -72,10 +77,7 @@ let analyse tech netlist (fp : Floorplan.t) =
                   Floorplan.distance fp ~from_:from_region ~to_:to_region
                 in
                 let wire_delay_ns = unbuffered_rc_ns tech ~length_mm:distance_mm in
-                let arrival =
-                  Option.value ~default:0.0
-                    (Hashtbl.find_opt arrivals.Timing.net_arrival (Net.id net))
-                in
+                let arrival = Timing.engine_net_arrival engine net in
                 let total_ns =
                   arrival +. wire_delay_ns +. setup_of tech reader
                   +. tech.Tech.stdcell.Stdcell.clock_skew_ns

@@ -19,11 +19,17 @@ type t = {
   achieved_mhz : float;
 }
 
-val cross_detour : float
-(** Routed length / centre distance for cross-partition nets. *)
-
 val unbuffered_rc_ns : Ggpu_tech.Tech.t -> length_mm:float -> float
-val analyse : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> Floorplan.t -> t
+
+val analyse :
+  ?engine:Ggpu_synth.Timing.engine ->
+  Ggpu_tech.Tech.t ->
+  Ggpu_hw.Netlist.t ->
+  Floorplan.t ->
+  t
+(** [engine], an engine over [netlist] such as the one {!Ggpu_core.Dse}
+    explored with, is synchronised and reused; without it a fresh engine
+    is built.  The result is the same either way. *)
 
 val quantise : float -> float
 (** Round a frequency down to 10 MHz steps, as the paper reports

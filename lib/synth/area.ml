@@ -26,24 +26,17 @@ let macro_area_um2 tech cell =
       *. float_of_int (Cell.count cell)
   | None -> 0.0
 
-let of_netlist tech netlist =
-  let memory_um2 =
-    Netlist.fold_cells netlist ~init:0.0 ~f:(fun acc cell ->
-        acc +. macro_area_um2 tech cell)
-  in
-  let cell_um2 =
-    Netlist.fold_cells netlist ~init:0.0 ~f:(fun acc cell ->
-        match Cell.kind cell with
-        | Cell.Dff ->
-            acc
-            +. float_of_int (Cell.ff_bits cell)
-               *. tech.Tech.stdcell.Stdcell.dff_area_um2
-        | Cell.Comb _ ->
-            acc
-            +. float_of_int (Cell.comb_gates cell)
-               *. tech.Tech.stdcell.Stdcell.gate_area_um2
-        | Cell.Macro _ -> acc)
-  in
+(* Logic footprint of a flip-flop or combinational cell; 0 for a macro. *)
+let cell_um2 tech cell =
+  match Cell.kind cell with
+  | Cell.Dff ->
+      float_of_int (Cell.ff_bits cell) *. tech.Tech.stdcell.Stdcell.dff_area_um2
+  | Cell.Comb _ ->
+      float_of_int (Cell.comb_gates cell)
+      *. tech.Tech.stdcell.Stdcell.gate_area_um2
+  | Cell.Macro _ -> 0.0
+
+let of_um2 ~memory_um2 ~cell_um2 =
   let logic_um2 = cell_um2 /. utilisation in
   {
     total_mm2 = um2_to_mm2 (memory_um2 +. logic_um2);
@@ -51,30 +44,39 @@ let of_netlist tech netlist =
     logic_mm2 = um2_to_mm2 logic_um2;
   }
 
-(* Region-level breakdown used by the floorplanner. *)
-let of_region tech netlist ~region =
-  let memory_um2 = ref 0.0 and cell_um2 = ref 0.0 in
-  Netlist.iter_cells netlist (fun cell ->
-      if String.equal (Cell.region cell) region then
-        match Cell.kind cell with
-        | Cell.Macro _ -> memory_um2 := !memory_um2 +. macro_area_um2 tech cell
-        | Cell.Dff ->
-            cell_um2 :=
-              !cell_um2
-              +. float_of_int (Cell.ff_bits cell)
-                 *. tech.Tech.stdcell.Stdcell.dff_area_um2
-        | Cell.Comb _ ->
-            cell_um2 :=
-              !cell_um2
-              +. float_of_int (Cell.comb_gates cell)
-                 *. tech.Tech.stdcell.Stdcell.gate_area_um2);
-  let logic_um2 = !cell_um2 /. utilisation in
-  {
-    total_mm2 = um2_to_mm2 (!memory_um2 +. logic_um2);
-    memory_mm2 = um2_to_mm2 !memory_um2;
-    logic_mm2 = um2_to_mm2 logic_um2;
-  }
+let of_netlist tech netlist =
+  let memory_um2 =
+    Netlist.fold_cells netlist ~init:0.0 ~f:(fun acc cell ->
+        acc +. macro_area_um2 tech cell)
+  in
+  let cell_um2 =
+    Netlist.fold_cells netlist ~init:0.0 ~f:(fun acc cell ->
+        acc +. cell_um2 tech cell)
+  in
+  of_um2 ~memory_um2 ~cell_um2
 
-let pp fmt t =
-  Format.fprintf fmt "total=%.2fmm2 memory=%.2fmm2 logic=%.2fmm2" t.total_mm2
-    t.memory_mm2 t.logic_mm2
+(* Region-level breakdown used by the floorplanner, every region from one
+   pass over the cells.  A region's two sums receive its cells' terms in
+   iteration order, exactly the additions a fold filtered to that region
+   makes, so each region's floats do not depend on how many regions
+   share the pass. *)
+let by_region tech netlist =
+  let sums = Hashtbl.create 16 in
+  Netlist.iter_cells netlist (fun cell ->
+      let region = Cell.region cell in
+      let memory_um2, cell_sum =
+        match Hashtbl.find_opt sums region with
+        | Some s -> s
+        | None ->
+            let s = (ref 0.0, ref 0.0) in
+            Hashtbl.add sums region s;
+            s
+      in
+      if Cell.is_macro cell then
+        memory_um2 := !memory_um2 +. macro_area_um2 tech cell
+      else cell_sum := !cell_sum +. cell_um2 tech cell);
+  fun region ->
+    match Hashtbl.find_opt sums region with
+    | Some (memory_um2, cell_sum) ->
+        of_um2 ~memory_um2:!memory_um2 ~cell_um2:!cell_sum
+    | None -> of_um2 ~memory_um2:0.0 ~cell_um2:0.0

@@ -3,13 +3,9 @@
 
 type t = { total_mm2 : float; memory_mm2 : float; logic_mm2 : float }
 
-val utilisation : float
-(** Standard-cell placement density (0.70, as in the paper's CU and GMC
-    partitions). *)
-
-val macro_area_um2 : Ggpu_tech.Tech.t -> Ggpu_hw.Cell.t -> float
-(** 0 for non-macro cells; includes the cell's replication count. *)
-
 val of_netlist : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> t
-val of_region : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> region:string -> t
-val pp : Format.formatter -> t -> unit
+
+val by_region : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> string -> t
+(** [by_region tech netlist] walks the cells once; the function it
+    returns gives a region's area (zero for a region with no cells),
+    bit-identical to summing that region's cells alone. *)

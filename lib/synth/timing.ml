@@ -773,8 +773,8 @@ let csr_resweep k ~cells ~nets =
   List.iter (fun id -> Bytes.set k.k_queued id '\000') !stale;
   (!stale, !relaxed)
 
-(* Materialize the hashtable view of the CSR arrays (for
-   {!engine_arrivals} consumers and the differential tests). *)
+(* Materialize the hashtable view of the CSR arrays, for the
+   differential tests through {!engine_arrivals}. *)
 let csr_arrivals k =
   let nl = k.k_netlist in
   let size = max 64 (Netlist.net_count nl) in
@@ -901,6 +901,13 @@ let engine_stats k =
 let engine_arrivals k =
   csr_sync k;
   csr_arrivals k
+
+let engine_net_arrival k net =
+  csr_sync k;
+  let nid = Net.id net in
+  if nid < Array.length k.k_arr && Bytes.get k.k_driven nid = '\001' then
+    k.k_arr.(nid)
+  else 0.0
 
 let engine_analyse k =
   csr_sync k;

@@ -77,7 +77,12 @@ val engine_analyse : engine -> report
 
 val engine_arrivals : engine -> arrivals
 (** Synchronised arrival tables, equal to {!compute_arrivals} on the
-    current netlist; read by post-route analysis
+    current netlist. *)
+
+val engine_net_arrival : engine -> Ggpu_hw.Net.t -> float
+(** Synchronise, then the worst arrival of a net of the netlist: what
+    [(engine_arrivals engine).net_arrival] holds for it, or 0.0 where
+    that has no entry (an undriven net).  Read by post-route analysis
     ({!Ggpu_layout.Timing_post}). *)
 
 val engine_stats : engine -> engine_stats

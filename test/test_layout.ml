@@ -149,6 +149,127 @@ let test_quantised_frequency () =
     (Float.rem q 10.0 < 1e-9);
   Alcotest.(check bool) "not above raw" true (q <= t.Timing_post.achieved_mhz)
 
+(* --- One pass per implementation ----------------------------------------- *)
+
+(* A region's area, macro instances and planner-divided macros, each
+   folded over that region's cells alone: what a partition recorded
+   before one pass over the cells served every region. *)
+let region_fold netlist region =
+  let open Ggpu_hw in
+  let contains name sub =
+    let n = String.length name and k = String.length sub in
+    let rec at i = i + k <= n && (String.sub name i k = sub || at (i + 1)) in
+    at 0
+  in
+  let memory_um2 = ref 0.0 and cell_um2 = ref 0.0 in
+  let macros = ref 0 and divided = ref 0 in
+  Netlist.iter_cells netlist (fun cell ->
+      if String.equal (Cell.region cell) region then
+        match Cell.kind cell with
+        | Cell.Macro spec ->
+            let count = Cell.count cell in
+            memory_um2 :=
+              !memory_um2
+              +. (Memlib.query tech.Tech.memory spec).Memlib.area_um2
+                 *. float_of_int count;
+            macros := !macros + count;
+            if contains (Cell.name cell) "/bank"
+               || contains (Cell.name cell) "/slice"
+            then divided := !divided + count
+        | Cell.Dff ->
+            cell_um2 :=
+              !cell_um2
+              +. float_of_int (Cell.ff_bits cell)
+                 *. tech.Tech.stdcell.Stdcell.dff_area_um2
+        | Cell.Comb _ ->
+            cell_um2 :=
+              !cell_um2
+              +. float_of_int (Cell.comb_gates cell)
+                 *. tech.Tech.stdcell.Stdcell.gate_area_um2);
+  let logic_um2 = !cell_um2 /. 0.70 in
+  ( {
+      Ggpu_synth.Area.total_mm2 = (!memory_um2 +. logic_um2) /. 1.0e6;
+      memory_mm2 = !memory_um2 /. 1.0e6;
+      logic_mm2 = logic_um2 /. 1.0e6;
+    },
+    !macros,
+    !divided )
+
+(* The flow hands DSE's engine to post-route timing and builds every
+   partition from one pass over the cells: both must read exactly as a
+   fresh engine and a per-region fold do. *)
+let test_flow_one_pass_differential () =
+  List.iter
+    (fun (num_cus, freq_mhz, place, placer) ->
+      let spec = Ggpu_core.Spec.make ~num_cus ~freq_mhz () in
+      let impl = Ggpu_core.Flow.implement ~tech ~place spec in
+      let label = Printf.sprintf "%s %s" (Ggpu_core.Spec.to_string spec) placer in
+      let nl = impl.Ggpu_core.Flow.netlist in
+      let fp = impl.Ggpu_core.Flow.floorplan in
+      Alcotest.(check bool)
+        (label ^ ": post-route timing equals a fresh engine's")
+        true
+        (impl.Ggpu_core.Flow.post_timing = Timing_post.analyse tech nl fp);
+      List.iter
+        (fun (p : Floorplan.partition) ->
+          let area, macros, divided = region_fold nl p.part_name in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s area" label p.part_name)
+            true (p.area = area);
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: %s macros, divided" label p.part_name)
+            (macros, divided)
+            (p.macro_count, p.divided_macros))
+        fp.Floorplan.partitions)
+    (List.concat_map
+       (fun num_cus ->
+         List.concat_map
+           (fun freq_mhz ->
+             [
+               (num_cus, freq_mhz, Ggpu_core.Flow.Columns, "columns");
+               (num_cus, freq_mhz, Ggpu_core.Flow.Analytic, "analytic");
+             ])
+           [ 500; 667 ])
+       [ 1; 4; 8; 16 ])
+
+(* DSE's engine after one more edit: a pipeline register on a
+   cross-partition net.  Every arrival it reports, and the post-route
+   analysis it serves, must equal the full sweep's and a fresh
+   engine's. *)
+let test_stale_engine_resyncs () =
+  let open Ggpu_hw in
+  List.iter
+    (fun num_cus ->
+      let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus in
+      let dse =
+        Ggpu_core.Dse.explore tech nl ~num_cus ~period_ns:(1000.0 /. 667.0)
+      in
+      let engine = Option.get dse.Ggpu_core.Dse.engine in
+      let fp = Floorplan.build tech nl ~num_cus in
+      let net = Option.get (Netlist.find_net_by_name nl "gmc/resp_to_cu0") in
+      ignore (Netlist.insert_pipeline nl net);
+      let sweep = Ggpu_synth.Timing.compute_arrivals tech nl in
+      let stale =
+        Netlist.fold_nets nl ~init:[] ~f:(fun acc net ->
+            let expected =
+              Option.value ~default:0.0
+                (Hashtbl.find_opt sweep.Ggpu_synth.Timing.net_arrival
+                   (Net.id net))
+            in
+            if Float.equal (Ggpu_synth.Timing.engine_net_arrival engine net)
+                 expected
+            then acc
+            else Net.name net :: acc)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d CUs: arrivals after the edit" num_cus)
+        [] stale;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d CUs: post-route timing after the edit" num_cus)
+        true
+        (Timing_post.analyse ~engine tech nl fp = Timing_post.analyse tech nl fp))
+    [ 1; 4; 8 ]
+
 (* --- Event heap ---------------------------------------------------------- *)
 
 let test_event_heap_ordering () =
@@ -241,6 +362,10 @@ let suite =
         Alcotest.test_case "wire delay quadratic" `Quick
           test_wire_delay_quadratic;
         Alcotest.test_case "quantised frequency" `Quick test_quantised_frequency;
+        Alcotest.test_case "flow reuses DSE's engine, one region pass" `Quick
+          test_flow_one_pass_differential;
+        Alcotest.test_case "reused engine resyncs after an edit" `Quick
+          test_stale_engine_resyncs;
         Alcotest.test_case "event heap ordering" `Quick test_event_heap_ordering;
         Alcotest.test_case "event heap empty pop" `Quick
           test_event_heap_empty_pop;

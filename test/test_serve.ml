@@ -688,6 +688,15 @@ let test_daemon_misbehaving_clients () =
       let fd = daemon_connect socket in
       send_all fd (P.control_to_line P.Shutdown);
       Unix.close fd;
+      (* a real request, then a disconnect before its reply: the reply
+         is written to a closed socket, which must fail with EPIPE
+         rather than kill the process with SIGPIPE *)
+      let fd = daemon_connect socket in
+      send_all fd
+        (P.request_to_line
+           (req ~id:7 (sim ~kernel:"xcorr" ~cus:1 ~size:1024))
+        ^ "\n");
+      Unix.close fd;
       let fd = daemon_connect socket in
       send_all fd (P.control_to_line P.Ping ^ "\n");
       check "a new connection answers" "ping" fd;
