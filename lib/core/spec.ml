@@ -65,10 +65,19 @@ let check t ~area_mm2 ~power_w ~achieved_mhz =
 (* Lossless, order-fixed rendering of every result-affecting field —
    the memo-cache key fragment for a spec.  Floats print as hex
    (%h) so distinct budgets can never collide through rounding. *)
-let canonical t =
-  let fopt = function None -> "-" | Some f -> Printf.sprintf "%h" f in
-  Printf.sprintf "cus=%d;freq=%d;area=%s;power=%s" t.num_cus t.freq_mhz
-    (fopt t.max_area_mm2) (fopt t.max_power_w)
+let canonical b t =
+  let fopt = function
+    | None -> Buffer.add_char b '-'
+    | Some f -> Printf.bprintf b "%h" f
+  in
+  Buffer.add_string b "cus=";
+  Ggpu_obs.Json.add_int b t.num_cus;
+  Buffer.add_string b ";freq=";
+  Ggpu_obs.Json.add_int b t.freq_mhz;
+  Buffer.add_string b ";area=";
+  fopt t.max_area_mm2;
+  Buffer.add_string b ";power=";
+  fopt t.max_power_w
 
 let to_string t =
   Printf.sprintf "%dCU@%dMHz%s%s" t.num_cus t.freq_mhz

@@ -44,8 +44,8 @@ val check :
 
 val to_string : t -> string
 
-val canonical : t -> string
-(** Injective rendering of every result-affecting field (floats as
-    lossless hex), stable across runs — the spec fragment of
+val canonical : Buffer.t -> t -> unit
+(** Append an injective rendering of every result-affecting field
+    (floats as lossless hex), stable across runs — the spec fragment of
     {!Ggpu_serve} memo-cache keys.  Two specs share a canonical string
     iff they are equal. *)

@@ -84,14 +84,26 @@ let with_cus t num_cus = validate { t with num_cus }
    function of (config, program, args, geometry), so this string is the
    config fragment of a sim memo-cache key.  Backend and domain fan-out
    are deliberately absent: they never change observables. *)
-let canonical t =
-  Printf.sprintf
-    "cus=%d;pes=%d;wf=%d;maxwi=%d;c.size=%d;c.line=%d;c.ports=%d;c.hit=%d;\
-     axi.ports=%d;axi.lat=%d;axi.beat=%d;div=%d;mul=%d;br=%d;iss=%d"
-    t.num_cus t.pes_per_cu t.wavefront_size t.max_workitems_per_cu
-    t.cache.size_bytes t.cache.line_words t.cache.ports t.cache.hit_latency
-    t.axi.data_ports t.axi.latency t.axi.words_per_beat t.div_latency
-    t.mul_latency t.branch_penalty t.issue_overhead
+let canonical b t =
+  let field name v =
+    Buffer.add_string b name;
+    Ggpu_obs.Json.add_int b v
+  in
+  field "cus=" t.num_cus;
+  field ";pes=" t.pes_per_cu;
+  field ";wf=" t.wavefront_size;
+  field ";maxwi=" t.max_workitems_per_cu;
+  field ";c.size=" t.cache.size_bytes;
+  field ";c.line=" t.cache.line_words;
+  field ";c.ports=" t.cache.ports;
+  field ";c.hit=" t.cache.hit_latency;
+  field ";axi.ports=" t.axi.data_ports;
+  field ";axi.lat=" t.axi.latency;
+  field ";axi.beat=" t.axi.words_per_beat;
+  field ";div=" t.div_latency;
+  field ";mul=" t.mul_latency;
+  field ";br=" t.branch_penalty;
+  field ";iss=" t.issue_overhead
 
 (* Wavefront occupancy of the vector pipeline per instruction. *)
 let beats t = t.wavefront_size / t.pes_per_cu

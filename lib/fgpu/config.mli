@@ -40,11 +40,11 @@ val default : t
 
 val with_cus : t -> int -> t
 
-(** Injective, order-fixed rendering of every field — the config
-    fragment of {!Ggpu_serve} memo-cache keys.  Execution engine and
-    domain fan-out are excluded by design: simulated results are
+(** Append an injective, order-fixed rendering of every field — the
+    config fragment of {!Ggpu_serve} memo-cache keys.  Execution engine
+    and domain fan-out are excluded by design: simulated results are
     bit-identical across both. *)
-val canonical : t -> string
+val canonical : Buffer.t -> t -> unit
 val beats : t -> int
 (** Vector-pipeline occupancy per wavefront instruction. *)
 

@@ -11,6 +11,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n]'s bytes, without a format parse. *)
+
 val write : Buffer.t -> t -> unit
 val to_string : t -> string
 

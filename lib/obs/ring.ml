@@ -42,4 +42,3 @@ let to_list t =
       | Some x -> x
       | None -> assert false)
 
-let iter f t = List.iter f (to_list t)

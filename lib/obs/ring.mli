@@ -23,5 +23,4 @@ val total : 'a t -> int
 val to_list : 'a t -> 'a list
 (** Live entries, oldest first. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
 val clear : 'a t -> unit

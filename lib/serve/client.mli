@@ -8,12 +8,6 @@ val connect : socket:string -> t
 
 val close : t -> unit
 
-val with_trace : Proto.request -> Proto.request
-(** Attach a freshly minted trace context ({!Ggpu_obs.Trace.new_trace_id})
-    unless the request already carries one.  {!call} and {!replay} apply
-    this to every request they send — the client is the trace
-    originator. *)
-
 val call : t -> Proto.request -> (Proto.response, string) result
 (** One request, one response (responses arrive in request order per
     connection).  The request leaves with a trace context, and the

@@ -22,6 +22,9 @@ module Pool = Ggpu_par.Parallel.Pool
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* bytes of a not-yet-terminated incoming line *)
+  mutable out : Bytes.t;  (* [out_len] bytes of replies not yet written *)
+  mutable out_len : int;
+  mutable written_ns : int;  (* when its last write returned *)
   mutable alive : bool;
 }
 
@@ -60,23 +63,44 @@ type state = {
   slow_threshold_us : int;
   recorder : group Ring.t;
   slow : group Ring.t;
+  chunk : Bytes.t;  (* every socket read lands here *)
 }
 
-let write_line conn s =
+(* Replies wait in their connection's [out] until the end of the select
+   round, then leave in one write.  [out] and the read chunk live as
+   long as the connection and the daemon: a fresh buffer per batch is
+   a major-heap block (over 2 KiB) every round. *)
+let queue_line conn s =
   if conn.alive then begin
-    let line = s ^ "\n" in
-    let len = String.length line in
-    let pos = ref 0 in
-    try
-      while !pos < len do
-        let n =
-          try Unix.write_substring conn.fd line !pos (len - !pos)
-          with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-        in
-        pos := !pos + n
-      done
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      conn.alive <- false
+    let len = String.length s in
+    let need = conn.out_len + len + 1 in
+    if need > Bytes.length conn.out then begin
+      let out = Bytes.create (max need (2 * Bytes.length conn.out)) in
+      Bytes.blit conn.out 0 out 0 conn.out_len;
+      conn.out <- out
+    end;
+    Bytes.blit_string s 0 conn.out conn.out_len len;
+    Bytes.set conn.out (need - 1) '\n';
+    conn.out_len <- need
+  end
+
+(* A failed write marks only its own connection. *)
+let flush conn =
+  if conn.out_len > 0 then begin
+    (if conn.alive then
+       let pos = ref 0 in
+       try
+         while !pos < conn.out_len do
+           let n =
+             try Unix.write conn.fd conn.out !pos (conn.out_len - !pos)
+             with Unix.Unix_error (Unix.EINTR, _, _) -> 0
+           in
+           pos := !pos + n
+         done
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+         conn.alive <- false);
+    conn.out_len <- 0;
+    conn.written_ns <- Metrics.now_ns ()
   end
 
 let unkeyed id status =
@@ -177,18 +201,18 @@ let telemetry_line st =
 let handle_line st conn ~read_ts line =
   match Proto.incoming_of_line line with
   | Error msg ->
-      write_line conn (Proto.response_to_line (unkeyed 0 (Proto.Failed msg)))
+      queue_line conn (Proto.response_to_line (unkeyed 0 (Proto.Failed msg)))
   | Ok (Proto.Control Proto.Ping) ->
-      write_line conn
+      queue_line conn
         (Json.to_string
            (Json.Obj
               [ ("control", Json.String "ping"); ("ok", Json.Bool true) ]))
-  | Ok (Proto.Control Proto.Stats) -> write_line conn (stats_line st)
-  | Ok (Proto.Control Proto.Dump) -> write_line conn (dump_line st)
-  | Ok (Proto.Control Proto.Telemetry) -> write_line conn (telemetry_line st)
+  | Ok (Proto.Control Proto.Stats) -> queue_line conn (stats_line st)
+  | Ok (Proto.Control Proto.Dump) -> queue_line conn (dump_line st)
+  | Ok (Proto.Control Proto.Telemetry) -> queue_line conn (telemetry_line st)
   | Ok (Proto.Control Proto.Shutdown) ->
       st.stopping <- true;
-      write_line conn
+      queue_line conn
         (Json.to_string
            (Json.Obj
               [ ("control", Json.String "shutdown"); ("ok", Json.Bool true) ]))
@@ -206,61 +230,77 @@ let handle_line st conn ~read_ts line =
               r_trace = req.Proto.trace;
             }
       | `Rejected retry_after_ms ->
-          write_line conn
+          queue_line conn
             (Proto.response_to_line
                (unkeyed req.Proto.id (Proto.Rejected { retry_after_ms }))))
 
-(* One engine batch; replies routed back to whichever connection each
-   request came in on, with its original id restored, and each
-   request's span group — read + engine stages + reply — pushed into
-   the flight recorder. *)
+(* Close a replied request's span group — read + engine stages + reply,
+   the reply ending at the write that carried it — and push it into the
+   flight recorder. *)
+let record st { r_conn; r_orig; r_read_ts; r_read_dur; r_trace } spans
+    ~reply_start =
+  (* a connection that went away has no write to end at *)
+  let reply_end =
+    if r_conn.alive then r_conn.written_ns else Metrics.now_ns ()
+  in
+  let read_ev =
+    mk_span ~trace:r_trace ~ts_ns:r_read_ts ~dur_ns:r_read_dur "serve.read"
+  in
+  let reply_ev =
+    mk_span ~trace:r_trace ~ts_ns:reply_start
+      ~dur_ns:(reply_end - reply_start) "serve.reply"
+  in
+  if Trace.enabled () then begin
+    Trace.emit read_ev;
+    Trace.emit reply_ev
+  end;
+  let latency_us = max 0 ((reply_end - r_read_ts) / 1000) in
+  let slow = latency_us > st.slow_threshold_us in
+  let g =
+    {
+      g_id = r_orig;
+      g_trace = r_trace;
+      g_latency_us = latency_us;
+      g_slow = slow;
+      g_events = (read_ev :: spans) @ [ reply_ev ];
+    }
+  in
+  Ring.push st.recorder g;
+  if slow then begin
+    Ring.push st.slow g;
+    st.log
+      (Printf.sprintf "slow request id=%d%s: %d us (threshold %d)" r_orig
+         (match r_trace with
+         | Some { Proto.trace_id; _ } -> " trace=" ^ trace_id
+         | None -> "")
+         latency_us st.slow_threshold_us)
+  end
+
+(* One engine batch; each reply goes into the buffer of the connection
+   its request came in on, with its original id restored.  Then every
+   connection is written once — the batch's replies together with the
+   control, failed and rejected replies of this round — and only then
+   are the batch's span groups recorded. *)
 let pump st =
-  if Engine.pending st.engine > 0 then
-    List.iter
-      (fun { Engine.resp; spans } ->
-        match Hashtbl.find_opt st.routes resp.Proto.id with
-        | None -> ()
-        | Some { r_conn; r_orig; r_read_ts; r_read_dur; r_trace } ->
-            Hashtbl.remove st.routes resp.Proto.id;
-            let read_ev =
-              mk_span ~trace:r_trace ~ts_ns:r_read_ts ~dur_ns:r_read_dur
-                "serve.read"
-            in
-            let reply_start = Metrics.now_ns () in
-            write_line r_conn
-              (Proto.response_to_line { resp with Proto.id = r_orig });
-            let reply_end = Metrics.now_ns () in
-            let reply_ev =
-              mk_span ~trace:r_trace ~ts_ns:reply_start
-                ~dur_ns:(reply_end - reply_start) "serve.reply"
-            in
-            if Trace.enabled () then begin
-              Trace.emit read_ev;
-              Trace.emit reply_ev
-            end;
-            let latency_us = max 0 ((reply_end - r_read_ts) / 1000) in
-            let slow = latency_us > st.slow_threshold_us in
-            let g =
-              {
-                g_id = r_orig;
-                g_trace = r_trace;
-                g_latency_us = latency_us;
-                g_slow = slow;
-                g_events = (read_ev :: spans) @ [ reply_ev ];
-              }
-            in
-            Ring.push st.recorder g;
-            if slow then begin
-              Ring.push st.slow g;
-              st.log
-                (Printf.sprintf "slow request id=%d%s: %d us (threshold %d)"
-                   r_orig
-                   (match r_trace with
-                   | Some { Proto.trace_id; _ } -> " trace=" ^ trace_id
-                   | None -> "")
-                   latency_us st.slow_threshold_us)
-            end)
-      (Engine.step_traced st.engine)
+  let replied =
+    if Engine.pending st.engine = 0 then []
+    else
+      List.filter_map
+        (fun { Engine.resp; spans } ->
+          match Hashtbl.find_opt st.routes resp.Proto.id with
+          | None -> None
+          | Some route ->
+              Hashtbl.remove st.routes resp.Proto.id;
+              let reply_start = Metrics.now_ns () in
+              queue_line route.r_conn
+                (Proto.response_to_line { resp with Proto.id = route.r_orig });
+              Some (route, spans, reply_start))
+        (Engine.step_traced st.engine)
+  in
+  List.iter flush st.conns;
+  List.iter
+    (fun (route, spans, reply_start) -> record st route spans ~reply_start)
+    replied
 
 let drop_conn st conn =
   conn.alive <- false;
@@ -273,7 +313,7 @@ let drop_conn st conn =
 let max_line_bytes = 65536
 
 let read_ready st conn =
-  let chunk = Bytes.create 4096 in
+  let chunk = st.chunk in
   let read_ts = Metrics.now_ns () in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -295,12 +335,13 @@ let read_ready st conn =
         else begin
           (* the reply a malformed line gets, then the connection goes:
              the rest of the line is not worth reading *)
-          write_line conn
+          queue_line conn
             (Proto.response_to_line
                (unkeyed 0
                   (Proto.Failed
                      (Printf.sprintf "line longer than %d bytes"
                         max_line_bytes))));
+          flush conn;
           drop_conn st conn;
           i := n
         end
@@ -310,7 +351,16 @@ let accept_ready st =
   match Unix.accept st.listen_fd with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | fd, _ ->
-      st.conns <- { fd; buf = Buffer.create 256; alive = true } :: st.conns
+      st.conns <-
+        {
+          fd;
+          buf = Buffer.create 256;
+          out = Bytes.create 4096;
+          out_len = 0;
+          written_ns = 0;
+          alive = true;
+        }
+        :: st.conns
 
 let run ?(engine_config = Engine.default_config) ?domains
     ?(recorder_capacity = 256) ?(slow_ms = 500) ?(log = fun _ -> ()) ~socket
@@ -337,6 +387,7 @@ let run ?(engine_config = Engine.default_config) ?domains
       slow_threshold_us = max 1 slow_ms * 1000;
       recorder = Ring.create ~capacity:(max 1 recorder_capacity);
       slow = Ring.create ~capacity:(max 1 (recorder_capacity / 4));
+      chunk = Bytes.create 4096;
     }
   in
   let request_stop _ = st.stopping <- true in

@@ -6,11 +6,14 @@
     Each select round drains every complete line from every ready
     connection into the engine queue, then runs one {!Engine.step} — so
     requests that arrive together are batched together, sharing base
-    netlists and kernel compilations.
+    netlists and kernel compilations — and writes each connection once,
+    carrying all of that round's replies to it.  A write that fails
+    with EPIPE or ECONNRESET marks only its own connection.
 
     Every request leaves a span group (the daemon's [serve.read] and
     [serve.reply] spans around the engine's per-stage spans, see
-    {!Engine.step_traced}) in an always-on bounded flight recorder;
+    {!Engine.step_traced}; the reply span ends at the write that carried
+    it) in an always-on bounded flight recorder;
     requests slower than the slow threshold additionally land in a
     separate slow ring and the log.  A [dump] control returns the
     retained groups as one Chrome-trace document, and a [telemetry]

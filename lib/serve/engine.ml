@@ -62,10 +62,17 @@ type t = {
    registry, so snapshots merge bit-identically at any pool size. *)
 let latency_buckets = List.init 25 (fun i -> 1 lsl i)
 
-let tech_of_name = function
-  | "65nm" -> Some Ggpu_tech.Tech.default_65nm
-  | "28nm" -> Some Ggpu_tech.Tech.scaled_28nm
-  | _ -> None
+(* Each technology with its key fingerprint, computed once: the
+   fingerprint Marshals and hashes the whole model. *)
+let techs =
+  List.map
+    (fun (name, tech) -> (name, (tech, Key.tech tech)))
+    [
+      ("65nm", Ggpu_tech.Tech.default_65nm);
+      ("28nm", Ggpu_tech.Tech.scaled_28nm);
+    ]
+
+let tech_of_name name = Option.map fst (List.assoc_opt name techs)
 
 let create ?(config = default_config) ?pool () =
   let cfg =
@@ -123,7 +130,12 @@ let pool_size t =
 (* What a request resolves to after normalisation: its memo key plus
    everything needed to execute it cold. *)
 type plan =
-  | P_synth of { tech : Ggpu_tech.Tech.t; tech_name : string; spec : Spec.t }
+  | P_synth of {
+      tech : Ggpu_tech.Tech.t;
+      fingerprint : string;  (* [Key.tech tech] *)
+      tech_name : string;
+      spec : Spec.t;
+    }
   | P_sim of {
       w : Ggpu_kernels.Suite.t;
       config : Ggpu_fgpu.Config.t;
@@ -134,14 +146,17 @@ type plan =
     }
 
 let plan_of_request (req : Proto.request) =
-  match tech_of_name req.Proto.tech with
+  match List.assoc_opt req.Proto.tech techs with
   | None ->
       Error (Printf.sprintf "unknown technology %S (65nm | 28nm)" req.Proto.tech)
-  | Some tech -> (
+  | Some (tech, fingerprint) -> (
       match req.Proto.kind with
       | Proto.Synth { cus; freq_mhz } -> (
           match Spec.make ~num_cus:cus ~freq_mhz () with
-          | spec -> Ok (P_synth { tech; tech_name = req.Proto.tech; spec })
+          | spec ->
+              Ok
+                (P_synth
+                   { tech; fingerprint; tech_name = req.Proto.tech; spec })
           | exception Spec.Invalid_spec msg -> Error msg)
       | Proto.Sim { kernel; cus; size } | Proto.Perf { kernel; cus; size } -> (
           match Ggpu_kernels.Suite.find kernel with
@@ -163,7 +178,7 @@ let plan_of_request (req : Proto.request) =
                   Ok (P_sim { w; config; size; gsize; lsize; pmu }))))
 
 let key_of_plan ~stride = function
-  | P_synth { tech; spec; _ } -> Key.synth ~tech spec
+  | P_synth { fingerprint; spec; _ } -> Key.synth ~tech:fingerprint spec
   | P_sim { w; config; gsize; lsize; pmu; _ } ->
       let kernel = w.Ggpu_kernels.Suite.name in
       if pmu then
@@ -298,7 +313,7 @@ let prefetch t plan =
 
 let execute t plan artifact =
   match (plan, artifact) with
-  | P_synth { tech; tech_name; spec }, `Base base -> (
+  | P_synth { tech; tech_name; spec; _ }, `Base base -> (
       match Flow.synthesise_timed ~tech ~base spec with
       | syn -> Ok (synth_payload ~tech_name spec syn)
       | exception Dse.Cannot_meet { period_ns; best_ns; detail } ->
@@ -359,7 +374,8 @@ let submit t req =
 (* What each queued request resolved to during classification. *)
 type slot =
   | S_ready of Proto.response  (* expired / planning error / cache hit *)
-  | S_first of { key : string; plan : plan }  (* computes its key *)
+  | S_first of { key : string; hash : int64; plan : plan }
+      (* computes its key *)
   | S_dup of { key : string }  (* coalesces onto the first *)
 
 (* --- span capture -------------------------------------------------------- *)
@@ -388,6 +404,15 @@ let span ?tid ?(args = []) ~ts_ns ~dur_ns name req =
     args = trace_args req @ args;
     values = [];
   }
+
+(* The probe span's args, one list per outcome shared by every span
+   that carries it: a hit retained by the tracer is then its two
+   events and nothing else. *)
+let probe_hit = [ ("outcome", "hit") ]
+let probe_miss = [ ("outcome", "miss") ]
+let probe_dup = [ ("outcome", "dup") ]
+let probe_expired = [ ("outcome", "expired") ]
+let probe_error = [ ("outcome", "error") ]
 
 let hist_for t (req : Proto.request) =
   match req.Proto.kind with
@@ -436,7 +461,8 @@ let step_traced t =
                 }
           | Ok plan -> (
               let key = key_of_plan ~stride:t.cfg.pmu_stride plan in
-              let shard = t.results.(Key.shard ~shards:t.cfg.shards key) in
+              let hash = Key.fnv1a64 key in
+              let shard = t.results.(Key.shard ~shards:t.cfg.shards hash) in
               match Lru.find shard key with
               | Some payload ->
                   Metrics.incr t.c_hit;
@@ -445,7 +471,7 @@ let step_traced t =
                       Proto.id = req.Proto.id;
                       status = Proto.Done;
                       cached = true;
-                      key = Key.hash_hex key;
+                      key = Key.hex hash;
                       result = payload;
                     }
               | None ->
@@ -455,7 +481,7 @@ let step_traced t =
                   end
                   else begin
                     Hashtbl.add seen key ();
-                    S_first { key; plan }
+                    S_first { key; hash; plan }
                   end)
       in
       (req, arrival_ns, slot, probe_start,
@@ -467,13 +493,13 @@ let step_traced t =
     let firsts =
       List.filter_map
         (function
-          | req, _, S_first { key; plan }, _, _ ->
-              Some (req, key, plan, prefetch t plan)
+          | req, _, S_first { key; hash; plan }, _, _ ->
+              Some (req, key, hash, plan, prefetch t plan)
           | _ -> None)
         slots
     in
     let form_done = Metrics.now_ns () in
-    let run (_, key, plan, artifact) = (key, execute t plan artifact) in
+    let run (_, key, _, plan, artifact) = (key, execute t plan artifact) in
     let outcomes =
       match t.pool with
       | Some pool when List.length firsts > 1 ->
@@ -495,43 +521,44 @@ let step_traced t =
         values = [];
       }
     in
+    (* key -> its digest and outcome *)
     let by_key = Hashtbl.create 16 in
     let exec_evs = Hashtbl.create 16 in
     List.iter2
-      (fun (req, key, _, _) ((key', outcome), timing) ->
+      (fun (req, key, hash, _, _) ((key', outcome), timing) ->
         assert (String.equal key key');
-        Hashtbl.replace by_key key outcome;
+        let digest = Key.hex hash in
+        Hashtbl.replace by_key key (digest, outcome);
         Hashtbl.replace exec_evs key
           (span ~tid:timing.Ggpu_par.Parallel.t_domain
-             ~args:[ ("key", Key.hash_hex key) ]
+             ~args:[ ("key", digest) ]
              ~ts_ns:timing.Ggpu_par.Parallel.t_start_ns
              ~dur_ns:timing.Ggpu_par.Parallel.t_dur_ns "serve.execute" req);
         match outcome with
         | Ok payload ->
             Metrics.incr t.c_miss;
-            let shard = t.results.(Key.shard ~shards:t.cfg.shards key) in
+            let shard = t.results.(Key.shard ~shards:t.cfg.shards hash) in
             Metrics.add t.c_evict (Lru.add shard key payload)
         | Error _ -> Metrics.incr t.c_failed)
       firsts outcomes;
     let respond (req : Proto.request) ~key ~cached =
-      match Hashtbl.find_opt by_key key with
-      | Some (Ok payload) ->
+      match Hashtbl.find by_key key with
+      | digest, Ok payload ->
           {
             Proto.id = req.Proto.id;
             status = Proto.Done;
             cached;
-            key = Key.hash_hex key;
+            key = digest;
             result = payload;
           }
-      | Some (Error msg) ->
+      | digest, Error msg ->
           {
             Proto.id = req.Proto.id;
             status = Proto.Failed msg;
             cached = false;
-            key = Key.hash_hex key;
+            key = digest;
             result = "";
           }
-      | None -> assert false
     in
     let finish = Metrics.now_ns () in
     let results =
@@ -542,38 +569,36 @@ let step_traced t =
           let queue_ev =
             span ~ts_ns:arrival_ns ~dur_ns:(now - arrival_ns) "serve.queue" req
           in
-          let probe_ev outcome =
-            span
-              ~args:[ ("outcome", outcome) ]
-              ~ts_ns:probe_start ~dur_ns:probe_dur "serve.probe" req
+          let probe_ev args =
+            span ~args ~ts_ns:probe_start ~dur_ns:probe_dur "serve.probe" req
           in
           match slot with
           | S_ready resp ->
               let outcome =
                 match resp.Proto.status with
-                | Proto.Done -> "hit"
-                | Proto.Expired -> "expired"
-                | _ -> "error"
+                | Proto.Done -> probe_hit
+                | Proto.Expired -> probe_expired
+                | _ -> probe_error
               in
               { resp; spans = [ queue_ev; probe_ev outcome ] }
           | S_first { key; _ } ->
               {
                 resp = respond req ~key ~cached:false;
                 spans =
-                  [ queue_ev; probe_ev "miss"; batch_ev;
+                  [ queue_ev; probe_ev probe_miss; batch_ev;
                     Hashtbl.find exec_evs key ];
               }
           | S_dup { key } ->
               let coalesce_ev =
                 span
-                  ~args:[ ("key", Key.hash_hex key) ]
+                  ~args:[ ("key", fst (Hashtbl.find by_key key)) ]
                   ~ts_ns:(probe_start + probe_dur) ~dur_ns:0 "serve.coalesce"
                   req
               in
               {
                 resp = respond req ~key ~cached:true;
                 spans =
-                  [ queue_ev; probe_ev "dup"; coalesce_ev; batch_ev;
+                  [ queue_ev; probe_ev probe_dup; coalesce_ev; batch_ev;
                     Hashtbl.find exec_evs key ];
               })
         slots

@@ -5,26 +5,32 @@
     complete simulator configuration ({!Ggpu_fgpu.Config.canonical}),
     the spec ({!Ggpu_core.Spec.canonical}) and a technology
     fingerprint.  The cache is keyed on the whole string (collisions
-    are impossible by construction); the 64-bit FNV-1a hash is used
-    only to pick a shard. *)
+    are impossible by construction); the 64-bit FNV-1a hash of a key,
+    computed once per request, picks its shard and gives its wire
+    digest. *)
 
 val fnv1a64 : string -> int64
 (** FNV-1a over the bytes of the string. *)
 
-val hash_hex : string -> string
-(** [fnv1a64] as 16 lowercase hex digits (wire-visible key digest). *)
+val hex : int64 -> string
+(** A hash as 16 lowercase hex digits (the wire-visible key digest). *)
 
-val shard : shards:int -> string -> int
-(** Shard index in [0, shards) from the key's hash. *)
+val hash_hex : string -> string
+(** [hex (fnv1a64 s)]. *)
+
+val shard : shards:int -> int64 -> int
+(** Shard index in [0, shards) from a key's {!fnv1a64} hash. *)
 
 val tech : Ggpu_tech.Tech.t -> string
 (** Technology fingerprint: the model name plus a content hash of every
     numeric parameter, so a retuned model never aliases a cached
-    result. *)
+    result.  It Marshals the whole model, so compute it once per
+    technology. *)
 
-val synth : tech:Ggpu_tech.Tech.t -> Ggpu_core.Spec.t -> string
+val synth : tech:string -> Ggpu_core.Spec.t -> string
 (** Key of a synthesis / DSE request (netlist generation + STA + DSE
-    ride on this result). *)
+    ride on this result); [tech] is the technology's {!tech}
+    fingerprint. *)
 
 val sim :
   config:Ggpu_fgpu.Config.t ->

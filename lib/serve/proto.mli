@@ -76,5 +76,3 @@ val response_of_line : string -> (response, string) result
 val result_json : response -> Ggpu_obs.Json.t option
 (** Parse a [Done] response's payload. *)
 
-val kind_name : kind -> string
-(** ["synth"], ["sim"] or ["perf"]. *)

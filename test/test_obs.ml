@@ -404,6 +404,22 @@ let test_json_roundtrip () =
     (Result.is_error (J.parse "{} x"));
   check_bool "bare value parses" true (J.parse "3.5" = Ok (J.Float 3.5))
 
+(* Json.add_int writes memo keys and every JSON int: its bytes must be
+   string_of_int's, the edges of the int range included. *)
+let add_int_matches_string_of_int =
+  QCheck.Test.make ~count:1000 ~name:"json add_int = string_of_int"
+    QCheck.(
+      oneof
+        [
+          int;
+          small_signed_int;
+          oneofl [ min_int; min_int + 1; max_int; 0; -1; 9; 10; -9; -10 ];
+        ])
+    (fun n ->
+      let b = Buffer.create 8 in
+      J.add_int b n;
+      String.equal (Buffer.contents b) (string_of_int n))
+
 (* --- profiler ------------------------------------------------------------ *)
 
 let test_self_times () =
@@ -560,6 +576,7 @@ let suite =
         Alcotest.test_case "hist percentile" `Quick test_hist_percentile;
         Alcotest.test_case "expose stable" `Quick test_expose_stable;
         Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+        qcheck add_int_matches_string_of_int;
         Alcotest.test_case "profiler self times" `Quick test_self_times;
         Alcotest.test_case "profiler self-time tie-break" `Quick
           test_self_times_tie_break;

@@ -89,7 +89,7 @@ let test_key_digest () =
         ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
     hex;
   for shards = 1 to 9 do
-    let s = K.shard ~shards key in
+    let s = K.shard ~shards (K.fnv1a64 key) in
     Alcotest.(check bool) "shard in range" true (s >= 0 && s < shards)
   done
 
@@ -640,11 +640,13 @@ let reply_kind line =
       | Some (Json.String s), _ | None, Some (Json.String s) -> s
       | _ -> Alcotest.failf "reply %S has no status" line)
 
-let test_daemon_misbehaving_clients () =
+(* Run [f socket] against a daemon started on another domain, then
+   shut the daemon down and check that it acknowledged. *)
+let with_daemon name f =
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ggpu-daemon-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "ggpu-%s-%d.sock" name (Unix.getpid ()))
   in
   let daemon =
     Domain.spawn (fun () -> Ggpu_serve.Daemon.run ~domains:1 ~socket ())
@@ -659,14 +661,21 @@ let test_daemon_misbehaving_clients () =
     Domain.join daemon;
     reply
   in
+  Fun.protect
+    ~finally:(fun () -> if !running then ignore (shutdown ()))
+    (fun () ->
+      f socket;
+      Alcotest.(check (option string))
+        "shutdown stops the daemon" (Some "shutdown")
+        (Option.map reply_kind (shutdown ())))
+
+let test_daemon_misbehaving_clients () =
   let check what expected fd =
     Alcotest.(check (option string))
       what (Some expected)
       (Option.map reply_kind (recv_line fd))
   in
-  Fun.protect
-    ~finally:(fun () -> if !running then ignore (shutdown ()))
-    (fun () ->
+  with_daemon "daemon" (fun socket ->
       (* a line past the cap: one failed reply, then the daemon hangs up
          without acting on what it read *)
       let fd = daemon_connect socket in
@@ -700,10 +709,166 @@ let test_daemon_misbehaving_clients () =
       let fd = daemon_connect socket in
       send_all fd (P.control_to_line P.Ping ^ "\n");
       check "a new connection answers" "ping" fd;
+      Unix.close fd)
+
+(* Clients that pipeline a window of requests in one write each, at
+   once: every client gets its own replies, in its own order, under its
+   own ids, byte-equal to what the engine answers in-process; a client
+   that hangs up right after writing costs the others nothing; and the
+   flight recorder keeps one span group per request. *)
+let test_daemon_pipelined_clients () =
+  let traced c (r : P.request) =
+    {
+      r with
+      P.trace =
+        Some
+          {
+            P.trace_id = Printf.sprintf "tpipe%d.%06d" c r.P.id;
+            span_id = Printf.sprintf "s%d%05d" c r.P.id;
+          };
+    }
+  in
+  let numbered c kinds =
+    List.mapi (fun i (tech, kind) -> traced c (req ?tech ~id:(i + 1) kind))
+      kinds
+  in
+  let plain kind = (None, kind) in
+  let hits =
+    [
+      sim ~kernel:"copy" ~cus:1 ~size:64;
+      sim ~kernel:"vec_mul" ~cus:1 ~size:64;
+      sim ~kernel:"fir" ~cus:1 ~size:64;
+      perf ~kernel:"copy" ~cus:1 ~size:64;
+      synth ~cus:1 ~freq_mhz:500;
+    ]
+  in
+  let prime = numbered 9 (List.map plain hits) in
+  (* each client's misses run on its own CU count, so no two clients
+     share a miss and the cached flags do not depend on how the daemon
+     batches the windows *)
+  let window c =
+    let cus = 2 lsl c in
+    numbered c
+      (List.map plain
+         [
+           sim ~kernel:"copy" ~cus:1 ~size:64;
+           sim ~kernel:"copy" ~cus ~size:64;
+           sim ~kernel:"vec_mul" ~cus:1 ~size:64;
+           sim ~kernel:"vec_mul" ~cus ~size:64;
+           perf ~kernel:"copy" ~cus:1 ~size:64;
+           sim ~kernel:"nope" ~cus:1 ~size:64;
+           sim ~kernel:"copy" ~cus ~size:64;
+           synth ~cus:1 ~freq_mhz:500;
+           sim ~kernel:"fir" ~cus ~size:64;
+           sim ~kernel:"fir" ~cus:1 ~size:64;
+           perf ~kernel:"vec_mul" ~cus ~size:64;
+           sim ~kernel:"copy" ~cus:1 ~size:64;
+           sim ~kernel:"copy" ~cus ~size:128;
+           perf ~kernel:"vec_mul" ~cus ~size:64;
+           sim ~kernel:"div_int" ~cus ~size:64;
+         ]
+      @ [ (Some "28nm", sim ~kernel:"vec_mul" ~cus:1 ~size:64) ])
+  in
+  let windows = List.init 3 window in
+  let engine = E.create () in
+  ignore (E.process engine prime);
+  let expected =
+    List.map (fun w -> List.map P.response_to_line (E.process engine w))
+      windows
+  in
+  let wire reqs =
+    String.concat "" (List.map (fun r -> P.request_to_line r ^ "\n") reqs)
+  in
+  let replies fd n =
+    List.init n (fun _ ->
+        match recv_line fd with
+        | Some line -> line
+        | None -> Alcotest.fail "the daemon hung up before every reply")
+  in
+  with_daemon "pipelined" (fun socket ->
+      let fd = daemon_connect socket in
+      send_all fd (wire prime);
+      Alcotest.(check (list string))
+        "priming replies"
+        (List.map (fun _ -> "ok") prime)
+        (List.map reply_kind (replies fd (List.length prime)));
+      let fds = List.map (fun _ -> daemon_connect socket) windows in
+      let a, b, c =
+        match fds with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      let wa, wb, wc =
+        match windows with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      send_all a (wire wa);
+      send_all c (wire wc);
+      Unix.close c;
+      send_all b (wire wb);
+      List.iteri
+        (fun i (fd, w) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "client %d gets its own replies" i)
+            (List.nth expected i)
+            (replies fd (List.length w));
+          Unix.close fd)
+        [ (a, wa); (b, wb) ];
+      let control c =
+        send_all fd (P.control_to_line c ^ "\n");
+        match Option.map Json.parse (recv_line fd) with
+        | Some (Ok j) -> j
+        | _ -> Alcotest.fail "no control reply"
+      in
+      let recorded j =
+        match Json.member "recorded" j with Some (Json.Int n) -> n | _ -> -1
+      in
+      (* the daemon accepts one connection per select round, so the
+         hung-up client's window may still be in flight: wait until the
+         recorder has seen every request *)
+      let sent = prime @ List.concat windows in
+      let t0 = Unix.gettimeofday () in
+      while
+        Option.fold ~none:(-1) ~some:recorded
+          (Json.member "recorder" (control P.Stats))
+        < List.length sent
+        && Unix.gettimeofday () -. t0 < 5.0
+      do
+        Unix.sleepf 0.005
+      done;
+      let dump = control P.Dump in
       Unix.close fd;
-      Alcotest.(check (option string))
-        "shutdown stops the daemon" (Some "shutdown")
-        (Option.map reply_kind (shutdown ())))
+      Alcotest.(check int)
+        "one group per request" (List.length sent) (recorded dump);
+      let trace =
+        match Json.member "trace" dump with
+        | Some t -> t
+        | None -> Alcotest.fail "the dump carries no trace"
+      in
+      (match Ggpu_obs.Trace.validate_json trace with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "dump trace invalid: %s" msg);
+      let events =
+        match Json.member "traceEvents" trace with
+        | Some (Json.List evs) -> evs
+        | _ -> []
+      in
+      let count name trace_id =
+        List.length
+          (List.filter
+             (fun ev ->
+               Json.member "name" ev = Some (Json.String name)
+               && Option.bind (Json.member "args" ev) (Json.member "trace_id")
+                  = Some (Json.String trace_id))
+             events)
+      in
+      List.iter
+        (fun (r : P.request) ->
+          let trace_id = (Option.get r.P.trace).P.trace_id in
+          List.iter
+            (fun name ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s of %s" name trace_id)
+                1 (count name trace_id))
+            [ "serve.read"; "serve.reply" ])
+        sent)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -742,5 +907,7 @@ let suite =
           test_span_groups_render_deterministically;
         Alcotest.test_case "daemon survives misbehaving clients" `Quick
           test_daemon_misbehaving_clients;
+        Alcotest.test_case "daemon pipelined clients" `Quick
+          test_daemon_pipelined_clients;
       ] );
   ]
