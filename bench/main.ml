@@ -1065,35 +1065,63 @@ let run_serve () =
   (* Tracing-overhead ceiling: replay the (now fully warm) mix with the
      tracer off and on — span groups are built either way, so this
      isolates the cost of mirroring into the global buffers — and gate
-     the relative slowdown.  Min of 5 reps each to shed scheduler
-     noise. *)
-  let replay_wall () =
-    let t0 = Unix.gettimeofday () in
-    let rec go = function
-      | [] -> ()
+     the relative slowdown.  One rep replays the mix often enough that
+     even its fastest replay, repeated, lasts over 50 ms, so a slow
+     phase of the host shorter than that cannot dominate a rep;
+     untraced and traced reps alternate, so a longer one hits both
+     sides alike; the min of 5 each sheds the rest.  A traced rep grows
+     its trace from empty across all of its replays, as a
+     `serve --trace` daemon grows one, so the reading includes what
+     holding the events costs; the trace is dropped between reps,
+     outside the timed region. *)
+  let windows =
+    let rec split acc = function
+      | [] -> List.rev acc
       | reqs ->
           let chunk, rest = take batch reqs in
-          ignore (Ggpu_serve.Engine.process engine chunk);
-          go rest
+          split (chunk :: acc) rest
     in
-    go reqs;
-    Unix.gettimeofday () -. t0
+    split [] reqs
   in
-  let min_of_reps k f =
-    let rec go best k = if k = 0 then best else go (Float.min best (f ())) (k - 1) in
-    go (f ()) (k - 1)
+  let replay () =
+    List.iter
+      (fun chunk -> ignore (Ggpu_serve.Engine.process engine chunk))
+      windows
   in
-  let base_s = min_of_reps 5 replay_wall in
-  Ggpu_obs.Trace.enable ();
-  let traced_s = min_of_reps 5 replay_wall in
-  Ggpu_obs.Trace.disable ();
-  Ggpu_obs.Trace.reset ();
+  let now = Ggpu_obs.Metrics.now_ns in
+  let passes =
+    let fastest = ref max_int in
+    for _ = 1 to 5 do
+      let t0 = now () in
+      replay ();
+      fastest := Int.min !fastest (now () - t0)
+    done;
+    1 + (50_000_000 / Int.max 1 !fastest)
+  in
+  let rep ~traced =
+    if traced then Ggpu_obs.Trace.enable ();
+    let t0 = now () in
+    for _ = 1 to passes do
+      replay ()
+    done;
+    let wall_ns = now () - t0 in
+    Ggpu_obs.Trace.disable ();
+    Ggpu_obs.Trace.reset ();
+    float_of_int wall_ns /. 1e9
+  in
+  let base_s = ref infinity and traced_s = ref infinity in
+  for _ = 1 to 5 do
+    base_s := Float.min !base_s (rep ~traced:false);
+    traced_s := Float.min !traced_s (rep ~traced:true)
+  done;
+  let base_s = !base_s and traced_s = !traced_s in
   let trace_overhead_pct =
     if base_s > 0.0 then 100.0 *. (traced_s -. base_s) /. base_s else 0.0
   in
   Printf.printf
-    "  tracing overhead: %.2f%% (warm replay %.4fs untraced, %.4fs traced)\n"
-    trace_overhead_pct base_s traced_s;
+    "  tracing overhead: %.2f%% (%d warm replays per rep: %.4fs untraced, \
+     %.4fs traced)\n"
+    trace_overhead_pct passes base_s traced_s;
   let open Ggpu_obs.Json in
   let doc =
     Obj

@@ -89,6 +89,21 @@ let power_term =
   let doc = "Optional power budget in W." in
   Arg.(value & opt (some float) None & info [ "max-power" ] ~doc ~docv:"W")
 
+(* CU counts and sizes a launch would reject mid-run: checked before any
+   work, so a bad value ends in one error line, not an uncaught
+   exception. *)
+let ( let* ) = Result.bind
+
+let check_cus cus =
+  match Compare.check_cu_counts cus with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error (`Msg msg)
+
+let check_size = function
+  | Some size when size < 1 ->
+      Error (`Msg (Printf.sprintf "size %d: must be at least 1" size))
+  | _ -> Ok ()
+
 let spec_of ~cus ~freq ~area ~power =
   try Ok (Spec.make ~max_area_mm2:area ~max_power_w:power ~num_cus:cus ~freq_mhz:freq ())
   with Spec.Invalid_spec msg -> Error (`Msg msg)
@@ -458,6 +473,8 @@ let run_cmd =
     Arg.(value & flag & info [ "pmu" ] ~doc)
   in
   let run obs cus name size pmu sim_domains superopt =
+    let* () = check_cus [ cus ] in
+    let* () = check_size size in
     with_obs obs @@ fun () ->
     let w =
       try Ggpu_kernels.Suite.find name
@@ -571,6 +588,8 @@ let fi_cmd =
     Arg.(value & opt (some string) None & info [ "expect" ] ~doc ~docv:"SIG")
   in
   let run obs cus kernel target trials seed size domains expect =
+    let* () = check_cus [ cus ] in
+    let* () = check_size size in
     with_obs obs @@ fun () ->
     let w =
       try Ggpu_kernels.Suite.find kernel
@@ -640,6 +659,7 @@ let bench_cmd =
     Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"D")
   in
   let run obs domains cus_list sim_domains superopt =
+    let* () = check_cus cus_list in
     with_obs obs @@ fun () ->
     let domains =
       match domains with
@@ -761,6 +781,7 @@ let perf_report_cmd =
   in
   let run obs domains cus_list kernel out baseline max_regress max_overhead
       check stride sim_domains =
+    let* () = check_cus cus_list in
     match check with
     | Some file -> (
         match Ggpu_pmu.Report.validate_file file with
@@ -926,6 +947,7 @@ let profile_cmd =
     Arg.(value & pos 0 string "dse" & info [] ~doc ~docv:"WORKLOAD")
   in
   let run obs tech cus freq workload =
+    let* () = check_cus [ cus ] in
     with_obs obs @@ fun () ->
     (* the whole point of this command is the span table *)
     Ggpu_obs.Trace.enable ();

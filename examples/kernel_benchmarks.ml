@@ -29,13 +29,13 @@ let saxpy =
 
 let () =
   let n = 16384 in
-  let a = 7l in
-  let x = Array.init n (fun i -> Int32.of_int (i mod 1000)) in
-  let y = Array.init n (fun i -> Int32.of_int (i mod 77)) in
+  let a = 7 in
+  let x = Array.init n (fun i -> i mod 1000) in
+  let y = Array.init n (fun i -> i mod 77) in
   let mk_args () =
     {
       Interp.buffers = [ ("x", Array.copy x); ("y", Array.copy y) ];
-      scalars = [ ("a", a); ("n", Int32.of_int n) ];
+      scalars = [ ("a", a); ("n", n) ];
     }
   in
   (* 1. reference semantics *)

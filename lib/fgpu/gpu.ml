@@ -412,16 +412,6 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
     let wf_size = cfg.Config.wavefront_size in
     let num_wgs = (global_size + local_size - 1) / local_size in
     let wfs_per_wg = Config.wavefronts_per_workgroup cfg ~local_size in
-    (* the simulator's working copy of global memory: unboxed native
-       ints, copied back into the caller's [int32 array] on every exit
-       path so partial results survive watchdogs and faults *)
-    let imem = Array.map Ggpu_isa.I32.of_int32 mem in
-    let copy_back () =
-      for i = 0 to Array.length mem - 1 do
-        mem.(i) <- Ggpu_isa.I32.to_int32 imem.(i)
-      done
-    in
-    Fun.protect ~finally:copy_back @@ fun () ->
     let line_words = cfg.Config.cache.Config.line_words in
     let line_bytes = 4 * line_words in
     (* bits that hold any count up to [wf_size] *)
@@ -435,9 +425,9 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       | None ->
           (* eta-expanded: a partial application here would send every
              issue through caml_curry with a fresh intermediate closure *)
-          let th = Threaded.compile dprog ~wf_size ~mem:imem ~line_words in
+          let th = Threaded.compile dprog ~wf_size ~mem ~line_words in
           fun wf out -> Threaded.issue th wf out
-      | Some issue -> fun wf out -> issue dprog ~mem:imem ~line_words wf out
+      | Some issue -> fun wf out -> issue dprog ~mem ~line_words wf out
     in
     (* [reuse ()] offers a retired wavefront whose storage the new one
        may take over; [reuse = None] builds timing-only wavefronts, for a
@@ -882,7 +872,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
             (* converged wavefronts keep [pcs] stale; make it real before
                the injector reads or rewrites per-lane state *)
             Array.iter Wavefront.materialize_pcs resident;
-            f { p_now = t; p_wavefronts = resident; p_cache = cache; p_mem = imem };
+            f { p_now = t; p_wavefronts = resident; p_cache = cache; p_mem = mem };
             (* injected state may have made an idle CU runnable again (a
                revived lane): re-arm every CU; stale events are harmless *)
             Array.iter invalidate cus;
@@ -950,8 +940,8 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
     else begin
       (* the record pass and each in-place count mutate global memory;
          every count starts from this image *)
-      let imem0 = Array.copy imem in
-      let restore () = Array.blit imem0 0 imem 0 (Array.length imem0) in
+      let mem0 = Array.copy mem in
+      let restore () = Array.blit mem0 0 mem 0 (Array.length mem0) in
       let in_place () =
         List.mapi
           (fun i cfg ->

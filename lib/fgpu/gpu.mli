@@ -17,9 +17,8 @@ type probe = {
       (** all resident wavefronts, CU-major then workgroup order *)
   p_cache : Cache.t;
   p_mem : int array;
-      (** the simulator's working copy of global memory: one native int
-          per 32-bit word, {!Ggpu_isa.I32} canonical; mutations are
-          copied back into the caller's [int32 array] when [run] exits *)
+      (** global memory: the caller's [mem] itself, which the launch
+          mutates in place *)
 }
 (** Architectural-state snapshot handed to a fault injector. *)
 
@@ -30,16 +29,17 @@ val run :
   ?domains:int ->
   Config.t ->
   program:Ggpu_isa.Fgpu_isa.t array ->
-  params:int32 list ->
+  params:int list ->
   global_size:int ->
   local_size:int ->
-  mem:int32 array ->
+  mem:int array ->
   Stats.t
 (** Execute the kernel for [global_size] work-items in workgroups of
     [local_size]. [params] are preloaded into r1..rN of every work-item
-    (the code generator's convention). [mem] is global memory, mutated
-    in place (including on watchdog / fault exits, so partial results
-    are observable).
+    (the code generator's convention). [mem] is global memory, one
+    {!Ggpu_isa.I32} word per element: the simulation runs on it in
+    place, with no working copy and no copy-back, so partial results
+    are observable after watchdog and fault exits too.
 
     [max_cycles] arms a watchdog over simulated time; [inject] is a
     [(cycle, f)] pair calling [f] once with a state snapshot at the
@@ -71,10 +71,10 @@ val run_cus :
   Config.t ->
   cus:int list ->
   program:Ggpu_isa.Fgpu_isa.t array ->
-  params:int32 list ->
+  params:int list ->
   global_size:int ->
   local_size:int ->
-  mem:int32 array ->
+  mem:int array ->
   Stats.t list
 (** One launch timed at several CU counts: the stats of each count, in
     [cus] order, as {!run} with [Config.with_cus cfg n] would return

@@ -173,7 +173,7 @@ let make ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size ~pcs ~regs
   }
 
 let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
-    ~(params : int32 list) () =
+    ~(params : int list) () =
   let pcs, regs =
     match reuse with
     | Some (old : t) when old.size = size ->
@@ -187,11 +187,7 @@ let create ?reuse ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
   let live = live_count ~wf_index ~size ~wg_offset ~wg_size ~global_size in
   Array.fill pcs 0 live 0;
   Array.fill pcs live (size - live) done_pc;
-  List.iteri
-    (fun i v ->
-      let r = i + 1 and v = I32.of_int32 v in
-      Array.fill regs (r * size) size v)
-    params;
+  List.iteri (fun i v -> Array.fill regs ((i + 1) * size) size v) params;
   make ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size ~pcs ~regs
     ~live
 
@@ -230,13 +226,12 @@ let min_pc t =
   else if t.sel_valid then t.sel_pc
   else min_pc_from t.pcs t.size 0 done_pc
 
-(* Int32 accessors for external observers (fault injection). *)
-let reg t ~lane r =
-  if r = 0 then 0l else I32.to_int32 t.regs.((r * t.size) + lane)
+(* Register accessors for external observers (fault injection). *)
+let reg t ~lane r = if r = 0 then 0 else t.regs.((r * t.size) + lane)
 
 let set_reg t ~lane r v =
   if r <> 0 then begin
-    t.regs.((r * t.size) + lane) <- I32.of_int32 v;
+    t.regs.((r * t.size) + lane) <- v;
     t.uniform <- t.uniform land lnot (1 lsl r)
   end
 

@@ -7,12 +7,12 @@
     [test/fgpu_oracle.ml].
 
     Registers and memory are native [int array]s holding canonical
-    {!Ggpu_isa.I32} values (an [int32 array] would box every element);
-    an issue writes a reusable [outcome] scratch record, so the
-    steady-state issue path allocates nothing.  The register file is
-    the one large allocation per wavefront; a scheduler can recycle it
-    through {!create}'s [reuse], and a replay, which takes its issues
-    from a trace, builds {!timing_only} wavefronts that have none. *)
+    {!Ggpu_isa.I32} values, with no box per element; an issue writes a
+    reusable [outcome] scratch record, so the steady-state issue path
+    allocates nothing.  The register file is the one large allocation
+    per wavefront; a scheduler can recycle it through {!create}'s
+    [reuse], and a replay, which takes its issues from a trace, builds
+    {!timing_only} wavefronts that have none. *)
 
 val done_pc : int
 
@@ -98,7 +98,7 @@ val create :
   wg_offset:int ->
   wg_size:int ->
   global_size:int ->
-  params:int32 list ->
+  params:int list ->
   unit ->
   t
 (** Lanes beyond the workgroup or global range start retired; [params]
@@ -159,10 +159,11 @@ val coalesce_and_check : outcome -> line_bytes:int -> mem_words:int -> int -> in
     access faults.  @raise Fault on misaligned or out-of-range
     addresses. *)
 
-val reg : t -> lane:int -> int -> int32
-(** Architectural register read as [int32] (fault-injection interface). *)
+val reg : t -> lane:int -> int -> int
+(** Architectural register read, a {!Ggpu_isa.I32} word
+    (fault-injection interface). *)
 
-val set_reg : t -> lane:int -> int -> int32 -> unit
+val set_reg : t -> lane:int -> int -> int -> unit
 (** Overwrite one lane's register from outside the issue path (fault
     injection); clears the register's [uniform] bit. *)
 

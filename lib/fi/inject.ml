@@ -8,13 +8,13 @@
    trial is trivially Masked, exactly as on the real device. *)
 
 open Ggpu_fgpu
+module I32 = Ggpu_isa.I32
 
 (* The FGPU program counter is a short index register; flipping a bit
    above the architectural width would model a strike outside the
    flip-flop.  16 bits covers every program the compiler can emit. *)
 let pc_bits = 16
 
-let flip32 v ~bit = Int32.logxor v (Int32.shift_left 1l bit)
 let flip_int v ~bit = v lxor (1 lsl bit)
 
 let pick rng arr = arr.(Rng.int rng (Array.length arr))
@@ -42,7 +42,7 @@ let apply_gpu rng (structure : Fault.structure) (probe : Gpu.probe) =
         let lane = Rng.int rng wf.Wavefront.size in
         let r = 1 + Rng.int rng 31 in
         let bit = Rng.int rng 32 in
-        Wavefront.set_reg wf ~lane r (flip32 (Wavefront.reg wf ~lane r) ~bit)
+        Wavefront.set_reg wf ~lane r (I32.flip (Wavefront.reg wf ~lane r) ~bit)
       end
   | Fault.Wf_pc ->
       let wfs = unfinished probe in
@@ -91,8 +91,7 @@ let apply_gpu rng (structure : Fault.structure) (probe : Gpu.probe) =
         in
         if word >= 0 && word < Array.length probe.Gpu.p_mem then begin
           let bit = Rng.int rng 32 in
-          probe.Gpu.p_mem.(word) <-
-            Ggpu_isa.I32.flip probe.Gpu.p_mem.(word) ~bit
+          probe.Gpu.p_mem.(word) <- I32.flip probe.Gpu.p_mem.(word) ~bit
         end
       end
   | Fault.Rv_reg | Fault.Rv_pc | Fault.Rv_mem ->
@@ -104,7 +103,7 @@ let apply_rv32 rng (structure : Fault.structure) cpu =
   | Fault.Rv_reg ->
       let r = 1 + Rng.int rng 31 in
       let bit = Rng.int rng 32 in
-      Cpu.set_reg cpu r (flip32 (Cpu.get_reg cpu r) ~bit)
+      Cpu.set_reg cpu r (I32.flip (Cpu.get_reg cpu r) ~bit)
   | Fault.Rv_pc ->
       let bit = Rng.int rng pc_bits in
       Cpu.set_pc cpu (flip_int (Cpu.pc cpu) ~bit)
@@ -112,7 +111,7 @@ let apply_rv32 rng (structure : Fault.structure) cpu =
       let word = Rng.int rng (Cpu.mem_words cpu) in
       let bit = Rng.int rng 32 in
       Cpu.store_word cpu ~addr:(4 * word)
-        (flip32 (Cpu.load_word cpu ~addr:(4 * word)) ~bit)
+        (I32.flip (Cpu.load_word cpu ~addr:(4 * word)) ~bit)
   | Fault.Wf_reg | Fault.Wf_pc | Fault.Wf_mask | Fault.Cache_tag
   | Fault.Cache_data ->
       invalid_arg "Inject.apply_rv32: G-GPU structure"

@@ -30,6 +30,17 @@ let div_signed a b =
 let rem_signed a b =
   if b = 0 then a else if a = min_i32 && b = -1 then 0 else a mod b
 
+(* RV32M unsigned division: [x/0 = 2^32-1] (that is, -1), [x rem 0 = x]. *)
+let div_unsigned a b = if b = 0 then -1 else sx ((a land mask) / (b land mask))
+let rem_unsigned a b = if b = 0 then a else sx ((a land mask) mod (b land mask))
+
+(* High word of the signed 64-bit product.  The product of two int32s
+   can reach 2^62, one past [max_int] on 63-bit ints, so it is formed
+   in (unboxed) Int64. *)
+let mulh a b =
+  Int64.to_int
+    (Int64.shift_right (Int64.mul (Int64.of_int a) (Int64.of_int b)) 32)
+
 let sll a n = sx (a lsl (n land 31))
 let srl a n = sx ((a land mask) lsr (n land 31))
 let sra a n = a asr (n land 31)

@@ -23,6 +23,15 @@ val div_signed : int -> int -> int
 val rem_signed : int -> int -> int
 (** RISC-V M semantics: [x rem 0 = x], [min_int rem -1 = 0]. *)
 
+val div_unsigned : int -> int -> int
+(** RISC-V M semantics on the unsigned reading: [x/0 = -1]. *)
+
+val rem_unsigned : int -> int -> int
+(** RISC-V M semantics on the unsigned reading: [x rem 0 = x]. *)
+
+val mulh : int -> int -> int
+(** High 32 bits of the signed 64-bit product (RV32M [mulh]). *)
+
 val sll : int -> int -> int
 val srl : int -> int -> int
 val sra : int -> int -> int

@@ -3,14 +3,16 @@
    Executes a kernel sequentially, one work-item at a time, over OCaml
    arrays.  This is the semantic ground truth both code generators are
    tested against.  Arithmetic follows RISC-V M semantics for division
-   corner cases so that all three executors agree bit-for-bit.
+   corner cases so that all three executors agree bit-for-bit.  It
+   computes in [Int32]; buffers and scalars hold the simulators' native
+   int words, converted at each load, store and scalar read.
 
    Kernels containing workgroup barriers cannot be run item-at-a-time and
    are rejected; none of the paper's seven micro-benchmarks needs one. *)
 
 type args = {
-  buffers : (string * int32 array) list;
-  scalars : (string * int32) list;
+  buffers : (string * int array) list;
+  scalars : (string * int) list;
 }
 
 exception Runtime_error of string
@@ -62,7 +64,7 @@ type item_ctx = {
   lsize : int32;
   gsize : int32;
   vars : (string, int32) Hashtbl.t;
-  bufs : (string, int32 array) Hashtbl.t;
+  bufs : (string, int array) Hashtbl.t;
 }
 
 let buffer ctx name =
@@ -89,7 +91,7 @@ let rec eval ctx e =
       let i = Int32.to_int (eval ctx idx) in
       if i < 0 || i >= Array.length a then
         fail "load %s.(%d) out of bounds (len %d)" buf i (Array.length a);
-      a.(i)
+      Ggpu_isa.I32.to_int32 a.(i)
 
 let rec exec_stmts ctx stmts = List.iter (exec_stmt ctx) stmts
 
@@ -102,7 +104,7 @@ and exec_stmt ctx stmt =
       let i = Int32.to_int (eval ctx idx) in
       if i < 0 || i >= Array.length a then
         fail "store %s.(%d) out of bounds (len %d)" buf i (Array.length a);
-      a.(i) <- eval ctx v
+      a.(i) <- Ggpu_isa.I32.of_int32 (eval ctx v)
   | Ast.If (c, then_, else_) ->
       if eval ctx c <> 0l then exec_stmts ctx then_ else exec_stmts ctx else_
   | Ast.While (c, body) ->
@@ -142,7 +144,9 @@ let run kernel ~args ~global_size ~local_size =
     (Ast.scalars kernel);
   for gid = 0 to global_size - 1 do
     let vars = Hashtbl.create 16 in
-    List.iter (fun (name, v) -> Hashtbl.replace vars name v) args.scalars;
+    List.iter
+      (fun (name, v) -> Hashtbl.replace vars name (Ggpu_isa.I32.to_int32 v))
+      args.scalars;
     let ctx =
       {
         gid = Int32.of_int gid;

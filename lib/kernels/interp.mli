@@ -3,9 +3,14 @@
     semantics so all three executors agree bit-for-bit. *)
 
 type args = {
-  buffers : (string * int32 array) list;  (** mutated in place *)
-  scalars : (string * int32) list;
+  buffers : (string * int array) list;
+      (** one {!Ggpu_isa.I32} word per element; mutated in place *)
+  scalars : (string * int) list;  (** {!Ggpu_isa.I32} values *)
 }
+(** A launch's arguments, in the word representation both simulators
+    compute in. The interpreter itself evaluates in [Int32] and converts
+    only at loads, stores and scalar reads, so it stays independent of
+    {!Ggpu_isa.I32}. *)
 
 exception Runtime_error of string
 exception Unsupported of string

@@ -4,10 +4,9 @@
 
 type result = {
   stats : Ggpu_fgpu.Stats.t;
-  buffers : (string * int32 array) list;  (** final contents *)
+  buffers : (string * int array) list;
+      (** final contents, {!Ggpu_isa.I32} words *)
 }
-
-exception Setup_error of string
 
 val run :
   ?config:Ggpu_fgpu.Config.t ->
@@ -21,11 +20,12 @@ val run :
   local_size:int ->
   unit ->
   result
-(** Buffers are placed from byte address 0x1000, 64-byte aligned.
-    [max_cycles], [inject], [pmu] and [domains] are forwarded to
-    {!Ggpu_fgpu.Gpu.run} (watchdog, fault-injection hook, the
-    performance-monitoring collector, and the functional-phase domain
-    fan-out). *)
+(** Buffers are laid out by {!Mem_image.build}, and the simulator runs
+    on that image in place.  [max_cycles], [inject], [pmu] and [domains]
+    are forwarded to {!Ggpu_fgpu.Gpu.run} (watchdog, fault-injection
+    hook, the performance-monitoring collector, and the functional-phase
+    domain fan-out).
+    @raise Mem_image.Setup_error on a missing argument. *)
 
 val run_cus :
   ?domains:int ->
@@ -42,5 +42,5 @@ val run_cus :
     result per count, in order; they share one [buffers] list, the
     launch's final memory. *)
 
-val output : result -> string -> int32 array
-(** @raise Setup_error on an unknown buffer name. *)
+val output : result -> string -> int array
+(** @raise Mem_image.Setup_error on an unknown buffer name. *)

@@ -3,10 +3,9 @@
 
 type result = {
   stats : Ggpu_riscv.Cpu.stats;
-  buffers : (string * int32 array) list;
+  buffers : (string * int array) list;
+      (** final contents, {!Ggpu_isa.I32} words *)
 }
-
-exception Setup_error of string
 
 val run :
   ?max_cycles:int ->
@@ -17,13 +16,13 @@ val run :
   local_size:int ->
   unit ->
   result
-(** Buffers are placed from byte address 0x1000, 64-byte aligned, in a
-    memory sized to hold them; the run executes at most 500,000,000
+(** Buffers are laid out by {!Mem_image.build}, whose image is the
+    CPU's data memory; the run executes at most 500,000,000
     instructions (@raise Ggpu_riscv.Cpu.Out_of_fuel beyond that).
     [max_cycles] arms {!Ggpu_riscv.Cpu.run}'s cycle watchdog. [inject]
     is a [(cycle, f)] fault-injection hook: the CPU single-steps to the
     first instruction boundary at or after [cycle], [f] corrupts the
     state, and the run resumes (skipped if the program halts first). *)
 
-val output : result -> string -> int32 array
-(** @raise Setup_error on an unknown buffer name. *)
+val output : result -> string -> int array
+(** @raise Mem_image.Setup_error on an unknown buffer name. *)

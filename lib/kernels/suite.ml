@@ -9,25 +9,25 @@
 
 open Ast
 
+module I32 = Ggpu_isa.I32
+
 (* Deterministic 32-bit LCG so that every run and both targets see the
-   same data. *)
+   same data, computed in {!Ggpu_isa.I32} words. *)
 let lcg_stream ~seed =
   (* Knuth multiplicative scramble, then force odd: distinct seeds give
      distinct streams (a plain [seed lor 1] would collapse 42 and 43); the multiplier is
      2654435761 = golden-ratio hash, as a signed int32 *)
-  let scrambled = Int32.mul (Int32.of_int seed) (-1640531527l) in
-  let state = ref (Int32.logor scrambled 1l) in
+  let scrambled = I32.mul (I32.sx seed) (-1640531527) in
+  let state = ref (scrambled lor 1) in
   fun () ->
-    state := Int32.add (Int32.mul !state 1103515245l) 12345l;
+    state := I32.add (I32.mul !state 1103515245) 12345;
     !state
 
 let gen_array ~seed ~len ~modulus =
   let next = lcg_stream ~seed in
-  Array.init len (fun _ ->
-      let v = Int32.rem (next ()) (Int32.of_int modulus) in
-      Int32.abs v)
+  Array.init len (fun _ -> abs (next () mod modulus))
 
-let zeroes len = Array.make len 0l
+let zeroes len = Array.make len 0
 
 type t = {
   name : string;
@@ -38,7 +38,7 @@ type t = {
       (* nearest legal size not above the request (e.g. mat_mul needs a
          perfect square) *)
   mk_args : size:int -> Interp.args;
-  expected : size:int -> Interp.args -> int32 array;
+  expected : size:int -> Interp.args -> int array;
   global_size : size:int -> int;
   riscv_size : int; (* Table III "RISC-V input size" *)
   ggpu_size : int; (* Table III "G-GPU input size" *)
@@ -74,7 +74,7 @@ let copy =
         {
           Interp.buffers =
             [ ("src", gen_array ~seed:11 ~len:size ~modulus:1000000); ("dst", zeroes size) ];
-          scalars = [ ("n", Int32.of_int size) ];
+          scalars = [ ("n", size) ];
         });
     expected = (fun ~size:_ args -> Array.copy (find_buffer args "src"));
     global_size = (fun ~size -> size);
@@ -119,12 +119,12 @@ let vec_mul =
               ("b", gen_array ~seed:22 ~len:size ~modulus:10000);
               ("out", zeroes size);
             ];
-          scalars = [ ("n", Int32.of_int size) ];
+          scalars = [ ("n", size) ];
         });
     expected =
       (fun ~size args ->
         let a = find_buffer args "a" and b = find_buffer args "b" in
-        Array.init size (fun i -> Int32.mul a.(i) b.(i)));
+        Array.init size (fun i -> I32.mul a.(i) b.(i)));
     global_size = (fun ~size -> size);
     riscv_size = 1024;
     ggpu_size = 65536;
@@ -186,18 +186,17 @@ let mat_mul =
               ("b", gen_array ~seed:32 ~len:(matmul_inner * matmul_inner) ~modulus:100);
               ("c", zeroes size);
             ];
-          scalars = [ ("n", Int32.of_int size) ];
+          scalars = [ ("n", size) ];
         });
     expected =
       (fun ~size args ->
         let a = find_buffer args "a" and b = find_buffer args "b" in
         Array.init size (fun i ->
             let row = i lsr 4 and col = i land 15 in
-            let acc = ref 0l in
+            let acc = ref 0 in
             for k = 0 to matmul_inner - 1 do
               acc :=
-                Int32.add !acc
-                  (Int32.mul a.((row * 16) + k) b.((k * 16) + col))
+                I32.add !acc (I32.mul a.((row * 16) + k) b.((k * 16) + col))
             done;
             !acc));
     global_size = (fun ~size -> size);
@@ -253,16 +252,15 @@ let fir =
               ("coeff", gen_array ~seed:42 ~len:fir_taps ~modulus:64);
               ("out", zeroes size);
             ];
-          scalars =
-            [ ("n", Int32.of_int size); ("taps", Int32.of_int fir_taps) ];
+          scalars = [ ("n", size); ("taps", fir_taps) ];
         });
     expected =
       (fun ~size args ->
         let x = find_buffer args "x" and coeff = find_buffer args "coeff" in
         Array.init size (fun i ->
-            let acc = ref 0l in
+            let acc = ref 0 in
             for k = 0 to fir_taps - 1 do
-              acc := Int32.add !acc (Int32.mul coeff.(k) x.(i + k))
+              acc := I32.add !acc (I32.mul coeff.(k) x.(i + k))
             done;
             !acc));
     global_size = (fun ~size -> size);
@@ -298,7 +296,7 @@ let div_int =
     mk_args =
       (fun ~size ->
         let b = gen_array ~seed:52 ~len:size ~modulus:97 in
-        let b = Array.map (fun v -> Int32.add v 1l) b in
+        let b = Array.map (fun v -> I32.add v 1) b in
         {
           Interp.buffers =
             [
@@ -306,12 +304,12 @@ let div_int =
               ("b", b);
               ("out", zeroes size);
             ];
-          scalars = [ ("n", Int32.of_int size) ];
+          scalars = [ ("n", size) ];
         });
     expected =
       (fun ~size args ->
         let a = find_buffer args "a" and b = find_buffer args "b" in
-        Array.init size (fun i -> Int32.div a.(i) b.(i)));
+        Array.init size (fun i -> I32.div_signed a.(i) b.(i)));
     global_size = (fun ~size -> size);
     riscv_size = 512;
     ggpu_size = 4096;
@@ -370,16 +368,15 @@ let xcorr =
               ("b", gen_array ~seed:62 ~len:(xcorr_window_of ~size + size) ~modulus:1000);
               ("out", zeroes size);
             ];
-          scalars =
-            [ ("nlags", Int32.of_int size); ("w", Int32.of_int (xcorr_window_of ~size)) ];
+          scalars = [ ("nlags", size); ("w", xcorr_window_of ~size) ];
         });
     expected =
       (fun ~size args ->
         let a = find_buffer args "a" and b = find_buffer args "b" in
         Array.init size (fun lag ->
-            let acc = ref 0l in
+            let acc = ref 0 in
             for i = 0 to xcorr_window_of ~size - 1 do
-              acc := Int32.add !acc (Int32.mul a.(i) b.(i + lag))
+              acc := I32.add !acc (I32.mul a.(i) b.(i + lag))
             done;
             !acc));
     global_size = (fun ~size -> size);
@@ -442,13 +439,13 @@ let parallel_sel =
               ("src", gen_array ~seed:71 ~len:size ~modulus:10000);
               ("dst", zeroes size);
             ];
-          scalars = [ ("n", Int32.of_int size) ];
+          scalars = [ ("n", size) ];
         });
     expected =
       (fun ~size:_ args ->
         let src = find_buffer args "src" in
         let sorted = Array.copy src in
-        Array.sort Int32.compare sorted;
+        Array.sort Int.compare sorted;
         sorted);
     global_size = (fun ~size -> size);
     riscv_size = 128;

@@ -13,15 +13,17 @@ type t = {
       (** nearest legal size not above the request (mat_mul needs a
           multiple of 16) *)
   mk_args : size:int -> Interp.args;
-  expected : size:int -> Interp.args -> int32 array;
+  expected : size:int -> Interp.args -> int array;
       (** reference output computed from the args' input buffers *)
   global_size : size:int -> int;
   riscv_size : int;
   ggpu_size : int;
 }
 
-val gen_array : seed:int -> len:int -> modulus:int -> int32 array
-(** Deterministic pseudo-random inputs (both targets see the same data). *)
+val gen_array : seed:int -> len:int -> modulus:int -> int array
+(** Deterministic pseudo-random inputs from 0 to [modulus - 1], as
+    {!Ggpu_isa.I32} words (both targets see the same data).  [modulus]
+    is positive and below 2{^31}. *)
 
 val matmul_inner : int
 val fir_taps : int

@@ -5,7 +5,12 @@
    RISC-V unprivileged specification (including division corner cases:
    divide-by-zero yields -1 / the dividend, signed overflow wraps).
    [Ecall] halts the machine - the kernel compiler emits it as the final
-   instruction. *)
+   instruction.
+
+   Registers and memory hold {!Ggpu_isa.I32} words, native ints, so a
+   step allocates nothing: each instruction is one match that writes its
+   destination, charges its cycles from the timing model and yields the
+   next pc. *)
 
 open Ggpu_isa
 
@@ -20,8 +25,8 @@ type stats = {
 
 type t = {
   program : Rv32.t array;
-  mem : int32 array; (* word-addressed data memory *)
-  regs : int32 array;
+  mem : int array; (* word-addressed data memory *)
+  regs : int array; (* x0 is never written, so it reads 0 *)
   timing : Timing_model.t;
   stats : stats;
   mutable pc : int; (* byte address *)
@@ -32,11 +37,11 @@ exception Trap of string
 
 let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 
-let create ?(timing = Timing_model.cv32e40p) ~mem_words ~program () =
+let create ?(timing = Timing_model.cv32e40p) ~mem ~program () =
   {
     program;
-    mem = Array.make mem_words 0l;
-    regs = Array.make 32 0l;
+    mem;
+    regs = Array.make 32 0;
     timing;
     stats =
       {
@@ -56,9 +61,8 @@ let halted t = t.halted
 let mem_words t = Array.length t.mem
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
-
-let read_reg t r = if r = 0 then 0l else t.regs.(r)
-let write_reg t r v = if r <> 0 then t.regs.(r) <- v
+let get_reg t r = t.regs.(r)
+let set_reg t r v = if r <> 0 then t.regs.(r) <- v
 
 let check_word_addr t addr =
   if addr land 3 <> 0 then trap "misaligned access at 0x%x" addr;
@@ -69,119 +73,106 @@ let check_word_addr t addr =
 let load_word t ~addr = t.mem.(check_word_addr t addr)
 let store_word t ~addr v = t.mem.(check_word_addr t addr) <- v
 
-(* Bulk accessors used by the benchmark harness. *)
-let write_block t ~addr values =
-  Array.iteri (fun i v -> store_word t ~addr:(addr + (4 * i)) v) values
+(* Charge [cost] cycles and fall through to the next instruction. *)
+let[@inline] next t pc cost =
+  t.stats.cycles <- t.stats.cycles + cost;
+  pc + 4
 
-let read_block t ~addr ~len =
-  Array.init len (fun i -> load_word t ~addr:(addr + (4 * i)))
+(* Write [rd], charge [cost] cycles, fall through. *)
+let[@inline] alu t rd v pc cost =
+  set_reg t rd v;
+  next t pc cost
 
-let set_reg = write_reg
-let get_reg = read_reg
-
-let u32_lt a b =
-  (* unsigned comparison on int32 *)
-  Int32.unsigned_compare a b < 0
-
-let srl a sh = Int32.shift_right_logical a (sh land 31)
-let sra a sh = Int32.shift_right a (sh land 31)
-let sll a sh = Int32.shift_left a (sh land 31)
-
-let div_signed a b =
-  if b = 0l then -1l
-  else if a = Int32.min_int && b = -1l then Int32.min_int
-  else Int32.div a b
-
-let rem_signed a b =
-  if b = 0l then a
-  else if a = Int32.min_int && b = -1l then 0l
-  else Int32.rem a b
-
-let div_unsigned a b = if b = 0l then -1l else Int32.unsigned_div a b
-let rem_unsigned a b = if b = 0l then a else Int32.unsigned_rem a b
-
-let mulh a b =
-  let p = Int64.mul (Int64.of_int32 a) (Int64.of_int32 b) in
-  Int64.to_int32 (Int64.shift_right p 32)
+(* A conditional branch: count it, charge its cycles, and go to
+   [pc + off] if [cond] holds. *)
+let[@inline] branch t cond pc off =
+  let st = t.stats in
+  st.branches <- st.branches + 1;
+  if cond then begin
+    st.taken_branches <- st.taken_branches + 1;
+    st.cycles <- st.cycles + t.timing.Timing_model.branch_taken;
+    pc + off
+  end
+  else next t pc t.timing.Timing_model.base
 
 (* Execute one instruction; updates pc, registers, memory and stats. *)
 let step t =
-  if t.halted then ()
-  else begin
-    let idx = t.pc lsr 2 in
+  if not t.halted then begin
+    let pc = t.pc in
+    let idx = pc lsr 2 in
     if idx < 0 || idx >= Array.length t.program then
-      trap "pc 0x%x outside program" t.pc;
-    let insn = t.program.(idx) in
-    let rr = read_reg t and wr = write_reg t in
-    let next = ref (t.pc + 4) in
-    let taken = ref false in
-    let branch cond off =
-      t.stats.branches <- t.stats.branches + 1;
-      if cond then begin
-        taken := true;
-        t.stats.taken_branches <- t.stats.taken_branches + 1;
-        next := t.pc + off
-      end
+      trap "pc 0x%x outside program" pc;
+    let r = t.regs and tm = t.timing and st = t.stats in
+    let base = tm.Timing_model.base in
+    let next_pc =
+      match t.program.(idx) with
+      | Rv32.Lui (rd, imm) -> alu t rd (I32.sll (I32.of_int32 imm) 12) pc base
+      | Rv32.Auipc (rd, imm) ->
+          alu t rd (I32.add (I32.sx pc) (I32.sll (I32.of_int32 imm) 12)) pc base
+      | Rv32.Jal (rd, off) ->
+          set_reg t rd (I32.sx (pc + 4));
+          st.cycles <- st.cycles + tm.Timing_model.jump;
+          pc + off
+      | Rv32.Jalr (rd, rs1, off) ->
+          let target = I32.add r.(rs1) (I32.sx off) land lnot 1 in
+          set_reg t rd (I32.sx (pc + 4));
+          st.cycles <- st.cycles + tm.Timing_model.jump;
+          target
+      | Rv32.Beq (a, b, off) -> branch t (r.(a) = r.(b)) pc off
+      | Rv32.Bne (a, b, off) -> branch t (r.(a) <> r.(b)) pc off
+      | Rv32.Blt (a, b, off) -> branch t (r.(a) < r.(b)) pc off
+      | Rv32.Bge (a, b, off) -> branch t (r.(a) >= r.(b)) pc off
+      | Rv32.Bltu (a, b, off) -> branch t (I32.ult r.(a) r.(b)) pc off
+      | Rv32.Bgeu (a, b, off) -> branch t (not (I32.ult r.(a) r.(b))) pc off
+      | Rv32.Lw (rd, rs1, off) ->
+          st.loads <- st.loads + 1;
+          alu t rd (load_word t ~addr:(r.(rs1) + off)) pc tm.Timing_model.load
+      | Rv32.Sw (rs2, rs1, off) ->
+          st.stores <- st.stores + 1;
+          store_word t ~addr:(r.(rs1) + off) r.(rs2);
+          next t pc tm.Timing_model.store
+      | Rv32.Addi (rd, rs1, i) ->
+          alu t rd (I32.add r.(rs1) (I32.of_int32 i)) pc base
+      | Rv32.Slti (rd, rs1, i) ->
+          alu t rd (Bool.to_int (r.(rs1) < I32.of_int32 i)) pc base
+      | Rv32.Sltiu (rd, rs1, i) ->
+          alu t rd (Bool.to_int (I32.ult r.(rs1) (I32.of_int32 i))) pc base
+      | Rv32.Xori (rd, rs1, i) -> alu t rd (r.(rs1) lxor I32.of_int32 i) pc base
+      | Rv32.Ori (rd, rs1, i) -> alu t rd (r.(rs1) lor I32.of_int32 i) pc base
+      | Rv32.Andi (rd, rs1, i) -> alu t rd (r.(rs1) land I32.of_int32 i) pc base
+      | Rv32.Slli (rd, rs1, sh) -> alu t rd (I32.sll r.(rs1) sh) pc base
+      | Rv32.Srli (rd, rs1, sh) -> alu t rd (I32.srl r.(rs1) sh) pc base
+      | Rv32.Srai (rd, rs1, sh) -> alu t rd (I32.sra r.(rs1) sh) pc base
+      | Rv32.Add (rd, a, b) -> alu t rd (I32.add r.(a) r.(b)) pc base
+      | Rv32.Sub (rd, a, b) -> alu t rd (I32.sub r.(a) r.(b)) pc base
+      | Rv32.Sll (rd, a, b) -> alu t rd (I32.sll r.(a) r.(b)) pc base
+      | Rv32.Slt (rd, a, b) -> alu t rd (Bool.to_int (r.(a) < r.(b))) pc base
+      | Rv32.Sltu (rd, a, b) ->
+          alu t rd (Bool.to_int (I32.ult r.(a) r.(b))) pc base
+      | Rv32.Xor (rd, a, b) -> alu t rd (r.(a) lxor r.(b)) pc base
+      | Rv32.Srl (rd, a, b) -> alu t rd (I32.srl r.(a) r.(b)) pc base
+      | Rv32.Sra (rd, a, b) -> alu t rd (I32.sra r.(a) r.(b)) pc base
+      | Rv32.Or (rd, a, b) -> alu t rd (r.(a) lor r.(b)) pc base
+      | Rv32.And (rd, a, b) -> alu t rd (r.(a) land r.(b)) pc base
+      | Rv32.Mul (rd, a, b) ->
+          alu t rd (I32.mul r.(a) r.(b)) pc tm.Timing_model.mul
+      | Rv32.Mulh (rd, a, b) ->
+          alu t rd (I32.mulh r.(a) r.(b)) pc tm.Timing_model.mul
+      | Rv32.Div (rd, a, b) ->
+          alu t rd (I32.div_signed r.(a) r.(b)) pc tm.Timing_model.div
+      | Rv32.Divu (rd, a, b) ->
+          alu t rd (I32.div_unsigned r.(a) r.(b)) pc tm.Timing_model.div
+      | Rv32.Rem (rd, a, b) ->
+          alu t rd (I32.rem_signed r.(a) r.(b)) pc tm.Timing_model.div
+      | Rv32.Remu (rd, a, b) ->
+          alu t rd (I32.rem_unsigned r.(a) r.(b)) pc tm.Timing_model.div
+      | Rv32.Ecall ->
+          t.halted <- true;
+          st.cycles <- st.cycles + base;
+          pc
     in
-    (match insn with
-    | Rv32.Lui (rd, imm) -> wr rd (Int32.shift_left imm 12)
-    | Rv32.Auipc (rd, imm) ->
-        wr rd (Int32.add (Int32.of_int t.pc) (Int32.shift_left imm 12))
-    | Rv32.Jal (rd, off) ->
-        wr rd (Int32.of_int (t.pc + 4));
-        taken := true;
-        next := t.pc + off
-    | Rv32.Jalr (rd, rs1, off) ->
-        let target =
-          Int32.to_int (Int32.add (rr rs1) (Int32.of_int off)) land lnot 1
-        in
-        wr rd (Int32.of_int (t.pc + 4));
-        taken := true;
-        next := target
-    | Rv32.Beq (a, b, off) -> branch (rr a = rr b) off
-    | Rv32.Bne (a, b, off) -> branch (rr a <> rr b) off
-    | Rv32.Blt (a, b, off) -> branch (Int32.compare (rr a) (rr b) < 0) off
-    | Rv32.Bge (a, b, off) -> branch (Int32.compare (rr a) (rr b) >= 0) off
-    | Rv32.Bltu (a, b, off) -> branch (u32_lt (rr a) (rr b)) off
-    | Rv32.Bgeu (a, b, off) -> branch (not (u32_lt (rr a) (rr b))) off
-    | Rv32.Lw (rd, rs1, off) ->
-        t.stats.loads <- t.stats.loads + 1;
-        wr rd (load_word t ~addr:(Int32.to_int (rr rs1) + off))
-    | Rv32.Sw (rs2, rs1, off) ->
-        t.stats.stores <- t.stats.stores + 1;
-        store_word t ~addr:(Int32.to_int (rr rs1) + off) (rr rs2)
-    | Rv32.Addi (rd, rs1, i) -> wr rd (Int32.add (rr rs1) i)
-    | Rv32.Slti (rd, rs1, i) ->
-        wr rd (if Int32.compare (rr rs1) i < 0 then 1l else 0l)
-    | Rv32.Sltiu (rd, rs1, i) -> wr rd (if u32_lt (rr rs1) i then 1l else 0l)
-    | Rv32.Xori (rd, rs1, i) -> wr rd (Int32.logxor (rr rs1) i)
-    | Rv32.Ori (rd, rs1, i) -> wr rd (Int32.logor (rr rs1) i)
-    | Rv32.Andi (rd, rs1, i) -> wr rd (Int32.logand (rr rs1) i)
-    | Rv32.Slli (rd, rs1, sh) -> wr rd (sll (rr rs1) sh)
-    | Rv32.Srli (rd, rs1, sh) -> wr rd (srl (rr rs1) sh)
-    | Rv32.Srai (rd, rs1, sh) -> wr rd (sra (rr rs1) sh)
-    | Rv32.Add (rd, a, b) -> wr rd (Int32.add (rr a) (rr b))
-    | Rv32.Sub (rd, a, b) -> wr rd (Int32.sub (rr a) (rr b))
-    | Rv32.Sll (rd, a, b) -> wr rd (sll (rr a) (Int32.to_int (rr b)))
-    | Rv32.Slt (rd, a, b) ->
-        wr rd (if Int32.compare (rr a) (rr b) < 0 then 1l else 0l)
-    | Rv32.Sltu (rd, a, b) -> wr rd (if u32_lt (rr a) (rr b) then 1l else 0l)
-    | Rv32.Xor (rd, a, b) -> wr rd (Int32.logxor (rr a) (rr b))
-    | Rv32.Srl (rd, a, b) -> wr rd (srl (rr a) (Int32.to_int (rr b)))
-    | Rv32.Sra (rd, a, b) -> wr rd (sra (rr a) (Int32.to_int (rr b)))
-    | Rv32.Or (rd, a, b) -> wr rd (Int32.logor (rr a) (rr b))
-    | Rv32.And (rd, a, b) -> wr rd (Int32.logand (rr a) (rr b))
-    | Rv32.Mul (rd, a, b) -> wr rd (Int32.mul (rr a) (rr b))
-    | Rv32.Mulh (rd, a, b) -> wr rd (mulh (rr a) (rr b))
-    | Rv32.Div (rd, a, b) -> wr rd (div_signed (rr a) (rr b))
-    | Rv32.Divu (rd, a, b) -> wr rd (div_unsigned (rr a) (rr b))
-    | Rv32.Rem (rd, a, b) -> wr rd (rem_signed (rr a) (rr b))
-    | Rv32.Remu (rd, a, b) -> wr rd (rem_unsigned (rr a) (rr b))
-    | Rv32.Ecall -> t.halted <- true);
-    t.stats.instructions <- t.stats.instructions + 1;
-    t.stats.cycles <-
-      t.stats.cycles + Timing_model.cost t.timing insn ~taken:!taken;
-    if not t.halted then t.pc <- !next
+    st.instructions <- st.instructions + 1;
+    t.pc <- next_pc
   end
 
 exception Out_of_fuel of int
@@ -194,13 +185,11 @@ exception Watchdog_timeout of int
 let run ?(fuel = 500_000_000) ?max_cycles t =
   Ggpu_obs.Trace.with_span "rv32.run" @@ fun () ->
   let t0_ns = Ggpu_obs.Metrics.now_ns () in
+  let limit = Option.value max_cycles ~default:max_int in
   let executed = ref 0 in
   while not t.halted do
     if !executed > fuel then raise (Out_of_fuel !executed);
-    (match max_cycles with
-    | Some limit when t.stats.cycles > limit ->
-        raise (Watchdog_timeout t.stats.cycles)
-    | _ -> ());
+    if t.stats.cycles > limit then raise (Watchdog_timeout t.stats.cycles);
     step t;
     incr executed
   done;

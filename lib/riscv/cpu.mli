@@ -1,7 +1,8 @@
 (** RV32IM functional + timing simulator: a Harvard machine with a
     decoded program array and a word-addressed data memory. Semantics
     follow the RISC-V unprivileged specification, including division
-    corner cases; [Ecall] halts. *)
+    corner cases; [Ecall] halts. Registers and memory hold
+    {!Ggpu_isa.I32} words, and {!step} allocates nothing. *)
 
 type stats = {
   mutable cycles : int;
@@ -22,10 +23,12 @@ exception Watchdog_timeout of int
 
 val create :
   ?timing:Timing_model.t ->
-  mem_words:int ->
+  mem:int array ->
   program:Ggpu_isa.Rv32.t array ->
   unit ->
   t
+(** A machine at pc 0 with zeroed registers whose data memory is [mem],
+    one {!Ggpu_isa.I32} word per element, mutated in place by the run. *)
 
 val stats : t -> stats
 val halted : t -> bool
@@ -37,15 +40,15 @@ val pc : t -> int
 val set_pc : t -> int -> unit
 (** Overwrite the program counter (fault-injection hook). *)
 
-val get_reg : t -> int -> int32
-val set_reg : t -> int -> int32 -> unit
+val get_reg : t -> int -> int
+val set_reg : t -> int -> int -> unit
+(** Register access in {!Ggpu_isa.I32} words; writes to x0 are
+    ignored. *)
 
-val load_word : t -> addr:int -> int32
+val load_word : t -> addr:int -> int
 (** @raise Trap on misaligned or out-of-range addresses. *)
 
-val store_word : t -> addr:int -> int32 -> unit
-val write_block : t -> addr:int -> int32 array -> unit
-val read_block : t -> addr:int -> len:int -> int32 array
+val store_word : t -> addr:int -> int -> unit
 
 val step : t -> unit
 (** Execute one instruction (no-op once halted).

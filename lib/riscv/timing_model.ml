@@ -18,17 +18,3 @@ type t = {
 
 let cv32e40p =
   { base = 1; load = 8; store = 3; branch_taken = 3; jump = 2; mul = 1; div = 22 }
-
-let cost t insn ~taken =
-  match insn with
-  | Ggpu_isa.Rv32.Lw _ -> t.load
-  | Ggpu_isa.Rv32.Sw _ -> t.store
-  | Ggpu_isa.Rv32.Beq _ | Ggpu_isa.Rv32.Bne _ | Ggpu_isa.Rv32.Blt _
-  | Ggpu_isa.Rv32.Bge _ | Ggpu_isa.Rv32.Bltu _ | Ggpu_isa.Rv32.Bgeu _ ->
-      if taken then t.branch_taken else t.base
-  | Ggpu_isa.Rv32.Jal _ | Ggpu_isa.Rv32.Jalr _ -> t.jump
-  | Ggpu_isa.Rv32.Mul _ | Ggpu_isa.Rv32.Mulh _ -> t.mul
-  | Ggpu_isa.Rv32.Div _ | Ggpu_isa.Rv32.Divu _ | Ggpu_isa.Rv32.Rem _
-  | Ggpu_isa.Rv32.Remu _ ->
-      t.div
-  | _ -> t.base

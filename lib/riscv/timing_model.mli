@@ -3,14 +3,14 @@
     comparison point). *)
 
 type t = {
-  base : int;
-  load : int;
-  store : int;
+  base : int;  (** ALU, not-taken branch, [ecall] *)
+  load : int;  (** [lw] *)
+  store : int;  (** [sw] *)
   branch_taken : int;
-  jump : int;
-  mul : int;
-  div : int;
+  jump : int;  (** [jal], [jalr] *)
+  mul : int;  (** [mul], [mulh] *)
+  div : int;  (** [div], [divu], [rem], [remu] *)
 }
+(** Cycles per instruction class; {!Cpu.step} charges them. *)
 
 val cv32e40p : t
-val cost : t -> Ggpu_isa.Rv32.t -> taken:bool -> int

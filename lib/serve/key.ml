@@ -31,10 +31,13 @@ let shard ~shards h =
 
 (* The tech models are plain records of floats and ints; Marshal gives
    a canonical byte rendering of every parameter without naming each
-   field of four nested model types.  The hash only has to separate
-   models within one server process, where Marshal is deterministic. *)
+   field of four nested model types.  [No_sharing] makes it a function
+   of the values alone: by default Marshal also encodes which equal
+   sub-values are physically shared, and that differs between build
+   profiles and between a model and its deep copy. *)
 let tech (t : Ggpu_tech.Tech.t) =
-  t.Ggpu_tech.Tech.name ^ ":" ^ hash_hex (Marshal.to_string t [])
+  t.Ggpu_tech.Tech.name ^ ":"
+  ^ hash_hex (Marshal.to_string t [ Marshal.No_sharing ])
 
 let synth ~tech spec =
   let b = Buffer.create 128 in

@@ -24,7 +24,9 @@ val shard : shards:int -> int64 -> int
 val tech : Ggpu_tech.Tech.t -> string
 (** Technology fingerprint: the model name plus a content hash of every
     numeric parameter, so a retuned model never aliases a cached
-    result.  It Marshals the whole model, so compute it once per
+    result.  It depends on the values alone, not on the record's
+    physical sharing, so every build profile and any structurally equal
+    copy agree.  It Marshals the whole model, so compute it once per
     technology. *)
 
 val synth : tech:string -> Ggpu_core.Spec.t -> string

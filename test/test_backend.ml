@@ -153,12 +153,14 @@ let mk_args c =
   (* the barrier phase may read any slot of its workgroup's span, so
      size "out" to the workgroup-aligned grid *)
   let out_words = round_up c.gsize c.lsize in
-  let a = Array.init asize (fun i -> Int32.of_int ((i * 2654435761) lxor i)) in
-  let buffers =
-    [ ("a", a); ("out", Array.make out_words 0l) ]
-    @ if c.with_barrier then [ ("res", Array.make c.gsize 0l) ] else []
+  let a =
+    Array.init asize (fun i -> Ggpu_isa.I32.sx ((i * 2654435761) lxor i))
   in
-  { Interp.buffers; scalars = [ ("n", Int32.of_int c.gsize) ] }
+  let buffers =
+    [ ("a", a); ("out", Array.make out_words 0) ]
+    @ if c.with_barrier then [ ("res", Array.make c.gsize 0) ] else []
+  in
+  { Interp.buffers; scalars = [ ("n", c.gsize) ] }
 
 let observe c ~engine ~domains =
   let config = Config.with_cus Config.default c.cus in
@@ -271,7 +273,7 @@ let test_split_barrier_cross_wavefront () =
   let run ~engine ~domains =
     let args =
       {
-        Interp.buffers = [ ("out", Array.make n 0l); ("res", Array.make n 0l) ];
+        Interp.buffers = [ ("out", Array.make n 0); ("res", Array.make n 0) ];
         scalars = [];
       }
     in
@@ -288,10 +290,7 @@ let test_split_barrier_cross_wavefront () =
   for i = 0 to n - 1 do
     let lid = i mod 128 in
     let peer = i - lid + ((lid + 64) mod 128) in
-    Alcotest.(check int32)
-      (Printf.sprintf "res[%d]" i)
-      (Int32.of_int (3 * peer))
-      res_ref.(i)
+    Alcotest.(check int) (Printf.sprintf "res[%d]" i) (3 * peer) res_ref.(i)
   done;
   List.iter
     (fun (engine, domains) ->
@@ -342,7 +341,7 @@ let test_record_fault_falls_back () =
   let program = (Codegen_fgpu.compile kernel).Codegen_fgpu.code in
   (* "out" sits at address 0, so its base is the only parameter *)
   let faulting launch =
-    let mem = Array.make n 0l in
+    let mem = Array.make n 0 in
     match launch ~mem with
     | (_ : Stats.t list) -> Alcotest.fail "expected a fault"
     | exception Wavefront.Fault msg -> (msg, mem)
@@ -350,13 +349,13 @@ let test_record_fault_falls_back () =
   let msg_ref, mem_ref =
     faulting (fun ~mem ->
         [
-          Gpu.run (Config.with_cus Config.default 1) ~program ~params:[ 0l ]
+          Gpu.run (Config.with_cus Config.default 1) ~program ~params:[ 0 ]
             ~global_size:n ~local_size:64 ~mem;
         ])
   in
   Alcotest.(check bool)
     "in place, workgroup 0 has not stored when the fault hits" true
-    (mem_ref.(0) = 0l);
+    (mem_ref.(0) = 0);
   List.iter
     (fun (engine, domains) ->
       let label =
@@ -366,10 +365,10 @@ let test_record_fault_falls_back () =
         faulting (fun ~mem ->
             with_engine engine (fun () ->
                 Gpu.run_cus ~domains Config.default ~cus:[ 1; 2; 4 ] ~program
-                  ~params:[ 0l ] ~global_size:n ~local_size:64 ~mem))
+                  ~params:[ 0 ] ~global_size:n ~local_size:64 ~mem))
       in
       Alcotest.(check string) (label ^ ": fault message") msg_ref msg;
-      Alcotest.(check (array int32)) (label ^ ": memory") mem_ref mem)
+      Alcotest.(check (array int)) (label ^ ": memory") mem_ref mem)
     [ (Threaded, 1); (Threaded, 2); (Oracle, 1) ]
 
 (* --- suite metrics: failures counter always present -------------------- *)
@@ -426,8 +425,7 @@ let test_inject_into_uniform_register () =
   let run ~engine ~at =
     let flip (probe : Gpu.probe) =
       let wf = probe.Gpu.p_wavefronts.(0) and lane = 5 in
-      Wavefront.set_reg wf ~lane n_reg
-        (Int32.logxor (Wavefront.reg wf ~lane n_reg) 1l)
+      Wavefront.set_reg wf ~lane n_reg (Wavefront.reg wf ~lane n_reg lxor 1)
     in
     let r =
       with_engine engine (fun () ->
@@ -445,7 +443,7 @@ let test_inject_into_uniform_register () =
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "stats, flip at cycle %d" at)
         stats_ref stats;
-      Alcotest.(check (array int32))
+      Alcotest.(check (array int))
         (Printf.sprintf "output, flip at cycle %d" at)
         out_ref out)
     [ 0; 1 ]
@@ -477,7 +475,7 @@ let test_suite_matches_oracle () =
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "%s size %d: stats" w.Suite.name size)
         stats_ref stats;
-      Alcotest.(check (list (pair string (array int32))))
+      Alcotest.(check (list (pair string (array int))))
         (Printf.sprintf "%s size %d: buffers" w.Suite.name size)
         buffers_ref buffers)
     Suite.all
@@ -497,7 +495,8 @@ let test_suite_matches_oracle () =
      [barrier] and [ret].
    Operands are edge values.  Each launch must match the reference
    engine in every stat and every word of memory, and every stored
-   result must match the operator table below, written over [Int32].
+   result must match the operator table below, written over [Int32]
+   (memory holds {!Ggpu_isa.I32} words, converted at the check).
    The lane engine and the reference share {!Wavefront.alu} and
    {!Wavefront.cond_holds}, so only this table checks the operators. *)
 
@@ -832,19 +831,20 @@ let launches c =
 let run_launch (program, words, checks) (g : launch) ~what =
   let mem =
     Array.init words (fun w ->
-        if w >= input_words then sentinel
-        else
-          let a, b = g.pair (w mod lanes)
-          and at, bt = g.taken (w mod lanes)
-          and af, bf = g.fallen (w mod lanes) in
-          [| a; b; at; bt; af; bf |].(w / lanes))
+        Ggpu_isa.I32.of_int32
+          (if w >= input_words then sentinel
+           else
+             let a, b = g.pair (w mod lanes)
+             and at, bt = g.taken (w mod lanes)
+             and af, bf = g.fallen (w mod lanes) in
+             [| a; b; at; bt; af; bf |].(w / lanes)))
   in
   let observe engine =
     let mem = Array.copy mem in
     let stats =
       with_engine engine (fun () ->
           Gpu.run (Config.with_cus Config.default 1) ~program
-            ~params:[ Int32.of_int g.split ] ~global_size:lanes
+            ~params:[ g.split ] ~global_size:lanes
             ~local_size:lanes ~mem)
     in
     (Stats.to_assoc stats, mem)
@@ -853,11 +853,11 @@ let run_launch (program, words, checks) (g : launch) ~what =
   let stats, mem = observe Threaded in
   let where = Printf.sprintf "%s, split %d" what g.split in
   Alcotest.(check (list (pair string int))) (where ^ ": stats") stats_ref stats;
-  Alcotest.(check (array int32)) (where ^ ": memory") mem_ref mem;
+  Alcotest.(check (array int)) (where ^ ": memory") mem_ref mem;
   List.iter
     (fun (label, base, n, expect) ->
       for i = 0 to n - 1 do
-        let want = expect g i and got = mem.(base + i) in
+        let want = expect g i and got = Ggpu_isa.I32.to_int32 mem.(base + i) in
         if got <> want then
           Alcotest.failf "%s: %s, lane %d (operands %ld, %ld): %ld, want %ld"
             where label i (fst (g.pair i)) (snd (g.pair i)) got want

@@ -5,7 +5,7 @@
 
 open Ggpu_kernels
 
-let i32_array = Alcotest.(array int32)
+let i32_array = Alcotest.(array int)
 
 (* --- Parser ------------------------------------------------------------ *)
 
@@ -66,15 +66,13 @@ let test_parse_control_flow () =
   in
   let kernel = Parse.parse_one src in
   let n = 32 in
-  let out = Array.make n 0l in
-  let args =
-    { Interp.buffers = [ ("out", out) ]; scalars = [ ("n", Int32.of_int n) ] }
-  in
+  let out = Array.make n 0 in
+  let args = { Interp.buffers = [ ("out", out) ]; scalars = [ ("n", n) ] } in
   (* reference: 45 + ceil(i/8) *)
   Interp.run kernel ~args ~global_size:n ~local_size:32;
-  let expect i = Int32.of_int (45 + ((i + 7) / 8)) in
+  let expect i = 45 + ((i + 7) / 8) in
   Array.iteri
-    (fun i v -> Alcotest.(check int32) (Printf.sprintf "out[%d]" i) (expect i) v)
+    (fun i v -> Alcotest.(check int) (Printf.sprintf "out[%d]" i) (expect i) v)
     out
 
 let test_parse_precedence () =
@@ -92,10 +90,10 @@ let test_parse_precedence () =
   |}
   in
   let kernel = Parse.parse_one src in
-  let out = Array.make 6 99l in
+  let out = Array.make 6 99 in
   let args = { Interp.buffers = [ ("out", out) ]; scalars = [] } in
   Interp.run kernel ~args ~global_size:1 ~local_size:1;
-  Alcotest.check i32_array "precedence" [| 14l; 20l; 8l; 5l; -4l; 1l |] out
+  Alcotest.check i32_array "precedence" [| 14; 20; 8; 5; -4; 1 |] out
 
 let expect_parse_error src =
   match Parse.parse src with
@@ -151,17 +149,17 @@ let test_opt_division_semantics_preserved () =
   let kernel =
     Parse.parse_one "kernel k(global int* out) { out[0] = 100 / 0; }"
   in
-  let out = Array.make 1 0l in
+  let out = Array.make 1 0 in
   let args = { Interp.buffers = [ ("out", out) ]; scalars = [] } in
   Interp.run kernel ~args ~global_size:1 ~local_size:1;
   let compiled = Codegen_rv32.compile kernel in
   let result =
     Run_rv32.run compiled
-      ~args:{ Interp.buffers = [ ("out", Array.make 1 0l) ]; scalars = [] }
+      ~args:{ Interp.buffers = [ ("out", Array.make 1 0) ]; scalars = [] }
       ~global_size:1 ~local_size:1 ()
   in
-  Alcotest.(check int32) "interp" (-1l) out.(0);
-  Alcotest.(check int32) "compiled+folded" (-1l) (Run_rv32.output result "out").(0)
+  Alcotest.(check int) "interp" (-1) out.(0);
+  Alcotest.(check int) "compiled+folded" (-1) (Run_rv32.output result "out").(0)
 
 let test_opt_shrinks_programs () =
   List.iter

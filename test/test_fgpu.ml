@@ -6,7 +6,7 @@
 open Ggpu_kernels
 open Ggpu_fgpu
 
-let i32_array = Alcotest.(array int32)
+let i32_array = Alcotest.(array int)
 let cus_label cus = String.concat "," (List.map string_of_int cus)
 
 let run_workload ?(config = Config.default) w ~size =
@@ -104,8 +104,8 @@ let test_divergence_counted () =
   let n = 128 in
   let args =
     {
-      Interp.buffers = [ ("out", Array.make n 0l) ];
-      scalars = [ ("n", Int32.of_int n) ];
+      Interp.buffers = [ ("out", Array.make n 0) ];
+      scalars = [ ("n", n) ];
     }
   in
   let compiled = Codegen_fgpu.compile kernel in
@@ -113,8 +113,7 @@ let test_divergence_counted () =
     Run_fgpu.run compiled ~args ~global_size:n ~local_size:64 ()
   in
   let expected =
-    Array.init n (fun i ->
-        if i land 1 = 0 then Int32.of_int (2 * i) else Int32.of_int (-i))
+    Array.init n (fun i -> if i land 1 = 0 then 2 * i else -i)
   in
   Alcotest.check i32_array "divergent kernel output" expected
     (Run_fgpu.output result "out");
@@ -144,7 +143,7 @@ let test_barrier_releases () =
     }
   in
   let n = 256 in
-  let args = { Interp.buffers = [ ("out", Array.make n 0l) ]; scalars = [] } in
+  let args = { Interp.buffers = [ ("out", Array.make n 0) ]; scalars = [] } in
   let compiled = Codegen_fgpu.compile kernel in
   let result = Run_fgpu.run compiled ~args ~global_size:n ~local_size:128 () in
   let out = Run_fgpu.output result "out" in
@@ -156,7 +155,7 @@ let test_barrier_releases () =
     let lid = i mod 128 in
     let base = i - lid in
     let peer = base + ((lid + 1) mod 128) in
-    if out.(i) <> Int32.of_int peer then ok := false
+    if out.(i) <> peer then ok := false
   done;
   Alcotest.(check bool) "neighbour exchange" true !ok
 
@@ -242,8 +241,8 @@ let test_issue_loop_allocation_free () =
     let args =
       {
         Interp.buffers =
-          [ ("a", Array.init 64 Int32.of_int); ("out", Array.make 256 0l) ];
-        scalars = [ ("iters", Int32.of_int iters) ];
+          [ ("a", Array.init 64 Fun.id); ("out", Array.make 256 0) ];
+        scalars = [ ("iters", iters) ];
       }
     in
     let before = Gc.minor_words () in
@@ -290,10 +289,10 @@ let test_recycled_registers_start_at_zero () =
   let n = 4096 in
   List.iter
     (fun (engine, cus) ->
-      let mem = Array.make n 1l in
+      let mem = Array.make n 1 in
       let stats =
         Fgpu_oracle.with_engine engine (fun () ->
-            Gpu.run_cus Config.default ~cus ~program ~params:[ 0l ]
+            Gpu.run_cus Config.default ~cus ~program ~params:[ 0 ]
               ~global_size:n ~local_size:64 ~mem)
       in
       List.iter
@@ -303,7 +302,7 @@ let test_recycled_registers_start_at_zero () =
         (Printf.sprintf "%s, cus %s: every item stored zero"
            (Fgpu_oracle.engine_name engine) (cus_label cus))
         true
-        (Array.for_all (fun v -> v = 0l) mem))
+        (Array.for_all (fun v -> v = 0) mem))
     Fgpu_oracle.[ (Threaded, [ 1 ]); (Oracle, [ 1 ]); (Threaded, [ 1; 2 ]) ]
 
 (* Property: GPU result equals interpreter result for random sizes on a

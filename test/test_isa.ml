@@ -290,7 +290,16 @@ let prop_i32_matches_int32 =
         else Int32.rem a32 b32
       in
       eq "div" (I32.div_signed a b) div_ref
-      && eq "rem" (I32.rem_signed a b) rem_ref)
+      && eq "rem" (I32.rem_signed a b) rem_ref
+      && eq "divu" (I32.div_unsigned a b)
+           (if b32 = 0l then -1l else Int32.unsigned_div a32 b32)
+      && eq "remu" (I32.rem_unsigned a b)
+           (if b32 = 0l then a32 else Int32.unsigned_rem a32 b32)
+      && eq "mulh" (I32.mulh a b)
+           (Int64.to_int32
+              (Int64.shift_right
+                 (Int64.mul (Int64.of_int32 a32) (Int64.of_int32 b32))
+                 32)))
 
 let prop_i32_canonical =
   let open Ggpu_isa in
@@ -304,6 +313,7 @@ let prop_i32_canonical =
         [
           I32.add a b; I32.sub a b; I32.mul a b; I32.sll a b; I32.srl a b;
           I32.sra a b; I32.div_signed a b; I32.rem_signed a b;
+          I32.div_unsigned a b; I32.rem_unsigned a b; I32.mulh a b;
           a land b; a lor b; a lxor b;
         ])
 

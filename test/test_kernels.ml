@@ -4,7 +4,7 @@
 
 open Ggpu_kernels
 
-let i32 = Alcotest.int32
+let i32 = Alcotest.int
 let i32_array = Alcotest.(array i32)
 
 (* --- Check ------------------------------------------------------------ *)
@@ -68,7 +68,7 @@ let test_interp_out_of_bounds () =
       body = [ Ast.Store ("b", Ast.const 99, Ast.const 1) ];
     }
   in
-  let args = { Interp.buffers = [ ("b", Array.make 4 0l) ]; scalars = [] } in
+  let args = { Interp.buffers = [ ("b", Array.make 4 0) ]; scalars = [] } in
   match Interp.run kernel ~args ~global_size:1 ~local_size:1 with
   | () -> Alcotest.fail "expected out-of-bounds error"
   | exception Interp.Runtime_error _ -> ()
@@ -89,12 +89,12 @@ let test_interp_division_semantics () =
         ];
     }
   in
-  let out = Array.make 3 0l in
+  let out = Array.make 3 0 in
   let args = { Interp.buffers = [ ("out", out) ]; scalars = [] } in
   Interp.run kernel ~args ~global_size:1 ~local_size:1;
-  Alcotest.check i32 "div by zero" (-1l) out.(0);
-  Alcotest.check i32 "rem by zero" 17l out.(1);
-  Alcotest.check i32 "overflow" Int32.min_int out.(2)
+  Alcotest.check i32 "div by zero" (-1) out.(0);
+  Alcotest.check i32 "rem by zero" 17 out.(1);
+  Alcotest.check i32 "overflow" Ggpu_isa.I32.min_i32 out.(2)
 
 (* All suite workloads: the reference interpreter must agree with the
    independent OCaml implementations. *)
@@ -177,13 +177,13 @@ let test_loop_variable_interval_extension () =
     }
   in
   let args =
-    { Interp.buffers = [ ("out", Array.make 1 0l) ]; scalars = [ ("n", 5l) ] }
+    { Interp.buffers = [ ("out", Array.make 1 0) ]; scalars = [ ("n", 5) ] }
   in
   let compiled = Codegen_rv32.compile kernel in
   let result =
     Run_rv32.run compiled ~args ~global_size:1 ~local_size:1 ()
   in
-  Alcotest.check i32 "8 * 5" 40l (Run_rv32.output result "out").(0)
+  Alcotest.check i32 "8 * 5" 40 (Run_rv32.output result "out").(0)
 
 (* --- RV32 end-to-end: compiled result equals interpreter result ------- *)
 
@@ -228,6 +228,52 @@ let prop_rv32_copy_random_sizes =
       let args, result = run_rv32_workload Suite.copy ~size in
       Run_rv32.output result "dst" = Suite.copy.Suite.expected ~size args)
 
+(* --- the suite against its Int32 oracle --------------------------------- *)
+
+let words = Array.map Ggpu_isa.I32.of_int32
+
+(* Every kernel's inputs and reference output, in I32 words, equal the
+   Int32 oracle's (test/suite_oracle.ml) mapped word by word. *)
+let prop_suite_matches_int32_oracle =
+  QCheck.Test.make ~name:"suite args and expected match the Int32 oracle"
+    ~count:20 (QCheck.int_range 1 2048) (fun size ->
+      List.for_all
+        (fun (w : Suite.t) ->
+          let name = w.Suite.name and size = w.Suite.round_size size in
+          let args = w.Suite.mk_args ~size in
+          let o = Suite_oracle.mk_args name ~size in
+          let ok what b =
+            b
+            || QCheck.Test.fail_reportf "%s at size %d: %s differ" name size
+                 what
+          in
+          ok "buffers"
+            (List.map (fun (n, a) -> (n, words a)) o.Suite_oracle.buffers
+            = args.Interp.buffers)
+          && ok "scalars"
+               (List.map
+                  (fun (n, v) -> (n, Ggpu_isa.I32.of_int32 v))
+                  o.Suite_oracle.scalars
+               = args.Interp.scalars)
+          && ok "expected outputs"
+               (words (Suite_oracle.expected name ~size o)
+               = w.Suite.expected ~size args))
+        Suite.all)
+
+let prop_gen_array_matches_int32_oracle =
+  QCheck.Test.make ~name:"gen_array matches the Int32 oracle" ~count:200
+    QCheck.(
+      triple int (int_range 0 64)
+        (oneof
+           [
+             int_range 1 1000;
+             int_range 1 0x7FFF_FFFF;
+             oneofl [ 1; 2; 97; 0x7FFF_FFFF ];
+           ]))
+    (fun (seed, len, modulus) ->
+      Suite.gen_array ~seed ~len ~modulus
+      = words (Suite_oracle.gen_array ~seed ~len ~modulus))
+
 let suite =
   [
     ( "kernels",
@@ -262,5 +308,7 @@ let suite =
         Alcotest.test_case "rv32 cycles scale" `Quick
           test_rv32_cycles_scale_with_size;
         QCheck_alcotest.to_alcotest prop_rv32_copy_random_sizes;
+        QCheck_alcotest.to_alcotest prop_suite_matches_int32_oracle;
+        QCheck_alcotest.to_alcotest prop_gen_array_matches_int32_oracle;
       ] );
   ]

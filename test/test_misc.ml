@@ -93,7 +93,7 @@ let test_gen_array_deterministic () =
   Alcotest.(check bool) "different seed different data" true (a <> c);
   Array.iter
     (fun v ->
-      Alcotest.(check bool) "in range" true (v >= 0l && v < 1000l))
+      Alcotest.(check bool) "in range" true (v >= 0 && v < 1000))
     a
 
 let test_simulation_deterministic () =
@@ -165,13 +165,13 @@ let test_barrier_tree_reduction () =
   in
   let kernel = Parse.parse_one src in
   let n = 512 in
-  let data = Array.init n (fun i -> Int32.of_int (i + 1)) in
+  let data = Array.init n (fun i -> i + 1) in
   let groups = n / local in
   let args =
     {
       Interp.buffers =
-        [ ("data", Array.copy data); ("partial", Array.make groups 0l) ];
-      scalars = [ ("n", Int32.of_int n) ];
+        [ ("data", Array.copy data); ("partial", Array.make groups 0) ];
+      scalars = [ ("n", n) ];
     }
   in
   let compiled = Codegen_fgpu.compile kernel in
@@ -179,11 +179,11 @@ let test_barrier_tree_reduction () =
   let partial = Run_fgpu.output result "partial" in
   Array.iteri
     (fun wg v ->
-      let expect = ref 0l in
+      let expect = ref 0 in
       for i = wg * local to ((wg + 1) * local) - 1 do
-        expect := Int32.add !expect data.(i)
+        expect := !expect + data.(i)
       done;
-      Alcotest.(check int32) (Printf.sprintf "workgroup %d sum" wg) !expect v)
+      Alcotest.(check int) (Printf.sprintf "workgroup %d sum" wg) !expect v)
     partial;
   Alcotest.(check bool) "used barriers" true
     (result.Run_fgpu.stats.Ggpu_fgpu.Stats.barriers > 0)

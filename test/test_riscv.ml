@@ -6,7 +6,7 @@ open Ggpu_riscv
 
 let run_program ?(mem_words = 1024) items ~setup =
   let program = Rv32_asm.assemble items in
-  let cpu = Cpu.create ~mem_words ~program () in
+  let cpu = Cpu.create ~mem:(Array.make mem_words 0) ~program () in
   setup cpu;
   let stats = Cpu.run cpu in
   (cpu, stats)
@@ -27,7 +27,7 @@ let test_arith_loop () =
       ]
   in
   let cpu, _ = run_program items ~setup:(fun _ -> ()) in
-  Alcotest.(check int32) "sum 1..10" 55l (Cpu.get_reg cpu 10)
+  Alcotest.(check int) "sum 1..10" 55 (Cpu.get_reg cpu 10)
 
 let test_memory () =
   let items =
@@ -43,7 +43,7 @@ let test_memory () =
       ]
   in
   let cpu, _ = run_program items ~setup:(fun _ -> ()) in
-  Alcotest.(check int32) "store/load" 43l (Cpu.load_word cpu ~addr:0x104)
+  Alcotest.(check int) "store/load" 43 (Cpu.load_word cpu ~addr:0x104)
 
 let test_div_corner_cases () =
   let check_op name op a b expect =
@@ -53,45 +53,54 @@ let test_div_corner_cases () =
           Cpu.set_reg cpu 5 a;
           Cpu.set_reg cpu 6 b)
     in
-    Alcotest.(check int32) name expect (Cpu.get_reg cpu 10)
+    Alcotest.(check int) name expect (Cpu.get_reg cpu 10)
   in
   let div d a b = Rv32.Div (d, a, b) in
   let rem d a b = Rv32.Rem (d, a, b) in
   let divu d a b = Rv32.Divu (d, a, b) in
   let remu d a b = Rv32.Remu (d, a, b) in
-  check_op "div by zero" div 17l 0l (-1l);
-  check_op "rem by zero" rem 17l 0l 17l;
-  check_op "div overflow" div Int32.min_int (-1l) Int32.min_int;
-  check_op "rem overflow" rem Int32.min_int (-1l) 0l;
-  check_op "divu by zero" divu 17l 0l (-1l);
-  check_op "remu by zero" remu 17l 0l 17l;
-  check_op "plain div" div (-7l) 2l (-3l);
-  check_op "plain rem" rem (-7l) 2l (-1l)
+  check_op "div by zero" div 17 0 (-1);
+  check_op "rem by zero" rem 17 0 17;
+  check_op "div overflow" div I32.min_i32 (-1) I32.min_i32;
+  check_op "rem overflow" rem I32.min_i32 (-1) 0;
+  check_op "divu by zero" divu 17 0 (-1);
+  check_op "remu by zero" remu 17 0 17;
+  check_op "plain div" div (-7) 2 (-3);
+  check_op "plain rem" rem (-7) 2 (-1);
+  check_op "divu of a negative" divu (-7) 2 0x7FFF_FFFC;
+  check_op "remu of a negative" remu (-7) 2 1
 
 let test_mulh () =
   let items = [ Rv32_asm.I (Rv32.Mulh (10, 5, 6)); Rv32_asm.I Rv32.Ecall ] in
   let cpu, _ =
     run_program items ~setup:(fun cpu ->
-        Cpu.set_reg cpu 5 0x40000000l;
-        Cpu.set_reg cpu 6 16l)
+        Cpu.set_reg cpu 5 0x40000000;
+        Cpu.set_reg cpu 6 16)
   in
   (* 0x40000000 * 16 = 2^34; high word = 4 *)
-  Alcotest.(check int32) "mulh" 4l (Cpu.get_reg cpu 10)
+  Alcotest.(check int) "mulh" 4 (Cpu.get_reg cpu 10);
+  (* min_int squared is 2^62, one past the native int range *)
+  let cpu, _ =
+    run_program items ~setup:(fun cpu ->
+        Cpu.set_reg cpu 5 I32.min_i32;
+        Cpu.set_reg cpu 6 I32.min_i32)
+  in
+  Alcotest.(check int) "mulh min_int^2" 0x40000000 (Cpu.get_reg cpu 10)
 
 let test_x0_is_zero () =
   let items =
     [ Rv32_asm.I (Rv32.Addi (0, 0, 42l)); Rv32_asm.I Rv32.Ecall ]
   in
   let cpu, _ = run_program items ~setup:(fun _ -> ()) in
-  Alcotest.(check int32) "x0 writes ignored" 0l (Cpu.get_reg cpu 0)
+  Alcotest.(check int) "x0 writes ignored" 0 (Cpu.get_reg cpu 0)
 
 let test_timing_div_heavier_than_add () =
   let mk op = [ Rv32_asm.I op; Rv32_asm.I Rv32.Ecall ] in
   let run items =
     let _, stats =
       run_program items ~setup:(fun cpu ->
-          Cpu.set_reg cpu 5 100l;
-          Cpu.set_reg cpu 6 7l)
+          Cpu.set_reg cpu 5 100;
+          Cpu.set_reg cpu 6 7)
     in
     stats.Cpu.cycles
   in
@@ -116,10 +125,96 @@ let test_taken_branch_penalty () =
   (* taken path: branch(3) + ecall; not taken: branch(1) + addi(1) + ecall *)
   Alcotest.(check bool) "penalty" true (cycles taken > cycles not_taken - 1)
 
+(* Every instruction class pays exactly its timing-model cost: a
+   straight program with one of each, a taken and a fall-through
+   branch. *)
+let test_cycle_cost_per_class () =
+  let items =
+    Rv32_asm.
+      [
+        I (Rv32.Addi (5, 0, 0x100l));
+        I (Rv32.Lw (6, 5, 0));
+        I (Rv32.Sw (6, 5, 4));
+        I (Rv32.Mul (7, 6, 6));
+        I (Rv32.Div (7, 6, 5));
+        Beq_to (0, 0, "taken");
+        I (Rv32.Addi (8, 8, 1l));
+        Label "taken";
+        Bne_to (0, 0, "fall");
+        Label "fall";
+        Jal_to (1, "jumped");
+        Label "jumped";
+        I Rv32.Ecall;
+      ]
+  in
+  let _, stats = run_program items ~setup:(fun _ -> ()) in
+  let tm = Timing_model.cv32e40p in
+  let open Timing_model in
+  Alcotest.(check int) "cycles"
+    (tm.base + tm.load + tm.store + tm.mul + tm.div + tm.branch_taken
+   + tm.base + tm.jump + tm.base)
+    stats.Cpu.cycles;
+  Alcotest.(check (list int)) "instructions, loads, stores, branches, taken"
+    [ 9; 1; 1; 2; 1 ]
+    [
+      stats.Cpu.instructions; stats.Cpu.loads; stats.Cpu.stores;
+      stats.Cpu.branches; stats.Cpu.taken_branches;
+    ]
+
+(* A step allocates nothing: a longer loop adds instructions but no
+   minor-heap words.  The loop body loads, multiplies, divides, stores
+   and branches.  Measured as the difference of two runs, so per-run
+   allocations (the memory image, the span) cancel. *)
+let test_step_allocation_free () =
+  let open Ggpu_kernels in
+  let open Ast in
+  let kernel =
+    {
+      name = "rv_loop_alloc";
+      params = [ Buffer "a"; Buffer "out"; Scalar "iters" ];
+      body =
+        [
+          Let ("i", Global_id);
+          Let ("acc", const 1);
+          For
+            ( "k",
+              const 0,
+              var "iters",
+              [
+                Assign
+                  ( "acc",
+                    (var "acc" *: load "a" (Binop (And, var "k", const 63)))
+                    /: (var "k" +: const 1) );
+                Store ("out", var "i", var "acc");
+              ] );
+        ];
+    }
+  in
+  let compiled = Codegen_rv32.compile kernel in
+  let run iters =
+    let args =
+      {
+        Interp.buffers =
+          [ ("a", Array.init 64 (fun i -> i + 1)); ("out", Array.make 4 0) ];
+        scalars = [ ("iters", iters) ];
+      }
+    in
+    let before = Gc.minor_words () in
+    let r = Run_rv32.run compiled ~args ~global_size:4 ~local_size:4 () in
+    (Gc.minor_words () -. before, r.Run_rv32.stats.Cpu.instructions)
+  in
+  ignore (run 1);
+  let words_lo, insns_lo = run 16 in
+  let words_hi, insns_hi = run 4096 in
+  let per_insn = (words_hi -. words_lo) /. float_of_int (insns_hi - insns_lo) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per extra instruction" per_insn)
+    true (per_insn < 0.1)
+
 let test_trap_on_bad_access () =
   let items = [ Rv32_asm.I (Rv32.Lw (10, 5, 1)); Rv32_asm.I Rv32.Ecall ] in
   match
-    run_program items ~setup:(fun cpu -> Cpu.set_reg cpu 5 0x100l)
+    run_program items ~setup:(fun cpu -> Cpu.set_reg cpu 5 0x100)
   with
   | _ -> Alcotest.fail "expected misaligned trap"
   | exception Cpu.Trap _ -> ()
@@ -128,7 +223,7 @@ let test_out_of_fuel () =
   let items = Rv32_asm.[ Label "spin"; Jal_to (0, "spin") ] in
   match
     let program = Rv32_asm.assemble items in
-    let cpu = Cpu.create ~mem_words:64 ~program () in
+    let cpu = Cpu.create ~mem:(Array.make 64 0) ~program () in
     Cpu.run ~fuel:1000 cpu
   with
   | _ -> Alcotest.fail "expected out-of-fuel"
@@ -145,6 +240,10 @@ let suite =
         Alcotest.test_case "x0 is zero" `Quick test_x0_is_zero;
         Alcotest.test_case "div timing" `Quick test_timing_div_heavier_than_add;
         Alcotest.test_case "branch penalty" `Quick test_taken_branch_penalty;
+        Alcotest.test_case "cycle cost per class" `Quick
+          test_cycle_cost_per_class;
+        Alcotest.test_case "rv32 step allocation-free" `Quick
+          test_step_allocation_free;
         Alcotest.test_case "trap on bad access" `Quick test_trap_on_bad_access;
         Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
       ] );

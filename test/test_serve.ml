@@ -93,6 +93,19 @@ let test_key_digest () =
     Alcotest.(check bool) "shard in range" true (s >= 0 && s < shards)
   done
 
+(* A technology's fingerprint depends on its values alone, not on how
+   the compiler happened to share equal sub-values in the record (which
+   differs between build profiles): a structurally equal deep copy gets
+   the same fingerprint. *)
+let test_key_tech_structural () =
+  List.iter
+    (fun (t : Ggpu_tech.Tech.t) ->
+      let copy : Ggpu_tech.Tech.t =
+        Marshal.from_string (Marshal.to_string t [ Marshal.No_sharing ]) 0
+      in
+      Alcotest.(check string) t.Ggpu_tech.Tech.name (K.tech t) (K.tech copy))
+    [ Ggpu_tech.Tech.default_65nm; Ggpu_tech.Tech.scaled_28nm ]
+
 (* qcheck: the sim key is injective on (geometry, cache, axi, kernel) —
    two configurations produce the same key iff they are the same
    configuration. *)
@@ -879,6 +892,8 @@ let suite =
         Alcotest.test_case "key perturbations" `Quick test_key_perturbations;
         Alcotest.test_case "key cache config" `Quick test_key_cache_config;
         Alcotest.test_case "key digest" `Quick test_key_digest;
+        Alcotest.test_case "key tech ignores sharing" `Quick
+          test_key_tech_structural;
         qcheck key_injective;
         Alcotest.test_case "lru" `Quick test_lru;
         Alcotest.test_case "cold/warm byte-identical" `Quick

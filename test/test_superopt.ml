@@ -51,35 +51,34 @@ let division_program =
   |]
 
 let run_both ~program ~lanes ~words init =
-  let mem32 = Array.init words (fun i -> init i) in
-  let mem_exec = Array.map I32.of_int32 mem32 in
+  let mem_exec = Array.init words init in
   let gpu engine =
-    let mem = Array.copy mem32 in
+    let mem = Array.copy mem_exec in
     Fgpu_oracle.with_engine engine (fun () ->
         ignore
-          (Ggpu_fgpu.Gpu.run Ggpu_fgpu.Config.default ~program ~params:[ 0l ]
+          (Ggpu_fgpu.Gpu.run Ggpu_fgpu.Config.default ~program ~params:[ 0 ]
              ~global_size:lanes ~local_size:lanes ~mem
             : Ggpu_fgpu.Stats.t));
     mem
   in
-  let mem32 = gpu Fgpu_oracle.Oracle in
-  Alcotest.(check (array int32))
-    "threaded matches the reference engine" mem32
+  let mem_gpu = gpu Fgpu_oracle.Oracle in
+  Alcotest.(check (array int))
+    "threaded matches the reference engine" mem_gpu
     (gpu Fgpu_oracle.Threaded);
   let lanes_state =
     Exec.run_wavefront ~mem:mem_exec ~size:lanes ~wg_id:0 ~wg_offset:0
       ~wg_size:lanes ~global_size:lanes ~params:[ 0l ]
       (Fgpu_predecode.of_program program)
   in
-  (mem32, Array.map I32.to_int32 mem_exec, lanes_state)
+  (mem_gpu, mem_exec, lanes_state)
 
 let test_exec_matches_gpu () =
   let lanes = 64 in
   let gpu_mem, exec_mem, lanes_state =
     run_both ~program:straightline_program ~lanes ~words:lanes (fun i ->
-        Int32.of_int ((i * 2654435761) lxor (i lsl 7)))
+        I32.sx ((i * 2654435761) lxor (i lsl 7)))
   in
-  Alcotest.(check (array int32)) "alu/load/store memory image" gpu_mem exec_mem;
+  Alcotest.(check (array int)) "alu/load/store memory image" gpu_mem exec_mem;
   (* and the executor's SIMT specials saw the right geometry *)
   Array.iteri
     (fun lid st ->
@@ -89,19 +88,19 @@ let test_exec_matches_gpu () =
 let test_exec_division_corners () =
   let lanes = 4 in
   let pairs =
-    [| (7l, 3l); (5l, 0l); (Int32.min_int, -1l); (Int32.min_int, 0l) |]
+    [| (7, 3); (5, 0); (I32.min_i32, -1); (I32.min_i32, 0) |]
   in
   let gpu_mem, exec_mem, _ =
     run_both ~program:division_program ~lanes ~words:(2 * lanes) (fun i ->
         let q, d = pairs.(i / 2) in
         if i mod 2 = 0 then q else d)
   in
-  Alcotest.(check (array int32)) "division corner memory image" gpu_mem exec_mem;
+  Alcotest.(check (array int)) "division corner memory image" gpu_mem exec_mem;
   (* spot-check the spec values the hard way *)
-  Alcotest.(check int32) "5/0 = -1" (-1l) exec_mem.(2);
-  Alcotest.(check int32) "5 rem 0 = 5" 5l exec_mem.(3);
-  Alcotest.(check int32) "min/-1 = min" Int32.min_int exec_mem.(4);
-  Alcotest.(check int32) "min rem -1 = 0" 0l exec_mem.(5)
+  Alcotest.(check int) "5/0 = -1" (-1) exec_mem.(2);
+  Alcotest.(check int) "5 rem 0 = 5" 5 exec_mem.(3);
+  Alcotest.(check int) "min/-1 = min" I32.min_i32 exec_mem.(4);
+  Alcotest.(check int) "min rem -1 = 0" 0 exec_mem.(5)
 
 let test_exec_faults_on_control_flow () =
   let st = Exec.create () in
