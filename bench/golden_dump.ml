@@ -1,14 +1,9 @@
-(* One-off: print the golden table rows in test_golden.ml format.
-
-   Each row is the pinned (superopt peephole ON, the shipping
-   configuration) stats vector; the trailing comment carries the
-   pre-peephole cycle count so re-pins document what the pass bought
-   on that row. *)
+(* One-off: print the golden table rows in test_golden.ml format. *)
 open Ggpu_kernels
 open Ggpu_fgpu
 
-let cycles_of ~superopt (w : Suite.t) ~size ~cus =
-  let compiled = Codegen_fgpu.compile ~superopt w.Suite.kernel in
+let run (w : Suite.t) ~size ~cus =
+  let compiled = Codegen_fgpu.compile w.Suite.kernel in
   let args = w.Suite.mk_args ~size in
   let config = Config.with_cus Config.default cus in
   Run_fgpu.run ~config compiled ~args
@@ -20,20 +15,12 @@ let () =
     (fun (name, size, cus) ->
       let w = Suite.find name in
       let size = w.Suite.round_size size in
-      let r = cycles_of ~superopt:true w ~size ~cus in
-      let pre = cycles_of ~superopt:false w ~size ~cus in
+      let r = run w ~size ~cus in
       let vals =
         Stats.to_assoc r.Run_fgpu.stats
         |> List.map (fun (_, v) -> string_of_int v)
         |> String.concat "; "
       in
-      let cyc = r.Run_fgpu.stats.Stats.cycles in
-      let pre_cyc = pre.Run_fgpu.stats.Stats.cycles in
-      Printf.printf "    (* pre-peephole: %d cycles%s *)\n" pre_cyc
-        (if pre_cyc = cyc then " (no rewrite fired)"
-         else
-           Printf.sprintf ", -%.2f%%"
-             (100.0 *. float_of_int (pre_cyc - cyc) /. float_of_int pre_cyc));
       Printf.printf "    ( %S, %d, %d,\n      [ %s ] );\n" name size cus vals)
     [ ("mat_mul", 1024, 1); ("mat_mul", 1024, 4);
       ("copy", 2048, 1); ("copy", 2048, 4);

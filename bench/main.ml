@@ -723,48 +723,6 @@ let run_perf_sim () =
     exec_domains agg_wf_per_s wf_speedup_vs_pr4 agg_cycles_per_s
     speedup_vs_seed
     (if rv_wall > 0.0 then rv_cycles /. rv_wall else 0.0);
-  (* superopt peephole: dynamic cycle reduction per kernel, the
-     mined-rule payoff.  Baseline recompiles with ~superopt:false; the
-     headline rows above already run the optimised (default) code, so
-     only the baseline needs a fresh launch.  Gated in CI via
-     PERF_SIM_MIN_CYCLE_REDUCTION on the aggregate percentage. *)
-  let reduction_rows =
-    List.map2
-      (fun w (r : sim_row) ->
-        let open Ggpu_kernels in
-        let compiled = Codegen_fgpu.compile ~superopt:false w.Suite.kernel in
-        let result =
-          Run_fgpu.run ~config:fgpu_config ~domains:exec_domains compiled
-            ~args:(w.Suite.mk_args ~size:r.r_gsize)
-            ~global_size:(w.Suite.global_size ~size:r.r_gsize)
-            ~local_size:(min w.Suite.local_size r.r_gsize)
-            ()
-        in
-        let base = result.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles in
-        (r.r_name, base, r.r_cycles))
-      Ggpu_kernels.Suite.all rows
-  in
-  let reduction_pct base opt =
-    if base <= 0 then 0.0
-    else 100.0 *. float_of_int (base - opt) /. float_of_int base
-  in
-  Printf.printf "superopt peephole cycle reduction (4 CUs):\n";
-  List.iter
-    (fun (name, base, opt) ->
-      Printf.printf "  %-13s %10d -> %10d  (-%.2f%%)\n" name base opt
-        (reduction_pct base opt))
-    reduction_rows;
-  let red_base =
-    List.fold_left (fun acc (_, b, _) -> acc + b) 0 reduction_rows
-  in
-  let red_opt = List.fold_left (fun acc (_, _, o) -> acc + o) 0 reduction_rows in
-  let kernels_improved =
-    List.length (List.filter (fun (_, b, o) -> o < b) reduction_rows)
-  in
-  let agg_reduction_pct = reduction_pct red_base red_opt in
-  Printf.printf "  total %d -> %d cycles (-%.2f%%), %d of %d kernels improved\n"
-    red_base red_opt agg_reduction_pct kernels_improved
-    (List.length reduction_rows);
   (* the same suite as a (kernel x CU) grid on the domain pool: the
      wall-clock face of Suite_runner, single timed region *)
   let domains =
@@ -876,26 +834,6 @@ let run_perf_sim () =
               ("overhead_pct", Float pmu_overhead_pct);
               ("cycles_identical", Bool pmu_identical);
             ] );
-        ( "cycle_reduction",
-          Obj
-            [
-              ( "kernels",
-                List
-                  (List.map
-                     (fun (name, base, opt) ->
-                       Obj
-                         [
-                           ("kernel", String name);
-                           ("baseline_cycles", Int base);
-                           ("cycles", Int opt);
-                           ("reduction_pct", Float (reduction_pct base opt));
-                         ])
-                     reduction_rows) );
-              ("baseline_cycles", Int red_base);
-              ("cycles", Int red_opt);
-              ("reduction_pct", Float agg_reduction_pct);
-              ("kernels_improved", Int kernels_improved);
-            ] );
       ]
   in
   let oc = open_out sim_json_path in
@@ -922,21 +860,11 @@ let run_perf_sim () =
   (* CI smoke gate: PERF_SIM_MIN_SPEEDUP=1.0 catches a simulator
      regression back below the seed without being flaky about the
      machine the runner happens to land on *)
-  (match Sys.getenv_opt "PERF_SIM_MIN_SPEEDUP" with
+  match Sys.getenv_opt "PERF_SIM_MIN_SPEEDUP" with
   | Some threshold when speedup_vs_seed < float_of_string threshold ->
       Printf.eprintf
         "perf-sim: speedup_vs_seed %.2f below required %s\n" speedup_vs_seed
         threshold;
-      exit 1
-  | _ -> ());
-  (* gate the superopt win: the mined table must keep buying back an
-     aggregate cycle reduction over the unoptimised codegen *)
-  match Sys.getenv_opt "PERF_SIM_MIN_CYCLE_REDUCTION" with
-  | Some threshold when agg_reduction_pct < float_of_string threshold ->
-      Printf.eprintf
-        "perf-sim: superopt cycle reduction %.2f%% below required %s%% (%d \
-         kernels improved)\n"
-        agg_reduction_pct threshold kernels_improved;
       exit 1
   | _ -> ()
 

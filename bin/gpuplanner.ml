@@ -401,13 +401,6 @@ let kernel_term =
   let doc = "Restrict to one kernel (default: all seven)." in
   Arg.(value & opt (some string) None & info [ "kernel" ] ~doc ~docv:"NAME")
 
-let superopt_term =
-  let doc =
-    "Disable the superopt peephole pass (run code exactly as the \
-     register allocator emitted it)."
-  in
-  Term.(const not $ Arg.(value & flag & info [ "no-superopt" ] ~doc))
-
 let compare_cmd =
   let cus_list_term =
     let doc =
@@ -418,7 +411,7 @@ let compare_cmd =
       & opt (list int) Compare.cu_counts
       & info [ "cus" ] ~doc ~docv:"N,..")
   in
-  let run obs tech kernel cus_list sim_domains superopt =
+  let run obs tech kernel cus_list sim_domains =
     with_obs obs @@ fun () ->
     let workloads =
       match kernel with
@@ -430,8 +423,7 @@ let compare_cmd =
             exit 1)
     in
     match
-      Compare.table3 ~workloads ~domains:sim_domains ~superopt
-        ~cu_counts:cus_list ()
+      Compare.table3 ~workloads ~domains:sim_domains ~cu_counts:cus_list ()
     with
     | exception Invalid_argument msg -> Error (`Msg msg)
     | rows ->
@@ -445,7 +437,7 @@ let compare_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ tech_term $ kernel_term $ cus_list_term
-       $ sim_domains_alias_term $ superopt_term))
+       $ sim_domains_alias_term))
   in
   Cmd.v
     (Cmd.info "compare"
@@ -472,7 +464,7 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "pmu" ] ~doc)
   in
-  let run obs cus name size pmu sim_domains superopt =
+  let run obs cus name size pmu sim_domains =
     let* () = check_cus [ cus ] in
     let* () = check_size size in
     with_obs obs @@ fun () ->
@@ -489,18 +481,8 @@ let run_cmd =
     let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default cus in
     let args = w.Ggpu_kernels.Suite.mk_args ~size in
     let compiled =
-      Ggpu_kernels.Codegen_fgpu.compile ~superopt w.Ggpu_kernels.Suite.kernel
+      Ggpu_kernels.Codegen_fgpu.compile w.Ggpu_kernels.Suite.kernel
     in
-    let report = compiled.Ggpu_kernels.Codegen_fgpu.peephole in
-    if report.Ggpu_superopt.Peephole.applied <> []
-       || report.Ggpu_superopt.Peephole.nops_removed > 0
-    then
-      Format.printf "superopt: %d rewrite(s), %d nop(s), ~%d cycles/iteration@."
-        (List.fold_left
-           (fun acc (_, n) -> acc + n)
-           0 report.Ggpu_superopt.Peephole.applied)
-        report.Ggpu_superopt.Peephole.nops_removed
-        report.Ggpu_superopt.Peephole.saved_cycles;
     let collector =
       if pmu then
         Some
@@ -547,7 +529,7 @@ let run_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ cus_term $ kernel_req $ size_term $ pmu_term
-       $ sim_domains_alias_term $ superopt_term))
+       $ sim_domains_alias_term))
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate one kernel on the G-GPU") term
 
@@ -658,7 +640,7 @@ let bench_cmd =
     in
     Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"D")
   in
-  let run obs domains cus_list sim_domains superopt =
+  let run obs domains cus_list sim_domains =
     let* () = check_cus cus_list in
     with_obs obs @@ fun () ->
     let domains =
@@ -673,7 +655,7 @@ let bench_cmd =
     let jobs = Ggpu_kernels.Suite_runner.grid ~cu_counts:cus_list () in
     let t0 = Ggpu_obs.Metrics.now_ns () in
     let results, merged =
-      Ggpu_kernels.Suite_runner.run ~domains ~sim_domains ~superopt jobs
+      Ggpu_kernels.Suite_runner.run ~domains ~sim_domains jobs
     in
     let wall_ns = max 1 (Ggpu_obs.Metrics.now_ns () - t0) in
     Printf.printf "%-20s %8s %10s %10s %12s %6s\n" "job" "size" "cycles"
@@ -720,8 +702,7 @@ let bench_cmd =
   let term =
     Term.(
       term_result ~usage:false
-        (const run $ obs_term $ domains_term $ cus_grid_term $ sim_domains_term
-       $ superopt_term))
+        (const run $ obs_term $ domains_term $ cus_grid_term $ sim_domains_term))
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1375,247 +1356,6 @@ let client_cmd =
           scrape its metrics, print stats, or shut it down")
     term
 
-(* --- superopt ----------------------------------------------------------- *)
-
-let superopt_cmd =
-  let module So = Ggpu_superopt in
-  let budget_term =
-    let doc = "Enumeration budget (candidate sequences)." in
-    Arg.(value & opt int 500_000 & info [ "budget" ] ~doc ~docv:"N")
-  in
-  let max_len_term =
-    let doc = "Maximum lhs sequence length to enumerate." in
-    Arg.(value & opt int 2 & info [ "max-len" ] ~doc ~docv:"K")
-  in
-  let max_rules_term =
-    let doc = "Cap on the emitted rule table." in
-    Arg.(value & opt int 2048 & info [ "max-rules" ] ~doc ~docv:"N")
-  in
-  let seed_term =
-    let doc = "Test-vector seed." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc ~docv:"S")
-  in
-  let domains_term =
-    let doc = "Domain-pool size for the search fan-out." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"D")
-  in
-  let rules_file_term =
-    let doc = "Rule table file (default: the built-in mined table)." in
-    Arg.(value & opt (some string) None & info [ "rules" ] ~doc ~docv:"FILE")
-  in
-  let load_rules = function
-    | None -> Ok (So.Rules.default ())
-    | Some path -> (
-        match So.Rules.load_file path with
-        | rules -> Ok rules
-        | exception So.Rule.Parse_error msg ->
-            Error (`Msg (Printf.sprintf "%s: %s" path msg))
-        | exception Sys_error msg -> Error (`Msg msg))
-  in
-  let do_mine budget max_len max_rules seed domains =
-    let space = { So.Search.default_space with max_len } in
-    let r = So.Search.mine ~space ~budget ~max_rules ?domains ~seed () in
-    Format.eprintf
-      "superopt: alphabet=%d candidates=%d buckets=%d verified_pairs=%d \
-       rules=%d%s@."
-      r.So.Search.stats.So.Search.alphabet r.So.Search.stats.So.Search.candidates
-      r.So.Search.stats.So.Search.buckets
-      r.So.Search.stats.So.Search.verified_pairs
-      (List.length r.So.Search.rules)
-      (if r.So.Search.stats.So.Search.truncated then " (budget hit)" else "");
-    r
-  in
-  let search_cmd =
-    let run budget max_len max_rules seed domains =
-      let r = do_mine budget max_len max_rules seed domains in
-      List.iter
-        (fun rule -> Format.printf "%s@." (So.Rule.to_string rule))
-        r.So.Search.rules;
-      Ok ()
-    in
-    let term =
-      Term.(
-        term_result ~usage:false
-          (const run $ budget_term $ max_len_term $ max_rules_term $ seed_term
-         $ domains_term))
-    in
-    Cmd.v
-      (Cmd.info "search"
-         ~doc:
-           "Enumerate, fingerprint, verify and rank rewrite rules; print \
-            them human-readably")
-      term
-  in
-  let mine_cmd =
-    let update_term =
-      let doc =
-        "Rewrite the checked-in table (lib/superopt/rules_table.ml) with \
-         the mined rules."
-      in
-      Arg.(value & flag & info [ "update" ] ~doc)
-    in
-    let table_path_term =
-      let doc = "Path of the generated table module for --update." in
-      Arg.(
-        value
-        & opt string "lib/superopt/rules_table.ml"
-        & info [ "table" ] ~doc ~docv:"PATH")
-    in
-    let out_term =
-      let doc = "Write the mined rules to a text table file." in
-      Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc ~docv:"FILE")
-    in
-    let run budget max_len max_rules seed domains update table_path out =
-      let r = do_mine budget max_len max_rules seed domains in
-      let rules = r.So.Search.rules in
-      (match out with Some path -> So.Rules.save_file path rules | None -> ());
-      if update then begin
-        let oc = open_out table_path in
-        output_string oc
-          "(* Generated by `gpuplanner superopt mine --update`; do not edit.\n\
-          \   Format: Rule.to_line — hex ISA words, `lhs => rhs ; clobbers= ; \
-           saves=`. *)\n\n";
-        output_string oc "let lines : string list =\n  [\n";
-        List.iter
-          (fun rule ->
-            output_string oc (Printf.sprintf "    %S;\n" (So.Rule.to_line rule)))
-          rules;
-        output_string oc "  ]\n";
-        close_out oc;
-        Format.printf "wrote %d rule(s) to %s@." (List.length rules) table_path
-      end
-      else if out = None then
-        List.iter (fun rule -> print_endline (So.Rule.to_line rule)) rules;
-      Ok ()
-    in
-    let term =
-      Term.(
-        term_result ~usage:false
-          (const run $ budget_term $ max_len_term $ max_rules_term $ seed_term
-         $ domains_term $ update_term $ table_path_term $ out_term))
-    in
-    Cmd.v
-      (Cmd.info "mine"
-         ~doc:
-           "Mine the rule table and serialise it (stdout, --output FILE, or \
-            --update the checked-in module)")
-      term
-  in
-  let workloads_of = function
-    | None -> Ggpu_kernels.Suite.all
-    | Some name -> (
-        try [ Ggpu_kernels.Suite.find name ]
-        with Invalid_argument msg ->
-          prerr_endline msg;
-          exit 1)
-  in
-  let apply_cmd =
-    let asm_term =
-      let doc = "Also print the before/after assembly." in
-      Arg.(value & flag & info [ "asm" ] ~doc)
-    in
-    let run kernel rules_file asm =
-      let ( let+ ) r f = Result.map f r in
-      let+ rules = load_rules rules_file in
-      List.iter
-        (fun w ->
-          let raw =
-            Ggpu_kernels.Codegen_fgpu.compile ~superopt:false
-              w.Ggpu_kernels.Suite.kernel
-          in
-          let code = raw.Ggpu_kernels.Codegen_fgpu.code in
-          let opt, report = So.Peephole.optimise_program ~rules code in
-          Format.printf "%-14s %d -> %d insns, %d rewrite(s), %d nop(s), ~%d \
-                         cycles saved per straight-line pass@."
-            w.Ggpu_kernels.Suite.name (Array.length code) (Array.length opt)
-            (List.fold_left (fun acc (_, n) -> acc + n) 0
-               report.So.Peephole.applied)
-            report.So.Peephole.nops_removed report.So.Peephole.saved_cycles;
-          List.iter
-            (fun (rule, n) ->
-              Format.printf "  %dx %s@." n (So.Rule.to_string rule))
-            report.So.Peephole.applied;
-          if asm then
-            Format.printf "--- before@.%a@.--- after@.%a@."
-              Ggpu_isa.Fgpu_asm.pp_program code Ggpu_isa.Fgpu_asm.pp_program opt)
-        (workloads_of kernel)
-    in
-    let term =
-      Term.(
-        term_result ~usage:false
-          (const run $ kernel_term $ rules_file_term $ asm_term))
-    in
-    Cmd.v
-      (Cmd.info "apply"
-         ~doc:
-           "Apply the rule table to suite kernels and show what fires \
-            (static view; no simulation)")
-      term
-  in
-  let report_cmd =
-    let run kernel cus =
-      Format.printf "%-14s %10s %10s %8s %s@." "kernel" "cycles" "baseline"
-        "delta" "rewrites";
-      let total_base = ref 0 and total_opt = ref 0 and improved = ref 0 in
-      List.iter
-        (fun w ->
-          let size = Ggpu_kernels.Suite_runner.default_size w in
-          let cycles ~superopt =
-            let compiled =
-              Ggpu_kernels.Codegen_fgpu.compile ~superopt
-                w.Ggpu_kernels.Suite.kernel
-            in
-            let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default cus in
-            let r =
-              Ggpu_kernels.Run_fgpu.run ~config compiled
-                ~args:(w.Ggpu_kernels.Suite.mk_args ~size)
-                ~global_size:(w.Ggpu_kernels.Suite.global_size ~size)
-                ~local_size:(min w.Ggpu_kernels.Suite.local_size size)
-                ()
-            in
-            ( r.Ggpu_kernels.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles,
-              compiled.Ggpu_kernels.Codegen_fgpu.peephole )
-          in
-          let base, _ = cycles ~superopt:false in
-          let opt, report = cycles ~superopt:true in
-          total_base := !total_base + base;
-          total_opt := !total_opt + opt;
-          if opt < base then incr improved;
-          Format.printf "%-14s %10d %10d %7.2f%% %d@." w.Ggpu_kernels.Suite.name
-            opt base
-            (100.0 *. float_of_int (base - opt) /. float_of_int (max 1 base))
-            (List.fold_left (fun acc (_, n) -> acc + n) 0
-               report.So.Peephole.applied
-            + report.So.Peephole.nops_removed))
-        (workloads_of kernel);
-      Format.printf "total: %d -> %d cycles (%.2f%% saved), %d kernel(s) \
-                     improved@."
-        !total_base !total_opt
-        (100.0
-        *. float_of_int (!total_base - !total_opt)
-        /. float_of_int (max 1 !total_base))
-        !improved;
-      Ok ()
-    in
-    let term =
-      Term.(
-        term_result ~usage:false
-          (const run $ kernel_term $ cus_term))
-    in
-    Cmd.v
-      (Cmd.info "report"
-         ~doc:
-           "Simulate each kernel with and without the peephole pass and \
-            report the cycle reduction")
-      term
-  in
-  Cmd.group
-    (Cmd.info "superopt"
-       ~doc:
-         "FGPU ISA superoptimizer: mine verified rewrite rules and inspect \
-          the peephole pass they feed")
-    [ search_cmd; mine_cmd; apply_cmd; report_cmd ]
-
 let () =
   let doc = "open-source generator of GPU-like ASIC accelerators" in
   let info = Cmd.info "gpuplanner" ~version:"1.0.0" ~doc in
@@ -1626,5 +1366,5 @@ let () =
             synth_cmd; dse_cmd; map_cmd; layout_cmd; table1_cmd; versions_cmd;
             compare_cmd;
             run_cmd; bench_cmd; perf_report_cmd; fi_cmd; profile_cmd;
-            trace_check_cmd; verilog_cmd; serve_cmd; client_cmd; superopt_cmd;
+            trace_check_cmd; verilog_cmd; serve_cmd; client_cmd;
           ]))

@@ -74,14 +74,13 @@ let run_riscv (w : Suite.t) =
 (* Table III: input sizes and measured cycle counts.  Each kernel is
    compiled, given its G-GPU-size inputs and executed once, then timed
    at every CU count. *)
-let table3 ?(workloads = Suite.all) ?domains ?superopt
-    ?(cu_counts = cu_counts) () =
+let table3 ?(workloads = Suite.all) ?domains ?(cu_counts = cu_counts) () =
   check_cu_counts cu_counts;
   List.map
     (fun (w : Suite.t) ->
       let size = w.Suite.ggpu_size in
       let args = w.Suite.mk_args ~size in
-      let compiled = Codegen_fgpu.compile ?superopt w.Suite.kernel in
+      let compiled = Codegen_fgpu.compile w.Suite.kernel in
       let ggpu =
         Run_fgpu.run_cus ?domains compiled ~args ~cus:cu_counts
           ~global_size:(w.Suite.global_size ~size)

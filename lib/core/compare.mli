@@ -36,7 +36,6 @@ val run_riscv : Ggpu_kernels.Suite.t -> int
 val table3 :
   ?workloads:Ggpu_kernels.Suite.t list ->
   ?domains:int ->
-  ?superopt:bool ->
   ?cu_counts:int list ->
   unit ->
   row list
@@ -45,9 +44,7 @@ val table3 :
     kernel's G-GPU cycle counts come from one launch at its G-GPU size
     ({!Ggpu_kernels.Run_fgpu.run_cus}: compiled, given inputs and
     executed once, timed at every count).  [domains] sets the
-    functional fan-out; cycle counts are bit-identical at any count.
-    [superopt] (default true) is forwarded to
-    {!Ggpu_kernels.Codegen_fgpu.compile}. *)
+    functional fan-out; cycle counts are bit-identical at any count. *)
 
 val ggpu_areas_mm2 :
   ?tech:Ggpu_tech.Tech.t -> ?cu_counts:int list -> unit -> (int * float) list

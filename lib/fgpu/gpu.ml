@@ -434,7 +434,10 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
        replay *)
     let make_wg ~reuse wg_id =
       let wg_offset = wg_id * local_size in
-      let wg_size = Int.min local_size (global_size - wg_offset) in
+      (* [Wgsize] reads the launch's local size in a tail workgroup
+         too, as Interp and the RISC-V build do; its live lanes still
+         stop at the global size *)
+      let wg_size = local_size in
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->
             match reuse with

@@ -58,7 +58,6 @@ val add_cell :
   Cell.t
 (** @raise Invalid if an output net is already driven or a net is unknown. *)
 
-val remove_cell : t -> Cell.t -> unit
 val rewire_inputs : t -> Cell.t -> inputs:Net.t list -> Cell.t
 val set_inputs : t -> Net.t list -> unit
 val set_outputs : t -> Net.t list -> unit

@@ -70,8 +70,3 @@ let assemble items =
           end)
     items;
   Array.of_list (List.rev !out)
-
-let pp_program fmt program =
-  Array.iteri
-    (fun i insn -> Format.fprintf fmt "%4d: %s@." i (Fgpu_isa.to_string insn))
-    program

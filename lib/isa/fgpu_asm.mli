@@ -16,5 +16,3 @@ val item_size : item -> int
 
 val assemble : item list -> Fgpu_isa.t array
 (** @raise Asm_error on duplicate or undefined labels. *)
-
-val pp_program : Format.formatter -> Fgpu_isa.t array -> unit

@@ -300,13 +300,3 @@ let decode w =
   else if opcode = op_barrier then Barrier
   else if opcode = op_ret then Ret
   else raise (Decode_error (Printf.sprintf "bad opcode %d" opcode))
-
-let writes_reg = function
-  | Alu (_, rd, _, _)
-  | Alui (_, rd, _, _)
-  | Lui (rd, _)
-  | Li (rd, _)
-  | Lw (rd, _, _)
-  | Special (_, rd) ->
-      Some rd
-  | Sw _ | Branch _ | Jump _ | Barrier | Ret -> None

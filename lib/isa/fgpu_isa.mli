@@ -57,5 +57,3 @@ val encode : t -> int32
 
 val decode : int32 -> t
 (** @raise Decode_error on an illegal opcode. *)
-
-val writes_reg : t -> reg option

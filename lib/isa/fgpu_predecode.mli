@@ -30,5 +30,4 @@ type t = {
   uses_mul : bool;
 }
 
-val of_insn : Fgpu_isa.t -> t
 val of_program : Fgpu_isa.t array -> t array

@@ -18,7 +18,6 @@ type compiled = {
   code : Fgpu_isa.t array;
   param_regs : (string * int) list; (* parameter name -> register *)
   max_live : int; (* allocator pressure, for diagnostics *)
-  peephole : Ggpu_superopt.Peephole.report; (* what the superopt pass did *)
 }
 
 exception Too_many_params of string
@@ -31,7 +30,7 @@ let scratch2 = 30
 let imm16_ok v = v >= -32768l && v <= 32767l
 let uimm16_ok v = v >= 0l && v <= 0xFFFFl
 
-let compile ?(optimise = true) ?(superopt = true) kernel =
+let compile ?(optimise = true) kernel =
   let program = Lower.lower kernel in
   let program = if optimise then Opt.optimise program else program in
   let phys, max_live = Regalloc.allocate program ~pool in
@@ -175,12 +174,4 @@ let compile ?(optimise = true) ?(superopt = true) kernel =
   in
   List.iter lower_insn program.Vir.insns;
   let code = Fgpu_asm.assemble (List.rev !items) in
-  (* Post-assembly superopt peephole: mined, verified rewrite rules
-     plus algebraic no-op elimination (see Ggpu_superopt.Peephole). *)
-  let code, peephole =
-    if superopt then
-      Ggpu_superopt.Peephole.optimise_program
-        ~rules:(Ggpu_superopt.Rules.default ()) code
-    else (code, Ggpu_superopt.Peephole.empty_report)
-  in
-  { kernel_name = kernel.Ast.name; code; param_regs; max_live; peephole }
+  { kernel_name = kernel.Ast.name; code; param_regs; max_live }

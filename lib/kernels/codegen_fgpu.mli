@@ -10,17 +10,12 @@ type compiled = {
   code : Ggpu_isa.Fgpu_isa.t array;
   param_regs : (string * int) list;  (** parameter name -> register *)
   max_live : int;  (** allocator pressure, for diagnostics *)
-  peephole : Ggpu_superopt.Peephole.report;
-      (** what the post-assembly superopt pass did (empty when
-          [superopt:false]) *)
 }
 
 exception Too_many_params of string
 
-val compile : ?optimise:bool -> ?superopt:bool -> Ast.kernel -> compiled
+val compile : ?optimise:bool -> Ast.kernel -> compiled
 (** [optimise] (default true) runs {!Opt.optimise} on the IR first.
-    [superopt] (default true) then applies the mined peephole rule
-    table ({!Ggpu_superopt.Rules.default}) to the assembled code.
     @raise Too_many_params beyond 8 parameters.
     @raise Regalloc.Register_pressure if the kernel needs more than the
     19 allocatable registers.

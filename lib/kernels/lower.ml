@@ -3,7 +3,15 @@
    Named variables (locals, loop counters) get one stable virtual
    register each; expression temporaries get fresh ones.  [If] conditions
    that are comparisons lower to a single conditional branch; other
-   conditions compare against zero. *)
+   conditions compare against zero.
+
+   An assignment whose right-hand side is a binary operation
+   ([s = s op x], [s = x op s], [s = a op b]) writes the variable's own
+   register directly, with no temporary and no copy.  That is sound on
+   both targets: each [Vir.Bin] becomes exactly one ALU instruction
+   (immediates go to scratch registers first), and an ALU instruction
+   reads its sources before it writes its destination, so the
+   destination may be one of the sources. *)
 
 exception Lower_error of string
 
@@ -111,6 +119,10 @@ and lower_stmt st stmt =
       let d = fresh_reg st in
       Hashtbl.replace st.vars name d;
       emit st (Vir.Mov (d, v))
+  | Ast.Assign (name, Ast.Binop (op, a, b)) ->
+      let va = lower_value st a in
+      let vb = lower_value st b in
+      emit st (Vir.Bin (op, var_reg st name, va, vb))
   | Ast.Assign (name, e) ->
       let v = lower_value st e in
       emit st (Vir.Mov (var_reg st name, v))

@@ -41,12 +41,12 @@ let grid ?(workloads = Suite.all) ~cu_counts () =
       List.map (fun cus -> { workload = w; cus; size = default_size w }) cu_counts)
     workloads
 
-let run_job ?pmu_stride ?sim_domains ?superopt ~pmu reg (j : job) =
+let run_job ?pmu_stride ?sim_domains ~pmu reg (j : job) =
   let w = j.workload in
   let t0 = Ggpu_obs.Metrics.now_ns () in
   let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default j.cus in
   let args = w.Suite.mk_args ~size:j.size in
-  let compiled = Codegen_fgpu.compile ?superopt w.Suite.kernel in
+  let compiled = Codegen_fgpu.compile w.Suite.kernel in
   let collector =
     if pmu then
       Some
@@ -85,7 +85,7 @@ let run_job ?pmu_stride ?sim_domains ?superopt ~pmu reg (j : job) =
   in
   { job = j; stats; correct; wall_ns; pmu }
 
-let run ?domains ?(pmu = false) ?pmu_stride ?sim_domains ?superopt jobs =
+let run ?domains ?(pmu = false) ?pmu_stride ?sim_domains jobs =
   Ggpu_par.Parallel.map_collect ?domains
-    (run_job ?pmu_stride ?sim_domains ?superopt ~pmu)
+    (run_job ?pmu_stride ?sim_domains ~pmu)
     jobs

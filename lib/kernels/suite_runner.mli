@@ -31,7 +31,6 @@ val run :
   ?pmu:bool ->
   ?pmu_stride:int ->
   ?sim_domains:int ->
-  ?superopt:bool ->
   job list ->
   result list * Ggpu_obs.Metrics.snapshot
 (** Run all jobs (order-preserving) and merge their per-job metric
@@ -39,8 +38,6 @@ val run :
     {!Ggpu_pmu.Pmu} collector per job — simulated results stay
     bit-identical; only the per-job [pmu] summaries appear.
     [pmu_stride] sets the hot-PC sampling period in cycles.
-    [superopt] (default true) is forwarded to
-    {!Codegen_fgpu.compile} — [false] disables the peephole pass.
     [sim_domains] is forwarded to each job's simulator launch
     ({!Ggpu_fgpu.Gpu.run}); it fans out the functional phase *within*
     one simulation and is independent of [domains], which spreads

@@ -351,7 +351,3 @@ let record_gauge name v =
 
 let observe_named ?buckets name v =
   if ambient_enabled () then observe (histogram ?buckets (ambient ()) name) v
-
-let timed name f =
-  if ambient_enabled () then time_counter (counter (ambient ()) name) f
-  else f ()

@@ -10,8 +10,8 @@
     Two usage styles:
     - {b explicit registries} ({!create}/{!snapshot}/{!merge}) for
       scoped measurements (one registry per DSE run, per trial, …);
-    - the {b ambient} per-domain registry ({!count}, {!observe_named},
-      {!timed}, …), off by default and gated on a single atomic flag so
+    - the {b ambient} per-domain registry ({!count}, {!record_gauge},
+      {!observe_named}), off by default and gated on a single atomic flag so
       instrumented hot paths cost one load-and-branch when disabled.
       Each domain owns its registry, so recording never contends;
       {!ambient_snapshot} merges them all. *)
@@ -143,7 +143,3 @@ val count : string -> int -> unit
 
 val record_gauge : string -> int -> unit
 val observe_named : ?buckets:int list -> string -> int -> unit
-
-val timed : string -> (unit -> 'a) -> 'a
-(** Adds elapsed nanoseconds to the ambient counter [name] when
-    enabled; otherwise just runs the thunk. *)

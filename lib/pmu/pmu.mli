@@ -33,15 +33,6 @@ type t
 val n_buckets : int
 val bucket_names : string array
 
-val b_issue : int
-val b_div_serial : int
-val b_stall_mem_hit : int
-val b_stall_mem_miss : int
-val b_stall_mem_axi : int
-val b_stall_barrier : int
-val b_stall_latency : int
-val b_idle_empty : int
-
 (** {1 Stall kinds}
 
     The simulator stores one per wavefront — the reason its next issue

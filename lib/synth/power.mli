@@ -7,5 +7,4 @@ val macro_activity : float
 (** Accesses per cycle charged to each macro (1.0: a busy GPU). *)
 
 val leakage_mw : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> float
-val energy_per_cycle_pj : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> float
 val of_netlist : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> freq_mhz:float -> t

@@ -87,6 +87,5 @@ val engine_net_arrival : engine -> Ggpu_hw.Net.t -> float
 
 val engine_stats : engine -> engine_stats
 
-val slack_ns : report -> period_ns:float -> float
 val meets : report -> period_ns:float -> bool
 val pp_path : Format.formatter -> path -> unit

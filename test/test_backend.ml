@@ -10,7 +10,9 @@
    reference on one domain.  Generated kernels are race-free by
    construction — stores go only to the work-item's own slot, and
    cross-item reads only cross a barrier — because that is the
-   contract under which split mode promises bit-identical results. *)
+   contract under which split mode promises bit-identical results.
+   The same kernels also check both code generators against the
+   reference interpreter. *)
 
 open Ggpu_kernels
 open Ggpu_fgpu
@@ -24,6 +26,9 @@ let asize = 64
 
 type case = {
   kernel : Ast.kernel;
+  halves : Ast.kernel list;
+      (** barrier-free kernels whose back-to-back {!Interp.run}s are
+          [kernel]'s reference *)
   gsize : int;
   lsize : int;
   cus : int;
@@ -80,7 +85,10 @@ let gen_cond vars depth =
    if, a store to the item's own slot; optionally a barrier phase that
    reads another work-item's pre-barrier value (possibly from another
    wavefront — exactly what the split mode's barrier rounds must get
-   right) and stores it into a second buffer. *)
+   right) and stores it into a second buffer.  The loop's update reads
+   its variable as the left operand and the else branch's as the right
+   one: the two shapes {!Lower} writes straight into the variable's
+   register. *)
 let gen_kernel =
   let open G in
   let* e_x = gen_expr [ "i" ] 2 in
@@ -90,6 +98,7 @@ let gen_kernel =
   let* cond = gen_cond [ "i"; "x"; "y"; "acc" ] 1 in
   let* e_then = gen_expr [ "i"; "x"; "y"; "acc" ] 1 in
   let* e_else = gen_expr [ "i"; "x"; "y"; "acc" ] 1 in
+  let* op_else = gen_binop in
   let* e_out = gen_expr [ "i"; "x"; "y"; "acc" ] 2 in
   let* with_barrier = bool in
   let* peer_shift = int_range 0 63 in
@@ -104,13 +113,15 @@ let gen_kernel =
           Ast.const 0,
           Ast.const iters,
           [ Ast.Assign ("acc", Ast.(var "acc" +: e_loop)) ] );
-      Ast.If (cond, [ Ast.Assign ("x", e_then) ], [ Ast.Assign ("y", e_else) ]);
+      Ast.If
+        ( cond,
+          [ Ast.Assign ("x", e_then) ],
+          [ Ast.Assign ("y", Ast.Binop (op_else, e_else, Ast.var "y")) ] );
       Ast.Store ("out", Ast.var "i", e_out);
     ]
   in
-  let barrier_phase =
+  let after_barrier =
     [
-      Ast.Barrier;
       Ast.Let ("lid", Ast.Local_id);
       Ast.Let ("base", Ast.(var "i" -: var "lid"));
       Ast.Let
@@ -125,18 +136,31 @@ let gen_kernel =
     [ Ast.Buffer "a"; Ast.Buffer "out"; Ast.Scalar "n" ]
     @ if with_barrier then [ Ast.Buffer "res" ] else []
   in
-  let body = prologue @ if with_barrier then barrier_phase else [] in
-  return ({ Ast.name = "rand"; params; body }, with_barrier)
+  let kernel body = { Ast.name = "rand"; params; body } in
+  (* Interp.run rejects barriers, so the reference runs the two sides
+     of one as separate launches, back to back: every item finishes the
+     first before any starts the second, which is what the barrier
+     guarantees.  The second re-derives [i], the only prologue variable
+     it reads. *)
+  if with_barrier then
+    return
+      ( kernel (prologue @ (Ast.Barrier :: after_barrier)),
+        [
+          kernel prologue;
+          kernel (Ast.Let ("i", Ast.Global_id) :: after_barrier);
+        ],
+        true )
+  else return (kernel prologue, [ kernel prologue ], false)
 
 let gen_case =
   let open G in
-  let* kernel, with_barrier = gen_kernel in
+  let* kernel, halves, with_barrier = gen_kernel in
   let* gsize = int_range 1 300 in
   (* 96: a workgroup's second wavefront has lanes past the workgroup,
      and a tail workgroup can hold a wavefront with no live lane *)
   let* lsize = oneofl [ 64; 96; 128 ] in
   let* cus = oneofl [ 1; 2; 4 ] in
-  return { kernel; gsize; lsize = min lsize gsize; cus; with_barrier }
+  return { kernel; halves; gsize; lsize = min lsize gsize; cus; with_barrier }
 
 let print_case c =
   Printf.sprintf "gsize=%d lsize=%d cus=%d barrier=%b body-stmts=%d" c.gsize
@@ -149,15 +173,16 @@ let arb_case = QCheck.make ~print:print_case gen_case
 
 let round_up n m = (n + m - 1) / m * m
 
+(* the read-only buffer "a" every generated kernel reads *)
+let input_a () =
+  Array.init asize (fun i -> Ggpu_isa.I32.sx ((i * 2654435761) lxor i))
+
 let mk_args c =
   (* the barrier phase may read any slot of its workgroup's span, so
      size "out" to the workgroup-aligned grid *)
   let out_words = round_up c.gsize c.lsize in
-  let a =
-    Array.init asize (fun i -> Ggpu_isa.I32.sx ((i * 2654435761) lxor i))
-  in
   let buffers =
-    [ ("a", a); ("out", Array.make out_words 0) ]
+    [ ("a", input_a ()); ("out", Array.make out_words 0) ]
     @ if c.with_barrier then [ ("res", Array.make c.gsize 0) ] else []
   in
   { Interp.buffers; scalars = [ ("n", c.gsize) ] }
@@ -216,32 +241,149 @@ let prop_backends_and_domains_agree =
              observe_cus c ~engine ~domains = (Some 0, per_count))
            [ (Threaded, 1); (Threaded, 3); (Oracle, 1) ])
 
-(* --- superopt peephole differential ------------------------------------ *)
+(* --- compiled code vs the reference interpreter ----------------------- *)
 
-(* The peephole pass is allowed to change timing observables (cycles,
-   instruction counts, vu_busy, divergent issue counts) but nothing
-   else: output buffers must be bit-identical, and so must every
-   memory/synchronisation counter, since the pass never rewrites a
-   load, store or barrier. *)
-let semantic_keys = [ "loads"; "stores"; "barriers"; "workgroups" ]
-
-let observe_superopt c ~superopt =
-  let config = Config.with_cus Config.default c.cus in
-  let compiled = Codegen_fgpu.compile ~superopt c.kernel in
-  let r =
-    Run_fgpu.run ~config compiled ~args:(mk_args c) ~global_size:c.gsize
-      ~local_size:c.lsize ()
-  in
-  let semantic =
-    List.filter (fun (k, _) -> List.mem k semantic_keys)
-      (Stats.to_assoc r.Run_fgpu.stats)
-  in
-  (semantic, r.Run_fgpu.buffers)
-
-let prop_superopt_preserves_semantics =
-  QCheck.Test.make ~name:"superopt peephole differential" ~count:30 arb_case
+(* Every output buffer of both code generators' programs equals
+   Interp's: on the G-GPU always, on the RISC-V only without the
+   barrier phase, since the sequential CPU drops barriers. *)
+let prop_compiled_matches_interp =
+  QCheck.Test.make ~name:"compiled code matches Interp" ~count:30 arb_case
     (fun c ->
-      observe_superopt c ~superopt:true = observe_superopt c ~superopt:false)
+      let reference =
+        let args = mk_args c in
+        List.iter
+          (fun k ->
+            Interp.run k ~args ~global_size:c.gsize ~local_size:c.lsize)
+          c.halves;
+        args.Interp.buffers
+      in
+      let fgpu =
+        let config = Config.with_cus Config.default c.cus in
+        Run_fgpu.run ~config (Codegen_fgpu.compile c.kernel) ~args:(mk_args c)
+          ~global_size:c.gsize ~local_size:c.lsize ()
+      in
+      let rv32 () =
+        Run_rv32.run (Codegen_rv32.compile c.kernel) ~args:(mk_args c)
+          ~global_size:c.gsize ~local_size:c.lsize ()
+      in
+      fgpu.Run_fgpu.buffers = reference
+      && (c.with_barrier || (rv32 ()).Run_rv32.buffers = reference))
+
+(* --- chains of accumulator updates vs the reference interpreter -------- *)
+
+(* Three accumulators updated by [s = l op r], where either operand may
+   be [s] itself, another accumulator, a constant (some too wide for an
+   immediate field, some shift amounts past 31) or an operation on [s]:
+   the shapes {!Lower} writes straight into the variable's register.
+   Updates are chained, so one accumulator's new value feeds the next,
+   and some run in loops of 0 to 3 iterations. *)
+let accumulators = [ "s0"; "s1"; "s2" ]
+
+let gen_update =
+  let open G in
+  let* target = oneofl accumulators in
+  let operand =
+    frequency
+      [
+        (3, return (Ast.var target));
+        (2, map Ast.var (oneofl ("x" :: accumulators)));
+        (2, map Ast.const (oneofl [ 0; 1; -1; 5; 31; 32; 33; 70000; -70000 ]));
+        ( 1,
+          map2
+            (fun op c -> Ast.Binop (op, Ast.var target, Ast.const c))
+            gen_binop (int_range (-8) 8) );
+      ]
+  in
+  let* op = gen_binop in
+  let* l = operand in
+  let* r = operand in
+  return (Ast.Assign (target, Ast.Binop (op, l, r)))
+
+type chain = { updates : Ast.stmt list; items : int; chain_cus : int }
+
+let gen_chain =
+  let open G in
+  let* updates =
+    list_size (int_range 1 8)
+      (frequency
+         [
+           (4, gen_update);
+           ( 1,
+             map2
+               (fun iters body ->
+                 Ast.For ("k", Ast.const 0, Ast.const iters, body))
+               (int_range 0 3)
+               (list_size (int_range 1 3) gen_update) );
+         ])
+  in
+  let* items = int_range 1 100 in
+  let* chain_cus = oneofl [ 1; 2 ] in
+  return { updates; items; chain_cus }
+
+let chain_kernel c =
+  let open Ast in
+  (* each loop gets its own counter *)
+  let updates =
+    List.mapi
+      (fun j stmt ->
+        match stmt with
+        | For (_, lo, hi, body) -> For (Printf.sprintf "k%d" j, lo, hi, body)
+        | stmt -> stmt)
+      c.updates
+  in
+  {
+    name = "chain";
+    params = [ Buffer "a"; Buffer "out" ];
+    body =
+      [
+        Let ("i", Global_id);
+        Let ("x", load "a" (Binop (And, var "i", const (asize - 1))));
+        Let ("s0", var "x");
+        Let ("s1", var "i");
+        Let ("s2", const 7);
+      ]
+      @ updates
+      @ List.mapi
+          (fun k s -> Store ("out", (var "i" *: const 3) +: const k, var s))
+          accumulators;
+  }
+
+let print_chain c =
+  Printf.sprintf "items=%d cus=%d\n%s" c.items c.chain_cus
+    (String.concat "\n"
+       (List.map Vir.insn_to_string (Lower.lower (chain_kernel c)).Vir.insns))
+
+let prop_updates_match_interp =
+  QCheck.Test.make ~name:"accumulator updates match Interp" ~count:300
+    (QCheck.make ~print:print_chain gen_chain)
+    (fun c ->
+      let kernel = chain_kernel c in
+      let global_size = c.items and local_size = min 64 c.items in
+      let args () =
+        {
+          Interp.buffers =
+            [
+              ("a", input_a ()); ("out", Array.make (3 * c.items) 0);
+            ];
+          scalars = [];
+        }
+      in
+      let reference =
+        let args = args () in
+        Interp.run kernel ~args ~global_size ~local_size;
+        args.Interp.buffers
+      in
+      let fgpu =
+        Run_fgpu.run
+          ~config:(Config.with_cus Config.default c.chain_cus)
+          (Codegen_fgpu.compile kernel) ~args:(args ()) ~global_size
+          ~local_size ()
+      in
+      let rv32 =
+        Run_rv32.run (Codegen_rv32.compile kernel) ~args:(args ())
+          ~global_size ~local_size ()
+      in
+      fgpu.Run_fgpu.buffers = reference && rv32.Run_rv32.buffers = reference)
 
 (* --- fixed cross-wavefront barrier case -------------------------------- *)
 
@@ -881,7 +1023,8 @@ let suite =
     ( "backend",
       [
         QCheck_alcotest.to_alcotest prop_backends_and_domains_agree;
-        QCheck_alcotest.to_alcotest prop_superopt_preserves_semantics;
+        QCheck_alcotest.to_alcotest prop_compiled_matches_interp;
+        QCheck_alcotest.to_alcotest prop_updates_match_interp;
         Alcotest.test_case "split barrier cross-wavefront" `Quick
           test_split_barrier_cross_wavefront;
         Alcotest.test_case "record pass fault falls back" `Quick

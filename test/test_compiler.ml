@@ -173,6 +173,171 @@ let test_opt_shrinks_programs () =
         (count_insns optimised <= count_insns plain))
     Suite.all
 
+(* Constant folding computes what the targets compute at run time:
+   for every operation and operand pairs including the corner cases
+   (zero divisors, min_int / -1, shift amounts past 31), a kernel
+   stores each pair's result twice, once from two constants (folded
+   away when optimised) and once from two loaded words.  Both targets,
+   optimised or not, store Interp's values, and the two halves agree
+   with each other and with {!Opt.fold_binop}. *)
+let test_opt_folding_matches_run_time () =
+  let min = Ggpu_isa.I32.min_i32 and max = 0x7FFF_FFFF in
+  let pairs =
+    [
+      (7, 3); (-7, 2); (min, -1); (17, 0); (0x1234_5678, 33); (-1, 31);
+      (min, 0); (5, -3); (-8, 32); (1, 63); (max, 1); (-1, -1);
+    ]
+  in
+  let n = List.length pairs in
+  let input = Array.of_list (List.concat_map (fun (a, b) -> [ a; b ]) pairs) in
+  List.iter
+    (fun op ->
+      let name = Vir.binop_to_string op in
+      let kernel =
+        let open Ast in
+        {
+          name = "fold";
+          params = [ Buffer "a"; Buffer "out" ];
+          body =
+            List.concat
+              (List.mapi
+                 (fun j (a, b) ->
+                   [
+                     Store ("out", const (2 * j), Binop (op, const a, const b));
+                     Store
+                       ( "out",
+                         const ((2 * j) + 1),
+                         Binop
+                           ( op,
+                             load "a" (const (2 * j)),
+                             load "a" (const ((2 * j) + 1)) ) );
+                   ])
+                 pairs);
+        }
+      in
+      let args () =
+        {
+          Interp.buffers =
+            [ ("a", Array.copy input); ("out", Array.make (2 * n) 0) ];
+          scalars = [];
+        }
+      in
+      let reference =
+        let args = args () in
+        Interp.run kernel ~args ~global_size:1 ~local_size:1;
+        List.assoc "out" args.Interp.buffers
+      in
+      List.iteri
+        (fun j (a, b) ->
+          let folded =
+            Option.get (Opt.fold_binop op (Int32.of_int a) (Int32.of_int b))
+          in
+          let label = Printf.sprintf "%s (%d, %d)" name a b in
+          Alcotest.(check int) (label ^ " folded") (Int32.to_int folded)
+            reference.(2 * j);
+          Alcotest.(check int) (label ^ " at run time") reference.(2 * j)
+            reference.((2 * j) + 1))
+        pairs;
+      let bins =
+        List.filter
+          (function Vir.Bin _ -> true | _ -> false)
+          (Opt.optimise (Lower.lower kernel)).Vir.insns
+      in
+      Alcotest.(check int) (name ^ ": only the loaded pairs compute") n
+        (List.length bins);
+      List.iter
+        (fun optimise ->
+          let label target =
+            Printf.sprintf "%s on %s%s" name target
+              (if optimise then "" else ", unoptimised")
+          in
+          let fgpu =
+            Run_fgpu.run
+              (Codegen_fgpu.compile ~optimise kernel)
+              ~args:(args ()) ~global_size:1 ~local_size:1 ()
+          in
+          Alcotest.check i32_array (label "fgpu") reference
+            (Run_fgpu.output fgpu "out");
+          let rv32 =
+            Run_rv32.run
+              (Codegen_rv32.compile ~optimise kernel)
+              ~args:(args ()) ~global_size:1 ~local_size:1 ()
+          in
+          Alcotest.check i32_array (label "rv32") reference
+            (Run_rv32.output rv32 "out"))
+        [ true; false ])
+    Ast.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sra ]
+
+(* An update by an identity ([s = s + 0], [s = 1 * s], ...) simplifies
+   to a copy of the variable into itself, which neither target spends
+   an instruction on: twelve of them compile to exactly as many words
+   as one plain [s = s] (both keep the [int s = ...] copy, since [s] is
+   no longer assigned once), and compute the same. *)
+let test_identity_updates_compile_to_nothing () =
+  let open Ast in
+  let s = var "s" in
+  let kernel updates =
+    {
+      name = "identity";
+      params = [ Buffer "a"; Buffer "out" ];
+      body =
+        [ Let ("i", Global_id); Let ("s", load "a" (var "i")) ]
+        @ List.map (fun e -> Assign ("s", e)) updates
+        @ [ Store ("out", var "i", s) ];
+    }
+  in
+  let plain = kernel [ s ] in
+  let padded =
+    kernel
+      [
+        s +: const 0;
+        const 0 +: s;
+        s -: const 0;
+        s *: const 1;
+        const 1 *: s;
+        s /: const 1;
+        Binop (Or, s, const 0);
+        Binop (Or, const 0, s);
+        Binop (Xor, s, const 0);
+        Binop (Shl, s, const 0);
+        Binop (Shr, s, const 0);
+        Binop (Sra, s, const 0);
+      ]
+  in
+  Alcotest.(check int)
+    "fgpu words"
+    (Array.length (Codegen_fgpu.compile plain).Codegen_fgpu.code)
+    (Array.length (Codegen_fgpu.compile padded).Codegen_fgpu.code);
+  Alcotest.(check int)
+    "rv32 words"
+    (Array.length (Codegen_rv32.compile plain).Codegen_rv32.code)
+    (Array.length (Codegen_rv32.compile padded).Codegen_rv32.code);
+  let n = 8 in
+  let args () =
+    {
+      Interp.buffers =
+        [
+          ("a", Array.init n (fun i -> (i * 7919) - 20000));
+          ("out", Array.make n 0);
+        ];
+      scalars = [];
+    }
+  in
+  let run_fgpu k =
+    Run_fgpu.output
+      (Run_fgpu.run (Codegen_fgpu.compile k) ~args:(args ()) ~global_size:n
+         ~local_size:n ())
+      "out"
+  in
+  let run_rv32 k =
+    Run_rv32.output
+      (Run_rv32.run (Codegen_rv32.compile k) ~args:(args ()) ~global_size:n
+         ~local_size:n ())
+      "out"
+  in
+  Alcotest.check i32_array "fgpu output" (run_fgpu plain) (run_fgpu padded);
+  Alcotest.check i32_array "rv32 output" (run_rv32 plain) (run_rv32 padded)
+
 let test_opt_preserves_stores_and_control () =
   let program = Lower.lower Suite.parallel_sel.Suite.kernel in
   let optimised = Opt.optimise program in
@@ -259,6 +424,10 @@ let suite =
           test_opt_constant_folding;
         Alcotest.test_case "opt division semantics" `Quick
           test_opt_division_semantics_preserved;
+        Alcotest.test_case "opt folding matches run time" `Quick
+          test_opt_folding_matches_run_time;
+        Alcotest.test_case "identity updates compile to nothing" `Quick
+          test_identity_updates_compile_to_nothing;
         Alcotest.test_case "opt shrinks programs" `Quick test_opt_shrinks_programs;
         Alcotest.test_case "opt preserves stores" `Quick
           test_opt_preserves_stores_and_control;

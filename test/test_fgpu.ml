@@ -305,6 +305,345 @@ let test_recycled_registers_start_at_zero () =
         (Array.for_all (fun v -> v = 0) mem))
     Fgpu_oracle.[ (Threaded, [ 1 ]); (Oracle, [ 1 ]); (Threaded, [ 1; 2 ]) ]
 
+(* Run a hand-written program on one workgroup of [lanes] items (r1
+   holds the buffer base, 0) from memory image [init], under both lane
+   engines: each must leave [expected]. *)
+let check_engines ~program ~lanes ~expected init =
+  List.iter
+    (fun engine ->
+      let mem = Array.copy init in
+      Fgpu_oracle.with_engine engine (fun () ->
+          ignore
+            (Gpu.run Config.default ~program ~params:[ 0 ] ~global_size:lanes
+               ~local_size:lanes ~mem
+              : Stats.t));
+      Alcotest.check i32_array
+        (Fgpu_oracle.engine_name engine ^ " memory image")
+        expected mem)
+    Fgpu_oracle.[ Oracle; Threaded ]
+
+(* Every lane loads its own word, mangles it through the ALU (a Mul, an
+   immediate load, both shift flavours) and stores it back. *)
+let test_engines_alu_mem () =
+  let open Ggpu_isa in
+  let program =
+    Fgpu_isa.
+      [|
+        Special (Lid, 2);
+        Special (Wgoff, 3);
+        Alu (Add, 4, 3, 2) (* gid *);
+        Alui (Sll, 5, 4, 2l);
+        Alu (Add, 5, 5, 1) (* addr *);
+        Lw (6, 5, 0);
+        Alui (Mul, 7, 6, 3l);
+        Alu (Add, 7, 7, 4);
+        Li (8, 0x1234l);
+        Alu (Xor, 7, 7, 8);
+        Alui (Sra, 9, 7, 1l);
+        Alu (Sub, 7, 7, 9);
+        Sw (7, 5, 0);
+        Ret;
+      |]
+  in
+  let lanes = 64 in
+  let init =
+    Array.init lanes (fun i -> I32.sx ((i * 2654435761) lxor (i lsl 7)))
+  in
+  let expected =
+    Array.mapi
+      (fun gid v ->
+        let t = I32.add (I32.mul v 3) gid lxor 0x1234 in
+        I32.sub t (I32.sra t 1))
+      init
+  in
+  check_engines ~program ~lanes ~expected init
+
+(* Division corner cases straight from the RISC-V M spec: x/0, x rem 0,
+   min_int / -1 and min_int rem -1, one (dividend, divisor) word pair
+   per lane, overwritten by (quotient, remainder). *)
+let test_engines_division_corners () =
+  let open Ggpu_isa in
+  let program =
+    Fgpu_isa.
+      [|
+        Special (Lid, 2);
+        Alui (Sll, 3, 2, 3l) (* 2 words per lane *);
+        Alu (Add, 3, 3, 1);
+        Lw (4, 3, 0);
+        Lw (5, 3, 4);
+        Alu (Div, 6, 4, 5);
+        Alu (Rem, 7, 4, 5);
+        Sw (6, 3, 0);
+        Sw (7, 3, 4);
+        Ret;
+      |]
+  in
+  let min = I32.min_i32 in
+  check_engines ~program ~lanes:4
+    ~expected:[| 2; 1; -1; 5; min; 0; -1; min |]
+    [| 7; 3; 5; 0; min; -1; min; 0 |]
+
+(* The G-GPU ALU in [Int32] with RISC-V M semantics, written apart from
+   {!Ggpu_isa.I32}: the reference for the aliasing test below. *)
+let reference_alu op a b =
+  let open Ggpu_isa in
+  let a = Int32.of_int a and b = Int32.of_int b in
+  let sh = Int32.to_int b land 31 in
+  let flag c = if c then 1l else 0l in
+  Int32.to_int
+    (match op with
+    | Fgpu_isa.Add -> Int32.add a b
+    | Fgpu_isa.Sub -> Int32.sub a b
+    | Fgpu_isa.Mul -> Int32.mul a b
+    | Fgpu_isa.Div ->
+        if b = 0l then -1l
+        else if a = Int32.min_int && b = -1l then Int32.min_int
+        else Int32.div a b
+    | Fgpu_isa.Rem ->
+        if b = 0l then a
+        else if a = Int32.min_int && b = -1l then 0l
+        else Int32.rem a b
+    | Fgpu_isa.And -> Int32.logand a b
+    | Fgpu_isa.Or -> Int32.logor a b
+    | Fgpu_isa.Xor -> Int32.logxor a b
+    | Fgpu_isa.Sll -> Int32.shift_left a sh
+    | Fgpu_isa.Srl -> Int32.shift_right_logical a sh
+    | Fgpu_isa.Sra -> Int32.shift_right a sh
+    | Fgpu_isa.Slt -> flag (Int32.compare a b < 0)
+    | Fgpu_isa.Sltu -> flag (Int32.unsigned_compare a b < 0))
+
+(* Every ALU operation with its destination among its sources, the
+   shape the compiler emits for [s = s op x] and [s = x op s]: an
+   instruction reads its sources before it writes.  Each lane loads its
+   own operand pair (zero divisors, min_int / -1, shift amounts past
+   31); r12 and r13 hold uniform operands, so the threaded engine's
+   uniform short-cuts meet an aliased destination too, turning uniform
+   and back.  The block runs once on a full, converged wavefront (the
+   dense path those short-cuts sit on) and once split between odd and
+   even lanes (the divergent path), into separate slots of each lane's
+   256-word record. *)
+let test_engines_alu_dst_is_src () =
+  let open Ggpu_isa in
+  let ops =
+    Fgpu_isa.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu ]
+  in
+  let min = I32.min_i32 and max = 0x7FFF_FFFF in
+  let pairs =
+    [|
+      (7, 3); (-7, 2); (min, -1); (17, 0); (0x1234_5678, 33); (-1, 31);
+      (0, 0); (max, 1); (min, 0); (5, -3); (-8, 32); (0x7FFF, -1); (1, 63);
+      (-0x5555_5556, 0x1F); (max, max); (min, min);
+    |]
+  in
+  let ua = min and ub = -1 and imm = 5 in
+  (* each form: its code (r4, r5 the lane's operands a, b), the register
+     it leaves the result in, and that result *)
+  let forms op =
+    let f = reference_alu op in
+    let copy d s = Fgpu_isa.Alui (Fgpu_isa.Add, d, s, 0l) in
+    let imm32 = Int32.of_int imm in
+    Fgpu_isa.
+      [
+        ([ copy 6 4; Alu (op, 6, 6, 5) ], 6, fun a b -> f a b);
+        ([ copy 6 5; Alu (op, 6, 4, 6) ], 6, fun a b -> f a b);
+        ([ copy 6 4; Alu (op, 6, 6, 6) ], 6, fun a _ -> f a a);
+        ([ copy 7 12; Alu (op, 7, 7, 13) ], 7, fun _ _ -> f ua ub);
+        ([ copy 7 12; Alu (op, 7, 7, 5) ], 7, fun _ b -> f ua b);
+        ([ copy 6 4; Alu (op, 6, 6, 13) ], 6, fun a _ -> f a ub);
+        ([ copy 7 13; Alu (op, 7, 4, 7) ], 7, fun a _ -> f a ub);
+        ([ copy 6 4; Alui (op, 6, 6, imm32) ], 6, fun a _ -> f a imm);
+        ([ copy 7 12; Alui (op, 7, 7, imm32) ], 7, fun _ _ -> f ua imm);
+      ]
+  in
+  let n_forms = 9 and record = 256 in
+  let slot ~base i j = base + (i * n_forms) + j in
+  let converged = 2 and divergent = 2 + (List.length ops * n_forms) in
+  let block ~base =
+    List.concat
+      (List.mapi
+         (fun i op ->
+           List.concat
+             (List.mapi
+                (fun j (code, r, _) ->
+                  List.map (fun insn -> Fgpu_asm.I insn) code
+                  @ [ Fgpu_asm.I (Fgpu_isa.Sw (r, 3, 4 * slot ~base i j)) ])
+                (forms op)))
+         ops)
+  in
+  let program =
+    Fgpu_asm.assemble
+      (Fgpu_asm.
+         [
+           I (Fgpu_isa.Special (Fgpu_isa.Lid, 2));
+           I (Fgpu_isa.Alui (Fgpu_isa.Sll, 3, 2, 10l)) (* 1024-byte records *);
+           I (Fgpu_isa.Alu (Fgpu_isa.Add, 3, 3, 1));
+           I (Fgpu_isa.Lw (4, 3, 0));
+           I (Fgpu_isa.Lw (5, 3, 4));
+           Li32 (12, Int32.of_int ua);
+           Li32 (13, Int32.of_int ub);
+         ]
+      @ block ~base:converged
+      @ Fgpu_asm.
+          [
+            I (Fgpu_isa.Alui (Fgpu_isa.And, 9, 2, 1l));
+            Branch_to (Fgpu_isa.Eq, 9, 0, "even");
+          ]
+      @ block ~base:divergent
+      @ Fgpu_asm.[ Jump_to "done"; Label "even" ]
+      @ block ~base:divergent
+      @ Fgpu_asm.[ Label "done"; I Fgpu_isa.Ret ])
+  in
+  let lanes = Config.default.Config.wavefront_size in
+  let pair l = pairs.(l mod Array.length pairs) in
+  let init = Array.make (lanes * record) 0 in
+  for l = 0 to lanes - 1 do
+    let a, b = pair l in
+    init.(l * record) <- a;
+    init.((l * record) + 1) <- b
+  done;
+  let expected = Array.copy init in
+  for l = 0 to lanes - 1 do
+    let a, b = pair l in
+    List.iteri
+      (fun i op ->
+        List.iteri
+          (fun j (_, _, value) ->
+            List.iter
+              (fun base ->
+                expected.((l * record) + slot ~base i j) <- value a b)
+              [ converged; divergent ])
+          (forms op))
+      ops
+  done;
+  check_engines ~program ~lanes ~expected init
+
+let buffers_t = Alcotest.(list (pair string i32_array))
+
+(* Runs [kernel] on the G-GPU under both lane engines and at two CU
+   counts, checking every run's buffers against [expected]. *)
+let check_fgpu_runs kernel ~args ~global_size ~local_size ~expected ~label =
+  let compiled = Codegen_fgpu.compile kernel in
+  List.iter
+    (fun (engine, cus) ->
+      let r =
+        Fgpu_oracle.with_engine engine (fun () ->
+            Run_fgpu.run
+              ~config:(Config.with_cus Config.default cus)
+              compiled ~args:(args ()) ~global_size ~local_size ())
+      in
+      Alcotest.check buffers_t
+        (label
+           (Printf.sprintf "%s, %d CUs" (Fgpu_oracle.engine_name engine) cus))
+        expected r.Run_fgpu.buffers)
+    Fgpu_oracle.[ (Oracle, 1); (Threaded, 1); (Threaded, 2) ]
+
+(* A tail workgroup (the global size is not a multiple of the local
+   size) reads the launch's local size: on the G-GPU as in Interp and
+   on the RISC-V build. *)
+let test_tail_workgroup_local_size () =
+  let kernel =
+    {
+      Ast.name = "sizes";
+      params = [ Ast.Buffer "ls"; Ast.Buffer "gs" ];
+      body =
+        [
+          Ast.Let ("i", Ast.Global_id);
+          Ast.Store ("ls", Ast.var "i", Ast.Local_size);
+          Ast.Store ("gs", Ast.var "i", Ast.Global_size);
+        ];
+    }
+  in
+  List.iter
+    (fun (global_size, local_size) ->
+      let args () =
+        {
+          Interp.buffers =
+            [ ("ls", Array.make global_size 0); ("gs", Array.make global_size 0) ];
+          scalars = [];
+        }
+      in
+      let expected =
+        [
+          ("ls", Array.make global_size local_size);
+          ("gs", Array.make global_size global_size);
+        ]
+      in
+      let label what =
+        Printf.sprintf "%d items in workgroups of %d: %s" global_size
+          local_size what
+      in
+      let interp = args () in
+      Interp.run kernel ~args:interp ~global_size ~local_size;
+      Alcotest.check buffers_t (label "interp") expected interp.Interp.buffers;
+      let rv =
+        Run_rv32.run (Codegen_rv32.compile kernel) ~args:(args ())
+          ~global_size ~local_size ()
+      in
+      Alcotest.check buffers_t (label "rv32") expected rv.Run_rv32.buffers;
+      check_fgpu_runs kernel ~args ~global_size ~local_size ~expected ~label)
+    [ (138, 64); (100, 96); (130, 128) ]
+
+(* A tail workgroup passes its barrier: the wavefronts past the global
+   size, partly or wholly empty, do not hold back the live ones.  After
+   the barrier each item reads the item 65 places further on in its
+   own workgroup (another wavefront's), wrapping within the live
+   items. *)
+let test_tail_workgroup_barrier () =
+  let open Ast in
+  let kernel =
+    {
+      name = "tail_barrier";
+      params = [ Buffer "out"; Buffer "res"; Scalar "n" ];
+      body =
+        [
+          Let ("i", Global_id);
+          Store ("out", var "i", (var "i" *: const 3) +: const 1);
+          Barrier;
+          Let ("lid", Local_id);
+          Let ("base", var "i" -: var "lid");
+          Let ("live", Local_size);
+          If
+            ( var "base" +: var "live" >: var "n",
+              [ Assign ("live", var "n" -: var "base") ],
+              [] );
+          Store
+            ( "res",
+              var "i",
+              load "out" (var "base" +: ((var "lid" +: const 65) %: var "live"))
+            );
+        ];
+    }
+  in
+  List.iter
+    (fun (global_size, local_size) ->
+      let args () =
+        {
+          Interp.buffers =
+            [
+              ("out", Array.make global_size 0); ("res", Array.make global_size 0);
+            ];
+          scalars = [ ("n", global_size) ];
+        }
+      in
+      let res =
+        Array.init global_size (fun i ->
+            let base = i - (i mod local_size) in
+            let live = Int.min local_size (global_size - base) in
+            let peer = base + ((i - base + 65) mod live) in
+            (3 * peer) + 1)
+      in
+      let expected =
+        [ ("out", Array.init global_size (fun i -> (3 * i) + 1)); ("res", res) ]
+      in
+      let label what =
+        Printf.sprintf "%d items in workgroups of %d: %s" global_size
+          local_size what
+      in
+      check_fgpu_runs kernel ~args ~global_size ~local_size ~expected ~label)
+    (* tails of 72 items over 2 wavefronts, 2 items (one empty
+       wavefront), a lone partial workgroup, and 54 items *)
+    [ (200, 128); (130, 128); (100, 96); (150, 96) ]
+
 (* Property: GPU result equals interpreter result for random sizes on a
    divergent kernel (div_int exercises the iterative divider too). *)
 let prop_gpu_div_random =
@@ -339,6 +678,16 @@ let suite =
           test_issue_loop_allocation_free;
         Alcotest.test_case "recycled registers start at zero" `Quick
           test_recycled_registers_start_at_zero;
+        Alcotest.test_case "engines match RV32M on alu/mem" `Quick
+          test_engines_alu_mem;
+        Alcotest.test_case "engines match RV32M division corners" `Quick
+          test_engines_division_corners;
+        Alcotest.test_case "alu destination may be a source" `Quick
+          test_engines_alu_dst_is_src;
+        Alcotest.test_case "tail workgroup reads the launch local size"
+          `Quick test_tail_workgroup_local_size;
+        Alcotest.test_case "tail workgroup passes its barrier" `Quick
+          test_tail_workgroup_barrier;
         QCheck_alcotest.to_alcotest prop_gpu_div_random;
       ] );
   ]

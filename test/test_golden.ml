@@ -5,15 +5,15 @@
    pre-optimisation scheduler (PR 3 tree), re-pinned once in PR 6 when
    the event heap adopted a value-deterministic (time, cu_id) tie-break
    (only the 4-CU `cycles` entries moved; every other counter is
-   unchanged), and re-pinned once more when the superopt peephole pass
-   landed: mined mov-coalescing rules delete one 8-beat instruction
-   from the inner loop of mat_mul/fir/xcorr/parallel_sel, so cycles,
-   wf/lane instruction counts and vu_busy drop 5.5-7.7% on those four
-   kernels (each row's pre-peephole cycles are recorded alongside);
-   every memory-system counter (loads, stores, line_requests, cache
-   hits/misses, axi_words) is bit-identical, as the pass never touches
-   a memory instruction.  copy/vec_mul/div_int have no rewritable
-   window and kept their exact rows.  The simulator hot path is free to
+   unchanged), and re-pinned once more when accumulator updates
+   stopped going through a copy ([s = s op x] lowers to one instruction
+   that writes s; see Lower): that deletes one 8-beat instruction from
+   the inner loop of mat_mul/fir/xcorr/parallel_sel, so cycles, wf/lane
+   instruction counts and vu_busy dropped 5.5-7.7% on those four
+   kernels, while every memory-system counter (loads, stores,
+   line_requests, cache hits/misses, axi_words) stayed bit-identical.
+   copy/vec_mul/div_int have no such update and kept their exact rows.
+   The simulator hot path is free to
    change shape, but any drift in cycle counts or counters — i.e. any
    observable timing-model change — fails this test.  Sizes match
    `gpuplanner run --kernel K --size S` after [round_size].
@@ -33,47 +33,32 @@ open Fgpu_oracle
    axi_words; barriers; workgroups; vu_busy_cycles) *)
 let golden =
   [
-    (* pre-peephole: 36748 cycles, -5.57% *)
     ( "mat_mul", 1024, 1,
       [ 34700; 4336; 277504; 0; 512; 16; 1344; 1200; 144; 0; 2304; 0; 16; 34688 ] );
-    (* pre-peephole: 9280 cycles, -5.52% *)
     ( "mat_mul", 1024, 4,
       [ 8768; 4336; 277504; 0; 512; 16; 1344; 1200; 144; 0; 2304; 0; 16; 34688 ] );
-    (* pre-peephole: 3072 cycles (no rewrite fired) *)
     ( "copy", 2048, 1,
       [ 3072; 384; 24576; 0; 32; 32; 256; 0; 256; 0; 4096; 0; 8; 3072 ] );
-    (* pre-peephole: 1004 cycles (no rewrite fired) *)
     ( "copy", 2048, 4,
       [ 1004; 384; 24576; 0; 32; 32; 256; 0; 256; 0; 4096; 0; 8; 3072 ] );
-    (* pre-peephole: 4096 cycles (no rewrite fired) *)
     ( "vec_mul", 2048, 1,
       [ 4096; 512; 32768; 0; 64; 32; 384; 0; 384; 0; 6144; 0; 8; 4096 ] );
-    (* pre-peephole: 1260 cycles (no rewrite fired) *)
     ( "vec_mul", 2048, 4,
       [ 1260; 512; 32768; 0; 64; 32; 384; 0; 384; 0; 6144; 0; 8; 4096 ] );
-    (* pre-peephole: 28300 cycles, -7.24% *)
     ( "fir", 1024, 1,
       [ 26252; 3280; 209920; 0; 512; 16; 1584; 1454; 130; 0; 2080; 0; 8; 26240 ] );
-    (* pre-peephole: 7146 cycles, -7.16% *)
     ( "fir", 1024, 4,
       [ 6634; 3280; 209920; 0; 512; 16; 1584; 1454; 130; 0; 2080; 0; 8; 26240 ] );
-    (* pre-peephole: 67584 cycles (no rewrite fired) *)
     ( "div_int", 1024, 1,
       [ 67584; 256; 16384; 0; 32; 16; 192; 0; 192; 0; 3072; 0; 4; 67584 ] );
-    (* pre-peephole: 17048 cycles (no rewrite fired) *)
     ( "div_int", 1024, 4,
       [ 17048; 256; 16384; 0; 32; 16; 192; 0; 192; 0; 3072; 0; 4; 67584 ] );
-    (* pre-peephole: 426816 cycles, -7.68% *)
     ( "xcorr", 512, 1,
       [ 394048; 49256; 3152384; 0; 8192; 8; 24352; 24224; 128; 0; 2048; 0; 4; 394048 ] );
-    (* pre-peephole: 107018 cycles, -7.62% *)
     ( "xcorr", 512, 4,
       [ 98868; 49256; 3152384; 0; 8192; 8; 24352; 24224; 128; 0; 2048; 0; 4; 394048 ] );
-    (* pre-peephole: 491644 cycles, -6.58% (divergent_issues halve: the
-       coalesced mov sat inside the divergent region) *)
     ( "parallel_sel", 512, 1,
       [ 459298; 57411; 3546368; 3963; 4104; 8; 4350; 4286; 64; 0; 1024; 0; 4; 459288 ] );
-    (* pre-peephole: 123057 cycles, -6.61% *)
     ( "parallel_sel", 512, 4,
       [ 114919; 57411; 3546368; 3963; 4104; 8; 4350; 4286; 64; 0; 1024; 0; 4; 459288 ] );
   ]

@@ -125,7 +125,208 @@ let test_lower_shapes () =
   in
   Alcotest.(check bool) "label" true (has_label program.Vir.insns);
   Alcotest.(check bool) "jump" true (has_jump program.Vir.insns);
-  Alcotest.(check bool) "branch" true (has_branch program.Vir.insns)
+  Alcotest.(check bool) "branch" true (has_branch program.Vir.insns);
+  (* an assignment of a binary operation is one Bin straight into the
+     variable's register, whichever operand the variable is, with no
+     copy after it *)
+  let kernel =
+    {
+      Ast.name = "acc";
+      params = [ Ast.Buffer "a"; Ast.Buffer "out" ];
+      body =
+        [
+          Ast.Let ("x", Ast.load "a" Ast.Global_id);
+          Ast.Let ("acc", Ast.const 0);
+          Ast.Assign ("acc", Ast.(var "acc" +: var "x"));
+          Ast.Assign ("acc", Ast.(var "x" -: var "acc"));
+          Ast.Store ("out", Ast.Global_id, Ast.var "acc");
+        ];
+    }
+  in
+  let insn =
+    Alcotest.testable
+      (fun ppf i -> Format.pp_print_string ppf (Vir.insn_to_string i))
+      ( = )
+  in
+  match (Lower.lower kernel).Vir.insns with
+  | _ :: _ :: Vir.Mov (x, Vir.Reg _) :: Vir.Mov (acc, Vir.Imm 0l) :: add :: sub
+    :: next :: _ ->
+      Alcotest.check insn "acc = acc + x"
+        (Vir.Bin (Ast.Add, acc, Vir.Reg acc, Vir.Reg x))
+        add;
+      Alcotest.check insn "acc = x - acc"
+        (Vir.Bin (Ast.Sub, acc, Vir.Reg x, Vir.Reg acc))
+        sub;
+      Alcotest.(check bool)
+        "no copy after the update" false
+        (match next with Vir.Mov _ -> true | _ -> false)
+  | insns ->
+      Alcotest.failf "unexpected program: %s"
+        (String.concat "; " (List.map Vir.insn_to_string insns))
+
+(* Assignments of a binary operation and loop increments: each updates
+   an already-defined register in place. *)
+let rec count_updates stmts =
+  List.fold_left
+    (fun n stmt ->
+      n
+      +
+      match stmt with
+      | Ast.Assign (_, Ast.Binop _) -> 1
+      | Ast.For (_, _, _, body) -> 1 + count_updates body
+      | Ast.If (_, then_, else_) -> count_updates then_ + count_updates else_
+      | Ast.While (_, body) -> count_updates body
+      | Ast.Let _ | Ast.Assign _ | Ast.Store _ | Ast.Barrier -> 0)
+    0 stmts
+
+(* No kernel lowers an update to a Bin into a temporary copied into the
+   variable (the pair [s = s op x] used to cost): every [Bin] whose
+   destination was defined before writes it in place, one per update
+   in the source.  The suite, plus a parsed kernel whose accumulator
+   sits under an [if] in a loop. *)
+let test_updates_lower_in_place () =
+  let parsed =
+    Parse.parse_one
+      {|
+      kernel histogram(global int* data, global int* bins, int n) {
+        int bin = get_global_id(0);
+        int count = 0;
+        for (int j = 0; j < n; j++) {
+          if ((data[j] & 255) == bin) {
+            count = count + 1;
+          }
+        }
+        bins[bin] = count;
+      }
+    |}
+  in
+  let scan insns =
+    let defined = Hashtbl.create 16 in
+    let rec go ~in_place ~copies = function
+      | [] -> (in_place, List.rev copies)
+      | insn :: rest ->
+          let in_place, copies =
+            match (insn, rest) with
+            | Vir.Bin (_, d, _, _), _ when Hashtbl.mem defined d ->
+                (in_place + 1, copies)
+            | Vir.Bin (_, t, _, _), Vir.Mov (s, Vir.Reg t') :: _
+              when t = t' && Hashtbl.mem defined s ->
+                (in_place, Vir.insn_to_string insn :: copies)
+            | _ -> (in_place, copies)
+          in
+          List.iter (fun d -> Hashtbl.replace defined d ()) (Vir.defs insn);
+          go ~in_place ~copies rest
+    in
+    go ~in_place:0 ~copies:[] insns
+  in
+  List.iter
+    (fun kernel ->
+      let name = kernel.Ast.name in
+      let plain = Lower.lower kernel in
+      let in_place, copies = scan plain.Vir.insns in
+      Alcotest.(check (list string)) (name ^ " copied updates") [] copies;
+      Alcotest.(check int)
+        (name ^ " in-place updates")
+        (count_updates kernel.Ast.body)
+        in_place;
+      let _, copies = scan (Opt.optimise plain).Vir.insns in
+      Alcotest.(check (list string)) (name ^ " optimised copies") [] copies)
+    (parsed :: List.map (fun w -> w.Suite.kernel) Suite.all)
+
+(* Every operation assigned into a variable, in each operand shape the
+   lowering writes straight into the variable's register, runs as
+   Interp says on both targets, optimised or not.  Each work-item holds
+   one operand pair, corner cases included: zero divisors,
+   min_int / -1, shift amounts past 31; the immediates include one too
+   wide for either target's immediate field. *)
+let test_assign_into_variable_matches_interp () =
+  let min = Ggpu_isa.I32.min_i32 and max = 0x7FFF_FFFF in
+  let pairs =
+    [
+      (7, 3); (-7, 2); (min, -1); (17, 0); (0x1234_5678, 33); (-1, 31);
+      (0, 0); (max, 1); (min, 0); (5, -3); (-8, 32); (1, 63);
+    ]
+  in
+  let n = List.length pairs in
+  let args () =
+    {
+      Interp.buffers =
+        [
+          ("a", Array.of_list (List.map fst pairs));
+          ("b", Array.of_list (List.map snd pairs));
+          ("out", Array.make n 0);
+        ];
+      scalars = [];
+    }
+  in
+  let shapes op =
+    let open Ast in
+    let s = var "s" and x = var "x" in
+    let bin a b = Binop (op, a, b) in
+    [
+      ("s = s op x", [ Assign ("s", bin s x) ]);
+      ("s = x op s", [ Assign ("s", bin x s) ]);
+      ("s = s op s", [ Assign ("s", bin s s) ]);
+      ("s = s op 33", [ Assign ("s", bin s (const 33)) ]);
+      ("s = 70000 op s", [ Assign ("s", bin (const 70000) s) ]);
+      ("s = s op -70000", [ Assign ("s", bin s (const (-70000))) ]);
+      ("s = s op 0", [ Assign ("s", bin s (const 0)) ]);
+      ("s = 1 op s", [ Assign ("s", bin (const 1) s) ]);
+      ("s = (s op x) op s", [ Assign ("s", bin (bin s x) s) ]);
+      ("s = x op (x op s)", [ Assign ("s", bin x (bin x s)) ]);
+      ( "3 times s = s op x",
+        [ For ("k", const 0, const 3, [ Assign ("s", bin s x) ]) ] );
+      ("s = x op s; s = s op s", [ Assign ("s", bin x s); Assign ("s", bin s s) ]);
+    ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (shape, update) ->
+          let kernel =
+            Ast.
+              {
+                name = "assign";
+                params = [ Buffer "a"; Buffer "b"; Buffer "out" ];
+                body =
+                  [
+                    Let ("i", Global_id);
+                    Let ("s", load "a" (var "i"));
+                    Let ("x", load "b" (var "i"));
+                  ]
+                  @ update
+                  @ [ Store ("out", var "i", var "s") ];
+              }
+          in
+          let reference =
+            let args = args () in
+            Interp.run kernel ~args ~global_size:n ~local_size:n;
+            List.assoc "out" args.Interp.buffers
+          in
+          List.iter
+            (fun optimise ->
+              let label target =
+                Printf.sprintf "%s with op %s on %s%s" shape
+                  (Vir.binop_to_string op) target
+                  (if optimise then "" else ", unoptimised")
+              in
+              let fgpu =
+                Run_fgpu.run
+                  (Codegen_fgpu.compile ~optimise kernel)
+                  ~args:(args ()) ~global_size:n ~local_size:n ()
+              in
+              Alcotest.check i32_array (label "fgpu") reference
+                (Run_fgpu.output fgpu "out");
+              let rv32 =
+                Run_rv32.run
+                  (Codegen_rv32.compile ~optimise kernel)
+                  ~args:(args ()) ~global_size:n ~local_size:n ()
+              in
+              Alcotest.check i32_array (label "rv32") reference
+                (Run_rv32.output rv32 "out"))
+            [ true; false ])
+        (shapes op))
+    Ast.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sra ]
 
 let test_regalloc_fits_all_kernels () =
   List.iter
@@ -298,6 +499,10 @@ let suite =
         Alcotest.test_case "interp matches reference" `Quick
           test_interp_matches_reference;
         Alcotest.test_case "lower shapes" `Quick test_lower_shapes;
+        Alcotest.test_case "updates lower in place" `Quick
+          test_updates_lower_in_place;
+        Alcotest.test_case "assign into variable matches interp" `Quick
+          test_assign_into_variable_matches_interp;
         Alcotest.test_case "regalloc fits suite" `Quick
           test_regalloc_fits_all_kernels;
         Alcotest.test_case "regalloc pressure error" `Quick

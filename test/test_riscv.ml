@@ -87,6 +87,124 @@ let test_mulh () =
   in
   Alcotest.(check int) "mulh min_int^2" 0x40000000 (Cpu.get_reg cpu 10)
 
+(* A register shift amount uses its low five bits, as the kernel
+   language's [land 31] does: 32 shifts by 0, 33 by 1, -1 by 31. *)
+let test_register_shift_amounts () =
+  let shift mk a amount =
+    let cpu, _ =
+      run_program
+        [ Rv32_asm.I (mk 10 5 6); Rv32_asm.I Rv32.Ecall ]
+        ~setup:(fun cpu ->
+          Cpu.set_reg cpu 5 a;
+          Cpu.set_reg cpu 6 amount)
+    in
+    Cpu.get_reg cpu 10
+  in
+  (* negative, so the two right shifts differ *)
+  let a = -0x1234_5679 in
+  List.iter
+    (fun (amount, low) ->
+      let expect f = Int32.to_int (f (Int32.of_int a) low) in
+      let label name = Printf.sprintf "%s by %d" name amount in
+      Alcotest.(check int)
+        (label "sll")
+        (expect Int32.shift_left)
+        (shift (fun d a b -> Rv32.Sll (d, a, b)) a amount);
+      Alcotest.(check int)
+        (label "srl")
+        (expect Int32.shift_right_logical)
+        (shift (fun d a b -> Rv32.Srl (d, a, b)) a amount);
+      Alcotest.(check int)
+        (label "sra")
+        (expect Int32.shift_right)
+        (shift (fun d a b -> Rv32.Sra (d, a, b)) a amount))
+    [
+      (0, 0); (1, 1); (31, 31); (32, 0); (33, 1); (63, 31); (-1, 31);
+      (I32.min_i32, 0);
+    ]
+
+(* An instruction reads its sources before it writes its destination,
+   so the destination may be one of them (the compiler writes
+   [s = s op x] and [s = x op s] that way): [op x5, x5, x6],
+   [op x6, x5, x6] and [op x5, x5, x5] leave what [op x10, x5, x6] and
+   [op x10, x5, x5] leave, for every ALU instruction, on operand pairs
+   that include the M extension's corner cases. *)
+let test_alu_dst_is_src () =
+  let result insn ~rd a b =
+    let cpu, _ =
+      run_program [ Rv32_asm.I insn; Rv32_asm.I Rv32.Ecall ]
+        ~setup:(fun cpu ->
+          Cpu.set_reg cpu 5 a;
+          Cpu.set_reg cpu 6 b)
+    in
+    Cpu.get_reg cpu rd
+  in
+  let r_type =
+    Rv32.
+      [
+        ("add", fun d a b -> Add (d, a, b));
+        ("sub", fun d a b -> Sub (d, a, b));
+        ("sll", fun d a b -> Sll (d, a, b));
+        ("slt", fun d a b -> Slt (d, a, b));
+        ("sltu", fun d a b -> Sltu (d, a, b));
+        ("xor", fun d a b -> Xor (d, a, b));
+        ("srl", fun d a b -> Srl (d, a, b));
+        ("sra", fun d a b -> Sra (d, a, b));
+        ("or", fun d a b -> Or (d, a, b));
+        ("and", fun d a b -> And (d, a, b));
+        ("mul", fun d a b -> Mul (d, a, b));
+        ("mulh", fun d a b -> Mulh (d, a, b));
+        ("div", fun d a b -> Div (d, a, b));
+        ("divu", fun d a b -> Divu (d, a, b));
+        ("rem", fun d a b -> Rem (d, a, b));
+        ("remu", fun d a b -> Remu (d, a, b));
+      ]
+  in
+  let i_type =
+    Rv32.
+      [
+        ("addi", fun d a -> Addi (d, a, -7l));
+        ("slti", fun d a -> Slti (d, a, 5l));
+        ("sltiu", fun d a -> Sltiu (d, a, -1l));
+        ("xori", fun d a -> Xori (d, a, 0x5A5l));
+        ("ori", fun d a -> Ori (d, a, -16l));
+        ("andi", fun d a -> Andi (d, a, 0x7F0l));
+        ("slli", fun d a -> Slli (d, a, 31));
+        ("srli", fun d a -> Srli (d, a, 1));
+        ("srai", fun d a -> Srai (d, a, 7));
+      ]
+  in
+  let min = I32.min_i32 in
+  List.iter
+    (fun (a, b) ->
+      let label name form = Printf.sprintf "%s %s (%d, %d)" name form a b in
+      List.iter
+        (fun (name, mk) ->
+          let ab = result (mk 10 5 6) ~rd:10 a b in
+          let aa = result (mk 10 5 5) ~rd:10 a b in
+          Alcotest.(check int)
+            (label name "rd = rs1") ab
+            (result (mk 5 5 6) ~rd:5 a b);
+          Alcotest.(check int)
+            (label name "rd = rs2") ab
+            (result (mk 6 5 6) ~rd:6 a b);
+          Alcotest.(check int)
+            (label name "rd = rs1 = rs2")
+            aa
+            (result (mk 5 5 5) ~rd:5 a b))
+        r_type;
+      List.iter
+        (fun (name, mk) ->
+          Alcotest.(check int)
+            (label name "rd = rs1")
+            (result (mk 10 5) ~rd:10 a b)
+            (result (mk 5 5) ~rd:5 a b))
+        i_type)
+    [
+      (7, 3); (-7, 2); (min, -1); (17, 0); (0x1234_5678, 33); (-1, 31);
+      (min, min); (0x7FFF_FFFF, -1);
+    ]
+
 let test_x0_is_zero () =
   let items =
     [ Rv32_asm.I (Rv32.Addi (0, 0, 42l)); Rv32_asm.I Rv32.Ecall ]
@@ -237,6 +355,10 @@ let suite =
         Alcotest.test_case "memory" `Quick test_memory;
         Alcotest.test_case "div corner cases" `Quick test_div_corner_cases;
         Alcotest.test_case "mulh" `Quick test_mulh;
+        Alcotest.test_case "register shift amounts" `Quick
+          test_register_shift_amounts;
+        Alcotest.test_case "alu destination may be a source" `Quick
+          test_alu_dst_is_src;
         Alcotest.test_case "x0 is zero" `Quick test_x0_is_zero;
         Alcotest.test_case "div timing" `Quick test_timing_div_heavier_than_add;
         Alcotest.test_case "branch penalty" `Quick test_taken_branch_penalty;
