@@ -45,7 +45,14 @@ let rec write buf = function
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      else begin
+        let s = Printf.sprintf "%.17g" f in
+        Buffer.add_string buf s;
+        (* an integral value below 1e17 prints as bare digits, which
+           would read back as an [Int] *)
+        if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s
+        then Buffer.add_string buf ".0"
+      end
   | String s ->
       Buffer.add_char buf '"';
       escape buf s;
@@ -77,149 +84,201 @@ let to_string v =
 
 exception Parse_error of string * int
 
-let parse s =
+(* The parser is a set of top-level functions over the input and one
+   position cell, so a call allocates that cell and the values it
+   returns: no closure, no option per peek, no buffer for a string
+   without escapes. *)
+
+let fail msg pos = raise (Parse_error (msg, pos))
+
+let rec skip_ws s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> skip_ws s (i + 1)
+    | _ -> i
+  else i
+
+let expect s pos c =
+  if !pos < String.length s && String.unsafe_get s !pos = c then incr pos
+  else fail (Printf.sprintf "expected '%c'" c) !pos
+
+(* [word] occurs in [s] at [i], from its [k]th byte on. *)
+let rec occurs s i word k =
+  k = String.length word
+  || String.unsafe_get s (i + k) = String.unsafe_get word k
+     && occurs s i word (k + 1)
+
+let literal s pos word v =
+  if !pos + String.length word <= String.length s && occurs s !pos word 0
+  then begin
+    pos := !pos + String.length word;
+    v
+  end
+  else fail "bad literal" !pos
+
+(* The first ['"'] or ['\\'] at or after [i], or the end of [s]. *)
+let rec string_stop s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> string_stop s (i + 1)
+  else i
+
+(* The rest of a string body from [!pos], what came before it already
+   in [buf]: runs without a backslash are copied whole. *)
+let rec escaped s pos buf =
   let n = String.length s in
-  let pos = ref 0 in
-  let error msg = raise (Parse_error (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
+  let stop = string_stop s !pos in
+  Buffer.add_substring buf s !pos (stop - !pos);
+  if stop >= n then fail "unterminated string" stop;
+  pos := stop + 1;
+  if String.unsafe_get s stop = '"' then Buffer.contents buf
+  else begin
+    if !pos >= n then fail "truncated escape" !pos;
+    (match String.unsafe_get s !pos with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+        if !pos + 4 >= n then fail "truncated \\u escape" !pos;
+        let hex = String.sub s (!pos + 1) 4 in
+        (match int_of_string_opt ("0x" ^ hex) with
+        | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
+        | Some _ -> Buffer.add_char buf '?' (* non-ASCII: placeholder *)
+        | None -> fail "bad \\u escape" !pos);
+        pos := !pos + 4
+    | _ -> fail "unknown escape" !pos);
+    incr pos;
+    escaped s pos buf
+  end
+
+(* A string without escapes is one [String.sub]. *)
+let string_lit s pos =
+  expect s pos '"';
+  let start = !pos in
+  let stop = string_stop s start in
+  if stop < String.length s && String.unsafe_get s stop = '"' then begin
+    pos := stop + 1;
+    String.sub s start (stop - start)
+  end
+  else escaped s pos (Buffer.create (stop - start + 16))
+
+let is_num = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let rec num_stop s i =
+  if i < String.length s && is_num (String.unsafe_get s i) then
+    num_stop s (i + 1)
+  else i
+
+(* The value of the digits in [\[i, stop)], or -1 if one is not a digit.
+   At most 18 digits, so the sum stays below [max_int]. *)
+let rec digits s i stop acc =
+  if i = stop then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c -> digits s (i + 1) stop ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+let number s pos =
+  let start = !pos in
+  let stop = num_stop s start in
+  pos := stop;
+  let first =
+    if stop > start && String.unsafe_get s start = '-' then start + 1
+    else start
   in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else error (Printf.sprintf "expected '%c'" c)
+  let v =
+    if stop > first && stop - first <= 18 then digits s first stop 0 else -1
   in
-  let literal word v =
-    let len = String.length word in
-    if !pos + len <= n && String.sub s !pos len = word then begin
-      pos := !pos + len;
-      v
-    end
-    else error "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-          incr pos;
-          Buffer.contents buf
-      | '\\' ->
-          incr pos;
-          if !pos >= n then error "truncated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= n then error "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-              | Some _ -> Buffer.add_char buf '?' (* non-ASCII: placeholder *)
-              | None -> error "bad \\u escape");
-              pos := !pos + 4
-          | _ -> error "unknown escape");
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num s.[!pos] do
-      incr pos
-    done;
-    let tok = String.sub s start (!pos - start) in
+  if v >= 0 then Int (if first > start then -v else v)
+  else
+    let tok = String.sub s start (stop - start) in
     match int_of_string_opt tok with
     | Some i -> Int i
     | None -> (
         match float_of_string_opt tok with
         | Some f -> Float f
-        | None -> error (Printf.sprintf "bad number %S" tok))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((key, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                List.rev ((key, v) :: acc)
-            | _ -> error "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          List []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elems (v :: acc)
-            | Some ']' ->
-                incr pos;
-                List.rev (v :: acc)
-            | _ -> error "expected ',' or ']'"
-          in
-          List (elems [])
-        end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  match parse_value () with
+        | None -> fail (Printf.sprintf "bad number %S" tok) stop)
+
+let rec value s pos =
+  let i = skip_ws s !pos in
+  pos := i;
+  if i >= String.length s then fail "unexpected end of input" i;
+  match String.unsafe_get s i with
+  | '{' ->
+      let j = skip_ws s (i + 1) in
+      if j < String.length s && String.unsafe_get s j = '}' then begin
+        pos := j + 1;
+        Obj []
+      end
+      else begin
+        pos := j;
+        Obj (members s pos [])
+      end
+  | '[' ->
+      let j = skip_ws s (i + 1) in
+      if j < String.length s && String.unsafe_get s j = ']' then begin
+        pos := j + 1;
+        List []
+      end
+      else begin
+        pos := j;
+        List (elements s pos [])
+      end
+  | '"' -> String (string_lit s pos)
+  | 't' -> literal s pos "true" (Bool true)
+  | 'f' -> literal s pos "false" (Bool false)
+  | 'n' -> literal s pos "null" Null
+  | _ -> number s pos
+
+and members s pos acc =
+  pos := skip_ws s !pos;
+  let key = string_lit s pos in
+  pos := skip_ws s !pos;
+  expect s pos ':';
+  let v = value s pos in
+  let i = skip_ws s !pos in
+  pos := i;
+  let acc = (key, v) :: acc in
+  if i < String.length s && String.unsafe_get s i = ',' then begin
+    incr pos;
+    members s pos acc
+  end
+  else if i < String.length s && String.unsafe_get s i = '}' then begin
+    incr pos;
+    List.rev acc
+  end
+  else fail "expected ',' or '}'" i
+
+and elements s pos acc =
+  let v = value s pos in
+  let i = skip_ws s !pos in
+  pos := i;
+  let acc = v :: acc in
+  if i < String.length s && String.unsafe_get s i = ',' then begin
+    incr pos;
+    elements s pos acc
+  end
+  else if i < String.length s && String.unsafe_get s i = ']' then begin
+    incr pos;
+    List.rev acc
+  end
+  else fail "expected ',' or ']'" i
+
+let parse s =
+  let pos = ref 0 in
+  match value s pos with
   | v ->
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
+      let i = skip_ws s !pos in
+      if i <> String.length s then
+        Error (Printf.sprintf "trailing garbage at offset %d" i)
       else Ok v
   | exception Parse_error (msg, p) ->
       Error (Printf.sprintf "%s at offset %d" msg p)

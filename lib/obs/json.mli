@@ -14,6 +14,11 @@ type t =
 val add_int : Buffer.t -> int -> unit
 (** Append [string_of_int n]'s bytes, without a format parse. *)
 
+val escape : Buffer.t -> string -> unit
+(** Append the body of a JSON string literal, without its quotes: the
+    double quote and the backslash escaped, control characters as
+    [\n], [\r], [\t] or [\u00XX], every other byte verbatim. *)
+
 val write : Buffer.t -> t -> unit
 val to_string : t -> string
 

@@ -312,6 +312,15 @@ let drop_conn st conn =
    connection can make the daemon hold. *)
 let max_line_bytes = 65536
 
+(* The first newline in [chunk] at or after [i], or [n]. *)
+let rec line_end chunk i n =
+  if i < n && Bytes.unsafe_get chunk i <> '\n' then line_end chunk (i + 1) n
+  else i
+
+(* Each newline is found by one scan of the chunk and each line's bytes
+   are copied once: a line that lies inside one read, with nothing of it
+   buffered, is one [Bytes.sub_string]; the tail of a read without its
+   newline waits in [conn.buf]. *)
 let read_ready st conn =
   let chunk = st.chunk in
   let read_ts = Metrics.now_ns () in
@@ -321,18 +330,9 @@ let read_ready st conn =
       drop_conn st conn
   | 0 -> drop_conn st conn
   | n ->
-      let i = ref 0 in
-      while !i < n do
-        let c = Bytes.get chunk !i in
-        incr i;
-        if c = '\n' then begin
-          let line = Buffer.contents conn.buf in
-          Buffer.clear conn.buf;
-          if String.trim line <> "" then handle_line st conn ~read_ts line
-        end
-        else if Buffer.length conn.buf < max_line_bytes then
-          Buffer.add_char conn.buf c
-        else begin
+      let rec segments start =
+        let stop = line_end chunk start n in
+        if Buffer.length conn.buf + (stop - start) > max_line_bytes then begin
           (* the reply a malformed line gets, then the connection goes:
              the rest of the line is not worth reading *)
           queue_line conn
@@ -342,10 +342,26 @@ let read_ready st conn =
                      (Printf.sprintf "line longer than %d bytes"
                         max_line_bytes))));
           flush conn;
-          drop_conn st conn;
-          i := n
+          drop_conn st conn
         end
-      done
+        else if stop = n then
+          Buffer.add_subbytes conn.buf chunk start (n - start)
+        else begin
+          let line =
+            if Buffer.length conn.buf = 0 then
+              Bytes.sub_string chunk start (stop - start)
+            else begin
+              Buffer.add_subbytes conn.buf chunk start (stop - start);
+              let line = Buffer.contents conn.buf in
+              Buffer.clear conn.buf;
+              line
+            end
+          in
+          if String.trim line <> "" then handle_line st conn ~read_ts line;
+          segments (stop + 1)
+        end
+      in
+      segments 0
 
 let accept_ready st =
   match Unix.accept st.listen_fd with

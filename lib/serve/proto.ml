@@ -85,57 +85,125 @@ let control_to_line c =
              | Telemetry -> "telemetry") );
        ])
 
+exception Invalid of string
+
+let int_field name = function
+  | Some (Json.Int i) -> i
+  | Some _ ->
+      raise (Invalid (Printf.sprintf "field %S must be an integer" name))
+  | None -> raise (Invalid (Printf.sprintf "missing field %S" name))
+
+let string_field name = function
+  | Some (Json.String s) -> s
+  | Some _ -> raise (Invalid (Printf.sprintf "field %S must be a string" name))
+  | None -> raise (Invalid (Printf.sprintf "missing field %S" name))
+
 let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
+  match int_field name (Json.member name j) with
+  | i -> Ok i
+  | exception Invalid msg -> Error msg
 
 let string_member name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
+  match string_field name (Json.member name j) with
+  | s -> Ok s
+  | exception Invalid msg -> Error msg
 
 let ( let* ) = Result.bind
 
-let request_of_json j =
-  let* id = int_member "id" j in
-  let* kind_s = string_member "kind" j in
+(* The members a client line may carry, each bound to its first
+   occurrence (as [List.assoc_opt] would find it), filled in one pass
+   over the object. *)
+type fields = {
+  mutable f_control : Json.t option;
+  mutable f_id : Json.t option;
+  mutable f_kind : Json.t option;
+  mutable f_tech : Json.t option;
+  mutable f_deadline_ms : Json.t option;
+  mutable f_trace_id : Json.t option;
+  mutable f_span_id : Json.t option;
+  mutable f_kernel : Json.t option;
+  mutable f_cus : Json.t option;
+  mutable f_size : Json.t option;
+  mutable f_freq_mhz : Json.t option;
+}
+
+let rec collect f = function
+  | [] -> ()
+  | (name, v) :: rest ->
+      (match name with
+      | "control" when Option.is_none f.f_control -> f.f_control <- Some v
+      | "id" when Option.is_none f.f_id -> f.f_id <- Some v
+      | "kind" when Option.is_none f.f_kind -> f.f_kind <- Some v
+      | "tech" when Option.is_none f.f_tech -> f.f_tech <- Some v
+      | "deadline_ms" when Option.is_none f.f_deadline_ms ->
+          f.f_deadline_ms <- Some v
+      | "trace_id" when Option.is_none f.f_trace_id -> f.f_trace_id <- Some v
+      | "span_id" when Option.is_none f.f_span_id -> f.f_span_id <- Some v
+      | "kernel" when Option.is_none f.f_kernel -> f.f_kernel <- Some v
+      | "cus" when Option.is_none f.f_cus -> f.f_cus <- Some v
+      | "size" when Option.is_none f.f_size -> f.f_size <- Some v
+      | "freq_mhz" when Option.is_none f.f_freq_mhz -> f.f_freq_mhz <- Some v
+      | _ -> ());
+      collect f rest
+
+(* Checked in this order: id, kind, tech, deadline_ms, then the kind's
+   own fields.  An absent optional field takes its default; a present
+   one of the wrong type is an error, as a required field's is.
+   @raise Invalid on the first field that fails. *)
+let request_of_fields f =
+  let id = int_field "id" f.f_id in
+  let kind_s = string_field "kind" f.f_kind in
   let tech =
-    match Json.member "tech" j with Some (Json.String s) -> s | _ -> "65nm"
+    match f.f_tech with None -> "65nm" | v -> string_field "tech" v
   in
   let deadline_ms =
-    match Json.member "deadline_ms" j with Some (Json.Int d) -> Some d | _ -> None
+    match f.f_deadline_ms with
+    | None -> None
+    | v -> Some (int_field "deadline_ms" v)
   in
   let trace =
-    (* both ids or neither: a lone field is treated as absent rather
-       than failing the request — trace context is advisory *)
-    match (Json.member "trace_id" j, Json.member "span_id" j) with
+    (* both ids or neither: a lone or mistyped id is treated as absent
+       rather than failing the request — trace context is advisory *)
+    match (f.f_trace_id, f.f_span_id) with
     | Some (Json.String trace_id), Some (Json.String span_id) ->
         Some { trace_id; span_id }
     | _ -> None
   in
-  let* kind =
+  let kind =
     match kind_s with
     | "synth" ->
-        let* cus = int_member "cus" j in
-        let* freq_mhz = int_member "freq_mhz" j in
-        Ok (Synth { cus; freq_mhz })
+        let cus = int_field "cus" f.f_cus in
+        let freq_mhz = int_field "freq_mhz" f.f_freq_mhz in
+        Synth { cus; freq_mhz }
     | "sim" | "perf" ->
-        let* kernel = string_member "kernel" j in
-        let* cus = int_member "cus" j in
-        let* size = int_member "size" j in
-        Ok
-          (if kind_s = "sim" then Sim { kernel; cus; size }
-           else Perf { kernel; cus; size })
-    | other -> Error (Printf.sprintf "unknown request kind %S" other)
+        let kernel = string_field "kernel" f.f_kernel in
+        let cus = int_field "cus" f.f_cus in
+        let size = int_field "size" f.f_size in
+        if kind_s = "sim" then Sim { kernel; cus; size }
+        else Perf { kernel; cus; size }
+    | other -> raise (Invalid (Printf.sprintf "unknown request kind %S" other))
   in
-  Ok { id; tech; kind; deadline_ms; trace }
+  { id; tech; kind; deadline_ms; trace }
 
 let incoming_of_line line =
   let* j = Json.parse line in
-  match Json.member "control" j with
+  let f =
+    {
+      f_control = None;
+      f_id = None;
+      f_kind = None;
+      f_tech = None;
+      f_deadline_ms = None;
+      f_trace_id = None;
+      f_span_id = None;
+      f_kernel = None;
+      f_cus = None;
+      f_size = None;
+      f_freq_mhz = None;
+    }
+  in
+  (match j with Json.Obj kvs -> collect f kvs | _ -> ());
+  match f.f_control with
   | Some (Json.String "ping") -> Ok (Control Ping)
   | Some (Json.String "stats") -> Ok (Control Stats)
   | Some (Json.String "shutdown") -> Ok (Control Shutdown)
@@ -143,36 +211,43 @@ let incoming_of_line line =
   | Some (Json.String "telemetry") -> Ok (Control Telemetry)
   | Some _ -> Error "unknown control message"
   | None ->
-      let* r = request_of_json j in
-      Ok (Req r)
+      match request_of_fields f with
+      | r -> Ok (Req r)
+      | exception Invalid msg -> Error msg
 
-let status_fields = function
-  | Done -> [ ("status", Json.String "ok") ]
-  | Rejected { retry_after_ms } ->
-      [
-        ("status", Json.String "rejected");
-        ("retry_after_ms", Json.Int retry_after_ms);
-      ]
-  | Expired -> [ ("status", Json.String "expired") ]
-  | Failed msg ->
-      [ ("status", Json.String "failed"); ("error", Json.String msg) ]
-
+(* The reply line written straight into one buffer: the envelope, then
+   the cached payload bytes verbatim as the last field, so a hit reaches
+   the wire byte-identical to the cold computation. *)
 let response_to_line r =
-  (* render the envelope without the payload, then splice the payload
-     bytes in verbatim as the (last) "result" field, so cached results
-     reach the wire byte-identical to the cold computation *)
-  let envelope =
-    Json.Obj
-      ([ ("id", Json.Int r.id) ]
-      @ status_fields r.status
-      @ [ ("cached", Json.Bool r.cached) ]
-      @ if r.key = "" then [] else [ ("key", Json.String r.key) ])
+  let extra = match r.status with Failed msg -> String.length msg | _ -> 0 in
+  let buf =
+    Buffer.create (96 + String.length r.key + String.length r.result + extra)
   in
-  let s = Json.to_string envelope in
-  if r.result = "" then s
-  else
-    String.sub s 0 (String.length s - 1)
-    ^ ",\"result\":" ^ r.result ^ "}"
+  Buffer.add_string buf "{\"id\":";
+  Json.add_int buf r.id;
+  (match r.status with
+  | Done -> Buffer.add_string buf ",\"status\":\"ok\""
+  | Rejected { retry_after_ms } ->
+      Buffer.add_string buf ",\"status\":\"rejected\",\"retry_after_ms\":";
+      Json.add_int buf retry_after_ms
+  | Expired -> Buffer.add_string buf ",\"status\":\"expired\""
+  | Failed msg ->
+      Buffer.add_string buf ",\"status\":\"failed\",\"error\":\"";
+      Json.escape buf msg;
+      Buffer.add_char buf '"');
+  Buffer.add_string buf
+    (if r.cached then ",\"cached\":true" else ",\"cached\":false");
+  if r.key <> "" then begin
+    Buffer.add_string buf ",\"key\":\"";
+    Json.escape buf r.key;
+    Buffer.add_char buf '"'
+  end;
+  if r.result <> "" then begin
+    Buffer.add_string buf ",\"result\":";
+    Buffer.add_string buf r.result
+  end;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let response_of_line line =
   let* j = Json.parse line in

@@ -69,8 +69,20 @@ val request_to_line : request -> string
 (** One line, no trailing newline. *)
 
 val control_to_line : control -> string
+
 val incoming_of_line : string -> (incoming, string) result
+(** A line with a [control] member is that control.  Otherwise it is a
+    request, its fields checked in the order [id], [kind], [tech],
+    [deadline_ms], then the kind's own fields: the first that is
+    missing or of the wrong type is the error, for example
+    [field "tech" must be a string].  An absent [tech] or [deadline_ms]
+    takes its default; a lone or mistyped trace id reads as no trace
+    context.  When a name repeats, its first occurrence counts. *)
+
 val response_to_line : response -> string
+(** One line, no trailing newline; [result] is spliced in verbatim as
+    the last member. *)
+
 val response_of_line : string -> (response, string) result
 
 val result_json : response -> Ggpu_obs.Json.t option

@@ -455,6 +455,62 @@ let test_proto_roundtrip () =
       | Error msg -> Alcotest.failf "status parse error: %s" msg)
     [ P.Rejected { retry_after_ms = 50 }; P.Expired; P.Failed "boom" ]
 
+(* An optional field of the wrong type is rejected with the wording a
+   required field's gets, after id and kind and before the kind's own
+   fields; absent, it takes its default.  The first occurrence of a
+   repeated name decides, and the trace ids stay advisory. *)
+let test_proto_typed_optional_fields () =
+  let decode line =
+    match P.incoming_of_line line with
+    | Ok (P.Req r) -> Ok r
+    | Ok (P.Control _) -> Error "parsed as a control"
+    | Error e -> Error e
+  in
+  let rejects what expected line =
+    match decode line with
+    | Error e -> Alcotest.(check string) what expected e
+    | Ok _ -> Alcotest.failf "%s: %s was accepted" what line
+  in
+  let accepts what expected line =
+    match decode line with
+    | Ok r -> Alcotest.(check bool) what true (r = expected)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let synth = {|"id":1,"kind":"synth","cus":1,"freq_mhz":500|} in
+  let obj fields = "{" ^ String.concat "," fields ^ "}" in
+  let tech_msg = {|field "tech" must be a string|}
+  and deadline_msg = {|field "deadline_ms" must be an integer|} in
+  rejects "a numeric tech" tech_msg (obj [ synth; {|"tech":28|} ]);
+  rejects "a null tech" tech_msg (obj [ synth; {|"tech":null|} ]);
+  rejects "a string deadline" deadline_msg
+    (obj [ synth; {|"deadline_ms":"5"|} ]);
+  rejects "a float deadline" deadline_msg
+    (obj [ synth; {|"deadline_ms":2.5|} ]);
+  rejects "tech before deadline_ms" tech_msg
+    (obj [ synth; {|"deadline_ms":"5"|}; {|"tech":28|} ]);
+  rejects "id before tech" {|field "id" must be an integer|}
+    (obj [ {|"id":"1"|}; {|"tech":28|} ]);
+  rejects "kind before tech" {|missing field "kind"|}
+    (obj [ {|"id":1|}; {|"tech":28|} ]);
+  rejects "tech before the kind's fields" tech_msg
+    (obj [ {|"id":1|}; {|"kind":"sim"|}; {|"tech":28|} ]);
+  rejects "deadline_ms before the kind's fields" deadline_msg
+    (obj [ {|"id":1|}; {|"kind":"sim"|}; {|"deadline_ms":[]|} ]);
+  rejects "the first tech decides" tech_msg
+    (obj [ synth; {|"tech":5|}; {|"tech":"28nm"|} ]);
+  let synth_req = req ~id:1 (P.Synth { cus = 1; freq_mhz = 500 }) in
+  accepts "absent fields take their defaults" synth_req (obj [ synth ]);
+  accepts "the first tech decides"
+    (req ~tech:"28nm" ~deadline_ms:7 ~id:1
+       (P.Synth { cus = 1; freq_mhz = 500 }))
+    (obj
+       [ synth; {|"tech":"28nm"|}; {|"deadline_ms":7|}; {|"tech":5|};
+         {|"deadline_ms":"x"|} ]);
+  accepts "a mistyped trace id is absent" synth_req
+    (obj [ synth; {|"trace_id":5|}; {|"span_id":"s01"|} ]);
+  accepts "a lone trace id is absent" synth_req
+    (obj [ synth; {|"trace_id":"t01"|} ])
+
 (* the wire line of a cache hit is byte-identical to the cold one,
    end to end through the response encoder *)
 let test_wire_bytes_identical () =
@@ -724,6 +780,69 @@ let test_daemon_misbehaving_clients () =
       check "a new connection answers" "ping" fd;
       Unix.close fd)
 
+(* How the daemon cuts a byte stream into lines: a line that arrives
+   over several reads (split inside a member name and again just before
+   its newline), several lines in one read, and the cap's boundary: a
+   line of exactly [max_line_bytes] bytes is answered, one a byte longer
+   gets the failed reply and the hang-up. *)
+let test_daemon_framing () =
+  let engine = E.create () in
+  let answer reqs = List.map P.response_to_line (E.process engine reqs) in
+  let reply what expected fd =
+    Alcotest.(check (option string)) what (Some expected) (recv_line fd)
+  in
+  with_daemon "framing" (fun socket ->
+      let fd = daemon_connect socket in
+      let barrier = daemon_connect socket in
+      (* the reply to a ping on [barrier] leaves after a select round
+         that read everything already written to [fd] *)
+      let sync () =
+        send_all barrier (P.control_to_line P.Ping ^ "\n");
+        Alcotest.(check (option string))
+          "barrier ping" (Some "ping")
+          (Option.map reply_kind (recv_line barrier))
+      in
+      let split = req ~id:3 (sim ~kernel:"copy" ~cus:1 ~size:64) in
+      let line = P.request_to_line split in
+      let cut = String.length {|{"id":3,"ki|} in
+      Alcotest.(check string) "the cut falls inside a member name"
+        {|{"id":3,"ki|} (String.sub line 0 cut);
+      send_all fd (String.sub line 0 cut);
+      sync ();
+      send_all fd (String.sub line cut (String.length line - cut));
+      sync ();
+      send_all fd "\n";
+      reply "a line over three reads" (List.hd (answer [ split ])) fd;
+      let batch =
+        [
+          req ~id:4 (sim ~kernel:"copy" ~cus:1 ~size:64);
+          req ~id:5 (sim ~kernel:"copy" ~cus:1 ~size:128);
+          req ~id:6 (sim ~kernel:"vec_mul" ~cus:1 ~size:64);
+        ]
+      in
+      send_all fd
+        (String.concat ""
+           (List.map (fun r -> P.request_to_line r ^ "\n") batch));
+      List.iter (fun expected -> reply "lines in one read" expected fd)
+        (answer batch);
+      let padded n =
+        let ping = P.control_to_line P.Ping in
+        ping ^ String.make (n - String.length ping) ' ' ^ "\n"
+      in
+      let cap = Ggpu_serve.Daemon.max_line_bytes in
+      send_all fd (padded cap);
+      Alcotest.(check (option string))
+        "a line of exactly the cap is answered" (Some "ping")
+        (Option.map reply_kind (recv_line fd));
+      send_all fd (padded (cap + 1));
+      Alcotest.(check (option string))
+        "a line one byte over the cap fails" (Some "failed")
+        (Option.map reply_kind (recv_line fd));
+      Alcotest.(check (option string)) "then the connection ends" None
+        (recv_line fd);
+      Unix.close fd;
+      Unix.close barrier)
+
 (* Clients that pipeline a window of requests in one write each, at
    once: every client gets its own replies, in its own order, under its
    own ids, byte-equal to what the engine answers in-process; a client
@@ -911,6 +1030,8 @@ let suite =
         Alcotest.test_case "pool semantics" `Quick test_pool_semantics;
         Alcotest.test_case "workload mix" `Quick test_workload;
         Alcotest.test_case "proto round-trips" `Quick test_proto_roundtrip;
+        Alcotest.test_case "proto typed optional fields" `Quick
+          test_proto_typed_optional_fields;
         Alcotest.test_case "wire bytes identical" `Quick
           test_wire_bytes_identical;
         Alcotest.test_case "latency histograms" `Quick
@@ -922,6 +1043,7 @@ let suite =
           test_span_groups_render_deterministically;
         Alcotest.test_case "daemon survives misbehaving clients" `Quick
           test_daemon_misbehaving_clients;
+        Alcotest.test_case "daemon line framing" `Quick test_daemon_framing;
         Alcotest.test_case "daemon pipelined clients" `Quick
           test_daemon_pipelined_clients;
       ] );
