@@ -305,114 +305,6 @@ let run_fi () =
             r.Ggpu_fi.Campaign.total.Ggpu_fi.Campaign.hang)
     reports
 
-(* --- Performance: incremental STA + parallel version grid -------------- *)
-
-(* Two-way comparison of the full Table-I sweep:
-
-     seed  sequential versions, a full STA ({!Ggpu_synth.Timing.analyse})
-           at every DSE step (the original flow);
-     csr   parallel versions + the incremental CSR engine (the flow).
-
-   Both must produce identical Table I rows; only wall time and the STA
-   counters differ.  Timings land in BENCH_dse.json; CI gates the
-   speedup via PERF_DSE_MIN_SPEEDUP. *)
-let bench_json_path = "BENCH_dse.json"
-
-let run_perf_dse () =
-  section "perf: CSR levelized STA + parallel version grid";
-  (* representative single-version counters *)
-  let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:1 in
-  let result = Dse.explore tech nl ~num_cus:1 ~period_ns:1.5 in
-  Format.printf "dse 1CU@667: %d iterations | %a@." result.Dse.iterations
-    Dse.pp_perf result.Dse.perf;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let seed () =
-    Versions.table1_syntheses ~tech ~parallel:false ~incremental:false ()
-  in
-  let csr () = Versions.table1_syntheses ~tech () in
-  (* warm every path once so cold-start (GC, page faults) does not
-     inflate whichever variant runs first, then take the best of two
-     timed sweeps per variant, interleaved against machine noise *)
-  ignore (seed ());
-  ignore (csr ());
-  let best_of_2 f =
-    let v, w1 = time f in
-    let _, w2 = time f in
-    (v, Float.min w1 w2)
-  in
-  let seed_syntheses, seed_s = best_of_2 seed in
-  let csr_syntheses, csr_s = best_of_2 csr in
-  let sum field syntheses =
-    List.fold_left (fun acc s -> acc + field s.Flow.syn_perf) 0 syntheses
-  in
-  let seed_full = sum (fun p -> p.Dse.sta_full) seed_syntheses in
-  let csr_calls = sum (fun p -> p.Dse.sta_calls) csr_syntheses in
-  let csr_full = sum (fun p -> p.Dse.sta_full) csr_syntheses in
-  let speedup_vs_seed = seed_s /. csr_s in
-  let domains = Ggpu_par.Parallel.default_domains () in
-  Printf.printf
-    "table1 (12 versions): seed %.3fs (%d full STA recomputes) -> csr \
-     %.3fs (%d STA calls, %d full)\n\
-    \  %.1fx vs seed, on %d domains\n"
-    seed_s seed_full csr_s csr_calls csr_full speedup_vs_seed domains;
-  let oc = open_out bench_json_path in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "versions-table1",
-  "seed_wall_s": %.6f,
-  "new_wall_s": %.6f,
-  "speedup": %.3f,
-  "domains": %d,
-  "seed_sta_full_recomputes": %d,
-  "new_sta_calls": %d,
-  "new_sta_full_recomputes": %d,
-  "dse_1cu_667": {
-    "iterations": %d,
-    "sta_calls": %d,
-    "sta_full": %d,
-    "sta_incremental": %d,
-    "sta_wall_s": %.6f,
-    "edit_wall_s": %.6f,
-    "total_wall_s": %.6f
-  }
-}
-|}
-    seed_s csr_s speedup_vs_seed domains seed_full csr_calls csr_full
-    result.Dse.iterations result.Dse.perf.Dse.sta_calls
-    result.Dse.perf.Dse.sta_full result.Dse.perf.Dse.sta_incremental
-    result.Dse.perf.Dse.sta_wall_s result.Dse.perf.Dse.edit_wall_s
-    result.Dse.perf.Dse.total_wall_s;
-  close_out oc;
-  Printf.printf "wrote %s\n" bench_json_path;
-  (* exact checks: the incremental grid must reproduce the seed's rows
-     with one full STA per version and one STA call per full seed STA *)
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "perf-dse: %s\n" msg;
-        exit 1)
-      fmt
-  in
-  let rows = List.map (fun s -> s.Flow.syn_report) in
-  if rows seed_syntheses <> rows csr_syntheses then
-    fail "CSR grid's Table I rows differ from the seed's";
-  let versions = List.length csr_syntheses in
-  if csr_full <> versions then
-    fail "CSR grid ran %d full STAs over %d versions, expected one each"
-      csr_full versions;
-  if csr_calls <> seed_full then
-    fail "CSR grid made %d STA calls, seed ran %d full STAs" csr_calls
-      seed_full;
-  (* CI gate: the grid must keep beating the seed by a wide margin *)
-  match Sys.getenv_opt "PERF_DSE_MIN_SPEEDUP" with
-  | Some threshold when speedup_vs_seed < float_of_string threshold ->
-      fail "speedup vs seed %.2f below required %s" speedup_vs_seed threshold
-  | _ -> ()
-
 (* --- Analytical placement ------------------------------------------------ *)
 
 (* The placer study behind the >8-CU scaling story: for every CU count
@@ -1137,27 +1029,13 @@ let run_serve () =
 (* --- Bechamel performance benches -------------------------------------- *)
 
 let run_perf () =
-  run_perf_dse ();
   section "Bechamel: performance of the flow itself";
   let open Bechamel in
-  let test_sta =
-    Test.make ~name:"sta-1cu"
-      (Staged.stage (fun () ->
-           let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:1 in
-           ignore (Ggpu_synth.Timing.analyse tech nl)))
-  in
   let test_dse =
     Test.make ~name:"dse-1cu-667"
       (Staged.stage (fun () ->
            let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:1 in
            ignore (Dse.explore tech nl ~num_cus:1 ~period_ns:1.5)))
-  in
-  let test_dse_seed =
-    Test.make ~name:"dse-1cu-667-seed"
-      (Staged.stage (fun () ->
-           let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:1 in
-           ignore
-             (Dse.explore ~incremental:false tech nl ~num_cus:1 ~period_ns:1.5)))
   in
   let test_gpu_sim =
     Test.make ~name:"gpu-sim-copy-4k"
@@ -1200,8 +1078,7 @@ let run_perf () =
         | _ -> Printf.printf "%-18s (no estimate)\n" name)
       results
   in
-  List.iter benchmark
-    [ test_sta; test_dse; test_dse_seed; test_gpu_sim; test_rv32_sim ]
+  List.iter benchmark [ test_dse; test_gpu_sim; test_rv32_sim ]
 
 (* --- Driver ------------------------------------------------------------- *)
 
@@ -1219,7 +1096,6 @@ let experiments =
     ("future-gmc", run_future_gmc);
     ("fi", run_fi);
     ("perf", run_perf);
-    ("perf-dse", run_perf_dse);
     ("perf-place", run_perf_place);
     ("perf-sim", run_perf_sim);
     ("serve", run_serve);

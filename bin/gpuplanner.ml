@@ -303,26 +303,16 @@ let layout_cmd =
 (* --- table1 ------------------------------------------------------------ *)
 
 let table1_cmd =
-  let sequential_term =
-    let doc =
-      "Run versions one at a time with full STA recomputation (the seed \
-       behaviour) instead of the parallel incremental flow."
-    in
-    Arg.(value & flag & info [ "sequential" ] ~doc)
-  in
-  let run obs tech sequential =
+  let run obs tech =
     with_obs obs @@ fun () ->
-    let parallel = not sequential and incremental = not sequential in
     print_endline Ggpu_synth.Report.header;
     List.iter
       (fun r -> print_endline (Ggpu_synth.Report.row_to_string r))
-      (Versions.table1 ~tech ~parallel ~incremental ());
+      (Versions.table1 ~tech ());
     Ok ()
   in
   let term =
-    Term.(
-      term_result ~usage:false
-        (const run $ obs_term $ tech_term $ sequential_term))
+    Term.(term_result ~usage:false (const run $ obs_term $ tech_term))
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Regenerate the paper's Table I (12 versions)")
@@ -347,20 +337,12 @@ let versions_cmd =
     let doc = "Target frequency in MHz for every version." in
     Arg.(value & opt int 667 & info [ "freq" ] ~doc ~docv:"MHZ")
   in
-  let sequential_term =
-    let doc =
-      "Run versions one at a time with full STA recomputation instead \
-       of the parallel incremental flow."
-    in
-    Arg.(value & flag & info [ "sequential" ] ~doc)
-  in
-  let run obs tech cus_list freq sequential place place_domains =
+  let run obs tech cus_list freq place place_domains =
     with_obs obs @@ fun () ->
-    let parallel = not sequential and incremental = not sequential in
     match
       handle_dse_errors (fun () ->
-          Versions.scaling ~tech ~parallel ~incremental ~place
-            ~place_domains ~freq_mhz:freq ~cu_counts:cus_list ())
+          Versions.scaling ~tech ~place ~place_domains ~freq_mhz:freq
+            ~cu_counts:cus_list ())
     with
     | exception Invalid_argument msg -> Error (`Msg msg)
     | exception Spec.Invalid_spec msg -> Error (`Msg msg)
@@ -386,7 +368,7 @@ let versions_cmd =
     Term.(
       term_result ~usage:false
         (const run $ obs_term $ tech_term $ cus_list_term $ freq_term
-       $ sequential_term $ place_term $ place_domains_term))
+       $ place_term $ place_domains_term))
   in
   Cmd.v
     (Cmd.info "versions"

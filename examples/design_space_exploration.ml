@@ -65,7 +65,8 @@ let () =
       in
       Map.apply fresh impl.Flow.map;
       let replayed =
-        Ggpu_synth.Timing.analyse Ggpu_tech.Tech.default_65nm fresh
+        Ggpu_synth.Timing.engine_analyse
+          (Ggpu_synth.Timing.make_engine Ggpu_tech.Tech.default_65nm fresh)
       in
       Printf.printf "Replayed fmax: %.0f MHz\n"
         replayed.Ggpu_synth.Timing.fmax_mhz

@@ -45,7 +45,7 @@ type result = {
   map : Map.t;
   iterations : int;
   final : Timing.report;
-  engine : Timing.engine option; (* synced at the final netlist *)
+  engine : Timing.engine; (* synced at the final netlist *)
   perf : perf;
 }
 
@@ -177,8 +177,7 @@ let edit_kind = function
 (* Edits one exploration may apply before it gives up. *)
 let max_iterations = 400
 
-let explore ?(strategy = Full) ?(incremental = true) tech netlist ~num_cus
-    ~period_ns =
+let explore ?(strategy = Full) tech netlist ~num_cus ~period_ns =
   Ggpu_obs.Trace.with_span "dse.explore"
     ~args:
       [
@@ -192,17 +191,10 @@ let explore ?(strategy = Full) ?(incremental = true) tech netlist ~num_cus
   let t_start = Ggpu_obs.Metrics.now_ns () in
   let sta_calls = ref 0 in
   let timed c f = Ggpu_obs.Metrics.time_counter c f in
-  let engine =
-    if incremental then
-      Some (timed sta_ns (fun () -> Timing.make_engine tech netlist))
-    else None
-  in
+  let engine = timed sta_ns (fun () -> Timing.make_engine tech netlist) in
   let analyse () =
     Stdlib.incr sta_calls;
-    timed sta_ns (fun () ->
-        match engine with
-        | Some engine -> Timing.engine_analyse engine
-        | None -> Timing.analyse tech netlist)
+    timed sta_ns (fun () -> Timing.engine_analyse engine)
   in
   let edits = ref [] in
   let iterations = ref 0 in
@@ -296,13 +288,9 @@ let explore ?(strategy = Full) ?(incremental = true) tech netlist ~num_cus
     end
   in
   let final, edit_list = loop () in
-  let sta_full, sta_incremental =
-    match engine with
-    | Some engine ->
-        let stats = Timing.engine_stats engine in
-        (stats.Timing.full_recomputes, stats.Timing.incremental_updates)
-    | None -> (!sta_calls, 0)
-  in
+  let stats = Timing.engine_stats engine in
+  let sta_full = stats.Timing.full_recomputes
+  and sta_incremental = stats.Timing.incremental_updates in
   Ggpu_obs.Metrics.count "dse.explorations" 1;
   Ggpu_obs.Metrics.count "dse.iterations" !iterations;
   Ggpu_obs.Metrics.count "dse.sta_calls" !sta_calls;

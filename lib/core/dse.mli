@@ -30,25 +30,20 @@ type result = {
   map : Map.t;
   iterations : int;
   final : Ggpu_synth.Timing.report;  (** meets the period by construction *)
-  engine : Ggpu_synth.Timing.engine option;
+  engine : Ggpu_synth.Timing.engine;
       (** the engine [final] came from, synchronised at the returned
-          netlist; [None] under [~incremental:false] *)
+          netlist *)
   perf : perf;
 }
 
 val explore :
   ?strategy:strategy ->
-  ?incremental:bool ->
   Ggpu_tech.Tech.t ->
   Ggpu_hw.Netlist.t ->
   num_cus:int ->
   period_ns:float ->
   result
-(** [incremental] (default [true]) reuses one {!Ggpu_synth.Timing}
-    engine across iterations so each analysis after an edit re-sweeps
-    only the touched fan-out cone; [false] runs the full
-    {!Ggpu_synth.Timing.analyse} every iteration (the pre-engine
-    behaviour, kept as the oracle for [--sequential] and the benches).
-    Both produce identical maps and reports.
+(** One {!Ggpu_synth.Timing} engine serves every iteration, so each
+    analysis after an edit re-sweeps only the touched fan-out cone.
     @raise Cannot_meet when no sequence of edits reaches the period,
     or after 400 edits. *)

@@ -50,7 +50,7 @@ type synthesis = {
    it came from.  [base] supplies a pre-elaborated netlist for the
    spec's CU count; it is copied, not mutated, so one base can serve
    several frequency targets. *)
-let synthesise_dse ~tech ?(incremental = true) ?base (spec : Spec.t) =
+let synthesise_dse ~tech ?base (spec : Spec.t) =
   Ggpu_obs.Trace.with_span "flow.synthesise"
     ~args:
       [
@@ -66,7 +66,7 @@ let synthesise_dse ~tech ?(incremental = true) ?base (spec : Spec.t) =
   in
   let dse, t_dse =
     obs_phase "dse" @@ fun () ->
-    Dse.explore ~incremental tech netlist ~num_cus:spec.Spec.num_cus
+    Dse.explore tech netlist ~num_cus:spec.Spec.num_cus
       ~period_ns:(Spec.period_ns spec)
   in
   let report, t_report =
@@ -84,8 +84,8 @@ let synthesise_dse ~tech ?(incremental = true) ?base (spec : Spec.t) =
     },
     dse )
 
-let synthesise_timed ?(tech = Tech.default_65nm) ?incremental ?base spec =
-  fst (synthesise_dse ~tech ?incremental ?base spec)
+let synthesise_timed ?(tech = Tech.default_65nm) ?base spec =
+  fst (synthesise_dse ~tech ?base spec)
 
 let synthesise ?tech spec =
   let s = synthesise_timed ?tech spec in
@@ -98,8 +98,8 @@ let base_macro_count ~num_cus =
 type placer = Columns | Analytic
 
 (* Full RTL-to-layout implementation. *)
-let implement ?(tech = Tech.default_65nm) ?incremental ?base
-    ?(place = Columns) ?(place_domains = 1) (spec : Spec.t) =
+let implement ?(tech = Tech.default_65nm) ?base ?(place = Columns)
+    ?(place_domains = 1) (spec : Spec.t) =
   Ggpu_obs.Trace.with_span "flow.implement"
     ~args:
       [
@@ -107,7 +107,7 @@ let implement ?(tech = Tech.default_65nm) ?incremental ?base
         ("freq_mhz", string_of_int spec.Spec.freq_mhz);
       ]
   @@ fun () ->
-  let syn, dse = synthesise_dse ~tech ?incremental ?base spec in
+  let syn, dse = synthesise_dse ~tech ?base spec in
   let netlist = syn.syn_netlist in
   let floorplan, t_floorplan =
     obs_phase "floorplan" @@ fun () ->
@@ -122,7 +122,7 @@ let implement ?(tech = Tech.default_65nm) ?incremental ?base
     obs_phase "post_timing" @@ fun () ->
     (* DSE's engine is synchronised at this netlist: nothing since has
        edited it, so post-route timing needs no rebuild *)
-    Timing_post.analyse ?engine:dse.Dse.engine tech netlist floorplan
+    Timing_post.analyse ~engine:dse.Dse.engine tech netlist floorplan
   in
   (* beyond the paper's 8-CU grid the shared L2/AXI interconnect
      saturates; the derate lands before quantisation so 1..8-CU results

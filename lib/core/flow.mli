@@ -32,14 +32,13 @@ type synthesis = {
 
 val synthesise_timed :
   ?tech:Ggpu_tech.Tech.t ->
-  ?incremental:bool ->
   ?base:Ggpu_hw.Netlist.t ->
   Spec.t ->
   synthesis
 (** Logic synthesis only: generate, explore, report, with wall-clock
-    phase breakdown.  [incremental] is forwarded to {!Dse.explore}.
-    [base] supplies a pre-elaborated netlist for the spec's CU count; it
-    is copied, never mutated, so one base serves several targets.
+    phase breakdown.  [base] supplies a pre-elaborated netlist for the
+    spec's CU count; it is copied, never mutated, so one base serves
+    several targets.
     @raise Dse.Cannot_meet if the frequency is unreachable. *)
 
 val synthesise :
@@ -57,16 +56,15 @@ type placer =
 
 val implement :
   ?tech:Ggpu_tech.Tech.t ->
-  ?incremental:bool ->
   ?base:Ggpu_hw.Netlist.t ->
   ?place:placer ->
   ?place_domains:int ->
   Spec.t ->
   implementation
-(** The full RTL-to-layout flow.  [incremental]/[base] as in
-    {!synthesise_timed}; [place] selects the floorplan engine (the
-    analytical placer is deterministic at any [place_domains]).  Beyond
-    8 CUs the achieved frequency carries the {!Spec.contention_derate}
-    for the shared L2/AXI interconnect. *)
+(** The full RTL-to-layout flow.  [base] as in {!synthesise_timed};
+    post-route timing reuses DSE's engine.  [place] selects the
+    floorplan engine (the analytical placer is deterministic at any
+    [place_domains]).  Beyond 8 CUs the achieved frequency carries the
+    {!Spec.contention_derate} for the shared L2/AXI interconnect. *)
 
 val pp_implementation : Format.formatter -> implementation -> unit

@@ -2,12 +2,6 @@
     Table I and the four physically implemented extremes of Table II /
     Figs. 3-4. *)
 
-val cu_counts : int list
-(** [1; 2; 4; 8] *)
-
-val frequencies_mhz : int list
-(** [500; 590; 667] *)
-
 val scaling_cu_counts : int list
 (** [8; 16; 32; 64] — the beyond-paper grid behind the scaling study. *)
 
@@ -20,38 +14,21 @@ val scaling_specs : ?freq_mhz:int -> ?cu_counts:int list -> unit -> Spec.t list
     {!Compare.check_cu_counts} — unsupported counts raise instead of
     being clamped. *)
 
-val table1_syntheses :
-  ?tech:Ggpu_tech.Tech.t ->
-  ?parallel:bool ->
-  ?incremental:bool ->
-  unit ->
-  Flow.synthesis list
-(** The 12 Table-I syntheses with their performance counters.
-    [parallel] (default [true]) spreads versions across a
-    {!Ggpu_par.Parallel} domain pool; [incremental] is forwarded to
-    {!Dse.explore}. *)
-
 val table1 :
-  ?tech:Ggpu_tech.Tech.t ->
-  ?parallel:bool ->
-  ?incremental:bool ->
-  unit ->
-  Ggpu_synth.Report.row list
-(** Regenerate Table I (frequency-major order, as published). *)
+  ?tech:Ggpu_tech.Tech.t -> ?parallel:bool -> unit -> Ggpu_synth.Report.row list
+(** Regenerate Table I (1/2/4/8 CUs at 500/590/667 MHz, frequency-major
+    order, as published).  [parallel] (default [true]) spreads versions
+    across a {!Ggpu_par.Parallel} domain pool; every frequency target of
+    a CU count starts from a copy of one base netlist. *)
 
 val physical :
-  ?tech:Ggpu_tech.Tech.t ->
-  ?parallel:bool ->
-  ?incremental:bool ->
-  unit ->
-  Flow.implementation list
+  ?tech:Ggpu_tech.Tech.t -> ?parallel:bool -> unit -> Flow.implementation list
 (** Implement 1CU@500, 1CU@667, 8CU@500 and 8CU@667; the last derates
     after routing, as in the paper. *)
 
 val scaling :
   ?tech:Ggpu_tech.Tech.t ->
   ?parallel:bool ->
-  ?incremental:bool ->
   ?place:Flow.placer ->
   ?place_domains:int ->
   ?freq_mhz:int ->

@@ -35,8 +35,8 @@ type t = {
   output_buffer : string;
   local_size : int;
   round_size : int -> int;
-      (* nearest legal size not above the request (e.g. mat_mul needs a
-         perfect square) *)
+      (* largest legal size not above the request, smallest legal size
+         below it (mat_mul: a positive multiple of 16) *)
   mk_args : size:int -> Interp.args;
   expected : size:int -> Interp.args -> int array;
   global_size : size:int -> int;

@@ -10,8 +10,9 @@ type t = {
   output_buffer : string;
   local_size : int;
   round_size : int -> int;
-      (** nearest legal size not above the request (mat_mul needs a
-          multiple of 16) *)
+      (** the largest legal size not above the request, or the smallest
+          legal size when the request is below it (mat_mul needs a
+          positive multiple of 16, so 1..15 round up to 16) *)
   mk_args : size:int -> Interp.args;
   expected : size:int -> Interp.args -> int array;
       (** reference output computed from the args' input buffers *)

@@ -124,6 +124,8 @@ let rec string_stop s i =
     | _ -> string_stop s (i + 1)
   else i
 
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
 (* The rest of a string body from [!pos], what came before it already
    in [buf]: runs without a backslash are copied whole. *)
 let rec escaped s pos buf =
@@ -147,10 +149,10 @@ let rec escaped s pos buf =
     | 'u' ->
         if !pos + 4 >= n then fail "truncated \\u escape" !pos;
         let hex = String.sub s (!pos + 1) 4 in
-        (match int_of_string_opt ("0x" ^ hex) with
-        | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-        | Some _ -> Buffer.add_char buf '?' (* non-ASCII: placeholder *)
-        | None -> fail "bad \\u escape" !pos);
+        if not (String.for_all is_hex hex) then fail "bad \\u escape" !pos;
+        let code = int_of_string ("0x" ^ hex) in
+        (* non-ASCII: placeholder *)
+        Buffer.add_char buf (if code < 0x80 then Char.chr code else '?');
         pos := !pos + 4
     | _ -> fail "unknown escape" !pos);
     incr pos;
@@ -186,6 +188,31 @@ let rec digits s i stop acc =
     | '0' .. '9' as c -> digits s (i + 1) stop ((acc * 10) + Char.code c - 48)
     | _ -> -1
 
+let rec skip_digits s i stop =
+  if i < stop && String.unsafe_get s i >= '0' && String.unsafe_get s i <= '9'
+  then skip_digits s (i + 1) stop
+  else i
+
+(* The end of a run of at least one digit from [i], or -1. *)
+let some_digits s i stop =
+  let j = skip_digits s i stop in
+  if j > i then j else -1
+
+(* [s] from [start] to [stop] is a JSON number: an optional minus, a
+   lone zero or digits not starting with one, then optionally a point
+   and digits, then optionally an exponent, its sign and digits. *)
+let is_number s start stop =
+  let at i c = i >= 0 && i < stop && String.unsafe_get s i = c in
+  let i = if at start '-' then start + 1 else start in
+  let i = if at i '0' then i + 1 else some_digits s i stop in
+  let i = if at i '.' then some_digits s (i + 1) stop else i in
+  let i =
+    if not (at i 'e' || at i 'E') then i
+    else if at (i + 1) '+' || at (i + 1) '-' then some_digits s (i + 2) stop
+    else some_digits s (i + 1) stop
+  in
+  i = stop
+
 let number s pos =
   let start = !pos in
   let stop = num_stop s start in
@@ -194,18 +221,27 @@ let number s pos =
     if stop > start && String.unsafe_get s start = '-' then start + 1
     else start
   in
+  (* the integer fast path: up to 18 digits, no leading zero *)
   let v =
-    if stop > first && stop - first <= 18 then digits s first stop 0 else -1
+    if
+      stop > first
+      && stop - first <= 18
+      && (String.unsafe_get s first <> '0' || stop - first = 1)
+    then digits s first stop 0
+    else -1
   in
   if v >= 0 then Int (if first > start then -v else v)
   else
     let tok = String.sub s start (stop - start) in
-    match int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail (Printf.sprintf "bad number %S" tok) stop)
+    let bad () = fail (Printf.sprintf "bad number %S" tok) stop in
+    if not (is_number s start stop) then bad ()
+    else
+      match int_of_string_opt tok with
+      | Some i -> Int i
+      | None -> (
+          match float_of_string_opt tok with
+          | Some f when Float.is_finite f -> Float f
+          | Some _ | None -> bad ())
 
 let rec value s pos =
   let i = skip_ws s !pos in

@@ -24,7 +24,10 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict parse of a complete document; trailing garbage is an error.
-    Numbers without [.]/[e] parse as [Int]. *)
+    Numbers follow JSON's grammar (an optional minus, no leading [+] or
+    zero, digits on both sides of a [.] and after an [e]) and must be
+    finite; those without [.]/[e] that fit an [int] parse as [Int].  A
+    [\u] escape takes exactly four hex digits. *)
 
 val member : string -> t -> t option
 (** [member key (Obj kvs)] is the value bound to [key], if any; [None]

@@ -17,15 +17,10 @@ type row = {
   pipeline_stages : int;
 }
 
-let of_netlist tech ?timing netlist ~num_cus ~freq_mhz =
+let of_netlist tech ~timing netlist ~num_cus ~freq_mhz =
   let stats = Netlist.stats netlist in
   let area = Area.of_netlist tech netlist in
   let power = Power.of_netlist tech netlist ~freq_mhz:(float_of_int freq_mhz) in
-  let timing =
-    match timing with
-    | Some t -> t
-    | None -> Timing.analyse tech netlist
-  in
   {
     num_cus;
     freq_mhz;
@@ -50,7 +45,3 @@ let row_to_string r =
   Printf.sprintf "%d@%dMHz %11.2f %12.2f %8d %8d %8d %9.2f %9.2f %9.2f"
     r.num_cus r.freq_mhz r.total_area_mm2 r.memory_area_mm2 r.ff r.comb
     r.memories r.leakage_mw r.dynamic_w r.total_w
-
-let pp_table fmt rows =
-  Format.fprintf fmt "%s@." header;
-  List.iter (fun r -> Format.fprintf fmt "%s@." (row_to_string r)) rows

@@ -18,15 +18,13 @@ type row = {
 
 val of_netlist :
   Ggpu_tech.Tech.t ->
-  ?timing:Timing.report ->
+  timing:Timing.report ->
   Ggpu_hw.Netlist.t ->
   num_cus:int ->
   freq_mhz:int ->
   row
-(** [timing] supplies an up-to-date {!Timing.report} for the netlist
-    (e.g. the last analysis of a DSE run) so the report need not re-run
-    a full STA; when absent, {!Timing.analyse} is called. *)
+(** [timing] is an up-to-date {!Timing.report} for the netlist, such as
+    the last analysis of a DSE run; it supplies [fmax_mhz]. *)
 
 val header : string
 val row_to_string : row -> string
-val pp_table : Format.formatter -> row list -> unit

@@ -11,34 +11,27 @@
    is how macro geometry ends up on the critical path - the pivot of the
    paper's whole design-space exploration).
 
-   Two implementations share the propagation rules:
-
-   - the full sweep ([compute_arrivals], [analyse]): hashtable arrival
-     tables filled in topological order, then one endpoint scan
-     ([report_of_arrivals]).  It is the oracle the incremental engine is
-     tested against, and what a flow without an engine runs at every
-     step;
-   - the incremental CSR engine ([make_engine], [engine_analyse]): cells
-     and nets are numbered densely by their already-dense ids, arrivals
-     live in unboxed [float array]s, the combinational graph is
-     levelized once per build, the initial sweep walks cells in level
-     order over flat compressed-sparse-row adjacency, and after an edit
-     the dirty cones are re-swept through a level-bucket queue so every
-     dirty cell is relaxed at most once per sync.  The report reads one
-     endpoint summary per sequential cell (endpoint count, worst delay,
-     that endpoint's net).  A sync refreshes only the summaries of the
-     journal's cells and of the sequential readers of nets whose
-     arrival, predecessor or launch changed, so analysing after an edit
-     costs what the edit touches, not what the design holds.
+   The analysis is an incremental CSR engine ([make_engine],
+   [engine_analyse]): cells and nets are numbered densely by their
+   already-dense ids, arrivals live in unboxed [float array]s, the
+   combinational graph is levelized once per build, the initial sweep
+   walks cells in level order over flat compressed-sparse-row adjacency,
+   and after an edit the dirty cones are re-swept through a level-bucket
+   queue so every dirty cell is relaxed at most once per sync.  The
+   report reads one endpoint summary per sequential cell (endpoint
+   count, worst delay, that endpoint's net).  A sync refreshes only the
+   summaries of the journal's cells and of the sequential readers of
+   nets whose arrival, predecessor or launch changed, so analysing after
+   an edit costs what the edit touches, not what the design holds.
 
    Arrival times are the unique fixpoint of max-plus propagation on the
-   DAG, and every tie-break in the engine mirrors [eval_cell] and
-   [report_of_arrivals] exactly (first-max over input pins,
+   DAG, and every tie-break mirrors the plain full sweep in
+   [test/sta_oracle.ml] exactly (first-max over input pins,
    ascending-id endpoint scans, strictly greater replacement: a summary
    keeps its cell's first maximum in pin order, and the report takes the
    first maximum over summaries in ascending cell id), so the engine is
-   bit-identical to the full sweep - enforced by the differential tests
-   in [test/test_csr.ml] and [test/test_incremental.ml]. *)
+   bit-identical to it - enforced by the differential tests in
+   [test/test_csr.ml] and [test/test_incremental.ml]. *)
 
 open Ggpu_hw
 open Ggpu_tech
@@ -77,165 +70,17 @@ let cell_delay tech cell =
       Stdcell.comb_delay_ns tech.Tech.stdcell op ~width:(Cell.output_width cell)
   | Cell.Dff | Cell.Macro _ -> invalid_arg "cell_delay: sequential cell"
 
-(* Arrival time and worst predecessor for every net driven by the
-   combinational subgraph.  Sequential outputs seed with clk-to-q.
-   [net_launch] caches the sequential cell the worst path into each net
-   launches from (absent for primary-input-rooted cones), so endpoint
-   scans need not re-walk predecessor chains. *)
+(* The tests' view of the engine's tables ({!engine_arrivals}): arrival
+   time and worst predecessor for every net driven by the combinational
+   subgraph, sequential outputs seeded with clk-to-q.  [net_launch]
+   holds the sequential cell the worst path into each net launches from
+   (absent for primary-input-rooted cones). *)
 type arrivals = {
   net_arrival : (int, float) Hashtbl.t;
   (* net id -> (driving comb cell, worst input net) *)
   net_pred : (int, Cell.t * Net.t option) Hashtbl.t;
   net_launch : (int, Cell.t) Hashtbl.t;
 }
-
-(* Worst input arrival and resulting output arrival of a comb cell, as a
-   pure function of the current arrival table.  The engine's relaxations
-   repeat this fold over its flat arrays, tie-break included. *)
-let eval_cell tech arrivals cell =
-  let arrival net =
-    Option.value ~default:0.0
-      (Hashtbl.find_opt arrivals.net_arrival (Net.id net))
-  in
-  let worst_in =
-    List.fold_left
-      (fun acc net ->
-        let t = arrival net in
-        match acc with
-        | Some (best, _) when best >= t -> acc
-        | _ -> Some (t, Some net))
-      None (Cell.inputs cell)
-  in
-  let in_time, in_net =
-    match worst_in with Some (t, net) -> (t, net) | None -> (0.0, None)
-  in
-  let launch =
-    match in_net with
-    | None -> None
-    | Some prev -> Hashtbl.find_opt arrivals.net_launch (Net.id prev)
-  in
-  (in_time +. cell_delay tech cell, in_net, launch)
-
-let compute_arrivals tech netlist =
-  (* sized from the netlist's live net count (the same population
-     {!Ggpu_hw.Netlist.stats} enumerates) so large designs do not rehash
-     their way through the sweep *)
-  let size = max 64 (Netlist.net_count netlist) in
-  let arrivals =
-    {
-      net_arrival = Hashtbl.create size;
-      net_pred = Hashtbl.create size;
-      net_launch = Hashtbl.create size;
-    }
-  in
-  (* seed: sequential outputs *)
-  Netlist.iter_cells netlist (fun cell ->
-      if Cell.is_sequential cell then begin
-        let t = launch_delay tech cell in
-        List.iter
-          (fun net ->
-            Hashtbl.replace arrivals.net_arrival (Net.id net) t;
-            Hashtbl.replace arrivals.net_launch (Net.id net) cell)
-          (Cell.outputs cell)
-      end);
-  (* propagate in topological order *)
-  List.iter
-    (fun cell ->
-      let out_time, in_net, launch = eval_cell tech arrivals cell in
-      List.iter
-        (fun net ->
-          Hashtbl.replace arrivals.net_arrival (Net.id net) out_time;
-          Hashtbl.replace arrivals.net_pred (Net.id net) (cell, in_net);
-          match launch with
-          | Some l -> Hashtbl.replace arrivals.net_launch (Net.id net) l
-          | None -> Hashtbl.remove arrivals.net_launch (Net.id net))
-        (Cell.outputs cell))
-    (Topo.order netlist);
-  arrivals
-
-(* Walk predecessor pointers from an endpoint input net back to the
-   launching sequential cell. *)
-let trace_path netlist arrivals ~endpoint_net ~capture tech =
-  let rec walk net acc =
-    match Hashtbl.find_opt arrivals.net_pred (Net.id net) with
-    | Some (cell, Some prev) -> walk prev (cell :: acc)
-    | Some (cell, None) -> (cell :: acc, None)
-    | None -> (acc, Netlist.driver_of netlist net)
-  in
-  let through, launch_opt = walk endpoint_net [] in
-  let launch =
-    match launch_opt with
-    | Some cell when Cell.is_sequential cell -> Some cell
-    | Some _ | None -> None
-  in
-  match launch with
-  | None -> None (* path from a primary input; not a register path *)
-  | Some launch ->
-      let arrival =
-        Option.value ~default:0.0
-          (Hashtbl.find_opt arrivals.net_arrival (Net.id endpoint_net))
-      in
-      let delay_ns =
-        arrival +. setup_time tech capture
-        +. tech.Tech.stdcell.Stdcell.clock_skew_ns
-      in
-      Some { launch; capture; through; delay_ns }
-
-(* Worst register-to-register path over an arrival table.  Endpoints are
-   scanned in ascending cell-id order so the reported worst path is
-   deterministic, and only endpoint nets that actually produce a register
-   path are counted — paths from primary inputs carry no [net_launch]
-   entry and must not inflate the endpoint count.  The cached launch
-   origin makes the scan O(1) per endpoint; only the single worst path is
-   traced back through the predecessor chain. *)
-let report_of_arrivals tech netlist arrivals =
-  let seq_cells =
-    Netlist.fold_cells netlist ~init:[] ~f:(fun acc cell ->
-        if Cell.is_sequential cell then cell :: acc else acc)
-    |> List.sort (fun a b -> Int.compare (Cell.id a) (Cell.id b))
-  in
-  (* worst endpoint: (delay, endpoint net, capture cell) *)
-  let worst = ref None in
-  let endpoints = ref 0 in
-  let skew = tech.Tech.stdcell.Stdcell.clock_skew_ns in
-  List.iter
-    (fun cell ->
-      let setup = lazy (setup_time tech cell) in
-      List.iter
-        (fun net ->
-          if Hashtbl.mem arrivals.net_launch (Net.id net) then begin
-            incr endpoints;
-            let arrival =
-              Option.value ~default:0.0
-                (Hashtbl.find_opt arrivals.net_arrival (Net.id net))
-            in
-            let delay_ns = arrival +. Lazy.force setup +. skew in
-            match !worst with
-            | Some (best, _, _) when best >= delay_ns -> ()
-            | Some _ | None -> worst := Some (delay_ns, net, cell)
-          end)
-        (Cell.inputs cell))
-    seq_cells;
-  match !worst with
-  | None -> raise No_paths
-  | Some (_, endpoint_net, capture) -> (
-      match trace_path netlist arrivals ~endpoint_net ~capture tech with
-      | None ->
-          (* cannot happen: the endpoint has a launch entry *)
-          raise No_paths
-      | Some worst ->
-          {
-            worst;
-            max_delay_ns = worst.delay_ns;
-            fmax_mhz = 1000.0 /. worst.delay_ns;
-            endpoint_count = !endpoints;
-          })
-
-(* Full analysis: worst register-to-register path. *)
-let analyse tech netlist =
-  Ggpu_obs.Trace.with_span "sta.full" @@ fun () ->
-  Ggpu_obs.Metrics.count "sta.full_analyses" 1;
-  report_of_arrivals tech netlist (compute_arrivals tech netlist)
 
 (* --- CSR levelized engine --------------------------------------------- *)
 
@@ -308,8 +153,8 @@ let ensure_cell_capacity k id =
   end
 
 (* Recompute the endpoint summary of cell [id] from the arrival arrays
-   with [report_of_arrivals]'s arithmetic and pin order (strictly greater
-   replaces, so the first maximum wins).  A removed or combinational
+   with the full sweep's endpoint arithmetic and pin order (strictly
+   greater replaces, so the first maximum wins).  A removed or combinational
    cell has no endpoints. *)
 let csr_refresh_endpoints k id =
   ensure_cell_capacity k id;
@@ -493,9 +338,8 @@ let csr_rebuild k =
             k.k_launch.(nid) <- Cell.id cell)
           (Cell.outputs cell)
       end);
-  (* one dense relaxation of a comb cell over the flat arrays; mirrors
-     [eval_cell]'s first-max tie-break exactly (strictly-greater keeps
-     the earliest pin) *)
+  (* one dense relaxation of a comb cell over the flat arrays: the first
+     maximum over input pins (strictly greater keeps the earliest pin) *)
   let relax c =
     let lo = in_off.(c) and hi = in_off.(c + 1) in
     let in_time, best_net =
@@ -610,11 +454,12 @@ let csr_fix_levels k ~cells ~nets =
    Dirty comb cells sit in per-level buckets; processing levels in
    ascending order relaxes every dirty cell exactly once, after all its
    dirty predecessors (a reader's level strictly exceeds its comb
-   driver's, restored by phase A).  Seeds are [compute_arrivals]'s
+   driver's, restored by phase A).  Seeds are the full sweep's
    (clk-to-q on sequential outputs, no entry on an undriven net) and each
-   relaxation is [eval_cell]'s fold, so the re-swept cones hold what a
-   full sweep computes; a cell's readers are queued only when one of its
-   outputs changed arrival, predecessor or launch.  Returns the cells
+   relaxation is the initial sweep's first-max fold, so the re-swept
+   cones hold what a full sweep computes; a cell's readers are queued
+   only when one of its outputs changed arrival, predecessor or
+   launch.  Returns the cells
    whose endpoint summaries are stale: the journal's non-comb cells and
    the sequential readers of every net whose arrival, predecessor or
    launch changed. *)
@@ -706,8 +551,8 @@ let csr_resweep k ~cells ~nets =
            register's summary must go *)
         mark_stale id)
     cells;
-  (* relaxation of one dirty cell: same first-max fold as [eval_cell],
-     reading the flat arrays *)
+  (* relaxation of one dirty cell: the same first-max fold as
+     [csr_rebuild]'s, reading pin lists off the cell *)
   let relaxed = ref 0 in
   let relax cell =
     incr relaxed;
@@ -806,8 +651,8 @@ let csr_arrivals k =
   arrivals
 
 (* Worst path over the endpoint summaries: the first strict maximum in
-   ascending cell id, which is [report_of_arrivals]'s scan order since each
-   summary already holds its cell's first maximum in pin order. *)
+   ascending cell id, which is the full sweep's endpoint scan order since
+   each summary already holds its cell's first maximum in pin order. *)
 let csr_report k =
   let nl = k.k_netlist in
   let worst = ref (-1) and endpoints = ref 0 in

@@ -33,18 +33,9 @@ type arrivals = {
       (** net id -> sequential cell the worst path launches from; absent
           when the worst cone is rooted at a primary input *)
 }
-
-val compute_arrivals : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> arrivals
-(** Full sweep in topological order: the reference the incremental
-    engine's {!engine_arrivals} must equal, net by net. *)
-
-val analyse : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> report
-(** Full recomputation.  Deterministic: endpoints are scanned in
-    ascending cell-id order, and [endpoint_count] counts only endpoint
-    nets that produce a register-to-register path (paths from primary
-    inputs are excluded).
-    @raise No_paths if the netlist has no register-to-register path.
-    @raise Ggpu_hw.Topo.Combinational_loop on a combinational cycle. *)
+(** The engine's tables as hashtables ({!engine_arrivals}): what the
+    tests compare, net by net, against the full-sweep reference in
+    [test/sta_oracle.ml]. *)
 
 (** {1 Incremental engine}
 
@@ -58,8 +49,11 @@ val analyse : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> report
     and of the sequential readers of nets whose arrival, predecessor or
     launch changed; the report is the first maximum over the summaries
     in ascending cell id, each summary holding its cell's first maximum
-    in pin order.  Results are bit-identical to {!analyse}, and the
-    arrival tables to {!compute_arrivals}. *)
+    in pin order.  Reports and arrival tables are bit-identical to the
+    plain full sweep in [test/sta_oracle.ml]: hashtable arrivals filled
+    in topological order, then one endpoint scan in ascending cell id.
+    Endpoints are counted only where a register path reaches them
+    (paths from primary inputs are excluded). *)
 
 type engine
 
@@ -69,15 +63,15 @@ type engine_stats = {
 }
 
 val make_engine : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> engine
-(** Performs the initial full computation. *)
+(** Performs the initial full computation.
+    @raise Ggpu_hw.Topo.Combinational_loop on a combinational cycle. *)
 
 val engine_analyse : engine -> report
 (** Synchronise with the netlist's current revision and report.
-    @raise No_paths as {!analyse}. *)
+    @raise No_paths if the netlist has no register-to-register path. *)
 
 val engine_arrivals : engine -> arrivals
-(** Synchronised arrival tables, equal to {!compute_arrivals} on the
-    current netlist. *)
+(** Synchronised arrival tables of the current netlist. *)
 
 val engine_net_arrival : engine -> Ggpu_hw.Net.t -> float
 (** Synchronise, then the worst arrival of a net of the netlist: what

@@ -3,7 +3,9 @@
    against.
 
    [parse] is a closure-per-call recursive descent that allocates an
-   option per peek and a buffer per string; [incoming_of_line] looks
+   option per peek and a buffer per string, and checks number tokens
+   and \u escapes against [Str] regexps rather than the production
+   codec's hand-written scans; [incoming_of_line] looks
    every field up with [List.assoc_opt], so the first occurrence of a
    duplicated name wins; [response_to_line] renders the envelope as a
    {!Ggpu_obs.Json.t} object and splices the cached payload in as the
@@ -16,6 +18,13 @@ module Json = Ggpu_obs.Json
 module P = Ggpu_serve.Proto
 
 exception Parse_error of string * int
+
+(* JSON's number grammar (RFC 8259), and the four hex digits of a \u
+   escape. *)
+let number_re =
+  Str.regexp "-?\\(0\\|[1-9][0-9]*\\)\\(\\.[0-9]+\\)?\\([eE][-+]?[0-9]+\\)?$"
+
+let hex_re = Str.regexp "[0-9a-fA-F][0-9a-fA-F][0-9a-fA-F][0-9a-fA-F]$"
 
 let parse s =
   let n = String.length s in
@@ -66,10 +75,10 @@ let parse s =
           | 'u' ->
               if !pos + 4 >= n then error "truncated \\u escape";
               let hex = String.sub s (!pos + 1) 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-              | Some _ -> Buffer.add_char buf '?'
-              | None -> error "bad \\u escape");
+              if not (Str.string_match hex_re hex 0) then
+                error "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
+              Buffer.add_char buf (if code < 0x80 then Char.chr code else '?');
               pos := !pos + 4
           | _ -> error "unknown escape");
           incr pos;
@@ -91,12 +100,14 @@ let parse s =
       incr pos
     done;
     let tok = String.sub s start (!pos - start) in
+    let bad () = error (Printf.sprintf "bad number %S" tok) in
+    if not (Str.string_match number_re tok 0) then bad ();
     match int_of_string_opt tok with
     | Some i -> Json.Int i
     | None -> (
         match float_of_string_opt tok with
-        | Some f -> Json.Float f
-        | None -> error (Printf.sprintf "bad number %S" tok))
+        | Some f when Float.is_finite f -> Json.Float f
+        | Some _ | None -> bad ())
   in
   let rec parse_value () =
     skip_ws ();

@@ -1,7 +1,7 @@
 (* Differential tests for the CSR levelized timing engine: on random
    netlists and on generated designs, the engine must be bit-identical
-   to the full sweep ({!Timing.analyse}, {!Timing.compute_arrivals}) —
-   same arrival, predecessor and launch net by net, same worst path,
+   to the full sweep ({!Sta_oracle.analyse},
+   {!Sta_oracle.compute_arrivals}) — same arrival, predecessor and launch net by net, same worst path,
    same fmax, same endpoint census — both on the initial build and
    while replaying edits through the incremental path. *)
 
@@ -135,9 +135,9 @@ let check_arrivals msg nl (full : Timing.arrivals) (eng : Timing.arrivals) =
 
 (* The engine against the full sweep on the netlist as it stands. *)
 let check_engine msg nl engine =
-  check_reports msg (Timing.analyse tech nl) (Timing.engine_analyse engine);
+  check_reports msg (Sta_oracle.analyse tech nl) (Timing.engine_analyse engine);
   check_arrivals msg nl
-    (Timing.compute_arrivals tech nl)
+    (Sta_oracle.compute_arrivals tech nl)
     (Timing.engine_arrivals engine)
 
 (* --- properties ---------------------------------------------------------- *)

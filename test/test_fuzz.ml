@@ -10,7 +10,8 @@
    run of filler up to the cap.  Generated documents: nested lists and
    objects with duplicate keys, string escapes including [\u], integers
    at the edges of the 63-bit range and of the parser's 18-digit fast
-   path, and finite floats in several spellings.
+   path, finite floats in several spellings, and number spellings JSON
+   rejects.
 
    Counts are sized for a few seconds under [dune runtest].  Under
    QCHECK_LONG=1 each property runs its long factor times over, so each
@@ -171,7 +172,7 @@ let int_token =
               "-4611686018427387904"; "-4611686018427387905";
               "999999999999999999"; "-999999999999999999";
               "1000000000000000000"; "-1000000000000000000"; "0"; "-0";
-              "007"; "-007";
+              "007"; "-007"; "+1"; "-";
             ] );
         (* around the fast path's 18-digit bound *)
         ( 2,
@@ -207,6 +208,8 @@ let float_token =
         ( 1,
           oneofl
             [ "1e5"; "1E+5"; "-2.5e-3"; "0.0"; "-0.0"; "1e400"; "2.5E-07" ] );
+        (* spellings JSON's grammar rejects *)
+        (1, oneofl [ ".5"; "5."; "1.e5"; "+1.5"; "1e"; "01.5" ]);
       ])
 
 let string_piece =

@@ -461,6 +461,39 @@ let prop_suite_matches_int32_oracle =
                = w.Suite.expected ~size args))
         Suite.all)
 
+(* [round_size]'s contract: the largest legal size not above the
+   request, or the smallest legal one below it; legal sizes are
+   positive, and mat_mul's are multiples of 16. *)
+let prop_round_size_contract =
+  QCheck.Test.make ~name:"round_size: largest legal size not above"
+    ~count:1000 (QCheck.int_range 1 4096) (fun size ->
+      List.for_all
+        (fun (w : Suite.t) ->
+          let legal n =
+            n > 0 && (w.Suite.name <> "mat_mul" || n mod 16 = 0)
+          in
+          let smallest =
+            let rec up n = if legal n then n else up (n + 1) in
+            up 1
+          in
+          let rec none_legal lo hi =
+            lo > hi || ((not (legal lo)) && none_legal (lo + 1) hi)
+          in
+          let r = w.Suite.round_size size in
+          let ok what b =
+            b
+            || QCheck.Test.fail_reportf "%s at size %d (-> %d): %s"
+                 w.Suite.name size r what
+          in
+          ok "legal" (legal r)
+          && ok "idempotent" (w.Suite.round_size r = r)
+          &&
+          if size < smallest then ok "smallest legal size" (r = smallest)
+          else
+            ok "not above the request" (r <= size)
+            && ok "largest legal size" (none_legal (r + 1) size))
+        Suite.all)
+
 let prop_gen_array_matches_int32_oracle =
   QCheck.Test.make ~name:"gen_array matches the Int32 oracle" ~count:200
     QCheck.(
@@ -514,6 +547,7 @@ let suite =
           test_rv32_cycles_scale_with_size;
         QCheck_alcotest.to_alcotest prop_rv32_copy_random_sizes;
         QCheck_alcotest.to_alcotest prop_suite_matches_int32_oracle;
+        QCheck_alcotest.to_alcotest prop_round_size_contract;
         QCheck_alcotest.to_alcotest prop_gen_array_matches_int32_oracle;
       ] );
   ]

@@ -244,11 +244,11 @@ let test_stale_engine_resyncs () =
       let dse =
         Ggpu_core.Dse.explore tech nl ~num_cus ~period_ns:(1000.0 /. 667.0)
       in
-      let engine = Option.get dse.Ggpu_core.Dse.engine in
+      let engine = dse.Ggpu_core.Dse.engine in
       let fp = Floorplan.build tech nl ~num_cus in
       let net = Option.get (Netlist.find_net_by_name nl "gmc/resp_to_cu0") in
       ignore (Netlist.insert_pipeline nl net);
-      let sweep = Ggpu_synth.Timing.compute_arrivals tech nl in
+      let sweep = Sta_oracle.compute_arrivals tech nl in
       let stale =
         Netlist.fold_nets nl ~init:[] ~f:(fun acc net ->
             let expected =

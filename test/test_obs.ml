@@ -404,6 +404,41 @@ let test_json_roundtrip () =
     (Result.is_error (J.parse "{} x"));
   check_bool "bare value parses" true (J.parse "3.5" = Ok (J.Float 3.5))
 
+(* Numbers follow JSON's grammar: an optional minus, no leading plus or
+   zero, digits on both sides of a point, digits after an exponent; and
+   they must be finite.  A \u escape takes exactly four hex digits. *)
+let test_json_grammar () =
+  let pp ppf v = Format.pp_print_string ppf (J.to_string v) in
+  let json = Alcotest.testable pp ( = ) in
+  let parsed = Alcotest.(result json string) in
+  List.iter
+    (fun tok ->
+      let at = String.length tok in
+      Alcotest.check parsed tok
+        (Error (Printf.sprintf "bad number %S at offset %d" tok at))
+        (J.parse tok))
+    [
+      "+5"; "007"; "-007"; ".5"; "5."; "1.e5"; "1e400"; "-"; "00"; "1e";
+      "1e+";
+    ];
+  List.iter
+    (fun (tok, v) -> Alcotest.check parsed tok (Ok v) (J.parse tok))
+    [
+      ("0", J.Int 0);
+      ("-0", J.Int 0);
+      ("1e5", J.Float 1e5);
+      ("1E+5", J.Float 1e5);
+      ("-1.5e-3", J.Float (-1.5e-3));
+      ("123456789012345678901", J.Float 123456789012345678901.);
+    ];
+  check_bool "id +1 rejected on the wire" true
+    (Result.is_error
+       (Ggpu_serve.Proto.incoming_of_line
+          {|{"id":+1,"kind":"synth","cus":1,"freq_mhz":500}|}));
+  check_bool "\\u0_41 rejected" true
+    (J.parse {|"\u0_41"|} = Error "bad \\u escape at offset 2");
+  check_bool "\\u0041 reads" true (J.parse {|"\u0041"|} = Ok (J.String "A"))
+
 (* Json.add_int writes memo keys and every JSON int: its bytes must be
    string_of_int's, the edges of the int range included. *)
 let add_int_matches_string_of_int =
@@ -576,6 +611,8 @@ let suite =
         Alcotest.test_case "hist percentile" `Quick test_hist_percentile;
         Alcotest.test_case "expose stable" `Quick test_expose_stable;
         Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+        Alcotest.test_case "json number and escape grammar" `Quick
+          test_json_grammar;
         qcheck add_int_matches_string_of_int;
         Alcotest.test_case "profiler self times" `Quick test_self_times;
         Alcotest.test_case "profiler self-time tie-break" `Quick

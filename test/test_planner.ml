@@ -136,8 +136,10 @@ let test_map_replay_reproduces_design () =
   Alcotest.(check int) "ff" s1.Ggpu_hw.Netlist.ff_bits s2.Ggpu_hw.Netlist.ff_bits;
   Alcotest.(check int) "comb" s1.Ggpu_hw.Netlist.comb_gates
     s2.Ggpu_hw.Netlist.comb_gates;
-  let t1 = (Timing.analyse tech nl1).Timing.max_delay_ns in
-  let t2 = (Timing.analyse tech nl2).Timing.max_delay_ns in
+  let delay nl =
+    (Timing.engine_analyse (Timing.make_engine tech nl)).Timing.max_delay_ns
+  in
+  let t1 = delay nl1 and t2 = delay nl2 in
   Alcotest.(check (float 1e-9)) "timing" t1 t2
 
 let test_map_replay_bad_name () =

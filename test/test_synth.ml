@@ -9,6 +9,9 @@ open Ggpu_rtlgen
 
 let tech = Tech.default_65nm
 
+(* What ships: a fresh engine's report on the netlist as it stands. *)
+let analyse nl = Timing.engine_analyse (Timing.make_engine tech nl)
+
 let test_generator_macro_counts () =
   (* Table I: 51/93/177/345 macros for 1/2/4/8 CUs *)
   List.iter
@@ -53,7 +56,7 @@ let test_generator_rejects_bad_cus () =
 
 let test_base_fmax_near_500 () =
   let nl = Generate.generate_cus ~num_cus:1 in
-  let report = Timing.analyse tech nl in
+  let report = analyse nl in
   Alcotest.(check bool)
     (Printf.sprintf "fmax %.0f in [495, 520]" report.Timing.fmax_mhz)
     true
@@ -64,7 +67,7 @@ let test_critical_path_starts_at_memory () =
      optimization has its starting point at a memory block ... inside
      the CU partition" *)
   let nl = Generate.generate_cus ~num_cus:2 in
-  let report = Timing.analyse tech nl in
+  let report = analyse nl in
   let launch = report.Timing.worst.Timing.launch in
   Alcotest.(check bool) "launch is macro" true (Cell.is_macro launch);
   let region = Cell.region launch in
@@ -96,7 +99,7 @@ let test_sta_hand_computed () =
     Netlist.add_cell nl ~name:"ff2" ~region:"top" ~kind:Cell.Dff ~inputs:[ s2 ]
       ~outputs:[ d ] ()
   in
-  let report = Timing.analyse tech nl in
+  let report = analyse nl in
   let s = tech.Tech.stdcell in
   let expect =
     s.Stdcell.dff_clk_to_q_ns
@@ -127,7 +130,7 @@ let test_sta_macro_launch_dominates () =
     Netlist.add_cell nl ~name:"capture" ~region:"cu0" ~kind:Cell.Dff
       ~inputs:[ rdata ] ~outputs:[ cap ] ()
   in
-  let report = Timing.analyse tech nl in
+  let report = analyse nl in
   Alcotest.(check string) "macro launches" (Cell.name macro)
     (Cell.name report.Timing.worst.Timing.launch);
   let attrs = Memlib.query tech.Tech.memory spec in
@@ -171,7 +174,7 @@ let test_sta_endpoint_count_excludes_primary_inputs () =
     Netlist.add_cell nl ~name:"ff3" ~region:"top" ~kind:Cell.Dff
       ~inputs:[ n2 ] ~outputs:[ q3 ] ()
   in
-  let report = Timing.analyse tech nl in
+  let report = analyse nl in
   Alcotest.(check int)
     "only the register-launched endpoint counts" 1
     report.Timing.endpoint_count;
@@ -184,7 +187,7 @@ let test_sta_deterministic () =
   (* two consecutive analyses of the same netlist must report the same
      worst path, delay and endpoint count *)
   let nl = Generate.generate_cus ~num_cus:2 in
-  let r1 = Timing.analyse tech nl and r2 = Timing.analyse tech nl in
+  let r1 = analyse nl and r2 = analyse nl in
   Alcotest.(check (float 0.0)) "same delay" r1.Timing.max_delay_ns
     r2.Timing.max_delay_ns;
   Alcotest.(check int) "same endpoints" r1.Timing.endpoint_count
@@ -222,11 +225,11 @@ let test_power_scales_with_frequency () =
 
 let test_splitting_regfile_improves_fmax () =
   let nl = Generate.generate_cus ~num_cus:1 in
-  let before = (Timing.analyse tech nl).Timing.fmax_mhz in
+  let before = (analyse nl).Timing.fmax_mhz in
   (match Netlist.find_cell_by_name nl "cu0/regfile" with
   | Some cell -> Netlist.split_macro_words nl cell ~banks:8
   | None -> Alcotest.fail "no cu0/regfile");
-  let after = (Timing.analyse tech nl).Timing.fmax_mhz in
+  let after = (analyse nl).Timing.fmax_mhz in
   Alcotest.(check bool)
     (Printf.sprintf "fmax improved: %.0f -> %.0f" before after)
     true (after > before +. 20.0)
@@ -270,7 +273,7 @@ let prop_sta_monotone_in_depth =
           Netlist.add_cell nl ~name:"loop" ~region:"top" ~kind:(Cell.Comb Op.Buf)
             ~inputs:[ sink ] ~outputs:[ d ] ()
         in
-        (Timing.analyse tech nl).Timing.max_delay_ns
+        (analyse nl).Timing.max_delay_ns
       in
       build (depth + 1) > build depth)
 
