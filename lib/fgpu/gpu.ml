@@ -69,7 +69,20 @@
    record pass faults or whose replay desynchronises (possible only
    for racy or non-uniformly-synchronised kernels): global memory is
    restored from a snapshot before each count, giving exactly the
-   in-place semantics including partial-result state. *)
+   in-place semantics including partial-result state.
+
+   A replay with no PMU collector takes most of its issues through a
+   lean burst step instead: wherever a burst continues into a
+   non-interactive pc, the step reads the wavefront's record in place
+   (pc and meta varints at its cursor), applies [time_issue], the
+   timing update [do_issue] applies too, to an issue with no memory
+   line, barrier or retirement, picks the next wavefront and peeks its
+   record pc — no outcome record, no closure call, no allocation.  It
+   is exact because a non-interactive pc never touches memory, a
+   barrier or a retirement, so [do_issue] would do nothing else with
+   that issue.  Heap pops, interactive issues, in-place runs and
+   PMU-attached replays keep [do_issue]; a record at a non-interactive
+   pc that carries lines or a barrier or retire flag is a desync. *)
 
 type workgroup = {
   wg_id : int;
@@ -277,6 +290,25 @@ module Tbuf = struct
     end
     else put_slow buf p v
 
+  (* the outcome flags, above the lane and line counts in the meta word *)
+  let f_partial = 1
+  and f_store = 2
+  and f_div = 4
+  and f_mul = 8
+  and f_branch = 16
+  and f_barrier = 32
+  and f_retire = 64
+
+  (* an outcome's flags as one word, computed without a branch *)
+  let[@inline] flags_of (out : Wavefront.outcome) =
+    (Bool.to_int out.Wavefront.partial_mask * f_partial)
+    lor (Bool.to_int out.Wavefront.mem_is_store * f_store)
+    lor (Bool.to_int out.Wavefront.used_div * f_div)
+    lor (Bool.to_int out.Wavefront.used_mul * f_mul)
+    lor (Bool.to_int out.Wavefront.taken_branch * f_branch)
+    lor (Bool.to_int out.Wavefront.hit_barrier * f_barrier)
+    lor (Bool.to_int out.Wavefront.retired * f_retire)
+
   (* [lane_bits] holds any lane or line count of the launch *)
   let record b ~lane_bits ~line_bytes (out : Wavefront.outcome) =
     let nl = out.Wavefront.mem_line_count in
@@ -286,22 +318,13 @@ module Tbuf = struct
       Bytes.blit b.buf 0 a 0 b.len;
       b.buf <- a
     end;
-    let flags =
-      (if out.Wavefront.partial_mask then 1 else 0)
-      lor (if out.Wavefront.mem_is_store then 2 else 0)
-      lor (if out.Wavefront.used_div then 4 else 0)
-      lor (if out.Wavefront.used_mul then 8 else 0)
-      lor (if out.Wavefront.taken_branch then 16 else 0)
-      lor (if out.Wavefront.hit_barrier then 32 else 0)
-      lor if out.Wavefront.retired then 64 else 0
-    in
     let buf = b.buf in
     let p = put buf b.len out.Wavefront.pc in
     let p =
       ref
         (put buf p
            (out.Wavefront.executed_lanes lor (nl lsl lane_bits)
-           lor (flags lsl (2 * lane_bits))))
+           lor (flags_of out lsl (2 * lane_bits))))
     in
     for i = 0 to nl - 1 do
       p := put buf !p (out.Wavefront.mem_lines.(i) / line_bytes)
@@ -326,23 +349,36 @@ module Tbuf = struct
     r.pos <- r.pos + 1;
     if c < 0x80 then c else get_slow buf r (c land 0x7F) 7
 
+  (* The fields of a meta word: the executed-lane count, the line
+     count and the outcome flags *)
+  let[@inline] lanes ~lane_bits meta = meta land ((1 lsl lane_bits) - 1)
+
+  let[@inline] lines ~lane_bits meta =
+    (meta lsr lane_bits) land ((1 lsl lane_bits) - 1)
+
+  let[@inline] flags ~lane_bits meta = meta lsr (2 * lane_bits)
+
+  (* an issue with no memory line, barrier or retirement *)
+  let[@inline] register_only ~lane_bits meta =
+    lines ~lane_bits meta = 0
+    && flags ~lane_bits meta land (f_barrier lor f_retire) = 0
+
   (* Decode the issue at the reader's position into [out], moving past
      it; the inverse of [record]. *)
   let read buf r ~lane_bits ~line_bytes (out : Wavefront.outcome) =
     out.Wavefront.pc <- get buf r;
     let meta = get buf r in
-    let mask = (1 lsl lane_bits) - 1 in
-    out.Wavefront.executed_lanes <- meta land mask;
-    let nl = (meta lsr lane_bits) land mask in
+    out.Wavefront.executed_lanes <- lanes ~lane_bits meta;
+    let nl = lines ~lane_bits meta in
     out.Wavefront.mem_line_count <- nl;
-    let flags = meta lsr (2 * lane_bits) in
-    out.Wavefront.partial_mask <- flags land 1 <> 0;
-    out.Wavefront.mem_is_store <- flags land 2 <> 0;
-    out.Wavefront.used_div <- flags land 4 <> 0;
-    out.Wavefront.used_mul <- flags land 8 <> 0;
-    out.Wavefront.taken_branch <- flags land 16 <> 0;
-    out.Wavefront.hit_barrier <- flags land 32 <> 0;
-    out.Wavefront.retired <- flags land 64 <> 0;
+    let flags = flags ~lane_bits meta in
+    out.Wavefront.partial_mask <- flags land f_partial <> 0;
+    out.Wavefront.mem_is_store <- flags land f_store <> 0;
+    out.Wavefront.used_div <- flags land f_div <> 0;
+    out.Wavefront.used_mul <- flags land f_mul <> 0;
+    out.Wavefront.taken_branch <- flags land f_branch <> 0;
+    out.Wavefront.hit_barrier <- flags land f_barrier <> 0;
+    out.Wavefront.retired <- flags land f_retire <> 0;
     for i = 0 to nl - 1 do
       out.Wavefront.mem_lines.(i) <- get buf r * line_bytes
     done
@@ -684,20 +720,29 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
           in
           mem_loop now (i - 1) (if c > acc then c else acc)
       in
-      (* a replay's read position in each stream, and its reader *)
-      let cursors =
-        match traces with
-        | None -> [||]
-        | Some tr -> Array.make (Array.length tr) 0
-      in
+      (* a replay's streams (none in place), its read position in each
+         and its reader *)
+      let tr = Option.value traces ~default:[||] in
+      let cursors = Array.make (Array.length tr) 0 in
       let rd = Tbuf.reader () in
       let stream (wf : Wavefront.t) =
         (wf.Wavefront.wg_id * wfs_per_wg) + wf.Wavefront.wf_index
       in
+      (* The pc of stream [s]'s next record, leaving [rd] on the meta
+         word after it; -1 once the stream is exhausted.  [s] comes from
+         [stream], so it indexes both arrays. *)
+      let[@inline] record_pc s =
+        let b = Array.unsafe_get tr s and p = Array.unsafe_get cursors s in
+        if p >= b.Tbuf.len then -1
+        else begin
+          rd.Tbuf.pos <- p;
+          Tbuf.get b.Tbuf.buf rd
+        end
+      in
       let issue_into : Wavefront.t -> Wavefront.outcome -> unit =
         match traces with
         | None -> issue_arch
-        | Some tr ->
+        | Some _ ->
             fun wf out ->
               let s = stream wf in
               let b = tr.(s) and p = cursors.(s) in
@@ -722,18 +767,86 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
             fun wf ->
               if wf.Wavefront.conv_pc >= 0 then wf.Wavefront.conv_pc
               else Wavefront.min_pc wf
-        | Some tr ->
-            fun wf ->
-              let s = stream wf in
-              let b = tr.(s) and p = cursors.(s) in
-              if p >= b.Tbuf.len then -1
-              else begin
-                rd.Tbuf.pos <- p;
-                Tbuf.get b.Tbuf.buf rd
-              end
+        | Some _ -> fun wf -> record_pc (stream wf)
+      in
+      (* whether the CU may run an issue at [pc] at once: see the burst
+         rule at [do_issue] *)
+      let[@inline] bursts pc =
+        pc >= 0 && pc < prog_len && not (Array.unsafe_get interactive pc)
       in
       let pending_inject = ref inject in
       let watchdog = Option.is_some max_cycles in
+      (* The timing update of every issue: the counters, the divider's
+         hold on the vector pipeline, the mul and branch latency.
+         [flags] are the issue's [Tbuf] flags (a word, not booleans: the
+         lean step tests the bits of its meta word with no conversion);
+         [mem_done] is the latest completion of its memory lines, 0 when
+         it has none.  Returns the issue's completion. *)
+      let div_latency = cfg.Config.div_latency
+      and mul_latency = cfg.Config.mul_latency
+      and branch_penalty = cfg.Config.branch_penalty
+      and issue_overhead = cfg.Config.issue_overhead in
+      let[@inline] time_issue cu (wf : Wavefront.t) t ~lanes ~flags
+          ~mem_done =
+        stats.Stats.wf_instructions <- stats.Stats.wf_instructions + 1;
+        stats.Stats.lane_instructions <- stats.Stats.lane_instructions + lanes;
+        if flags land Tbuf.f_partial <> 0 then
+          stats.Stats.divergent_issues <- stats.Stats.divergent_issues + 1;
+        (* a division holds the CU's shared iterative divider (and with
+           it the vector pipeline) for every active lane *)
+        let busy =
+          if flags land Tbuf.f_div <> 0 then beats + (lanes * div_latency)
+          else beats
+        in
+        cu.vu_free <- t + busy + issue_overhead;
+        stats.Stats.vu_busy_cycles <- stats.Stats.vu_busy_cycles + busy;
+        let completion = Int.max (t + busy) mem_done in
+        let completion =
+          if flags land Tbuf.f_mul <> 0 then completion + mul_latency
+          else completion
+        in
+        let completion =
+          if flags land Tbuf.f_branch <> 0 then completion + branch_penalty
+          else completion
+        in
+        wf.Wavefront.ready_at <- completion;
+        if completion > stats.Stats.cycles then stats.Stats.cycles <- completion;
+        completion
+      in
+      (* The lean burst step (see the top of this file), for a replay
+         with no collector attached; a replay never has a watchdog or an
+         injection.  [lean_issue cu t idx s] issues the wavefront in slot
+         [idx] of [cu] at cycle [t] whose next record, in stream [s], the
+         caller peeked: its pc is non-[interactive] and [rd] sits on the
+         meta word after it. *)
+      let lean = Option.is_some traces && not pmu_on in
+      let rec lean_issue cu t idx s =
+        commit_rr cu idx;
+        let wf = Array.unsafe_get cu.wf_slots idx in
+        let meta = Tbuf.get (Array.unsafe_get tr s).Tbuf.buf rd in
+        Array.unsafe_set cursors s rd.Tbuf.pos;
+        if not (Tbuf.register_only ~lane_bits meta) then
+          fail "replay desync: wg %d wf %d records a memory, barrier or \
+                retire issue at a register-only pc"
+            wf.Wavefront.wg_id wf.Wavefront.wf_index;
+        let (_ : int) =
+          time_issue cu wf t
+            ~lanes:(Tbuf.lanes ~lane_bits meta)
+            ~flags:(Tbuf.flags ~lane_bits meta)
+            ~mem_done:0
+        in
+        lean_next cu
+      (* [next_issue], then the burst check on the winner's record pc,
+         read in place *)
+      and lean_next cu =
+        let idx = next_issue cu in
+        if idx >= 0 then begin
+          let t = cu.cand in
+          let s = stream (Array.unsafe_get cu.wf_slots idx) in
+          if bursts (record_pc s) then lean_issue cu t idx s
+          else push_event t cu.cu_id
+        end
+      in
       (* Execute one issue for the wavefront in slot [idx] of [cu] at
          cycle [t], then either chase the CU's next issue directly (the
          burst path) or hand the CU back to the event heap.
@@ -758,43 +871,19 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
         let wf = Array.unsafe_get cu.wf_slots idx in
         let wg = Array.unsafe_get cu.wg_slots idx in
         issue_into wf out;
-        stats.Stats.wf_instructions <- stats.Stats.wf_instructions + 1;
-        stats.Stats.lane_instructions <-
-          stats.Stats.lane_instructions + out.Wavefront.executed_lanes;
-        if out.Wavefront.partial_mask then
-          stats.Stats.divergent_issues <- stats.Stats.divergent_issues + 1;
-        (* a division holds the CU's shared iterative divider (and with
-           it the vector pipeline) for every active lane *)
-        let div_occupancy =
-          if out.Wavefront.used_div then
-            out.Wavefront.executed_lanes * cfg.Config.div_latency
-          else 0
-        in
-        cu.vu_free <- t + beats + div_occupancy + cfg.Config.issue_overhead;
-        stats.Stats.vu_busy_cycles <-
-          stats.Stats.vu_busy_cycles + beats + div_occupancy;
-        let completion = t + beats + div_occupancy in
-        let completion =
+        let mem_done =
           if out.Wavefront.mem_line_count > 0 then begin
             if out.Wavefront.mem_is_store then
               stats.Stats.stores <- stats.Stats.stores + 1
             else stats.Stats.loads <- stats.Stats.loads + 1;
-            mem_loop (t + beats) (out.Wavefront.mem_line_count - 1) completion
+            mem_loop (t + beats) (out.Wavefront.mem_line_count - 1) 0
           end
-          else completion
+          else 0
         in
         let completion =
-          if out.Wavefront.used_mul then completion + cfg.Config.mul_latency
-          else completion
+          time_issue cu wf t ~lanes:out.Wavefront.executed_lanes
+            ~flags:(Tbuf.flags_of out) ~mem_done
         in
-        let completion =
-          if out.Wavefront.taken_branch then
-            completion + cfg.Config.branch_penalty
-          else completion
-        in
-        wf.Wavefront.ready_at <- completion;
-        if completion > stats.Stats.cycles then
-          stats.Stats.cycles <- completion;
         if out.Wavefront.hit_barrier then begin
           stats.Stats.barriers <- stats.Stats.barriers + 1;
           wf.Wavefront.at_barrier <- true;
@@ -820,10 +909,11 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
         if pmu_on then begin
           (* Close the CU's timeline up to this issue: the idle gap is
              charged to whatever the issuing wavefront was waiting on,
-             the busy slice to (divergent) issue.  Then classify what
+             the busy slice, up to [vu_free], to (divergent) issue.
+             Then classify what
              this issue's completion waits on, for the next gap. *)
           Ggpu_pmu.Pmu.on_issue pmu_c ~cu:cu.cu_id ~now:t
-            ~busy:(beats + div_occupancy + cfg.Config.issue_overhead)
+            ~busy:(cu.vu_free - t)
             ~pc:out.Wavefront.pc ~divergent:out.Wavefront.partial_mask
             ~stall:wf.Wavefront.stall_kind;
           wf.Wavefront.stall_kind <-
@@ -840,15 +930,12 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
           invalidate cu;
           schedule cu
         end
+        else if lean then lean_next cu
         else begin
           let idx' = next_issue cu in
           if idx' >= 0 then begin
             let t' = cu.cand in
-            let pc = peek_pc cu.wf_slots.(idx') in
-            if
-              pc >= 0 && pc < prog_len
-              && not (Array.unsafe_get interactive pc)
-            then do_issue cu t' idx'
+            if bursts (peek_pc cu.wf_slots.(idx')) then do_issue cu t' idx'
             else push_event t' cu.cu_id
           end
         end

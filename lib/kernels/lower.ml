@@ -11,7 +11,10 @@
    both targets: each [Vir.Bin] becomes exactly one ALU instruction
    (immediates go to scratch registers first), and an ALU instruction
    reads its sources before it writes its destination, so the
-   destination may be one of the sources. *)
+   destination may be one of the sources.  Likewise a declaration's
+   computed initialiser is lowered into the fresh register that becomes
+   the variable's, so a variable assigned again later keeps no copy
+   ({!Opt.copy_propagate} forwards only single-assignment registers). *)
 
 exception Lower_error of string
 
@@ -114,11 +117,15 @@ let rec lower_stmts st stmts = List.iter (lower_stmt st) stmts
 
 and lower_stmt st stmt =
   match stmt with
-  | Ast.Let (name, e) ->
-      let v = lower_value st e in
+  | Ast.Let (name, Ast.Var src) ->
+      (* a copy: the two variables may part later *)
       let d = fresh_reg st in
-      Hashtbl.replace st.vars name d;
-      emit st (Vir.Mov (d, v))
+      emit st (Vir.Mov (d, Vir.Reg (var_reg st src)));
+      Hashtbl.replace st.vars name d
+  | Ast.Let (name, e) ->
+      (* every other initialiser lands in a fresh register, which becomes
+         the variable's *)
+      Hashtbl.replace st.vars name (lower_to_reg st e)
   | Ast.Assign (name, Ast.Binop (op, a, b)) ->
       let va = lower_value st a in
       let vb = lower_value st b in

@@ -382,10 +382,16 @@ let csr_rebuild k =
 
 (* Incremental sync, phase A: restore the level fixpoint over the dirty
    region.  level(c) = 1 + max level of distinct comb drivers (0 with
-   none); chaotic iteration over a FIFO converges because the graph is
-   acyclic and every change re-enqueues the readers. *)
+   none); chaotic iteration over a FIFO converges when the graph is
+   acyclic, since every change re-enqueues the readers.  An edit that
+   closed a combinational loop makes the levels around it grow without
+   end.  In an acyclic graph no level this computes exceeds the largest
+   level held on entry plus the number of cells (a stale level upstream
+   plus a chain of distinct cells), so reaching that bound proves a
+   cycle, reported as a fresh engine's levelization reports it. *)
 let csr_fix_levels k ~cells ~nets =
   let nl = k.k_netlist in
+  let bound = k.k_max_level + Netlist.cell_count nl + 1 in
   let queue = Queue.create () in
   let queued = Hashtbl.create 64 in
   let enqueue id =
@@ -432,6 +438,11 @@ let csr_fix_levels k ~cells ~nets =
               | Some _ | None -> acc)
             0 (Cell.inputs cell)
         in
+        if lvl >= bound then begin
+          (* names the cells on and behind the loop *)
+          ignore (Topo.order nl : Cell.t list);
+          raise (Topo.Combinational_loop [ Cell.name cell ])
+        end;
         if lvl <> k.k_level.(id) then begin
           k.k_level.(id) <- lvl;
           if lvl > k.k_max_level then k.k_max_level <- lvl;

@@ -68,7 +68,10 @@ val make_engine : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> engine
 
 val engine_analyse : engine -> report
 (** Synchronise with the netlist's current revision and report.
-    @raise No_paths if the netlist has no register-to-register path. *)
+    @raise No_paths if the netlist has no register-to-register path.
+    @raise Ggpu_hw.Topo.Combinational_loop if an edit since the last
+    synchronisation closed a combinational cycle, naming the cells
+    {!make_engine} would name. *)
 
 val engine_arrivals : engine -> arrivals
 (** Synchronised arrival tables of the current netlist. *)

@@ -12,7 +12,9 @@
    cross-item reads only cross a barrier — because that is the
    contract under which split mode promises bit-identical results.
    The same kernels also check both code generators against the
-   reference interpreter. *)
+   reference interpreter.  Under QCHECK_LONG=1 the differential runs its
+   long factor times over (about 3,000 kernels); QCHECK_SEED replays a
+   run. *)
 
 open Ggpu_kernels
 open Ggpu_fgpu
@@ -204,9 +206,10 @@ let observe c ~engine ~domains =
    fallback would otherwise hide behind correct results. *)
 let run_cus_counts = [ 1; 2; 4 ]
 
-let observe_cus c ~engine ~domains =
+(* [launch ()]'s stats and buffers per count, with the ambient metrics'
+   [sim.fgpu.split_fallbacks] *)
+let observe_runs launch =
   let module M = Ggpu_obs.Metrics in
-  let compiled = Codegen_fgpu.compile c.kernel in
   M.set_ambient_enabled true;
   M.ambient_reset ();
   Fun.protect
@@ -214,18 +217,22 @@ let observe_cus c ~engine ~domains =
       M.set_ambient_enabled false;
       M.ambient_reset ())
     (fun () ->
-      let runs =
-        with_engine engine (fun () ->
-            Run_fgpu.run_cus ~domains compiled ~args:(mk_args c)
-              ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ())
-      in
+      let runs = launch () in
       ( M.find_counter (M.ambient_snapshot ()) "sim.fgpu.split_fallbacks",
         List.map
           (fun r -> (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers))
           runs ))
 
+let observe_cus c ~engine ~domains =
+  let compiled = Codegen_fgpu.compile c.kernel in
+  observe_runs (fun () ->
+      with_engine engine (fun () ->
+          Run_fgpu.run_cus ~domains compiled ~args:(mk_args c)
+            ~global_size:c.gsize ~local_size:c.lsize ~cus:run_cus_counts ()))
+
 let prop_backends_and_domains_agree =
-  QCheck.Test.make ~name:"backend x domains differential" ~count:30 arb_case
+  QCheck.Test.make ~name:"backend x domains differential" ~count:30
+    ~long_factor:100 arb_case
     (fun c ->
       let reference = observe c ~engine:Oracle ~domains:1 in
       let per_count =
@@ -512,6 +519,73 @@ let test_record_fault_falls_back () =
       Alcotest.(check string) (label ^ ": fault message") msg_ref msg;
       Alcotest.(check (array int)) (label ^ ": memory") mem_ref mem)
     [ (Threaded, 1); (Threaded, 2); (Oracle, 1) ]
+
+(* --- a replay that desynchronises at a register-only pc ---------------- *)
+
+(* No real lane engine records a memory line at a pc that is not a load,
+   store, barrier or [ret]; this one charges line 0 to every ALU issue,
+   which an in-place run times as a load.  A replay bursts through such
+   pcs without reading the lines, so it must take that record as a
+   desync and fall back to in-place runs, whose stats count the line,
+   rather than time the issue as register-only. *)
+let test_replay_desync_falls_back () =
+  let phantom_line dprog ~mem ~line_words wf (out : Wavefront.outcome) =
+    issue dprog ~mem ~line_words wf out;
+    match dprog.(out.Wavefront.pc).Ggpu_isa.Fgpu_predecode.kind with
+    | Ggpu_isa.Fgpu_predecode.KAlu | Ggpu_isa.Fgpu_predecode.KAlui ->
+        out.Wavefront.mem_lines.(0) <- 0;
+        out.Wavefront.mem_line_count <- 1
+    | _ -> ()
+  in
+  let kernel =
+    {
+      Ast.name = "phantom";
+      params = [ Ast.Buffer "a"; Ast.Buffer "out" ];
+      body =
+        [
+          Ast.Let ("i", Ast.Global_id);
+          Ast.Let ("acc", Ast.const 0);
+          Ast.For
+            ( "k",
+              Ast.const 0,
+              Ast.const 8,
+              [ Ast.Assign ("acc", Ast.(var "acc" +: (var "k" *: var "i"))) ] );
+          Ast.Store ("out", Ast.var "i", Ast.(var "acc" +: load "a" (var "i")));
+        ];
+    }
+  in
+  let compiled = Codegen_fgpu.compile kernel in
+  let n = 512 and cus = [ 1; 2; 4 ] in
+  let args () =
+    {
+      Interp.buffers = [ ("a", Array.init n Fun.id); ("out", Array.make n 0) ];
+      scalars = [];
+    }
+  in
+  let _, in_place =
+    observe_runs (fun () ->
+        List.map
+          (fun c ->
+            Gpu.with_issue phantom_line (fun () ->
+                Run_fgpu.run ~config:(Config.with_cus Config.default c)
+                  compiled ~args:(args ()) ~global_size:n ~local_size:64 ()))
+          cus)
+  in
+  let fallbacks, replayed =
+    observe_runs (fun () ->
+        Gpu.with_issue phantom_line (fun () ->
+            Run_fgpu.run_cus compiled ~args:(args ()) ~global_size:n
+              ~local_size:64 ~cus ()))
+  in
+  Alcotest.(check (option int)) "split fallbacks" (Some 1) fallbacks;
+  List.iter2
+    (fun c ((stats_ref, bufs_ref), (stats, bufs)) ->
+      let label = Printf.sprintf "%d CU(s)" c in
+      Alcotest.(check (list (pair string int))) (label ^ ": stats") stats_ref
+        stats;
+      Alcotest.(check bool) (label ^ ": buffers") true (bufs = bufs_ref))
+    cus
+    (List.combine in_place replayed)
 
 (* --- suite metrics: failures counter always present -------------------- *)
 
@@ -1029,6 +1103,8 @@ let suite =
           test_split_barrier_cross_wavefront;
         Alcotest.test_case "record pass fault falls back" `Quick
           test_record_fault_falls_back;
+        Alcotest.test_case "replay desync falls back" `Quick
+          test_replay_desync_falls_back;
         Alcotest.test_case "suite.failures registered at zero" `Quick
           test_suite_failures_registered;
         Alcotest.test_case "fi signature backend parity" `Slow

@@ -228,6 +228,43 @@ let test_journal_truncation_rebuilds () =
     "full, incremental after one more edit" (2, 1)
     (stats.Timing.full_recomputes, stats.Timing.incremental_updates)
 
+(* An edit that closes a combinational loop on an existing engine: two
+   comb cells that read each other's output.  The next incremental sync
+   must raise what a fresh engine on the edited netlist raises, naming
+   both cells, instead of iterating its level fixpoint forever. *)
+let test_loop_edit_raises () =
+  let nl = build_random ~ffs:3 ~gates:20 (List.init 40 (fun i -> (i * 5) + 1)) in
+  let engine = Timing.make_engine tech nl in
+  ignore (Timing.engine_analyse engine : Timing.report);
+  let seed =
+    match Netlist.nets nl with
+    | net :: _ -> net
+    | [] -> Alcotest.fail "random netlist has no net"
+  in
+  let la = Netlist.add_net nl ~name:"loop_a_out" ~width:8 in
+  let lb = Netlist.add_net nl ~name:"loop_b_out" ~width:8 in
+  let add name inputs out =
+    ignore
+      (Netlist.add_cell nl ~name ~region:"top" ~kind:(Cell.Comb Op.Add)
+         ~inputs ~outputs:[ out ] ()
+        : Cell.t)
+  in
+  add "loop_a" [ seed; lb ] la;
+  add "loop_b" [ la ] lb;
+  let raised what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Combinational_loop" what
+    | exception Topo.Combinational_loop cells -> cells
+  in
+  let fresh = raised "make_engine" (fun () -> ignore (Timing.make_engine tech nl)) in
+  let synced =
+    raised "engine_analyse" (fun () -> ignore (Timing.engine_analyse engine))
+  in
+  Alcotest.(check (list string)) "fresh engine names the loop"
+    [ "loop_a"; "loop_b" ] fresh;
+  Alcotest.(check (list string)) "incremental sync names the same cells" fresh
+    synced
+
 (* --- generated designs --------------------------------------------------- *)
 
 let test_generated_identity () =
@@ -268,6 +305,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_random_replay_identity;
         Alcotest.test_case "journal truncation rebuilds" `Quick
           test_journal_truncation_rebuilds;
+        Alcotest.test_case "loop edit raises" `Quick test_loop_edit_raises;
         Alcotest.test_case "generated designs bit-identical" `Quick
           test_generated_identity;
         Alcotest.test_case "incremental cost flat in CU count" `Quick

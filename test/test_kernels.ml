@@ -128,7 +128,8 @@ let test_lower_shapes () =
   Alcotest.(check bool) "branch" true (has_branch program.Vir.insns);
   (* an assignment of a binary operation is one Bin straight into the
      variable's register, whichever operand the variable is, with no
-     copy after it *)
+     copy after it; a declaration's load lands in the variable's
+     register too *)
   let kernel =
     {
       Ast.name = "acc";
@@ -149,7 +150,7 @@ let test_lower_shapes () =
       ( = )
   in
   match (Lower.lower kernel).Vir.insns with
-  | _ :: _ :: Vir.Mov (x, Vir.Reg _) :: Vir.Mov (acc, Vir.Imm 0l) :: add :: sub
+  | _ :: Vir.Load (x, "a", _) :: Vir.Mov (acc, Vir.Imm 0l) :: add :: sub
     :: next :: _ ->
       Alcotest.check insn "acc = acc + x"
         (Vir.Bin (Ast.Add, acc, Vir.Reg acc, Vir.Reg x))
