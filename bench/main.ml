@@ -7,7 +7,7 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table1 fig5  # selected experiments
    Experiments: table1 table2 table3 fig3 fig4 fig5 fig6 ablation-dse
-   ablation-mem future-gmc fi perf perf-sim serve *)
+   ablation-mem fi perf perf-sim serve *)
 
 open Ggpu_core
 
@@ -216,23 +216,6 @@ let run_ablation_mem () =
         [ 1; 2; 4 ];
       print_newline ())
     kernels
-
-let run_future_gmc () =
-  section "Future work: replicated memory controller for the 8-CU layout";
-  let nl = Ggpu_rtlgen.Generate.generate_cus ~num_cus:8 in
-  let _ = Dse.explore tech nl ~num_cus:8 ~period_ns:1.5 in
-  List.iter
-    (fun copies ->
-      let fp =
-        Ggpu_layout.Floorplan.build ~gmc_copies:copies tech nl ~num_cus:8
-      in
-      let post = Ggpu_layout.Timing_post.analyse tech nl fp in
-      Printf.printf
-        "%d GMC copies: worst CU-GMC route %.2f mm -> achievable %.0f MHz\n"
-        copies
-        (Ggpu_layout.Floorplan.worst_cu_gmc_distance_mm fp)
-        (Ggpu_layout.Timing_post.quantised_mhz post))
-    [ 1; 2; 4 ]
 
 (* --- Fault injection ----------------------------------------------------- *)
 
@@ -516,14 +499,9 @@ let run_perf_sim () =
     let v = f () in
     (v, Unix.gettimeofday () -. t0)
   in
+  (* each simulation runs on one domain, comparable with earlier
+     records of this file *)
   let fgpu_config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default 4 in
-  (* domain fan-out inside each simulation (the CU-parallel split);
-     1 keeps the measurement directly comparable with earlier PRs *)
-  let exec_domains =
-    match Sys.getenv_opt "PERF_SIM_EXEC_DOMAINS" with
-    | Some d -> max 1 (int_of_string d)
-    | None -> 1
-  in
   (* the seed measured setup (mk_args, buffer layout) inside the timed
      region; keep doing so, or speedup_vs_seed compares different work *)
   let row_of w =
@@ -532,7 +510,7 @@ let run_perf_sim () =
     let compiled = Codegen_fgpu.compile w.Suite.kernel in
     let launch () =
       time (fun () ->
-          Run_fgpu.run ~config:fgpu_config ~domains:exec_domains compiled
+          Run_fgpu.run ~config:fgpu_config compiled
             ~args:(w.Suite.mk_args ~size:gsize)
             ~global_size:(w.Suite.global_size ~size:gsize)
             ~local_size:(min w.Suite.local_size gsize)
@@ -608,25 +586,20 @@ let run_perf_sim () =
   let speedup_vs_seed = agg_cycles_per_s /. seed_fgpu_cycles_per_s in
   let wf_speedup_vs_pr4 = agg_wf_per_s /. pr4_fgpu_wf_instr_per_s in
   Printf.printf
-    "totals (4 CUs, %d exec domain(s)):\n\
+    "totals (4 CUs):\n\
     \  fgpu %.3e wf-insns/s | %.2fx vs interpreter baseline\n\
     \  fgpu %.3e cycles/s (derived) | %.2fx vs seed\n\
     \  rv32 %.3e cycles/s\n"
-    exec_domains agg_wf_per_s wf_speedup_vs_pr4 agg_cycles_per_s
+    agg_wf_per_s wf_speedup_vs_pr4 agg_cycles_per_s
     speedup_vs_seed
     (if rv_wall > 0.0 then rv_cycles /. rv_wall else 0.0);
   (* the same suite as a (kernel x CU) grid on the domain pool: the
      wall-clock face of Suite_runner, single timed region *)
-  let domains =
-    match Sys.getenv_opt "PERF_SIM_DOMAINS" with
-    | Some d -> max 1 (int_of_string d)
-    | None -> Ggpu_par.Parallel.default_domains ()
-  in
+  let domains = Ggpu_par.Parallel.default_domains () in
   let grid_jobs = Ggpu_kernels.Suite_runner.grid ~cu_counts:[ 1; 4 ] () in
   let (grid_results, _merged), grid_wall =
     time (fun () ->
-        Ggpu_kernels.Suite_runner.run ~domains ~sim_domains:exec_domains
-          grid_jobs)
+        Ggpu_kernels.Suite_runner.run ~domains grid_jobs)
   in
   let grid_cycles =
     List.fold_left
@@ -651,8 +624,7 @@ let run_perf_sim () =
      PERF_SIM_MAX_PMU_OVERHEAD on this number *)
   let (pmu_results, _), pmu_wall =
     time (fun () ->
-        Ggpu_kernels.Suite_runner.run ~domains ~sim_domains:exec_domains
-          ~pmu:true grid_jobs)
+        Ggpu_kernels.Suite_runner.run ~domains ~pmu:true grid_jobs)
   in
   let pmu_cycles =
     List.fold_left
@@ -694,7 +666,6 @@ let run_perf_sim () =
       [
         ("benchmark", String "simulator-throughput");
         ("fgpu_cus", Int 4);
-        ("fgpu_exec_domains", Int exec_domains);
         ("kernels", List (List.map kernel_obj rows));
         ( "totals",
           Obj
@@ -1093,7 +1064,6 @@ let experiments =
     ("fig6", run_fig6);
     ("ablation-dse", run_ablation_dse);
     ("ablation-mem", run_ablation_mem);
-    ("future-gmc", run_future_gmc);
     ("fi", run_fi);
     ("perf", run_perf);
     ("perf-place", run_perf_place);
@@ -1108,8 +1078,7 @@ let () =
     | _ ->
         [
           "table1"; "table2"; "table3"; "fig3"; "fig5"; "fig6"; "ablation-dse";
-          "ablation-mem"; "future-gmc"; "fi"; "perf"; "perf-place"; "perf-sim";
-          "serve";
+          "ablation-mem"; "fi"; "perf"; "perf-place"; "perf-sim"; "serve";
         ]
   in
   List.iter

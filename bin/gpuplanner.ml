@@ -89,7 +89,8 @@ let power_term =
   let doc = "Optional power budget in W." in
   Arg.(value & opt (some float) None & info [ "max-power" ] ~doc ~docv:"W")
 
-(* CU counts and sizes a launch would reject mid-run: checked before any
+(* CU counts, sizes and domain counts a launch would reject mid-run (or
+   a domain pool would quietly run on one domain): checked before any
    work, so a bad value ends in one error line, not an uncaught
    exception. *)
 let ( let* ) = Result.bind
@@ -103,6 +104,11 @@ let check_size = function
   | Some size when size < 1 ->
       Error (`Msg (Printf.sprintf "size %d: must be at least 1" size))
   | _ -> Ok ()
+
+(* [flag] names the option the count came from *)
+let check_domains flag d =
+  if d < 1 then Error (`Msg (Printf.sprintf "%s %d: must be at least 1" flag d))
+  else Ok ()
 
 let spec_of ~cus ~freq ~area ~power =
   try Ok (Spec.make ~max_area_mm2:area ~max_power_w:power ~num_cus:cus ~freq_mhz:freq ())
@@ -237,6 +243,7 @@ let layout_cmd =
     Arg.(value & flag & info [ "check-determinism" ] ~doc)
   in
   let run obs tech cus freq area power place place_domains check_det =
+    let* () = check_domains "place-domains" place_domains in
     match spec_of ~cus ~freq ~area ~power with
     | Error e -> Error e
     | Ok spec ->
@@ -267,7 +274,7 @@ let layout_cmd =
                     .Ggpu_layout.Place.floorplan
                 in
                 let domains_checked =
-                  List.sort_uniq Int.compare [ 1; 2; max 1 place_domains ]
+                  List.sort_uniq Int.compare [ 1; 2; place_domains ]
                 in
                 let mismatches =
                   List.filter
@@ -338,6 +345,7 @@ let versions_cmd =
     Arg.(value & opt int 667 & info [ "freq" ] ~doc ~docv:"MHZ")
   in
   let run obs tech cus_list freq place place_domains =
+    let* () = check_domains "place-domains" place_domains in
     with_obs obs @@ fun () ->
     match
       handle_dse_errors (fun () ->
@@ -394,6 +402,7 @@ let compare_cmd =
       & info [ "cus" ] ~doc ~docv:"N,..")
   in
   let run obs tech kernel cus_list sim_domains =
+    let* () = check_domains "domains" sim_domains in
     with_obs obs @@ fun () ->
     let workloads =
       match kernel with
@@ -449,6 +458,7 @@ let run_cmd =
   let run obs cus name size pmu sim_domains =
     let* () = check_cus [ cus ] in
     let* () = check_size size in
+    let* () = check_domains "domains" sim_domains in
     with_obs obs @@ fun () ->
     let w =
       try Ggpu_kernels.Suite.find name
@@ -554,6 +564,7 @@ let fi_cmd =
   let run obs cus kernel target trials seed size domains expect =
     let* () = check_cus [ cus ] in
     let* () = check_size size in
+    let* () = check_domains "domains" (Option.value domains ~default:1) in
     with_obs obs @@ fun () ->
     let w =
       try Ggpu_kernels.Suite.find kernel
@@ -624,11 +635,11 @@ let bench_cmd =
   in
   let run obs domains cus_list sim_domains =
     let* () = check_cus cus_list in
+    let* () = check_domains "domains" (Option.value domains ~default:1) in
+    let* () = check_domains "sim-domains" sim_domains in
     with_obs obs @@ fun () ->
     let domains =
-      match domains with
-      | Some d -> max 1 d
-      | None -> Ggpu_par.Parallel.default_domains ()
+      Option.value domains ~default:(Ggpu_par.Parallel.default_domains ())
     in
     Ggpu_obs.Trace.with_span "bench.suite"
       ~args:[ ("domains", string_of_int domains) ]
@@ -745,6 +756,8 @@ let perf_report_cmd =
   let run obs domains cus_list kernel out baseline max_regress max_overhead
       check stride sim_domains =
     let* () = check_cus cus_list in
+    let* () = check_domains "domains" (Option.value domains ~default:1) in
+    let* () = check_domains "sim-domains" sim_domains in
     match check with
     | Some file -> (
         match Ggpu_pmu.Report.validate_file file with
@@ -766,9 +779,7 @@ let perf_report_cmd =
                 exit 1)
         in
         let domains =
-          match domains with
-          | Some d -> max 1 d
-          | None -> Ggpu_par.Parallel.default_domains ()
+          Option.value domains ~default:(Ggpu_par.Parallel.default_domains ())
         in
         let jobs =
           Ggpu_kernels.Suite_runner.grid ~workloads ~cu_counts:cus_list ()
@@ -1078,6 +1089,7 @@ let serve_cmd =
   in
   let run obs socket domains cache_capacity queue_capacity recorder_capacity
       slow_ms =
+    let* () = check_domains "domains" (Option.value domains ~default:1) in
     with_obs obs @@ fun () ->
     let engine_config =
       {

@@ -7,7 +7,6 @@
 type t
 
 val create : Config.t -> stats:Stats.t -> t
-val line_of_addr : t -> addr:int -> int
 
 (** {2 Introspection} — architectural-state view for fault injection. *)
 

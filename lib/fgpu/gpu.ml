@@ -259,11 +259,12 @@ let pick_wavefront cu t =
    LEB128 varints (7 bits per byte, high bit set on every byte but the
    last).  Per issue: the pc; then one word packing the executed-lane
    count (low [lane_bits] bits), the coalesced line count (the next
-   [lane_bits]) and the outcome flags (above); then each line as its
-   index (byte address over line size).  A full-width issue with no
-   memory access and no flag takes two bytes.  Every field is
-   non-negative: a recorded stream comes from a record pass that did
-   not fault, so its lines passed the range check. *)
+   [lane_bits]) and, above them, the outcome's flag word as it is
+   ({!Wavefront}'s [f_*] bits); then each line as its index (byte
+   address over line size).  A full-width issue with no memory access
+   and no flag takes two bytes.  Every field is non-negative: a
+   recorded stream comes from a record pass that did not fault, so its
+   lines passed the range check. *)
 module Tbuf = struct
   type t = { mutable buf : Bytes.t; mutable len : int }
 
@@ -290,25 +291,6 @@ module Tbuf = struct
     end
     else put_slow buf p v
 
-  (* the outcome flags, above the lane and line counts in the meta word *)
-  let f_partial = 1
-  and f_store = 2
-  and f_div = 4
-  and f_mul = 8
-  and f_branch = 16
-  and f_barrier = 32
-  and f_retire = 64
-
-  (* an outcome's flags as one word, computed without a branch *)
-  let[@inline] flags_of (out : Wavefront.outcome) =
-    (Bool.to_int out.Wavefront.partial_mask * f_partial)
-    lor (Bool.to_int out.Wavefront.mem_is_store * f_store)
-    lor (Bool.to_int out.Wavefront.used_div * f_div)
-    lor (Bool.to_int out.Wavefront.used_mul * f_mul)
-    lor (Bool.to_int out.Wavefront.taken_branch * f_branch)
-    lor (Bool.to_int out.Wavefront.hit_barrier * f_barrier)
-    lor (Bool.to_int out.Wavefront.retired * f_retire)
-
   (* [lane_bits] holds any lane or line count of the launch *)
   let record b ~lane_bits ~line_bytes (out : Wavefront.outcome) =
     let nl = out.Wavefront.mem_line_count in
@@ -324,7 +306,7 @@ module Tbuf = struct
       ref
         (put buf p
            (out.Wavefront.executed_lanes lor (nl lsl lane_bits)
-           lor (flags_of out lsl (2 * lane_bits))))
+           lor (out.Wavefront.flags lsl (2 * lane_bits))))
     in
     for i = 0 to nl - 1 do
       p := put buf !p (out.Wavefront.mem_lines.(i) / line_bytes)
@@ -350,7 +332,7 @@ module Tbuf = struct
     if c < 0x80 then c else get_slow buf r (c land 0x7F) 7
 
   (* The fields of a meta word: the executed-lane count, the line
-     count and the outcome flags *)
+     count and the outcome's flag word *)
   let[@inline] lanes ~lane_bits meta = meta land ((1 lsl lane_bits) - 1)
 
   let[@inline] lines ~lane_bits meta =
@@ -361,7 +343,8 @@ module Tbuf = struct
   (* an issue with no memory line, barrier or retirement *)
   let[@inline] register_only ~lane_bits meta =
     lines ~lane_bits meta = 0
-    && flags ~lane_bits meta land (f_barrier lor f_retire) = 0
+    && flags ~lane_bits meta land (Wavefront.f_barrier lor Wavefront.f_retire)
+       = 0
 
   (* Decode the issue at the reader's position into [out], moving past
      it; the inverse of [record]. *)
@@ -371,14 +354,7 @@ module Tbuf = struct
     out.Wavefront.executed_lanes <- lanes ~lane_bits meta;
     let nl = lines ~lane_bits meta in
     out.Wavefront.mem_line_count <- nl;
-    let flags = flags ~lane_bits meta in
-    out.Wavefront.partial_mask <- flags land f_partial <> 0;
-    out.Wavefront.mem_is_store <- flags land f_store <> 0;
-    out.Wavefront.used_div <- flags land f_div <> 0;
-    out.Wavefront.used_mul <- flags land f_mul <> 0;
-    out.Wavefront.taken_branch <- flags land f_branch <> 0;
-    out.Wavefront.hit_barrier <- flags land f_barrier <> 0;
-    out.Wavefront.retired <- flags land f_retire <> 0;
+    out.Wavefront.flags <- flags ~lane_bits meta;
     for i = 0 to nl - 1 do
       out.Wavefront.mem_lines.(i) <- get buf r * line_bytes
     done
@@ -541,11 +517,12 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
               while not !stop do
                 issue_arch wf out;
                 Tbuf.record bufs.(i) ~lane_bits ~line_bytes out;
-                if out.Wavefront.hit_barrier then begin
+                let flags = out.Wavefront.flags in
+                if flags land Wavefront.f_barrier <> 0 then begin
                   wf.Wavefront.at_barrier <- true;
                   stop := true
                 end
-                else if out.Wavefront.retired then stop := true
+                else if flags land Wavefront.f_retire <> 0 then stop := true
               done
             end
           done;
@@ -711,14 +688,13 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
          matching the consed list the old issue path handed to the
          (stateful, order-sensitive) port arbiter; returns the latest
          completion. *)
-      let rec mem_loop now i acc =
+      let rec mem_loop now ~write i acc =
         if i < 0 then acc
         else
           let c =
-            Cache.access cache ~now ~addr:out.Wavefront.mem_lines.(i)
-              ~write:out.Wavefront.mem_is_store
+            Cache.access cache ~now ~addr:out.Wavefront.mem_lines.(i) ~write
           in
-          mem_loop now (i - 1) (if c > acc then c else acc)
+          mem_loop now ~write (i - 1) (if c > acc then c else acc)
       in
       (* a replay's streams (none in place), its read position in each
          and its reader *)
@@ -754,7 +730,8 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
               cursors.(s) <- rd.Tbuf.pos;
               (* memory already holds the record pass's writes; only the
                  scheduler-visible liveness needs maintaining *)
-              if out.Wavefront.retired then wf.Wavefront.live_lanes <- 0
+              if out.Wavefront.flags land Wavefront.f_retire <> 0 then
+                wf.Wavefront.live_lanes <- 0
       in
       (* The pc the wavefront's next issue will execute, read without
          mutating anything: the burst check consults [interactive] with
@@ -778,10 +755,10 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
       let watchdog = Option.is_some max_cycles in
       (* The timing update of every issue: the counters, the divider's
          hold on the vector pipeline, the mul and branch latency.
-         [flags] are the issue's [Tbuf] flags (a word, not booleans: the
-         lean step tests the bits of its meta word with no conversion);
-         [mem_done] is the latest completion of its memory lines, 0 when
-         it has none.  Returns the issue's completion. *)
+         [flags] is the issue's flag word, the outcome's or a meta
+         word's, which hold it alike; [mem_done] is the latest
+         completion of its memory lines, 0 when it has none.  Returns
+         the issue's completion. *)
       let div_latency = cfg.Config.div_latency
       and mul_latency = cfg.Config.mul_latency
       and branch_penalty = cfg.Config.branch_penalty
@@ -790,23 +767,23 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
           ~mem_done =
         stats.Stats.wf_instructions <- stats.Stats.wf_instructions + 1;
         stats.Stats.lane_instructions <- stats.Stats.lane_instructions + lanes;
-        if flags land Tbuf.f_partial <> 0 then
+        if flags land Wavefront.f_partial <> 0 then
           stats.Stats.divergent_issues <- stats.Stats.divergent_issues + 1;
         (* a division holds the CU's shared iterative divider (and with
            it the vector pipeline) for every active lane *)
         let busy =
-          if flags land Tbuf.f_div <> 0 then beats + (lanes * div_latency)
+          if flags land Wavefront.f_div <> 0 then beats + (lanes * div_latency)
           else beats
         in
         cu.vu_free <- t + busy + issue_overhead;
         stats.Stats.vu_busy_cycles <- stats.Stats.vu_busy_cycles + busy;
         let completion = Int.max (t + busy) mem_done in
         let completion =
-          if flags land Tbuf.f_mul <> 0 then completion + mul_latency
+          if flags land Wavefront.f_mul <> 0 then completion + mul_latency
           else completion
         in
         let completion =
-          if flags land Tbuf.f_branch <> 0 then completion + branch_penalty
+          if flags land Wavefront.f_branch <> 0 then completion + branch_penalty
           else completion
         in
         wf.Wavefront.ready_at <- completion;
@@ -871,20 +848,21 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
         let wf = Array.unsafe_get cu.wf_slots idx in
         let wg = Array.unsafe_get cu.wg_slots idx in
         issue_into wf out;
+        let flags = out.Wavefront.flags in
         let mem_done =
           if out.Wavefront.mem_line_count > 0 then begin
-            if out.Wavefront.mem_is_store then
-              stats.Stats.stores <- stats.Stats.stores + 1
+            let write = flags land Wavefront.f_store <> 0 in
+            if write then stats.Stats.stores <- stats.Stats.stores + 1
             else stats.Stats.loads <- stats.Stats.loads + 1;
-            mem_loop (t + beats) (out.Wavefront.mem_line_count - 1) 0
+            mem_loop (t + beats) ~write (out.Wavefront.mem_line_count - 1) 0
           end
           else 0
         in
         let completion =
-          time_issue cu wf t ~lanes:out.Wavefront.executed_lanes
-            ~flags:(Tbuf.flags_of out) ~mem_done
+          time_issue cu wf t ~lanes:out.Wavefront.executed_lanes ~flags
+            ~mem_done
         in
-        if out.Wavefront.hit_barrier then begin
+        if flags land Wavefront.f_barrier <> 0 then begin
           stats.Stats.barriers <- stats.Stats.barriers + 1;
           wf.Wavefront.at_barrier <- true;
           wg.barrier_waiting <- wg.barrier_waiting + 1;
@@ -897,7 +875,7 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
             release_barrier cu wg ~now:completion;
           pmu_occupancy cu ~now:completion
         end;
-        if out.Wavefront.retired then begin
+        if flags land Wavefront.f_retire <> 0 then begin
           wg.finished_wfs <- wg.finished_wfs + 1;
           if wg.finished_wfs = Array.length wg.wavefronts then begin
             stats.Stats.workgroups <- stats.Stats.workgroups + 1;
@@ -914,14 +892,15 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
              this issue's completion waits on, for the next gap. *)
           Ggpu_pmu.Pmu.on_issue pmu_c ~cu:cu.cu_id ~now:t
             ~busy:(cu.vu_free - t)
-            ~pc:out.Wavefront.pc ~divergent:out.Wavefront.partial_mask
+            ~pc:out.Wavefront.pc
+            ~divergent:(flags land Wavefront.f_partial <> 0)
             ~stall:wf.Wavefront.stall_kind;
           wf.Wavefront.stall_kind <-
-            (if out.Wavefront.hit_barrier then Ggpu_pmu.Pmu.sk_barrier
+            (if flags land Wavefront.f_barrier <> 0 then Ggpu_pmu.Pmu.sk_barrier
              else if out.Wavefront.mem_line_count > 0 then
                Ggpu_pmu.Pmu.sk_of_mem_class (Cache.take_access_class cache)
              else Ggpu_pmu.Pmu.sk_latency);
-          if out.Wavefront.retired then
+          if flags land Wavefront.f_retire <> 0 then
             Ggpu_pmu.Pmu.wf_span ~cu:cu.cu_id ~wg:wf.Wavefront.wg_id
               ~wf:wf.Wavefront.wf_index
               ~dispatched:wf.Wavefront.dispatched_at ~retired:completion

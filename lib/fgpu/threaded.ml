@@ -44,9 +44,10 @@
    loops").  [compile] picks a pc's loop once, so one closure per shape
    serves every operator.
 
-   Per-issue outcome flags that depend only on the instruction
-   (store/div/mul) live in a side table consulted by {!issue} rather
-   than in the closures, keeping the closures pure lane loops.
+   {!issue} starts the outcome's flag word from the pc's
+   {!Wavefront.static_flags} (a per-pc table) and the partial bit; a
+   closure adds only what its lanes decide: a conditional branch its
+   taken bit, [ret] the retire bit.
 
    Wavefront-uniform values.  Loop counters, bounds, base addresses and
    broadcast loads are the same in all 64 lanes, yet a lane loop
@@ -82,7 +83,7 @@ type op = Wavefront.t -> Wavefront.outcome -> unit
 type t = {
   dense : op array;
   sparse : op array;
-  flags : int array;  (* bit 0 = store, bit 1 = div, bit 2 = mul *)
+  flags : int array;  (* per pc: {!Wavefront.static_flags} *)
   keep : int array;
       (* per pc: the [uniform] bits a sparse issue leaves set (all but
          the destination's) *)
@@ -212,6 +213,11 @@ let alu_once (wf : Wavefront.t) op src dbit o1 b od n =
     false
   end
 
+(* Raise the outcome's branch bit when some lane took the branch. *)
+let[@inline] set_taken (out : Wavefront.outcome) taken =
+  out.Wavefront.flags <-
+    out.Wavefront.flags lor (Bool.to_int taken * Wavefront.f_branch)
+
 (* A dense branch on uniform operands: one comparison decides every
    lane, the outcome is uniform, and [pcs] stays stale. *)
 let branch_once (wf : Wavefront.t) (out : Wavefront.outcome) c o1 o2 target
@@ -221,7 +227,7 @@ let branch_once (wf : Wavefront.t) (out : Wavefront.outcome) c o1 o2 target
     Wavefront.cond_holds c (Array.unsafe_get regs o1) (Array.unsafe_get regs o2)
   in
   wf.Wavefront.conv_pc <- (if taken then target else next);
-  out.Wavefront.taken_branch <- taken
+  set_taken out taken
 
 (* Taken-lane count of a dense branch on non-uniform sources. *)
 
@@ -474,10 +480,7 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
   for pc = 0 to n - 1 do
     let d = dprog.(pc) in
     let next = pc + 1 in
-    flags.(pc) <-
-      (if d.Fgpu_predecode.is_store then 1 else 0)
-      lor (if d.Fgpu_predecode.uses_div then 2 else 0)
-      lor if d.Fgpu_predecode.uses_mul then 4 else 0;
+    flags.(pc) <- Wavefront.static_flags d;
     let dbit = Wavefront.written_bit d in
     keep.(pc) <- lnot dbit;
     let dn, sp =
@@ -666,7 +669,7 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
                       wf.Wavefront.conv_pc <- -1;
                       set_split_sel wf target next tk size
                     end;
-                    out.Wavefront.taken_branch <- tk > 0
+                    set_taken out (tk > 0)
                   end
             | c ->
                 fun wf out ->
@@ -682,27 +685,22 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
                       w_gen c regs wf.Wavefront.pcs o1 o2 target next 0 size;
                       set_split_sel wf target next tk size
                     end;
-                    out.Wavefront.taken_branch <- tk > 0
+                    set_taken out (tk > 0)
                   end
           in
           let sp : op =
            fun wf out ->
-            out.Wavefront.taken_branch <-
-              sb_gen c wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
-                next 0 size false Wavefront.done_pc 0
+            set_taken out
+              (sb_gen c wf wf.Wavefront.regs wf.Wavefront.pcs pc o1 o2 target
+                 next 0 size false Wavefront.done_pc 0)
           in
           (dn, sp)
       | Fgpu_predecode.KJump ->
           let target = d.Fgpu_predecode.imm in
-          let dn : op =
-           fun wf out ->
-            wf.Wavefront.conv_pc <- target;
-            out.Wavefront.taken_branch <- true
-          in
+          let dn : op = fun wf _ -> wf.Wavefront.conv_pc <- target in
           let sp : op =
-           fun wf out ->
-            s_retarget wf wf.Wavefront.pcs pc target 0 size Wavefront.done_pc 0;
-            out.Wavefront.taken_branch <- true
+           fun wf _ ->
+            s_retarget wf wf.Wavefront.pcs pc target 0 size Wavefront.done_pc 0
           in
           (dn, sp)
       | Fgpu_predecode.KSpecial ->
@@ -764,32 +762,31 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           in
           (dn, sp)
       | Fgpu_predecode.KBarrier ->
-          let dn : op =
-           fun wf out ->
-            wf.Wavefront.conv_pc <- next;
-            out.Wavefront.hit_barrier <- true
-          in
+          let dn : op = fun wf _ -> wf.Wavefront.conv_pc <- next in
           let sp : op =
-           fun wf out ->
-            s_retarget wf wf.Wavefront.pcs pc next 0 size Wavefront.done_pc 0;
-            out.Wavefront.hit_barrier <- true
+           fun wf _ ->
+            s_retarget wf wf.Wavefront.pcs pc next 0 size Wavefront.done_pc 0
           in
           (dn, sp)
       | Fgpu_predecode.KRet ->
+          (* the only issue that retires lanes *)
           let dn : op =
-           fun wf _ ->
+           fun wf out ->
             Array.fill wf.Wavefront.pcs 0 size Wavefront.done_pc;
             wf.Wavefront.conv_pc <- -1;
             wf.Wavefront.sel_pc <- Wavefront.done_pc;
             wf.Wavefront.sel_cnt <- size;
             wf.Wavefront.sel_valid <- true;
-            wf.Wavefront.live_lanes <- 0
+            wf.Wavefront.live_lanes <- 0;
+            out.Wavefront.flags <- out.Wavefront.flags lor Wavefront.f_retire
           in
           let sp : op =
            fun wf out ->
             s_retarget wf wf.Wavefront.pcs pc Wavefront.done_pc 0 size Wavefront.done_pc 0;
-            wf.Wavefront.live_lanes <-
-              wf.Wavefront.live_lanes - out.Wavefront.executed_lanes
+            let live = wf.Wavefront.live_lanes - out.Wavefront.executed_lanes in
+            wf.Wavefront.live_lanes <- live;
+            if live = 0 then
+              out.Wavefront.flags <- out.Wavefront.flags lor Wavefront.f_retire
           in
           (dn, sp)
     in
@@ -798,27 +795,23 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
   done;
   { dense; sparse; flags; keep; prog_len = n }
 
-(* Issue prologue/epilogue: pick the pc, validate it, reset the outcome
-   record, run the compiled lane loop, record retirement. *)
+(* Issue prologue: pick the pc, validate it, reset the outcome record
+   (the flag word to the pc's static bits and the partial bit, set
+   without a branch), run the compiled lane loop. *)
 let issue (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) : unit =
   assert (not (Wavefront.finished wf));
   Wavefront.select_pc wf out;
   let pc = out.Wavefront.pc in
   if pc < 0 || pc >= th.prog_len then fault "pc %d outside program" pc;
-  let f = Array.unsafe_get th.flags pc in
   out.Wavefront.mem_line_count <- 0;
-  out.Wavefront.mem_is_store <- f land 1 <> 0;
-  out.Wavefront.used_div <- f land 2 <> 0;
-  out.Wavefront.used_mul <- f land 4 <> 0;
-  out.Wavefront.taken_branch <- false;
-  out.Wavefront.hit_barrier <- false;
-  out.Wavefront.partial_mask <-
-    out.Wavefront.executed_lanes < wf.Wavefront.live_lanes;
-  (if wf.Wavefront.conv_pc >= 0 then (Array.unsafe_get th.dense pc) wf out
-   else begin
-     (* the sparse loops write only some lanes *)
-     wf.Wavefront.uniform <-
-       wf.Wavefront.uniform land Array.unsafe_get th.keep pc;
-     (Array.unsafe_get th.sparse pc) wf out
-   end);
-  out.Wavefront.retired <- Wavefront.finished wf
+  out.Wavefront.flags <-
+    Array.unsafe_get th.flags pc
+    lor (Bool.to_int (out.Wavefront.executed_lanes < wf.Wavefront.live_lanes)
+         * Wavefront.f_partial);
+  if wf.Wavefront.conv_pc >= 0 then (Array.unsafe_get th.dense pc) wf out
+  else begin
+    (* the sparse loops write only some lanes *)
+    wf.Wavefront.uniform <-
+      wf.Wavefront.uniform land Array.unsafe_get th.keep pc;
+    (Array.unsafe_get th.sparse pc) wf out
+  end

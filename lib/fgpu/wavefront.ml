@@ -108,6 +108,17 @@ type t = {
   mutable dispatched_at : int; (* cycle the wavefront's CU adopted it *)
 }
 
+(* An issue's flags, one bit each in the outcome's [flags] word.  The
+   replay trace stores the word as it is, so these values are part of
+   its format. *)
+let f_partial = 1 (* fewer lanes than live: a divergent issue *)
+and f_store = 2
+and f_div = 4
+and f_mul = 8
+and f_branch = 16 (* a jump, or a branch some lane took *)
+and f_barrier = 32
+and f_retire = 64 (* the whole wavefront finished *)
+
 (* What an issue did, so the scheduler can cost it.  One record is
    allocated per [Gpu.run] and reused across every issue; [mem_lines]
    holds the first [mem_line_count] coalesced line base addresses in
@@ -115,31 +126,35 @@ type t = {
 type outcome = {
   mutable pc : int; (* program counter the issue executed *)
   mutable executed_lanes : int;
-  mutable partial_mask : bool;
+  mutable flags : int; (* the [f_*] bits *)
   mem_lines : int array; (* coalesced line base addresses (bytes) *)
   mutable mem_line_count : int;
-  mutable mem_is_store : bool;
-  mutable used_div : bool;
-  mutable used_mul : bool;
-  mutable taken_branch : bool;
-  mutable hit_barrier : bool;
-  mutable retired : bool; (* whole wavefront finished *)
 }
 
 let make_outcome ~max_lanes =
   {
     pc = 0;
     executed_lanes = 0;
-    partial_mask = false;
+    flags = 0;
     mem_lines = Array.make (max 1 max_lanes) 0;
     mem_line_count = 0;
-    mem_is_store = false;
-    used_div = false;
-    used_mul = false;
-    taken_branch = false;
-    hit_barrier = false;
-    retired = false;
   }
+
+(* The flags an instruction sets whatever its lanes do: all but the
+   partial, taken-branch and retire bits, which depend on the lanes. *)
+let static_flags (d : Fgpu_predecode.t) =
+  match d.Fgpu_predecode.kind with
+  | Fgpu_predecode.KSw -> f_store
+  | Fgpu_predecode.KAlu | Fgpu_predecode.KAlui -> (
+      match d.Fgpu_predecode.aop with
+      | Fgpu_isa.Div | Fgpu_isa.Rem -> f_div
+      | Fgpu_isa.Mul -> f_mul
+      | _ -> 0)
+  | Fgpu_predecode.KJump -> f_branch
+  | Fgpu_predecode.KBarrier -> f_barrier
+  | Fgpu_predecode.KLoadImm | Fgpu_predecode.KLw | Fgpu_predecode.KBranch
+  | Fgpu_predecode.KSpecial | Fgpu_predecode.KRet ->
+      0
 
 (* Lanes of wavefront [wf_index] inside both the workgroup and the
    global range: a prefix of its [size] lanes, possibly empty. *)

@@ -9,7 +9,10 @@
     Registers and memory are native [int array]s holding canonical
     {!Ggpu_isa.I32} values, with no box per element; an issue writes a
     reusable [outcome] scratch record, so the steady-state issue path
-    allocates nothing.  The register file is the one large allocation
+    allocates nothing.  The outcome carries the issue's flags as one
+    word of [f_*] bits, defined here and nowhere else: the lane engine
+    writes it, the replay trace stores it as it is, and the timing
+    model tests its bits.  The register file is the one large allocation
     per wavefront; a scheduler can recycle it through {!create}'s
     [reuse], and a replay, which takes its issues from a trace, builds
     {!timing_only} wavefronts that have none. *)
@@ -68,20 +71,35 @@ type t = {
   mutable dispatched_at : int;  (** cycle the wavefront's CU adopted it *)
 }
 
+(** {2 Issue flags}
+
+    One bit each in an outcome's [flags] word: an issue of fewer lanes
+    than live (divergent), a store, the divider, the multiplier, a jump
+    or a conditional branch some lane took, a barrier, and the issue
+    that retired the wavefront's last lanes.  The replay trace ({!Gpu})
+    stores the word as it is, so the values are part of its format. *)
+
+val f_partial : int
+val f_store : int
+val f_div : int
+val f_mul : int
+val f_branch : int
+val f_barrier : int
+val f_retire : int
+
+val static_flags : Ggpu_isa.Fgpu_predecode.t -> int
+(** The bits an instruction sets whatever its lanes do: store, div,
+    mul, branch for a jump and barrier.  The lane engine adds the
+    partial, conditional-branch and retire bits per issue. *)
+
 type outcome = {
   mutable pc : int;  (** program counter the issue executed *)
   mutable executed_lanes : int;
-  mutable partial_mask : bool;  (** fewer lanes than live: a divergent issue *)
+  mutable flags : int;  (** the issue's [f_*] bits *)
   mem_lines : int array;
       (** coalesced line base addresses (bytes), first-touch order; only
           the first [mem_line_count] entries are meaningful *)
   mutable mem_line_count : int;
-  mutable mem_is_store : bool;
-  mutable used_div : bool;
-  mutable used_mul : bool;
-  mutable taken_branch : bool;
-  mutable hit_barrier : bool;
-  mutable retired : bool;
 }
 
 val make_outcome : max_lanes:int -> outcome

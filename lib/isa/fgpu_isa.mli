@@ -37,8 +37,6 @@ type t =
   | Barrier
   | Ret
 
-val num_regs : int
-
 val validate : t -> unit
 (** @raise Invalid_argument on out-of-range registers. *)
 

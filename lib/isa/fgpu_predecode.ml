@@ -5,11 +5,10 @@
    lane-group per issue re-discriminates the same instruction millions
    of times, and the boxed [int32] immediates allocate on every read.
    The simulator instead decodes the program once into this flat record:
-   every field is an immediate (constant constructors, ints, bools), the
-   per-instruction properties the scheduler needs (store? uses the
-   divider? the multiplier?) are precomputed, and immediates are
-   converted to the canonical native-int representation ({!I32}) up
-   front — [Lui]'s shift included, so issue just writes [imm]. *)
+   every field is an immediate (constant constructors and ints), and
+   immediates are converted to the canonical native-int representation
+   ({!I32}) up front — [Lui]'s shift included, so issue just writes
+   [imm]. *)
 
 type kind =
   | KAlu
@@ -32,9 +31,6 @@ type t = {
   rs1 : int;
   rs2 : int;
   imm : int; (* canonical i32 immediate / byte offset / target index *)
-  is_store : bool;
-  uses_div : bool;
-  uses_mul : bool;
 }
 
 let nop_like kind =
@@ -47,39 +43,20 @@ let nop_like kind =
     rs1 = 0;
     rs2 = 0;
     imm = 0;
-    is_store = false;
-    uses_div = false;
-    uses_mul = false;
   }
 
 let of_insn (insn : Fgpu_isa.t) =
   match insn with
   | Fgpu_isa.Alu (op, rd, rs1, rs2) ->
-      {
-        (nop_like KAlu) with
-        aop = op;
-        rd;
-        rs1;
-        rs2;
-        uses_div = (match op with Fgpu_isa.Div | Fgpu_isa.Rem -> true | _ -> false);
-        uses_mul = (match op with Fgpu_isa.Mul -> true | _ -> false);
-      }
+      { (nop_like KAlu) with aop = op; rd; rs1; rs2 }
   | Fgpu_isa.Alui (op, rd, rs1, imm) ->
-      {
-        (nop_like KAlui) with
-        aop = op;
-        rd;
-        rs1;
-        imm = I32.of_int32 imm;
-        uses_div = (match op with Fgpu_isa.Div | Fgpu_isa.Rem -> true | _ -> false);
-        uses_mul = (match op with Fgpu_isa.Mul -> true | _ -> false);
-      }
+      { (nop_like KAlui) with aop = op; rd; rs1; imm = I32.of_int32 imm }
   | Fgpu_isa.Lui (rd, imm) ->
       { (nop_like KLoadImm) with rd; imm = I32.sll (I32.of_int32 imm) 16 }
   | Fgpu_isa.Li (rd, imm) -> { (nop_like KLoadImm) with rd; imm = I32.of_int32 imm }
   | Fgpu_isa.Lw (rd, rs1, off) -> { (nop_like KLw) with rd; rs1; imm = off }
   | Fgpu_isa.Sw (rs2, rs1, off) ->
-      { (nop_like KSw) with rd = rs2; rs1; imm = off; is_store = true }
+      { (nop_like KSw) with rd = rs2; rs1; imm = off }
   | Fgpu_isa.Branch (c, rs1, rs2, off) ->
       { (nop_like KBranch) with cnd = c; rs1; rd = rs2; imm = off }
   | Fgpu_isa.Jump target -> { (nop_like KJump) with imm = target }

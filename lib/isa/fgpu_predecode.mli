@@ -1,5 +1,5 @@
 (** Predecoded G-GPU instructions: [Fgpu_isa.t] flattened once into a
-    record of immediates (constant constructors, ints, bools) so the
+    record of immediates (constant constructors and ints) so the
     simulator's issue loop neither re-discriminates the variant per
     lane-group nor touches a boxed [int32]. Immediates are canonical
     {!I32} native ints, with [Lui]'s shift pre-applied. *)
@@ -25,9 +25,6 @@ type t = {
   rs1 : int;
   rs2 : int;
   imm : int;  (** canonical i32 immediate / byte offset / target index *)
-  is_store : bool;
-  uses_div : bool;
-  uses_mul : bool;
 }
 
 val of_program : Fgpu_isa.t array -> t array

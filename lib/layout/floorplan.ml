@@ -33,35 +33,18 @@ type t = {
 
 let centre r = (r.x +. (r.w /. 2.0), r.y +. (r.h /. 2.0))
 
-(* All placed copies of a region ("gmc" may be replicated as "gmc#1",
-   "gmc#2", ... under the future-work floorplan). *)
-let region_centres t region =
-  List.filter_map
+let region_centre t region =
+  List.find_map
     (fun p ->
-      let name = p.part_name in
-      let is_copy =
-        String.equal name region
-        || String.length name > String.length region
-           && String.sub name 0 (String.length region) = region
-           && name.[String.length region] = '#'
-      in
-      if is_copy then Some (centre p.rect) else None)
+      if String.equal p.part_name region then Some (centre p.rect) else None)
     t.partitions
 
-(* Manhattan distance between two regions, in mm; a net to a replicated
-   region reaches its nearest copy. *)
+(* Manhattan distance between two regions' centres, in mm; 0 when either
+   has no partition. *)
 let distance t ~from_ ~to_ =
-  let froms = region_centres t from_ and tos = region_centres t to_ in
-  match (froms, tos) with
-  | [], _ | _, [] -> 0.0
-  | _ ->
-      List.fold_left
-        (fun acc (x1, y1) ->
-          List.fold_left
-            (fun acc (x2, y2) ->
-              Float.min acc (abs_float (x1 -. x2) +. abs_float (y1 -. y2)))
-            acc tos)
-        infinity froms
+  match (region_centre t from_, region_centre t to_) with
+  | Some (x1, y1), Some (x2, y2) -> abs_float (x1 -. x2) +. abs_float (y1 -. y2)
+  | _ -> 0.0
 
 let cu_density = 0.70
 let top_density = 0.30
@@ -107,12 +90,7 @@ let macros_by_region netlist =
 let footprint area ~density =
   (area.Area.logic_mm2 /. density) +. area.Area.memory_mm2
 
-(* [gmc_copies = 2] implements the paper's future-work proposal:
-   replicate the general memory controller so each half of the CU stack
-   talks to a nearby copy, shortening the worst CU-GMC route. *)
-let build ?(gmc_copies = 1) tech netlist ~num_cus =
-  if gmc_copies < 1 || gmc_copies > 4 then
-    invalid_arg "Floorplan.build: gmc_copies outside 1..4";
+let build tech netlist ~num_cus =
   let cu_regions = List.init num_cus (fun i -> Printf.sprintf "cu%d" i) in
   let area_of = Area.by_region tech netlist in
   let cu_areas = List.map area_of cu_regions in
@@ -147,15 +125,10 @@ let build ?(gmc_copies = 1) tech netlist ~num_cus =
         h = cu_h;
       }
   in
-  let gmc_h = gmc_fp /. centre_w /. float_of_int gmc_copies in
-  let gmc_rects =
-    (* one copy at the centre; several spread evenly along the column *)
-    List.init gmc_copies (fun k ->
-        let centre_y =
-          die_h *. (float_of_int (2 * k) +. 1.0)
-          /. float_of_int (2 * gmc_copies)
-        in
-        { x = cu_w; y = centre_y -. (gmc_h /. 2.0); w = centre_w; h = gmc_h })
+  (* the GMC at the centre of the column *)
+  let gmc_h = gmc_fp /. centre_w in
+  let gmc_rect =
+    { x = cu_w; y = (die_h /. 2.0) -. (gmc_h /. 2.0); w = centre_w; h = gmc_h }
   in
   let top_rect = { x = cu_w; y = 0.0; w = centre_w; h = die_h } in
   let macros_of = macros_by_region netlist in
@@ -163,19 +136,11 @@ let build ?(gmc_copies = 1) tech netlist ~num_cus =
     let macro_count, divided_macros = macros_of region in
     { part_name = name; rect; area; macro_count; divided_macros }
   in
-  let gmc_parts =
-    List.mapi
-      (fun k rect ->
-        let name = if k = 0 then "gmc" else Printf.sprintf "gmc#%d" k in
-        part name rect gmc_area "gmc")
-      gmc_rects
-  in
   let partitions =
     List.mapi
       (fun i region -> part region (cu_rect i) (List.nth cu_areas i) region)
       cu_regions
-    @ gmc_parts
-    @ [ part "top" top_rect top_area "top" ]
+    @ [ part "gmc" gmc_rect gmc_area "gmc"; part "top" top_rect top_area "top" ]
   in
   {
     design = Ggpu_hw.Netlist.name netlist;

@@ -5,7 +5,7 @@
 type rect = { x : float; y : float; w : float; h : float }  (** mm *)
 
 type partition = {
-  part_name : string;  (** "cu0".."cu7", "gmc" (or "gmc#k"), "top" *)
+  part_name : string;  (** "cu0".."cu7", "gmc", "top" *)
   rect : rect;
   area : Ggpu_synth.Area.t;
   macro_count : int;
@@ -26,14 +26,10 @@ val top_density : float
 (** 0.30, the paper's sparse top partition. *)
 
 val distance : t -> from_:string -> to_:string -> float
-(** Manhattan distance in mm; a net to a replicated region reaches its
-    nearest copy. *)
+(** Manhattan distance between two regions' centres in mm; 0 when
+    either has no partition. *)
 
-val build :
-  ?gmc_copies:int -> Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> num_cus:int -> t
-(** [gmc_copies > 1] implements the paper's future-work proposal of
-    replicating the general memory controller.
-    @raise Invalid_argument if [gmc_copies] is outside 1..4. *)
+val build : Ggpu_tech.Tech.t -> Ggpu_hw.Netlist.t -> num_cus:int -> t
 
 val die_area_mm2 : t -> float
 val worst_cu_gmc_distance_mm : t -> float

@@ -242,15 +242,15 @@ let legalize ~n ~bw ~bh ~fixed xs ys =
 
 let default_iterations = 600
 
-let place ?(domains = 1) ?(iterations = default_iterations) ?gmc_copies tech
-    netlist ~num_cus =
+let place ?(domains = 1) ?(iterations = default_iterations) tech netlist
+    ~num_cus =
   Ggpu_obs.Trace.with_span "layout.place"
     ~args:[ ("cus", string_of_int num_cus) ]
   @@ fun () ->
   Ggpu_obs.Metrics.count "layout.place.calls" 1;
   (* the estimator floorplan supplies partition inventory, areas and
      footprints; only the geometry is re-derived *)
-  let fp0 = Floorplan.build ?gmc_copies tech netlist ~num_cus in
+  let fp0 = Floorplan.build tech netlist ~num_cus in
   let parts = Array.of_list fp0.Floorplan.partitions in
   let n = Array.length parts in
   let index = Hashtbl.create n in
@@ -275,10 +275,8 @@ let place ?(domains = 1) ?(iterations = default_iterations) ?gmc_copies tech
       let _, h = shape ~aspect fp_area in
       bw.(i) <- aspect *. h;
       bh.(i) <- h;
-      (* the GMC column (and its future-work copies) stays anchored *)
-      fixed.(i) <-
-        String.equal name "gmc"
-        || (String.length name > 3 && String.sub name 0 4 = "gmc#"))
+      (* the GMC column stays anchored at the origin *)
+      fixed.(i) <- String.equal name "gmc")
     parts;
   let weights = pair_weights netlist ~index ~n in
   (* clustered initialisation around the anchor, eplace-style: movable
@@ -287,27 +285,14 @@ let place ?(domains = 1) ?(iterations = default_iterations) ?gmc_copies tech
      interesting basin *)
   let anchor_r = Array.fold_left Float.max 0.0 bw /. 4.0 in
   let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
-  let fixed_at = Array.make n (0.0, 0.0) in
-  let next_gmc = ref 0 in
-  Array.iteri
-    (fun i p ->
-      if fixed.(i) then begin
-        (* anchored copies spread along y, first copy at the origin *)
-        let k = !next_gmc in
-        incr next_gmc;
-        let y = float_of_int k *. (bh.(i) +. (0.1 *. bh.(i))) in
-        xs.(i) <- 0.0;
-        ys.(i) <- y;
-        fixed_at.(i) <- (0.0, y)
-      end
-      else begin
-        let t = float_of_int (i + 1) in
-        xs.(i) <- anchor_r *. cos (2.399963 *. t);
-        (* golden angle *)
-        ys.(i) <- anchor_r *. sin (2.399963 *. t)
-      end;
-      ignore p)
-    parts;
+  for i = 0 to n - 1 do
+    if not fixed.(i) then begin
+      let t = float_of_int (i + 1) in
+      xs.(i) <- anchor_r *. cos (2.399963 *. t);
+      (* golden angle *)
+      ys.(i) <- anchor_r *. sin (2.399963 *. t)
+    end
+  done;
   let wl_init = manhattan_wl ~weights ~n xs ys in
   (* gradient fan-out: blocks are split into [Pool.size] contiguous
      chunks; each chunk's gradients are computed by one task in index
@@ -394,25 +379,14 @@ let place ?(domains = 1) ?(iterations = default_iterations) ?gmc_copies tech
         ux.(i) <- nx;
         uy.(i) <- ny
       end
-      else begin
-        let fx, fy = fixed_at.(i) in
-        xs.(i) <- fx;
-        ys.(i) <- fy
-      end
     done;
     a := a';
     lambda := !lambda *. 1.015
   done;
-  (* descend to the last proximal iterate (not the extrapolated one) *)
+  (* descend to the last proximal iterate (not the extrapolated one);
+     the anchor, never moved, is still at the origin *)
   Array.blit ux 0 xs 0 n;
   Array.blit uy 0 ys 0 n;
-  for i = 0 to n - 1 do
-    if fixed.(i) then begin
-      let fx, fy = fixed_at.(i) in
-      xs.(i) <- fx;
-      ys.(i) <- fy
-    end
-  done;
   let block_area =
     let s = ref 0.0 in
     for i = 0 to n - 1 do

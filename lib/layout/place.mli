@@ -30,13 +30,10 @@ val default_iterations : int
 val place :
   ?domains:int ->
   ?iterations:int ->
-  ?gmc_copies:int ->
   Ggpu_tech.Tech.t ->
   Ggpu_hw.Netlist.t ->
   num_cus:int ->
   t
 (** Place the partition grid.  [domains] (default 1) fans the gradient
     evaluation over a {!Ggpu_par.Parallel.Pool} without affecting the result;
-    [iterations] (default {!default_iterations}) bounds the descent;
-    [gmc_copies] is forwarded to {!Floorplan.build} for the anchored
-    partition inventory. *)
+    [iterations] (default {!default_iterations}) bounds the descent. *)

@@ -57,16 +57,13 @@ let bucket_names =
 
 (* Stall kinds are the bucket ids of the stall rows, so the simulator
    can store one per wavefront and [on_issue] indexes directly. *)
-let sk_mem_hit = b_stall_mem_hit
-let sk_mem_miss = b_stall_mem_miss
-let sk_mem_axi = b_stall_mem_axi
 let sk_barrier = b_stall_barrier
 let sk_latency = b_stall_latency
 
 let sk_of_mem_class = function
-  | 0 -> sk_mem_hit
-  | 1 -> sk_mem_miss
-  | _ -> sk_mem_axi
+  | 0 -> b_stall_mem_hit
+  | 1 -> b_stall_mem_miss
+  | _ -> b_stall_mem_axi
 
 type t = {
   num_cus : int;

@@ -30,7 +30,6 @@ type t
       latencies (multiplier, branch penalty, dispatch);
     - [idle_empty] — cycles after the CU drained (no resident work). *)
 
-val n_buckets : int
 val bucket_names : string array
 
 (** {1 Stall kinds}
@@ -40,9 +39,6 @@ val bucket_names : string array
     are the corresponding stall-bucket indices, so {!on_issue} charges
     idle gaps with a single array index. *)
 
-val sk_mem_hit : int
-val sk_mem_miss : int
-val sk_mem_axi : int
 val sk_barrier : int
 val sk_latency : int
 
@@ -99,7 +95,8 @@ type summary = {
   s_cycles : int;
   s_stride : int;
   s_samples : int;  (** total hot-PC samples taken *)
-  s_buckets : int array array;  (** per CU, [n_buckets] cells each *)
+  s_buckets : int array array;
+      (** per CU, one cell per {!bucket_names} entry *)
   s_hot : (int * string * int) list;
       (** (pc, disassembly, samples), hottest first, ties by pc *)
 }

@@ -14,6 +14,11 @@
    before validating the address, so a bad access raises after the
    lines the timing model must still see.
 
+   The outcome's flag word is derived here from the instruction's
+   [kind] and operator and from what its lanes do, bit by bit, not
+   through {!Ggpu_fgpu.Wavefront.static_flags}, so a differential run
+   checks the production derivation too.
+
    Tests run a launch through this engine with {!Gpu.with_issue}. *)
 
 open Ggpu_isa
@@ -31,16 +36,20 @@ let issue (dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
   let lanes = Array.fold_left (fun n p -> if p = pc then n + 1 else n) 0 pcs in
   out.Wavefront.pc <- pc;
   out.Wavefront.executed_lanes <- lanes;
-  out.Wavefront.partial_mask <- lanes < wf.Wavefront.live_lanes;
+  out.Wavefront.flags <-
+    (if lanes < wf.Wavefront.live_lanes then Wavefront.f_partial else 0);
   if pc < 0 || pc >= Array.length dprog then
     raise (Wavefront.Fault (Printf.sprintf "pc %d outside program" pc));
   let d = dprog.(pc) in
   out.Wavefront.mem_line_count <- 0;
-  out.Wavefront.mem_is_store <- d.Fgpu_predecode.is_store;
-  out.Wavefront.used_div <- d.Fgpu_predecode.uses_div;
-  out.Wavefront.used_mul <- d.Fgpu_predecode.uses_mul;
-  out.Wavefront.taken_branch <- false;
-  out.Wavefront.hit_barrier <- false;
+  let set_flag f = out.Wavefront.flags <- out.Wavefront.flags lor f in
+  (* the unit an ALU lane occupies beyond the vector pipeline *)
+  let unit_flag =
+    match d.Fgpu_predecode.aop with
+    | Fgpu_isa.Mul -> Wavefront.f_mul
+    | Fgpu_isa.Div | Fgpu_isa.Rem -> Wavefront.f_div
+    | _ -> 0
+  in
   let reg r lane = if r = 0 then 0 else regs.((r * size) + lane) in
   let set r lane v = if r <> 0 then regs.((r * size) + lane) <- v in
   (* the word a load or store of this lane touches *)
@@ -58,17 +67,19 @@ let issue (dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
     | Fgpu_isa.Gsize -> wf.Wavefront.global_size
   in
   let rd = d.Fgpu_predecode.rd and next = pc + 1 in
-  (* one lane's effect; returns the lane's next pc.  [rd] names the
-     second source of a store or branch. *)
+  (* one lane's effect and the flags it sets; returns the lane's next
+     pc.  [rd] names the second source of a store or branch. *)
   let exec lane =
     match d.Fgpu_predecode.kind with
     | Fgpu_predecode.KAlu ->
+        set_flag unit_flag;
         set rd lane
           (Wavefront.alu d.Fgpu_predecode.aop
              (reg d.Fgpu_predecode.rs1 lane)
              (reg d.Fgpu_predecode.rs2 lane));
         next
     | Fgpu_predecode.KAlui ->
+        set_flag unit_flag;
         set rd lane
           (Wavefront.alu d.Fgpu_predecode.aop
              (reg d.Fgpu_predecode.rs1 lane)
@@ -81,6 +92,7 @@ let issue (dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
         set rd lane mem.(word lane);
         next
     | Fgpu_predecode.KSw ->
+        set_flag Wavefront.f_store;
         mem.(word lane) <- reg rd lane;
         next
     | Fgpu_predecode.KBranch ->
@@ -89,18 +101,18 @@ let issue (dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
             (reg d.Fgpu_predecode.rs1 lane)
             (reg rd lane)
         then begin
-          out.Wavefront.taken_branch <- true;
+          set_flag Wavefront.f_branch;
           next + d.Fgpu_predecode.imm
         end
         else next
     | Fgpu_predecode.KJump ->
-        out.Wavefront.taken_branch <- true;
+        set_flag Wavefront.f_branch;
         d.Fgpu_predecode.imm
     | Fgpu_predecode.KSpecial ->
         set rd lane (special lane);
         next
     | Fgpu_predecode.KBarrier ->
-        out.Wavefront.hit_barrier <- true;
+        set_flag Wavefront.f_barrier;
         next
     | Fgpu_predecode.KRet -> Wavefront.done_pc
   in
@@ -109,7 +121,7 @@ let issue (dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
   done;
   if d.Fgpu_predecode.kind = Fgpu_predecode.KRet then
     wf.Wavefront.live_lanes <- wf.Wavefront.live_lanes - lanes;
-  out.Wavefront.retired <- Wavefront.finished wf
+  if Wavefront.finished wf then set_flag Wavefront.f_retire
 
 (* The engine a differential test runs a launch under. *)
 type engine = Oracle | Threaded

@@ -305,6 +305,78 @@ let test_recycled_registers_start_at_zero () =
         (Array.for_all (fun v -> v = 0) mem))
     Fgpu_oracle.[ (Threaded, [ 1 ]); (Oracle, [ 1 ]); (Threaded, [ 1; 2 ]) ]
 
+(* Each issue's flag word, bit for bit, from both lane engines stepped
+   directly on one 64-lane wavefront: the store, the divider and
+   multiplier in register and immediate form, a uniform not-taken and
+   a per-lane taken branch, a jump, a barrier, then a branch that
+   splits the lanes.  The half that falls through issues partially and
+   retires without the retire bit; the other half then is every live
+   lane, so its issues are not partial, and its [ret] is the last. *)
+let test_issue_flag_word () =
+  let open Ggpu_isa.Fgpu_isa in
+  let program =
+    [|
+      Special (Lid, 5);
+      Li (6, 3l);
+      Alu (Mul, 7, 5, 6);
+      Alui (Mul, 7, 5, 5l);
+      Alu (Div, 8, 5, 6);
+      Alui (Div, 8, 5, 7l);
+      Alu (Rem, 9, 5, 6);
+      Alui (Rem, 9, 5, 7l);
+      Alui (Sll, 10, 5, 2l);
+      Sw (8, 10, 0);
+      Branch (Eq, 0, 6, 1) (* 10: taken by no lane *);
+      Branch (Eq, 5, 5, 1) (* 11: taken by every lane *);
+      Li (11, 1l);
+      Jump 15;
+      Li (11, 2l);
+      Barrier;
+      Alui (Sltu, 12, 5, 32l);
+      Branch (Ne, 12, 0, 2) (* 17: taken by lanes 0-31 *);
+      Alu (Mul, 13, 5, 5);
+      Ret;
+      Alui (Add, 14, 5, 1l);
+      Ret;
+    |]
+  in
+  let open Wavefront in
+  let expected =
+    [
+      (0, 0); (1, 0); (2, f_mul); (3, f_mul); (4, f_div); (5, f_div);
+      (6, f_div); (7, f_div); (8, 0); (9, f_store); (10, 0);
+      (11, f_branch); (13, f_branch); (15, f_barrier); (16, 0);
+      (17, f_branch); (18, f_partial lor f_mul); (19, f_partial);
+      (20, 0); (21, f_retire);
+    ]
+  in
+  let dprog = Ggpu_isa.Fgpu_predecode.of_program program in
+  let line_words = Config.default.Config.cache.Config.line_words in
+  let words (issue : Wavefront.t -> outcome -> unit) =
+    let wf =
+      create ~wg_id:0 ~wf_index:0 ~size:64 ~wg_offset:0 ~wg_size:64
+        ~global_size:64 ~params:[] ()
+    in
+    let out = make_outcome ~max_lanes:64 in
+    let rec go acc =
+      if finished wf then List.rev acc
+      else begin
+        issue wf out;
+        go ((out.pc, out.flags) :: acc)
+      end
+    in
+    go []
+  in
+  let threaded =
+    let mem = Array.make 64 0 in
+    let th = Threaded.compile dprog ~wf_size:64 ~mem ~line_words in
+    words (Threaded.issue th)
+  and oracle =
+    words (Fgpu_oracle.issue dprog ~mem:(Array.make 64 0) ~line_words)
+  in
+  Alcotest.(check (list (pair int int))) "threaded (pc, flags)" expected threaded;
+  Alcotest.(check (list (pair int int))) "oracle (pc, flags)" expected oracle
+
 (* Run a hand-written program on one workgroup of [lanes] items (r1
    holds the buffer base, 0) from memory image [init], under both lane
    engines: each must leave [expected]. *)
@@ -678,6 +750,8 @@ let suite =
           test_issue_loop_allocation_free;
         Alcotest.test_case "recycled registers start at zero" `Quick
           test_recycled_registers_start_at_zero;
+        Alcotest.test_case "issue flag word per instruction" `Quick
+          test_issue_flag_word;
         Alcotest.test_case "engines match RV32M on alu/mem" `Quick
           test_engines_alu_mem;
         Alcotest.test_case "engines match RV32M division corners" `Quick

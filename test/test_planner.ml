@@ -181,24 +181,6 @@ let test_flow_8cu_500_ok () =
   let impl = Flow.implement ~tech (Spec.make ~num_cus:8 ~freq_mhz:500 ()) in
   Alcotest.(check bool) "meets spec" true (Result.is_ok impl.Flow.spec_check)
 
-let test_replicated_gmc_future_work () =
-  (* paper future work: replicating the GMC shortens the worst route;
-     the improvement is visible once the internal paths are optimised
-     for 667 MHz and the wire is the limiter *)
-  let nl, _ = explore_fresh ~num_cus:8 ~freq_mhz:667 in
-  let fp1 = Ggpu_layout.Floorplan.build tech nl ~num_cus:8 in
-  let fp2 = Ggpu_layout.Floorplan.build ~gmc_copies:2 tech nl ~num_cus:8 in
-  let d1 = Ggpu_layout.Floorplan.worst_cu_gmc_distance_mm fp1 in
-  let d2 = Ggpu_layout.Floorplan.worst_cu_gmc_distance_mm fp2 in
-  Alcotest.(check bool)
-    (Printf.sprintf "worst route shrinks: %.2f -> %.2f mm" d1 d2)
-    true (d2 < d1 *. 0.8);
-  let t1 = Ggpu_layout.Timing_post.analyse tech nl fp1 in
-  let t2 = Ggpu_layout.Timing_post.analyse tech nl fp2 in
-  Alcotest.(check bool) "achievable frequency improves" true
-    (t2.Ggpu_layout.Timing_post.achieved_mhz
-    > t1.Ggpu_layout.Timing_post.achieved_mhz)
-
 let test_spec_validation () =
   (match Spec.make ~num_cus:9 ~freq_mhz:500 () with
   | _ -> Alcotest.fail "expected Invalid_spec"
@@ -255,8 +237,6 @@ let suite =
         Alcotest.test_case "flow 8cu 667 derates" `Quick
           test_flow_8cu_667_derates;
         Alcotest.test_case "flow 8cu 500 ok" `Quick test_flow_8cu_500_ok;
-        Alcotest.test_case "replicated gmc future work" `Quick
-          test_replicated_gmc_future_work;
         Alcotest.test_case "spec validation" `Quick test_spec_validation;
         Alcotest.test_case "render layout" `Quick test_render_layout;
       ] );
