@@ -56,7 +56,7 @@ let () =
   let x = Array.init n (fun i -> i - 1000) in
   let args =
     {
-      Interp.buffers = [ ("x", Array.copy x); ("out", Array.make n 0) ];
+      Mem_image.buffers = [ ("x", Array.copy x); ("out", Array.make n 0) ];
       scalars = [ ("scale", 3); ("offset", 7); ("n", n) ];
     }
   in
@@ -74,7 +74,7 @@ let () =
   let data = Array.init 4096 (fun i -> (i * 37) land 1023) in
   let args =
     {
-      Interp.buffers = [ ("data", Array.copy data); ("bins", Array.make 256 0) ];
+      Mem_image.buffers = [ ("data", Array.copy data); ("bins", Array.make 256 0) ];
       scalars = [ ("n", 4096) ];
     }
   in

@@ -447,8 +447,8 @@ let launch ?max_cycles ?inject ?pmu ?(domains = 1) (base : Config.t) ~cus
     let make_wg ~reuse wg_id =
       let wg_offset = wg_id * local_size in
       (* [Wgsize] reads the launch's local size in a tail workgroup
-         too, as Interp and the RISC-V build do; its live lanes still
-         stop at the global size *)
+         too, as the reference interpreter and the RISC-V build do; its
+         live lanes still stop at the global size *)
       let wg_size = local_size in
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->

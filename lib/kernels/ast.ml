@@ -71,38 +71,3 @@ let scalars kernel =
   List.filter_map
     (function Scalar name -> Some name | Buffer _ -> None)
     kernel.params
-
-(* --- Structural queries used by code generators ----------------------- *)
-
-let rec expr_uses p e =
-  p e
-  ||
-  match e with
-  | Const _ | Var _ | Global_id | Local_id | Group_id | Local_size
-  | Global_size ->
-      false
-  | Binop (_, a, b) | Cmp (_, a, b) -> expr_uses p a || expr_uses p b
-  | Load (_, idx) -> expr_uses p idx
-
-let rec stmt_uses p = function
-  | Let (_, e) | Assign (_, e) -> expr_uses p e
-  | Store (_, idx, v) -> expr_uses p idx || expr_uses p v
-  | If (c, a, b) ->
-      expr_uses p c
-      || List.exists (stmt_uses p) a
-      || List.exists (stmt_uses p) b
-  | While (c, body) -> expr_uses p c || List.exists (stmt_uses p) body
-  | For (_, lo, hi, body) ->
-      expr_uses p lo || expr_uses p hi || List.exists (stmt_uses p) body
-  | Barrier -> false
-
-let kernel_uses p kernel = List.exists (stmt_uses p) kernel.body
-
-let has_barrier kernel =
-  let rec stmt_has = function
-    | Barrier -> true
-    | If (_, a, b) -> List.exists stmt_has a || List.exists stmt_has b
-    | While (_, body) | For (_, _, _, body) -> List.exists stmt_has body
-    | Let _ | Assign _ | Store _ -> false
-  in
-  List.exists stmt_has kernel.body

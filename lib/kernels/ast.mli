@@ -61,7 +61,3 @@ val load : string -> expr -> expr
 val param_name : param -> string
 val buffers : kernel -> string list
 val scalars : kernel -> string list
-val expr_uses : (expr -> bool) -> expr -> bool
-val stmt_uses : (expr -> bool) -> stmt -> bool
-val kernel_uses : (expr -> bool) -> kernel -> bool
-val has_barrier : kernel -> bool

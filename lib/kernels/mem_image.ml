@@ -3,6 +3,13 @@
    mimicking an OpenCL runtime allocating device buffers.  The machine
    runs in place on [mem]; results are read back out of it. *)
 
+(* A launch's arguments as I32 words: each buffer's elements and each
+   scalar's value. *)
+type args = {
+  buffers : (string * int array) list;
+  scalars : (string * int) list;
+}
+
 (* [placed]: each buffer's name, byte address and length in words, in
    argument order. *)
 type t = { mem : int array; placed : (string * int * int) list }
@@ -14,7 +21,7 @@ let align64 a = (a + 63) land lnot 63
 (* Byte address the first buffer is placed at. *)
 let base_addr = 0x1000
 
-let build (args : Interp.args) =
+let build args =
   let addr = ref (align64 base_addr) in
   let placed =
     List.map
@@ -22,7 +29,7 @@ let build (args : Interp.args) =
         let placed = !addr in
         addr := align64 (!addr + (4 * Array.length data));
         (name, placed, Array.length data))
-      args.Interp.buffers
+      args.buffers
   in
   let needed_words =
     List.fold_left
@@ -32,18 +39,18 @@ let build (args : Interp.args) =
   let mem = Array.make (needed_words + 64) 0 in
   List.iter2
     (fun (_, addr, len) (_, data) -> Array.blit data 0 mem (addr / 4) len)
-    placed args.Interp.buffers;
+    placed args.buffers;
   { mem; placed }
 
 let mem t = t.mem
 
-let params t (args : Interp.args) names =
+let params t args names =
   List.map
     (fun name ->
       match List.find_opt (fun (n, _, _) -> String.equal n name) t.placed with
       | Some (_, addr, _) -> addr
       | None -> (
-          match List.assoc_opt name args.Interp.scalars with
+          match List.assoc_opt name args.scalars with
           | Some v -> v
           | None ->
               raise (Setup_error (Printf.sprintf "missing argument %s" name))))

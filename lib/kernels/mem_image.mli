@@ -4,11 +4,19 @@
     that the simulator executes in place — the OpenCL runtime's buffer
     allocation. *)
 
+type args = {
+  buffers : (string * int array) list;
+      (** one {!Ggpu_isa.I32} word per element *)
+  scalars : (string * int) list;  (** {!Ggpu_isa.I32} values *)
+}
+(** A launch's arguments, in the word representation both simulators
+    compute in. *)
+
 type t
 
 exception Setup_error of string
 
-val build : Interp.args -> t
+val build : args -> t
 (** A fresh image holding copies of the argument buffers; [args] is not
     aliased, so one [args] can feed any number of launches. *)
 
@@ -16,7 +24,7 @@ val mem : t -> int array
 (** The image itself, one word per element with 64 words of slack past
     the last buffer: what the simulator runs on. *)
 
-val params : t -> Interp.args -> string list -> int list
+val params : t -> args -> string list -> int list
 (** The values of the named kernel parameters, in order: a buffer's byte
     address or a scalar's value.
     @raise Setup_error on a name that is neither. *)

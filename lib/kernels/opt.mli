@@ -5,7 +5,6 @@
     Stores, barriers, control flow and [Ret] are never removed. *)
 
 val fold_binop : Ast.binop -> int32 -> int32 -> int32 option
-val fold_cmp : Ast.cmpop -> int32 -> int32 -> int32
 
 val optimise : ?max_passes:int -> Vir.program -> Vir.program
 (** Semantics-preserving; see the property tests in

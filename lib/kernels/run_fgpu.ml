@@ -15,7 +15,7 @@ type result = {
    parameter values to [launch], which runs on the image in place, then
    read every buffer back. *)
 let with_memory (compiled : Codegen_fgpu.compiled)
-    ~(args : Interp.args) ~global_size launch =
+    ~(args : Mem_image.args) ~global_size launch =
   Ggpu_obs.Trace.with_span "kernels.run_fgpu"
     ~args:[ ("global_size", string_of_int global_size) ]
   @@ fun () ->

@@ -15,7 +15,7 @@ val run :
   ?pmu:Ggpu_pmu.Pmu.t ->
   ?domains:int ->
   Codegen_fgpu.compiled ->
-  args:Interp.args ->
+  args:Mem_image.args ->
   global_size:int ->
   local_size:int ->
   unit ->
@@ -30,7 +30,7 @@ val run :
 val run_cus :
   ?domains:int ->
   Codegen_fgpu.compiled ->
-  args:Interp.args ->
+  args:Mem_image.args ->
   global_size:int ->
   local_size:int ->
   cus:int list ->

@@ -15,7 +15,7 @@ type result = {
 let fuel = 500_000_000
 
 let run ?max_cycles ?inject (compiled : Codegen_rv32.compiled)
-    ~(args : Interp.args) ~global_size ~local_size () =
+    ~(args : Mem_image.args) ~global_size ~local_size () =
   Ggpu_obs.Trace.with_span "kernels.run_rv32"
     ~args:[ ("global_size", string_of_int global_size) ]
   @@ fun () ->

@@ -11,7 +11,7 @@ val run :
   ?max_cycles:int ->
   ?inject:int * (Ggpu_riscv.Cpu.t -> unit) ->
   Codegen_rv32.compiled ->
-  args:Interp.args ->
+  args:Mem_image.args ->
   global_size:int ->
   local_size:int ->
   unit ->

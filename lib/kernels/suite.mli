@@ -1,20 +1,21 @@
-(** The paper's seven micro-benchmarks, rewritten in the kernel DSL
-    with independent OCaml reference implementations and deterministic
-    input generators. "Input size" = number of work-items (Table III);
-    each workload records RISC-V and G-GPU sizes with the paper's exact
-    ratio between them. *)
+(** The paper's seven micro-benchmarks, rewritten as OpenCL-C-style
+    source in the kernel DSL with independent OCaml reference
+    implementations and deterministic input generators. "Input size" =
+    number of work-items (Table III); each workload records RISC-V and
+    G-GPU sizes with the paper's exact ratio between them. *)
 
 type t = {
   name : string;
-  kernel : Ast.kernel;
+  source : string;  (** the kernel's text, as {!Parse} reads it *)
+  kernel : Ast.kernel;  (** [Parse.parse_one source] *)
   output_buffer : string;
   local_size : int;
   round_size : int -> int;
       (** the largest legal size not above the request, or the smallest
           legal size when the request is below it (mat_mul needs a
           positive multiple of 16, so 1..15 round up to 16) *)
-  mk_args : size:int -> Interp.args;
-  expected : size:int -> Interp.args -> int array;
+  mk_args : size:int -> Mem_image.args;
+  expected : size:int -> Mem_image.args -> int array;
       (** reference output computed from the args' input buffers *)
   global_size : size:int -> int;
   riscv_size : int;
@@ -25,10 +26,6 @@ val gen_array : seed:int -> len:int -> modulus:int -> int array
 (** Deterministic pseudo-random inputs from 0 to [modulus - 1], as
     {!Ggpu_isa.I32} words (both targets see the same data).  [modulus]
     is positive and below 2{^31}. *)
-
-val matmul_inner : int
-val fir_taps : int
-val xcorr_window_of : size:int -> int
 
 val mat_mul : t
 val copy : t

@@ -27,10 +27,7 @@ type program = {
   insns : insn list;
 }
 
-val special_to_string : special -> string
-val value_to_string : value -> string
 val binop_to_string : Ast.binop -> string
-val cmpop_to_string : Ast.cmpop -> string
 val insn_to_string : insn -> string
 
 val uses : insn -> vreg list

@@ -10,6 +10,14 @@
 
 let default_domains () = Domain.recommended_domain_count ()
 
+(* The requested domain count, or the default.  A count below 1 is a
+   caller's error, never a request for one domain. *)
+let domain_count who = function
+  | None -> default_domains ()
+  | Some d when d < 1 ->
+      invalid_arg (Printf.sprintf "%s: domain count %d below 1" who d)
+  | Some d -> d
+
 (* Worker-side span capture: which domain ran an item, when, for how
    long.  Captured inside the application itself — the only place that
    knows the stealing outcome — so the serve engine can turn each
@@ -111,9 +119,7 @@ module Pool = struct
     loop 0
 
   let create ?domains () =
-    let n_domains =
-      max 1 (match domains with Some d -> d | None -> default_domains ())
-    in
+    let n_domains = domain_count "Parallel.Pool.create" domains in
     let t =
       {
         n_domains;
@@ -181,9 +187,7 @@ end
 
 let map ?domains f xs =
   let n = List.length xs in
-  let workers =
-    max 1 (min n (match domains with Some d -> d | None -> default_domains ()))
-  in
+  let workers = min n (domain_count "Parallel.map" domains) in
   if workers <= 1 then List.map f xs
   else begin
     (* transient pool: spawn, run the one job, join — the historical

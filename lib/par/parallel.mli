@@ -25,7 +25,8 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     [min domains (length xs)] domains (default
     {!default_domains}).  [~domains:1] degrades to [List.map].  If any
     application raises, the first failure in input order is re-raised
-    after all domains have drained. *)
+    after all domains have drained.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val map_collect :
   ?domains:int ->
@@ -35,7 +36,8 @@ val map_collect :
 (** Like {!map}, but hands each item a fresh metrics registry and
     returns the per-item snapshots merged in input order.  Because all
     metric values are integral, the merged snapshot is bit-identical
-    for any [?domains], including 1. *)
+    for any [?domains], including 1.
+    @raise Invalid_argument if [domains < 1]. *)
 
 (** {1 Persistent pool}
 
@@ -52,7 +54,8 @@ module Pool : sig
   val create : ?domains:int -> unit -> t
   (** A pool of [domains] (default {!default_domains}) workers: the
       calling domain plus [domains - 1] spawned ones.  [~domains:1]
-      spawns nothing and {!map} degrades to [List.map]. *)
+      spawns nothing and {!map} degrades to [List.map].
+      @raise Invalid_argument if [domains < 1]. *)
 
   val size : t -> int
   (** Number of domains a {!map} call runs on (callers use this to size

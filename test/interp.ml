@@ -1,19 +1,17 @@
-(* Reference interpreter for the kernel language.
+(* Reference interpreter for the kernel language: the semantic ground
+   truth both code generators are tested against.
 
    Executes a kernel sequentially, one work-item at a time, over OCaml
-   arrays.  This is the semantic ground truth both code generators are
-   tested against.  Arithmetic follows RISC-V M semantics for division
-   corner cases so that all three executors agree bit-for-bit.  It
-   computes in [Int32]; buffers and scalars hold the simulators' native
-   int words, converted at each load, store and scalar read.
+   arrays.  Arithmetic follows RISC-V M semantics for division corner
+   cases so that all three executors agree bit-for-bit.  It computes in
+   [Int32]; buffers and scalars hold the simulators' native int words
+   ({!Ggpu_kernels.Mem_image.args}), converted at each load, store and
+   scalar read, so it stays independent of {!Ggpu_isa.I32}.
 
    Kernels containing workgroup barriers cannot be run item-at-a-time and
    are rejected; none of the paper's seven micro-benchmarks needs one. *)
 
-type args = {
-  buffers : (string * int array) list;
-  scalars : (string * int) list;
-}
+open Ggpu_kernels
 
 exception Runtime_error of string
 exception Unsupported of string
@@ -123,11 +121,23 @@ and exec_stmt ctx stmt =
   | Ast.Barrier ->
       raise (Unsupported "barrier in sequential reference interpreter")
 
+let has_barrier kernel =
+  let rec stmt_has = function
+    | Ast.Barrier -> true
+    | Ast.If (_, a, b) -> List.exists stmt_has a || List.exists stmt_has b
+    | Ast.While (_, body) | Ast.For (_, _, _, body) -> List.exists stmt_has body
+    | Ast.Let _ | Ast.Assign _ | Ast.Store _ -> false
+  in
+  List.exists stmt_has kernel.Ast.body
+
 (* Run [kernel] for every work item in [0, global_size).  Buffers are
-   mutated in place. *)
-let run kernel ~args ~global_size ~local_size =
+   mutated in place.
+   @raise Runtime_error on out-of-bounds accesses or missing arguments.
+   @raise Unsupported for kernels containing workgroup barriers.
+   @raise Check.Error if the kernel is ill-formed. *)
+let run kernel ~(args : Mem_image.args) ~global_size ~local_size =
   Check.check kernel;
-  if Ast.has_barrier kernel then
+  if has_barrier kernel then
     raise (Unsupported "barrier in sequential reference interpreter");
   if local_size <= 0 || global_size < 0 then
     fail "bad sizes: global=%d local=%d" global_size local_size;

@@ -187,7 +187,7 @@ let mk_args c =
     [ ("a", input_a ()); ("out", Array.make out_words 0) ]
     @ if c.with_barrier then [ ("res", Array.make c.gsize 0) ] else []
   in
-  { Interp.buffers; scalars = [ ("n", c.gsize) ] }
+  { Mem_image.buffers; scalars = [ ("n", c.gsize) ] }
 
 let observe c ~engine ~domains =
   let config = Config.with_cus Config.default c.cus in
@@ -262,7 +262,7 @@ let prop_compiled_matches_interp =
           (fun k ->
             Interp.run k ~args ~global_size:c.gsize ~local_size:c.lsize)
           c.halves;
-        args.Interp.buffers
+        args.Mem_image.buffers
       in
       let fgpu =
         let config = Config.with_cus Config.default c.cus in
@@ -368,7 +368,7 @@ let prop_updates_match_interp =
       let global_size = c.items and local_size = min 64 c.items in
       let args () =
         {
-          Interp.buffers =
+          Mem_image.buffers =
             [
               ("a", input_a ()); ("out", Array.make (3 * c.items) 0);
             ];
@@ -378,7 +378,7 @@ let prop_updates_match_interp =
       let reference =
         let args = args () in
         Interp.run kernel ~args ~global_size ~local_size;
-        args.Interp.buffers
+        args.Mem_image.buffers
       in
       let fgpu =
         Run_fgpu.run
@@ -422,7 +422,7 @@ let test_split_barrier_cross_wavefront () =
   let run ~engine ~domains =
     let args =
       {
-        Interp.buffers = [ ("out", Array.make n 0); ("res", Array.make n 0) ];
+        Mem_image.buffers = [ ("out", Array.make n 0); ("res", Array.make n 0) ];
         scalars = [];
       }
     in
@@ -558,7 +558,7 @@ let test_replay_desync_falls_back () =
   let n = 512 and cus = [ 1; 2; 4 ] in
   let args () =
     {
-      Interp.buffers = [ ("a", Array.init n Fun.id); ("out", Array.make n 0) ];
+      Mem_image.buffers = [ ("a", Array.init n Fun.id); ("out", Array.make n 0) ];
       scalars = [];
     }
   in

@@ -28,8 +28,9 @@ let test_parse_vec_mul () =
   Alcotest.(check (list string)) "scalars" [ "n" ] (Ast.scalars kernel)
 
 let test_parse_matches_dsl_semantics () =
-  (* the parsed vec_mul and the hand-built suite vec_mul must compute
-     the same function *)
+  (* this vec_mul, with its comment and indentation, and the suite's
+     vec_mul, parsed from its own source, must compute the same
+     function *)
   let parsed = Parse.parse_one vec_mul_src in
   let size = 128 in
   let args1 = Suite.vec_mul.Suite.mk_args ~size in
@@ -38,8 +39,8 @@ let test_parse_matches_dsl_semantics () =
     ~local_size:64;
   Interp.run parsed ~args:args2 ~global_size:size ~local_size:64;
   Alcotest.check i32_array "same results"
-    (List.assoc "out" args1.Interp.buffers)
-    (List.assoc "out" args2.Interp.buffers)
+    (List.assoc "out" args1.Mem_image.buffers)
+    (List.assoc "out" args2.Mem_image.buffers)
 
 let test_parse_control_flow () =
   let src =
@@ -67,7 +68,7 @@ let test_parse_control_flow () =
   let kernel = Parse.parse_one src in
   let n = 32 in
   let out = Array.make n 0 in
-  let args = { Interp.buffers = [ ("out", out) ]; scalars = [ ("n", n) ] } in
+  let args = { Mem_image.buffers = [ ("out", out) ]; scalars = [ ("n", n) ] } in
   (* reference: 45 + ceil(i/8) *)
   Interp.run kernel ~args ~global_size:n ~local_size:32;
   let expect i = 45 + ((i + 7) / 8) in
@@ -91,7 +92,7 @@ let test_parse_precedence () =
   in
   let kernel = Parse.parse_one src in
   let out = Array.make 6 99 in
-  let args = { Interp.buffers = [ ("out", out) ]; scalars = [] } in
+  let args = { Mem_image.buffers = [ ("out", out) ]; scalars = [] } in
   Interp.run kernel ~args ~global_size:1 ~local_size:1;
   Alcotest.check i32_array "precedence" [| 14; 20; 8; 5; -4; 1 |] out
 
@@ -150,12 +151,12 @@ let test_opt_division_semantics_preserved () =
     Parse.parse_one "kernel k(global int* out) { out[0] = 100 / 0; }"
   in
   let out = Array.make 1 0 in
-  let args = { Interp.buffers = [ ("out", out) ]; scalars = [] } in
+  let args = { Mem_image.buffers = [ ("out", out) ]; scalars = [] } in
   Interp.run kernel ~args ~global_size:1 ~local_size:1;
   let compiled = Codegen_rv32.compile kernel in
   let result =
     Run_rv32.run compiled
-      ~args:{ Interp.buffers = [ ("out", Array.make 1 0) ]; scalars = [] }
+      ~args:{ Mem_image.buffers = [ ("out", Array.make 1 0) ]; scalars = [] }
       ~global_size:1 ~local_size:1 ()
   in
   Alcotest.(check int) "interp" (-1) out.(0);
@@ -217,7 +218,7 @@ let test_opt_folding_matches_run_time () =
       in
       let args () =
         {
-          Interp.buffers =
+          Mem_image.buffers =
             [ ("a", Array.copy input); ("out", Array.make (2 * n) 0) ];
           scalars = [];
         }
@@ -225,7 +226,7 @@ let test_opt_folding_matches_run_time () =
       let reference =
         let args = args () in
         Interp.run kernel ~args ~global_size:1 ~local_size:1;
-        List.assoc "out" args.Interp.buffers
+        List.assoc "out" args.Mem_image.buffers
       in
       List.iteri
         (fun j (a, b) ->
@@ -315,7 +316,7 @@ let test_identity_updates_compile_to_nothing () =
   let n = 8 in
   let args () =
     {
-      Interp.buffers =
+      Mem_image.buffers =
         [
           ("a", Array.init n (fun i -> (i * 7919) - 20000));
           ("out", Array.make n 0);

@@ -104,7 +104,7 @@ let test_divergence_counted () =
   let n = 128 in
   let args =
     {
-      Interp.buffers = [ ("out", Array.make n 0) ];
+      Mem_image.buffers = [ ("out", Array.make n 0) ];
       scalars = [ ("n", n) ];
     }
   in
@@ -143,7 +143,7 @@ let test_barrier_releases () =
     }
   in
   let n = 256 in
-  let args = { Interp.buffers = [ ("out", Array.make n 0) ]; scalars = [] } in
+  let args = { Mem_image.buffers = [ ("out", Array.make n 0) ]; scalars = [] } in
   let compiled = Codegen_fgpu.compile kernel in
   let result = Run_fgpu.run compiled ~args ~global_size:n ~local_size:128 () in
   let out = Run_fgpu.output result "out" in
@@ -240,7 +240,7 @@ let test_issue_loop_allocation_free () =
   let launch ~cus iters =
     let args =
       {
-        Interp.buffers =
+        Mem_image.buffers =
           [ ("a", Array.init 64 Fun.id); ("out", Array.make 256 0) ];
         scalars = [ ("iters", iters) ];
       }
@@ -629,7 +629,7 @@ let test_tail_workgroup_local_size () =
     (fun (global_size, local_size) ->
       let args () =
         {
-          Interp.buffers =
+          Mem_image.buffers =
             [ ("ls", Array.make global_size 0); ("gs", Array.make global_size 0) ];
           scalars = [];
         }
@@ -646,7 +646,7 @@ let test_tail_workgroup_local_size () =
       in
       let interp = args () in
       Interp.run kernel ~args:interp ~global_size ~local_size;
-      Alcotest.check buffers_t (label "interp") expected interp.Interp.buffers;
+      Alcotest.check buffers_t (label "interp") expected interp.Mem_image.buffers;
       let rv =
         Run_rv32.run (Codegen_rv32.compile kernel) ~args:(args ())
           ~global_size ~local_size ()
@@ -690,7 +690,7 @@ let test_tail_workgroup_barrier () =
     (fun (global_size, local_size) ->
       let args () =
         {
-          Interp.buffers =
+          Mem_image.buffers =
             [
               ("out", Array.make global_size 0); ("res", Array.make global_size 0);
             ];

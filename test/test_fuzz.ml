@@ -13,6 +13,11 @@
    path, finite floats in several spellings, and number spellings JSON
    rejects.
 
+   And the kernel DSL front end: 1-4 byte edits of the suite's kernel
+   sources, each of which {!Ggpu_kernels.Parse.parse} parses or rejects
+   with [Parse_error] or [Check.Error], and each kernel that parses
+   compiles on both targets or raises what the compilers document.
+
    Counts are sized for a few seconds under [dune runtest].  Under
    QCHECK_LONG=1 each property runs its long factor times over, so each
    parser sees at least 100,000 inputs; QCHECK_SEED replays a run. *)
@@ -55,23 +60,22 @@ let seed_line =
   G.frequency
     [ (3, G.oneofa mix_lines); (2, G.oneofa other_lines) ]
 
-(* An edit writes any byte, or one of the bytes JSON's grammar turns
-   on. *)
-let grammar_bytes = "{}[]\",:\\ -+.eE0123456789tfnu"
+(* An edit writes any byte, or one of the bytes a grammar turns on:
+   JSON's here, the kernel DSL's below. *)
+let json_bytes = "{}[]\",:\\ -+.eE0123456789tfnu"
 
-let edit_byte =
+let edit_byte grammar =
   G.frequency
     [
       (1, G.map Char.chr (G.int_bound 255));
       ( 3,
-        G.map (String.get grammar_bytes)
-          (G.int_bound (String.length grammar_bytes - 1)) );
+        G.map (String.get grammar) (G.int_bound (String.length grammar - 1)) );
     ]
 
 (* Replace, insert or delete one byte. *)
-let edit s =
+let edit grammar s =
   G.(
-    triple (int_bound 2) (int_bound (String.length s)) edit_byte
+    triple (int_bound 2) (int_bound (String.length s)) (edit_byte grammar)
     >|= fun (op, i, c) ->
     let n = String.length s in
     match op with
@@ -79,7 +83,9 @@ let edit s =
     | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
     | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i))
 
-let rec edits k s = if k = 0 then G.return s else G.(edit s >>= edits (k - 1))
+let rec edits grammar k s =
+  if k = 0 then G.return s else G.(edit grammar s >>= edits grammar (k - 1))
+
 let truncate s = G.(int_bound (String.length s) >|= fun i -> String.sub s 0 i)
 
 let member_names =
@@ -139,11 +145,11 @@ let mutate s =
   G.(
     frequency
       [
-        (4, int_range 1 3 >>= fun k -> edits k s);
+        (4, int_range 1 3 >>= fun k -> edits json_bytes k s);
         (1, truncate s);
         (2, splice s);
-        (2, splice s >>= splice >>= edits 1);
-        (1, grow s >>= edits 1);
+        (2, splice s >>= splice >>= edits json_bytes 1);
+        (1, grow s >>= edits json_bytes 1);
       ])
 
 let wire_line = G.(seed_line >>= mutate)
@@ -497,6 +503,58 @@ let response_bytes =
       expected = got
       || QCheck.Test.fail_reportf "expected %S@ got %S" expected got)
 
+(* --- the kernel DSL front end -------------------------------------------- *)
+
+module K = Ggpu_kernels
+
+(* Every Table III kernel reaches the code generators through
+   {!K.Parse}: each suite source, and all seven in one text. *)
+let dsl_sources =
+  let sources = List.map (fun (w : K.Suite.t) -> w.source) K.Suite.all in
+  Array.of_list (String.concat "\n" sources :: sources)
+
+(* The bytes the DSL's punctuation and keywords are made of. *)
+let dsl_bytes = "(){}[];,=<>!+-*/%&|^ \n0123456789_abcdefgiklnorstwz"
+
+let dsl_input =
+  G.(
+    oneofa dsl_sources >>= fun s ->
+    int_range 1 4 >>= fun k -> edits dsl_bytes k s)
+
+(* A kernel that parses compiles on a target, or raises what its
+   compiler documents: too many live values or too many parameters. *)
+let compiles what compile (k : K.Ast.kernel) =
+  match compile k with
+  | () -> true
+  | exception
+      ( K.Regalloc.Register_pressure _ | K.Codegen_fgpu.Too_many_params _
+      | K.Codegen_rv32.Too_many_params _ ) ->
+      true
+  | exception e ->
+      QCheck.Test.fail_reportf "%s of %s raised %s" what k.name
+        (Printexc.to_string e)
+
+let dsl_front_end =
+  QCheck.Test.make ~count:2000 ~long_factor:50
+    ~name:"kernel DSL: parse and both compilers raise only documented errors"
+    (QCheck.make ~print:show dsl_input)
+    (fun src ->
+      match K.Parse.parse src with
+      | exception (K.Parse.Parse_error _ | K.Check.Error _) -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "Parse.parse raised %s"
+            (Printexc.to_string e)
+      | kernels ->
+          List.for_all
+            (fun k ->
+              compiles "Codegen_fgpu.compile"
+                (fun k -> ignore (K.Codegen_fgpu.compile k))
+                k
+              && compiles "Codegen_rv32.compile"
+                   (fun k -> ignore (K.Codegen_rv32.compile k))
+                   k)
+            kernels)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -508,5 +566,6 @@ let suite =
         qcheck response_of_line;
         qcheck round_trip;
         qcheck response_bytes;
+        qcheck dsl_front_end;
       ] );
   ]

@@ -57,7 +57,7 @@ let test_interp_copy () =
   let args = w.Suite.mk_args ~size in
   Interp.run w.Suite.kernel ~args ~global_size:(w.Suite.global_size ~size)
     ~local_size:w.Suite.local_size;
-  let out = List.assoc w.Suite.output_buffer args.Interp.buffers in
+  let out = List.assoc w.Suite.output_buffer args.Mem_image.buffers in
   Alcotest.check i32_array "copy output" (w.Suite.expected ~size args) out
 
 let test_interp_out_of_bounds () =
@@ -68,7 +68,7 @@ let test_interp_out_of_bounds () =
       body = [ Ast.Store ("b", Ast.const 99, Ast.const 1) ];
     }
   in
-  let args = { Interp.buffers = [ ("b", Array.make 4 0) ]; scalars = [] } in
+  let args = { Mem_image.buffers = [ ("b", Array.make 4 0) ]; scalars = [] } in
   match Interp.run kernel ~args ~global_size:1 ~local_size:1 with
   | () -> Alcotest.fail "expected out-of-bounds error"
   | exception Interp.Runtime_error _ -> ()
@@ -90,7 +90,7 @@ let test_interp_division_semantics () =
     }
   in
   let out = Array.make 3 0 in
-  let args = { Interp.buffers = [ ("out", out) ]; scalars = [] } in
+  let args = { Mem_image.buffers = [ ("out", out) ]; scalars = [] } in
   Interp.run kernel ~args ~global_size:1 ~local_size:1;
   Alcotest.check i32 "div by zero" (-1) out.(0);
   Alcotest.check i32 "rem by zero" 17 out.(1);
@@ -106,7 +106,7 @@ let test_interp_matches_reference () =
       Interp.run w.Suite.kernel ~args
         ~global_size:(w.Suite.global_size ~size)
         ~local_size:(min w.Suite.local_size size);
-      let out = List.assoc w.Suite.output_buffer args.Interp.buffers in
+      let out = List.assoc w.Suite.output_buffer args.Mem_image.buffers in
       Alcotest.check i32_array
         (Printf.sprintf "%s interp vs reference" w.Suite.name)
         (w.Suite.expected ~size args)
@@ -251,7 +251,7 @@ let test_assign_into_variable_matches_interp () =
   let n = List.length pairs in
   let args () =
     {
-      Interp.buffers =
+      Mem_image.buffers =
         [
           ("a", Array.of_list (List.map fst pairs));
           ("b", Array.of_list (List.map snd pairs));
@@ -302,7 +302,7 @@ let test_assign_into_variable_matches_interp () =
           let reference =
             let args = args () in
             Interp.run kernel ~args ~global_size:n ~local_size:n;
-            List.assoc "out" args.Interp.buffers
+            List.assoc "out" args.Mem_image.buffers
           in
           List.iter
             (fun optimise ->
@@ -379,7 +379,7 @@ let test_loop_variable_interval_extension () =
     }
   in
   let args =
-    { Interp.buffers = [ ("out", Array.make 1 0) ]; scalars = [ ("n", 5) ] }
+    { Mem_image.buffers = [ ("out", Array.make 1 0) ]; scalars = [ ("n", 5) ] }
   in
   let compiled = Codegen_rv32.compile kernel in
   let result =
@@ -451,12 +451,12 @@ let prop_suite_matches_int32_oracle =
           in
           ok "buffers"
             (List.map (fun (n, a) -> (n, words a)) o.Suite_oracle.buffers
-            = args.Interp.buffers)
+            = args.Mem_image.buffers)
           && ok "scalars"
                (List.map
                   (fun (n, v) -> (n, Ggpu_isa.I32.of_int32 v))
                   o.Suite_oracle.scalars
-               = args.Interp.scalars)
+               = args.Mem_image.scalars)
           && ok "expected outputs"
                (words (Suite_oracle.expected name ~size o)
                = w.Suite.expected ~size args))

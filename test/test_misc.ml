@@ -169,7 +169,7 @@ let test_barrier_tree_reduction () =
   let groups = n / local in
   let args =
     {
-      Interp.buffers =
+      Mem_image.buffers =
         [ ("data", Array.copy data); ("partial", Array.make groups 0) ];
       scalars = [ ("n", n) ];
     }

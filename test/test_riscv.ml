@@ -312,7 +312,7 @@ let test_step_allocation_free () =
   let run iters =
     let args =
       {
-        Interp.buffers =
+        Mem_image.buffers =
           [ ("a", Array.init 64 (fun i -> i + 1)); ("out", Array.make 4 0) ];
         scalars = [ ("iters", iters) ];
       }

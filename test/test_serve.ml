@@ -373,6 +373,33 @@ let test_pool_semantics () =
     (Invalid_argument "Parallel.Pool.map: pool is shut down") (fun () ->
       ignore (Pool.map pool Fun.id [ 1; 2 ]))
 
+(* A domain count below 1 is a caller's error at every entry of the
+   domain pool; a count above the number of items still shrinks to
+   it. *)
+let test_pool_rejects_domain_count () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s must raise Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun d ->
+      let what fn = Printf.sprintf "%s ~domains:%d" fn d in
+      raises (what "Parallel.map") (fun () ->
+          ignore (Ggpu_par.Parallel.map ~domains:d succ [ 1; 2; 3 ]));
+      raises (what "Parallel.map_collect") (fun () ->
+          ignore
+            (Ggpu_par.Parallel.map_collect ~domains:d (fun _ x -> x) [ 1; 2 ]));
+      raises (what "Pool.create") (fun () ->
+          ignore (Pool.create ~domains:d ())))
+    [ 0; -1; min_int ];
+  Alcotest.(check (list int))
+    "more domains than items" [ 2; 3 ]
+    (Ggpu_par.Parallel.map ~domains:8 succ [ 1; 2 ]);
+  Alcotest.(check (list int))
+    "no items" []
+    (Ggpu_par.Parallel.map ~domains:4 succ [])
+
 (* --- workload + protocol ------------------------------------------------- *)
 
 let test_workload () =
@@ -1028,6 +1055,8 @@ let suite =
         Alcotest.test_case "deadline expiry" `Quick test_deadline;
         Alcotest.test_case "failure statuses" `Quick test_failures;
         Alcotest.test_case "pool semantics" `Quick test_pool_semantics;
+        Alcotest.test_case "pool rejects a domain count below 1" `Quick
+          test_pool_rejects_domain_count;
         Alcotest.test_case "workload mix" `Quick test_workload;
         Alcotest.test_case "proto round-trips" `Quick test_proto_roundtrip;
         Alcotest.test_case "proto typed optional fields" `Quick
