@@ -1,4 +1,4 @@
-(* Programmability: build a new OpenCL-style kernel as an AST, verify
+(* Programmability: write a new OpenCL-style kernel as source, verify
    both targets against a direct computation, and compare RISC-V vs
    G-GPU execution - the paper's central use-case for a general-purpose
    accelerator.
@@ -9,24 +9,11 @@ open Ggpu_kernels
 
 (* saxpy: y[i] <- a * x[i] + y[i], integer variant *)
 let saxpy =
-  let open Ast in
-  {
-    name = "saxpy";
-    params = [ Buffer "x"; Buffer "y"; Scalar "a"; Scalar "n" ];
-    body =
-      [
-        Let ("i", Global_id);
-        If
-          ( var "i" <: var "n",
-            [
-              Store
-                ( "y",
-                  var "i",
-                  (var "a" *: load "x" (var "i")) +: load "y" (var "i") );
-            ],
-            [] );
-      ];
-  }
+  Parse.parse_one
+    {|kernel saxpy(global int* x, global int* y, int a, int n) {
+        int i = get_global_id(0);
+        if (i < n) { y[i] = a * x[i] + y[i]; }
+      }|}
 
 let () =
   let n = 16384 in

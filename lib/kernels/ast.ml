@@ -47,19 +47,6 @@ type param = Buffer of string | Scalar of string
 
 type kernel = { name : string; params : param list; body : stmt list }
 
-let const n = Const (Int32.of_int n)
-let ( +: ) a b = Binop (Add, a, b)
-let ( -: ) a b = Binop (Sub, a, b)
-let ( *: ) a b = Binop (Mul, a, b)
-let ( /: ) a b = Binop (Div, a, b)
-let ( %: ) a b = Binop (Rem, a, b)
-let ( <: ) a b = Cmp (Lt, a, b)
-let ( <=: ) a b = Cmp (Le, a, b)
-let ( >: ) a b = Cmp (Gt, a, b)
-let ( ==: ) a b = Cmp (Eq, a, b)
-let var name = Var name
-let load buf idx = Load (buf, idx)
-
 let param_name = function Buffer name -> name | Scalar name -> name
 
 let buffers kernel =

@@ -41,21 +41,6 @@ type stmt =
 type param = Buffer of string | Scalar of string
 type kernel = { name : string; params : param list; body : stmt list }
 
-(** {1 Construction helpers} *)
-
-val const : int -> expr
-val ( +: ) : expr -> expr -> expr
-val ( -: ) : expr -> expr -> expr
-val ( *: ) : expr -> expr -> expr
-val ( /: ) : expr -> expr -> expr
-val ( %: ) : expr -> expr -> expr
-val ( <: ) : expr -> expr -> expr
-val ( <=: ) : expr -> expr -> expr
-val ( >: ) : expr -> expr -> expr
-val ( ==: ) : expr -> expr -> expr
-val var : string -> expr
-val load : string -> expr -> expr
-
 (** {1 Queries} *)
 
 val param_name : param -> string

@@ -41,7 +41,7 @@ let grid ?(workloads = Suite.all) ~cu_counts () =
       List.map (fun cus -> { workload = w; cus; size = default_size w }) cu_counts)
     workloads
 
-let run_job ?pmu_stride ?sim_domains ~pmu reg (j : job) =
+let run_job ?pmu_stride ~pmu reg (j : job) =
   let w = j.workload in
   let t0 = Ggpu_obs.Metrics.now_ns () in
   let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default j.cus in
@@ -56,7 +56,7 @@ let run_job ?pmu_stride ?sim_domains ~pmu reg (j : job) =
     else None
   in
   let r =
-    Run_fgpu.run ~config ?pmu:collector ?domains:sim_domains compiled ~args
+    Run_fgpu.run ~config ?pmu:collector compiled ~args
       ~global_size:(w.Suite.global_size ~size:j.size)
       ~local_size:(min w.Suite.local_size j.size)
       ()
@@ -85,7 +85,5 @@ let run_job ?pmu_stride ?sim_domains ~pmu reg (j : job) =
   in
   { job = j; stats; correct; wall_ns; pmu }
 
-let run ?domains ?(pmu = false) ?pmu_stride ?sim_domains jobs =
-  Ggpu_par.Parallel.map_collect ?domains
-    (run_job ?pmu_stride ?sim_domains ~pmu)
-    jobs
+let run ?domains ?(pmu = false) ?pmu_stride jobs =
+  Ggpu_par.Parallel.map_collect ?domains (run_job ?pmu_stride ~pmu) jobs

@@ -30,17 +30,14 @@ val run :
   ?domains:int ->
   ?pmu:bool ->
   ?pmu_stride:int ->
-  ?sim_domains:int ->
   job list ->
   result list * Ggpu_obs.Metrics.snapshot
 (** Run all jobs (order-preserving) and merge their per-job metric
     registries deterministically.  [pmu] (default false) attaches a
     {!Ggpu_pmu.Pmu} collector per job — simulated results stay
     bit-identical; only the per-job [pmu] summaries appear.
-    [pmu_stride] sets the hot-PC sampling period in cycles.
-    [sim_domains] is forwarded to each job's simulator launch
-    ({!Ggpu_fgpu.Gpu.run}); it fans out the functional phase *within*
-    one simulation and is independent of [domains], which spreads
-    whole jobs.  Merged metrics — including the always-present
-    ["suite.failures"] counter, explicitly zero on a clean run — are
-    bit-identical for any combination of the two. *)
+    [pmu_stride] sets the hot-PC sampling period in cycles.  [domains]
+    spreads whole jobs; each job's launch runs on one domain, since
+    the pool already keeps every domain busy.  Merged metrics —
+    including the always-present ["suite.failures"] counter, explicitly
+    zero on a clean run — are bit-identical for any [domains]. *)

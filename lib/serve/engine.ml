@@ -67,10 +67,7 @@ let latency_buckets = List.init 25 (fun i -> 1 lsl i)
 let techs =
   List.map
     (fun (name, tech) -> (name, (tech, Key.tech tech)))
-    [
-      ("65nm", Ggpu_tech.Tech.default_65nm);
-      ("28nm", Ggpu_tech.Tech.scaled_28nm);
-    ]
+    Ggpu_tech.Tech.by_name
 
 let tech_of_name name = Option.map fst (List.assoc_opt name techs)
 
@@ -148,7 +145,9 @@ type plan =
 let plan_of_request (req : Proto.request) =
   match List.assoc_opt req.Proto.tech techs with
   | None ->
-      Error (Printf.sprintf "unknown technology %S (65nm | 28nm)" req.Proto.tech)
+      Error
+        (Printf.sprintf "unknown technology %S (%s)" req.Proto.tech
+           (String.concat " | " (List.map fst techs)))
   | Some (tech, fingerprint) -> (
       match req.Proto.kind with
       | Proto.Synth { cus; freq_mhz } -> (

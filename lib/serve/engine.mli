@@ -36,7 +36,7 @@ val pool_size : t -> int
     batch-sizing input. *)
 
 val tech_of_name : string -> Ggpu_tech.Tech.t option
-(** ["65nm"] or ["28nm"]. *)
+(** A name of {!Ggpu_tech.Tech.by_name}. *)
 
 val key_of_request : ?pmu_stride:int -> Proto.request -> (string, string) result
 (** The full memo key a request resolves to (after size normalisation),

@@ -68,4 +68,6 @@ let scaled_28nm =
     supply_v = 0.9;
   }
 
+let by_name = [ ("65nm", default_65nm); ("28nm", scaled_28nm) ]
+
 let pp fmt t = Format.fprintf fmt "tech:%s" t.name

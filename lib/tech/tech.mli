@@ -18,4 +18,8 @@ val default_65nm : t
 val scaled_28nm : t
 (** A coarse 28 nm-class scaling, for retargeting demonstrations. *)
 
+val by_name : (string * t) list
+(** The technologies a user names, on the command line or in a serve
+    request: ["65nm"] ({!default_65nm}) and ["28nm"] ({!scaled_28nm}). *)
+
 val pp : Format.formatter -> t -> unit

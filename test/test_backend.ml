@@ -20,6 +20,7 @@ open Ggpu_kernels
 open Ggpu_fgpu
 open Ggpu_fi
 open Fgpu_oracle
+open Ast_build
 
 (* read-only input buffer size; load indices are masked to [0, asize) *)
 let asize = 64
@@ -52,13 +53,13 @@ let gen_expr vars depth =
   let leaf =
     oneof
       ([
-         map Ast.const (int_range (-8) 8);
+         map const (int_range (-8) 8);
          return Ast.Global_id;
          return Ast.Local_id;
          return Ast.Local_size;
-         return (Ast.var "n");
+         return (var "n");
        ]
-      @ List.map (fun v -> return (Ast.var v)) vars)
+      @ List.map (fun v -> return (var v)) vars)
   in
   (fix (fun self depth ->
        if depth <= 0 then leaf
@@ -73,7 +74,7 @@ let gen_expr vars depth =
              ( 1,
                map
                  (fun e ->
-                   Ast.load "a" (Ast.Binop (Ast.And, e, Ast.const (asize - 1))))
+                   load "a" (Ast.Binop (Ast.And, e, const (asize - 1))))
                  (self (depth - 1)) );
            ]))
     depth
@@ -109,29 +110,29 @@ let gen_kernel =
       Ast.Let ("i", Ast.Global_id);
       Ast.Let ("x", e_x);
       Ast.Let ("y", e_y);
-      Ast.Let ("acc", Ast.const 0);
+      Ast.Let ("acc", const 0);
       Ast.For
         ( "k",
-          Ast.const 0,
-          Ast.const iters,
-          [ Ast.Assign ("acc", Ast.(var "acc" +: e_loop)) ] );
+          const 0,
+          const iters,
+          [ Ast.Assign ("acc", var "acc" +: e_loop) ] );
       Ast.If
         ( cond,
           [ Ast.Assign ("x", e_then) ],
-          [ Ast.Assign ("y", Ast.Binop (op_else, e_else, Ast.var "y")) ] );
-      Ast.Store ("out", Ast.var "i", e_out);
+          [ Ast.Assign ("y", Ast.Binop (op_else, e_else, var "y")) ] );
+      Ast.Store ("out", var "i", e_out);
     ]
   in
   let after_barrier =
     [
       Ast.Let ("lid", Ast.Local_id);
-      Ast.Let ("base", Ast.(var "i" -: var "lid"));
+      Ast.Let ("base", var "i" -: var "lid");
       Ast.Let
         ( "peer",
           Ast.(
             var "base"
             +: Binop (Rem, var "lid" +: const peer_shift, Local_size)) );
-      Ast.Store ("res", Ast.var "i", Ast.load "out" (Ast.var "peer"));
+      Ast.Store ("res", var "i", load "out" (var "peer"));
     ]
   in
   let params =
@@ -292,12 +293,12 @@ let gen_update =
   let operand =
     frequency
       [
-        (3, return (Ast.var target));
-        (2, map Ast.var (oneofl ("x" :: accumulators)));
-        (2, map Ast.const (oneofl [ 0; 1; -1; 5; 31; 32; 33; 70000; -70000 ]));
+        (3, return (var target));
+        (2, map var (oneofl ("x" :: accumulators)));
+        (2, map const (oneofl [ 0; 1; -1; 5; 31; 32; 33; 70000; -70000 ]));
         ( 1,
           map2
-            (fun op c -> Ast.Binop (op, Ast.var target, Ast.const c))
+            (fun op c -> Ast.Binop (op, var target, const c))
             gen_binop (int_range (-8) 8) );
       ]
   in
@@ -318,7 +319,7 @@ let gen_chain =
            ( 1,
              map2
                (fun iters body ->
-                 Ast.For ("k", Ast.const 0, Ast.const iters, body))
+                 Ast.For ("k", const 0, const iters, body))
                (int_range 0 3)
                (list_size (int_range 1 3) gen_update) );
          ])
@@ -406,15 +407,15 @@ let test_split_barrier_cross_wavefront () =
       body =
         [
           Ast.Let ("i", Ast.Global_id);
-          Ast.Store ("out", Ast.var "i", Ast.(var "i" *: const 3));
+          Ast.Store ("out", var "i", var "i" *: const 3);
           Ast.Barrier;
           Ast.Let ("lid", Ast.Local_id);
-          Ast.Let ("base", Ast.(var "i" -: var "lid"));
+          Ast.Let ("base", var "i" -: var "lid");
           Ast.Let
             ( "peer",
               Ast.(
                 var "base" +: Binop (Rem, var "lid" +: const 64, Local_size)) );
-          Ast.Store ("res", Ast.var "i", Ast.load "out" (Ast.var "peer"));
+          Ast.Store ("res", var "i", load "out" (var "peer"));
         ];
     }
   in
@@ -474,15 +475,15 @@ let test_record_fault_falls_back () =
           Ast.Let ("i", Ast.Global_id);
           Ast.If
             ( Ast.(Group_id ==: const 3),
-              [ Ast.Store ("out", Ast.(var "i" +: const 1_000_000), Ast.var "i") ],
+              [ Ast.Store ("out", var "i" +: const 1_000_000, var "i") ],
               [] );
-          Ast.Let ("acc", Ast.const 0);
+          Ast.Let ("acc", const 0);
           Ast.For
             ( "k",
-              Ast.const 0,
-              Ast.const 32,
-              [ Ast.Assign ("acc", Ast.(var "acc" +: var "k")) ] );
-          Ast.Store ("out", Ast.var "i", Ast.(var "acc" +: var "i"));
+              const 0,
+              const 32,
+              [ Ast.Assign ("acc", var "acc" +: var "k") ] );
+          Ast.Store ("out", var "i", var "acc" +: var "i");
         ];
     }
   in
@@ -544,13 +545,13 @@ let test_replay_desync_falls_back () =
       body =
         [
           Ast.Let ("i", Ast.Global_id);
-          Ast.Let ("acc", Ast.const 0);
+          Ast.Let ("acc", const 0);
           Ast.For
             ( "k",
-              Ast.const 0,
-              Ast.const 8,
-              [ Ast.Assign ("acc", Ast.(var "acc" +: (var "k" *: var "i"))) ] );
-          Ast.Store ("out", Ast.var "i", Ast.(var "acc" +: load "a" (var "i")));
+              const 0,
+              const 8,
+              [ Ast.Assign ("acc", var "acc" +: (var "k" *: var "i")) ] );
+          Ast.Store ("out", var "i", var "acc" +: load "a" (var "i"));
         ];
     }
   in

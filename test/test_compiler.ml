@@ -4,6 +4,7 @@
    targets). *)
 
 open Ggpu_kernels
+open Ast_build
 
 let i32_array = Alcotest.(array int)
 

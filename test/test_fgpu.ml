@@ -5,6 +5,7 @@
 
 open Ggpu_kernels
 open Ggpu_fgpu
+open Ast_build
 
 let i32_array = Alcotest.(array int)
 let cus_label cus = String.concat "," (List.map string_of_int cus)
@@ -89,12 +90,12 @@ let test_divergence_counted () =
         [
           Ast.Let ("i", Ast.Global_id);
           Ast.If
-            ( Ast.(var "i" <: var "n"),
+            ( var "i" <: var "n",
               [
                 Ast.If
                   ( Ast.(Binop (And, var "i", const 1) ==: const 0),
-                    [ Ast.Store ("out", Ast.var "i", Ast.(var "i" *: const 2)) ],
-                    [ Ast.Store ("out", Ast.var "i", Ast.(const 0 -: var "i")) ]
+                    [ Ast.Store ("out", var "i", var "i" *: const 2) ],
+                    [ Ast.Store ("out", var "i", const 0 -: var "i") ]
                   );
               ],
               [] );
@@ -131,14 +132,14 @@ let test_barrier_releases () =
       body =
         [
           Ast.Let ("i", Ast.Global_id);
-          Ast.Store ("out", Ast.var "i", Ast.var "i");
+          Ast.Store ("out", var "i", var "i");
           Ast.Barrier;
           (* after the barrier, read a neighbour within the workgroup *)
           Ast.Let ("lid", Ast.Local_id);
-          Ast.Let ("base", Ast.(var "i" -: var "lid"));
+          Ast.Let ("base", var "i" -: var "lid");
           Ast.Let
             ("peer", Ast.(var "base" +: Binop (Rem, var "lid" +: const 1, Local_size)));
-          Ast.Store ("out", Ast.var "i", Ast.load "out" (Ast.var "peer"));
+          Ast.Store ("out", var "i", load "out" (var "peer"));
         ];
     }
   in
@@ -620,8 +621,8 @@ let test_tail_workgroup_local_size () =
       body =
         [
           Ast.Let ("i", Ast.Global_id);
-          Ast.Store ("ls", Ast.var "i", Ast.Local_size);
-          Ast.Store ("gs", Ast.var "i", Ast.Global_size);
+          Ast.Store ("ls", var "i", Ast.Local_size);
+          Ast.Store ("gs", var "i", Ast.Global_size);
         ];
     }
   in

@@ -3,6 +3,7 @@
    interpreter on all seven paper benchmarks. *)
 
 open Ggpu_kernels
+open Ast_build
 
 let i32 = Alcotest.int
 let i32_array = Alcotest.(array i32)
@@ -19,29 +20,29 @@ let expect_check_error kernel =
 
 let test_check_unbound () =
   expect_check_error
-    (bad_kernel [ Ast.Let ("x", Ast.var "y") ] [])
+    (bad_kernel [ Ast.Let ("x", var "y") ] [])
 
 let test_check_buffer_as_scalar () =
   expect_check_error
-    (bad_kernel [ Ast.Let ("x", Ast.var "buf") ] [ Ast.Buffer "buf" ])
+    (bad_kernel [ Ast.Let ("x", var "buf") ] [ Ast.Buffer "buf" ])
 
 let test_check_unknown_buffer () =
   expect_check_error
-    (bad_kernel [ Ast.Let ("x", Ast.load "nope" (Ast.const 0)) ] [])
+    (bad_kernel [ Ast.Let ("x", load "nope" (const 0)) ] [])
 
 let test_check_assign_param () =
   expect_check_error
-    (bad_kernel [ Ast.Assign ("n", Ast.const 1) ] [ Ast.Scalar "n" ])
+    (bad_kernel [ Ast.Assign ("n", const 1) ] [ Ast.Scalar "n" ])
 
 let test_check_assign_loop_var () =
   expect_check_error
     (bad_kernel
-       [ Ast.For ("i", Ast.const 0, Ast.const 4, [ Ast.Assign ("i", Ast.const 0) ]) ]
+       [ Ast.For ("i", const 0, const 4, [ Ast.Assign ("i", const 0) ]) ]
        [])
 
 let test_check_redefinition () =
   expect_check_error
-    (bad_kernel [ Ast.Let ("x", Ast.const 0); Ast.Let ("x", Ast.const 1) ] [])
+    (bad_kernel [ Ast.Let ("x", const 0); Ast.Let ("x", const 1) ] [])
 
 let test_check_duplicate_param () =
   expect_check_error (bad_kernel [] [ Ast.Scalar "n"; Ast.Buffer "n" ])
@@ -65,7 +66,7 @@ let test_interp_out_of_bounds () =
     {
       Ast.name = "oob";
       params = [ Ast.Buffer "b" ];
-      body = [ Ast.Store ("b", Ast.const 99, Ast.const 1) ];
+      body = [ Ast.Store ("b", const 99, const 1) ];
     }
   in
   let args = { Mem_image.buffers = [ ("b", Array.make 4 0) ]; scalars = [] } in
@@ -80,11 +81,11 @@ let test_interp_division_semantics () =
       params = [ Ast.Buffer "out" ];
       body =
         [
-          Ast.Store ("out", Ast.const 0, Ast.(const 17 /: const 0));
-          Ast.Store ("out", Ast.const 1, Ast.(const 17 %: const 0));
+          Ast.Store ("out", const 0, const 17 /: const 0);
+          Ast.Store ("out", const 1, const 17 %: const 0);
           Ast.Store
             ( "out",
-              Ast.const 2,
+              const 2,
               Ast.(Binop (Div, Const Int32.min_int, const (-1))) );
         ];
     }
@@ -136,11 +137,11 @@ let test_lower_shapes () =
       params = [ Ast.Buffer "a"; Ast.Buffer "out" ];
       body =
         [
-          Ast.Let ("x", Ast.load "a" Ast.Global_id);
-          Ast.Let ("acc", Ast.const 0);
-          Ast.Assign ("acc", Ast.(var "acc" +: var "x"));
-          Ast.Assign ("acc", Ast.(var "x" -: var "acc"));
-          Ast.Store ("out", Ast.Global_id, Ast.var "acc");
+          Ast.Let ("x", load "a" Ast.Global_id);
+          Ast.Let ("acc", const 0);
+          Ast.Assign ("acc", var "acc" +: var "x");
+          Ast.Assign ("acc", var "x" -: var "acc");
+          Ast.Store ("out", Ast.Global_id, var "acc");
         ];
     }
   in
@@ -344,11 +345,11 @@ let test_regalloc_fits_all_kernels () =
 let test_regalloc_pressure_error () =
   (* a kernel with more simultaneously-live variables than registers *)
   let lets =
-    List.init 40 (fun i -> Ast.Let (Printf.sprintf "v%d" i, Ast.const i))
+    List.init 40 (fun i -> Ast.Let (Printf.sprintf "v%d" i, const i))
   in
   let uses =
     List.init 40 (fun i ->
-        Ast.Store ("out", Ast.const i, Ast.var (Printf.sprintf "v%d" i)))
+        Ast.Store ("out", const i, var (Printf.sprintf "v%d" i)))
   in
   let kernel =
     { Ast.name = "pressure"; params = [ Ast.Buffer "out" ]; body = lets @ uses }
@@ -367,14 +368,14 @@ let test_loop_variable_interval_extension () =
       params = [ Ast.Buffer "out"; Ast.Scalar "n" ];
       body =
         [
-          Ast.Let ("base", Ast.var "n");
-          Ast.Let ("acc", Ast.const 0);
+          Ast.Let ("base", var "n");
+          Ast.Let ("acc", const 0);
           Ast.For
             ( "i",
-              Ast.const 0,
-              Ast.const 8,
-              [ Ast.Assign ("acc", Ast.(var "acc" +: var "base")) ] );
-          Ast.Store ("out", Ast.const 0, Ast.var "acc");
+              const 0,
+              const 8,
+              [ Ast.Assign ("acc", var "acc" +: var "base") ] );
+          Ast.Store ("out", const 0, var "acc");
         ];
     }
   in

@@ -269,6 +269,60 @@ let test_report_diff () =
           Alcotest.(check bool) "missing is regressed" true r.Report.d_regressed)
         missing
 
+(* --- a PMU-attached replay charges what an in-place run charges -------- *)
+
+(* At [~domains:2] a launch is a record pass plus one replay that the
+   collector watches; at 1 it runs in place.  At the sizes perf-report
+   runs, every bucket, hot pc and stats field must agree, and the
+   replay must not have fallen back to an in-place run. *)
+let test_replay_charges_as_in_place () =
+  let module M = Ggpu_obs.Metrics in
+  let run w ~cus ~domains =
+    let size = Suite_runner.default_size w in
+    let compiled = Codegen_fgpu.compile w.Suite.kernel in
+    let pmu =
+      Pmu.create ~num_cus:cus
+        ~prog_len:(Array.length compiled.Codegen_fgpu.code)
+        ()
+    in
+    let result =
+      Run_fgpu.run ~config:(Config.with_cus Config.default cus) ~pmu ~domains
+        compiled ~args:(w.Suite.mk_args ~size)
+        ~global_size:(w.Suite.global_size ~size)
+        ~local_size:(min w.Suite.local_size size)
+        ()
+    in
+    ( Pmu.summarize pmu ~program:compiled.Codegen_fgpu.code,
+      Stats.to_assoc result.Run_fgpu.stats )
+  in
+  M.set_ambient_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      M.set_ambient_enabled false;
+      M.ambient_reset ())
+  @@ fun () ->
+  List.iter
+    (fun w ->
+      List.iter
+        (fun cus ->
+          let name = Printf.sprintf "%s/%dcu" w.Suite.name cus in
+          let in_place_summary, in_place_stats = run w ~cus ~domains:1 in
+          M.ambient_reset ();
+          let summary, stats = run w ~cus ~domains:2 in
+          let snap = M.ambient_snapshot () in
+          Alcotest.(check (pair (option int) (option int)))
+            (name ^ " record passes, fallbacks")
+            (Some 1, Some 0)
+            ( M.find_counter snap "sim.fgpu.record_passes",
+              M.find_counter snap "sim.fgpu.split_fallbacks" );
+          Alcotest.(check bool) (name ^ " stats") true (stats = in_place_stats);
+          Alcotest.(check bool)
+            (name ^ " pmu summary")
+            true
+            (summary = in_place_summary))
+        [ 1; 4 ])
+    Suite.all
+
 let suite =
   [
     ( "pmu",
@@ -281,5 +335,7 @@ let suite =
         Alcotest.test_case "perf-report validator" `Quick test_report_validate;
         Alcotest.test_case "perf-report regression diff" `Quick
           test_report_diff;
+        Alcotest.test_case "replay charges the PMU as in place" `Slow
+          test_replay_charges_as_in_place;
       ] );
   ]

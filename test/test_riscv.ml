@@ -3,6 +3,7 @@
 
 open Ggpu_isa
 open Ggpu_riscv
+open Ast_build
 
 let run_program ?(mem_words = 1024) items ~setup =
   let program = Rv32_asm.assemble items in
